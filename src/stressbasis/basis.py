@@ -9,7 +9,9 @@ discretized with equal-order continuous quadratic elements for all stress and
 multiplier components. On the rectangle the divergence constraint is kept as a
 saddle block and the pencil is solved by shift-invert Lanczos; on the annulus
 the problem reduces per azimuthal wavenumber m to a radial system whose
-constraint is eliminated by explicit nullspace projection.
+constraint is eliminated by LU: with C^T = P L U (row pivoting), the kernel of
+C is spanned by the columns of P [-L1^-T L2^T; I], and the reduced dense pencil
+is solved by a symmetric-definite eigensolver.
 
 An alternative non-eigen backend generates stress fields from products of
 clamped polynomial "bump" potentials (exactly divergence-free and
@@ -20,17 +22,21 @@ from __future__ import annotations
 import io
 import json
 import os
+import warnings
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 import scipy.sparse as sp
 from numpy.polynomial import legendre as npleg
 from numpy.polynomial import polynomial as nppoly
-from scipy.linalg import eigh, null_space
+from scipy.linalg import LinAlgWarning, eigh, lu_factor, solve_triangular
+# unused; kept importable: the benchmark's traced run wraps it by name
+from scipy.linalg import null_space  # noqa: F401
 from scipy.sparse.linalg import eigsh
 
 from . import fem2d
-from .fields import SymTensorField2, theta_factors, trace_theta_factor
+from .fields import (SymTensorField2, planar_trace, scalar_gram, tensor_gram,
+                     theta_factors)
 from .meshes import (Domain, RadialMesh, RectangleMesh, _atomic_write_bytes,
                      build_radial_grid)
 
@@ -100,13 +106,6 @@ class BasisSet:
             return list(range(len(self.modes)))
         return [i for i, md in enumerate(self.modes)
                 if md.m == m and md.parity == parity]
-
-
-def _inner_or_zero(a: SymTensorField2, b: SymTensorField2) -> float:
-    from .fields import l2_inner_tensor
-    if (a.m, a.parity) != (b.m, b.parity):
-        return 0.0
-    return l2_inner_tensor(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -190,17 +189,56 @@ def solve_basis_rectangle(mesh: RectangleMesh, cfg: EigenSolveConfig) -> BasisSe
 # ---------------------------------------------------------------------------
 
 def _radial_blocks(ops: fem2d.RadialOps, m: int):
+    """Sparse (CSR) stiffness A, mass B and divergence constraint C."""
     K, Mr, W, W1, D = ops.K, ops.Mr, ops.W, ops.W1, ops.D
-    nn = K.shape[0]
-    Z = np.zeros((nn, nn))
-    A = np.block([
+    A = sp.bmat([
         [K + (m**2 + 2) * W, -2 * W, 4 * m * W],
         [-2 * W, K + (m**2 + 2) * W, -4 * m * W],
         [4 * m * W, -4 * m * W, 2 * K + (2 * m**2 + 8) * W],
-    ])
-    B = np.block([[Mr, Z, Z], [Z, Mr, Z], [Z, Z, 2 * Mr]])
-    C = np.block([[D + W1, -W1, m * W1], [Z, -m * W1, D + 2 * W1]])
+    ], format="csr")
+    B = sp.block_diag([Mr, Mr, 2 * Mr], format="csr")
+    C = sp.bmat([[D + W1, -W1, m * W1], [None, -m * W1, D + 2 * W1]],
+                format="csr")
     return A, B, C
+
+
+# relative LU pivot below which a constraint row counts as dependent on the
+# rows before it; the radial constraints split cleanly (pivots of 0 or 1e-17
+# against >= 1e-4 of the largest)
+_PIVOT_TOL = 1e-10
+
+
+def _kernel_by_lu(C: sp.spmatrix) -> np.ndarray:
+    """A basis of ker C (dense, full column rank, not orthonormal).
+
+    With C^T = P L U (row pivoting, L unit lower trapezoidal), z solves
+    C z = 0 iff (P^T z)^T L = 0, so the kernel is spanned by P [-L1^-T L2^T; I]
+    where L1 is the leading square block of L. Row pivoting bounds |L| by 1,
+    which keeps the basis well conditioned. Rows of C whose pivot vanishes
+    depend on earlier rows: trailing ones are cut off the factorization,
+    others are dropped and C is factored again.
+    """
+    # C^T of a C-ordered array is Fortran-ordered: factored in place. A
+    # vanishing pivot is expected here and handled below
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", LinAlgWarning)
+        LU, swaps = lu_factor(C.toarray().T, overwrite_a=True,
+                              check_finite=False)
+    piv = np.abs(np.diag(LU))
+    indep = piv > _PIVOT_TOL * piv.max()
+    r = int(indep.sum())
+    if not indep[:r].all():
+        return _kernel_by_lu(C[np.flatnonzero(indep)])
+    n = LU.shape[0]
+    perm = np.arange(n)
+    for i, j in enumerate(swaps):
+        perm[[i, j]] = perm[[j, i]]
+    # only the strict lower triangle of LU[:r, :r] is read
+    X = solve_triangular(LU[:r, :r], LU[r:, :r].T, trans="T", lower=True,
+                         unit_diagonal=True, check_finite=False)
+    Z = np.empty((n, n - r))
+    Z[perm] = np.vstack([-X, np.eye(n - r)])
+    return Z
 
 
 def _solve_radial_m(mesh: RadialMesh, m: int, n_modes: int):
@@ -208,14 +246,15 @@ def _solve_radial_m(mesh: RadialMesh, m: int, n_modes: int):
     ops = fem2d.radial_ops(mesh)
     nn = mesh.n_nodes
     A, B, C = _radial_blocks(ops, m)
-    drop = {0, nn - 1, 2 * nn, 3 * nn - 1}  # f_rr and f_rt at both ends
-    keep = [i for i in range(3 * nn) if i not in drop]
-    Zn = null_space(C[:, keep])
+    # f_rr and f_rt at both ends
+    keep = np.setdiff1d(np.arange(3 * nn), [0, nn - 1, 2 * nn, 3 * nn - 1])
+    Zn = _kernel_by_lu(C[:, keep])
     if Zn.shape[1] == 0:
         return np.empty(0), np.empty((3 * nn, 0))
-    Ak = A[np.ix_(keep, keep)]
-    Bk = B[np.ix_(keep, keep)]
-    lam, Yv = eigh(Zn.T @ Ak @ Zn, Zn.T @ Bk @ Zn)
+    Ak = A[keep][:, keep]
+    Bk = B[keep][:, keep]
+    # eigh B-normalizes the eigenvectors, so Zn need not be orthonormal
+    lam, Yv = eigh(Zn.T @ (Ak @ Zn), Zn.T @ (Bk @ Zn))
     k = min(n_modes, len(lam))
     full = np.zeros((3 * nn, k))
     full[keep] = Zn @ Yv[:, :k]
@@ -281,12 +320,6 @@ def solve_basis_annulus(domain: Domain, wavenumbers, cfg: EigenSolveConfig,
 # Orthonormalization and diagnostics
 # ---------------------------------------------------------------------------
 
-def _trace_norm(mode: SymTensorField2) -> float:
-    from .fields import l2_inner_scalar, planar_trace
-    tr = planar_trace(mode)
-    return float(np.sqrt(max(l2_inner_scalar(tr, tr), 0.0)))
-
-
 def _sign_fix(mode: SymTensorField2) -> SymTensorField2:
     flat = mode.components.ravel()
     i = int(np.argmax(np.abs(flat)))
@@ -303,75 +336,96 @@ def _has_exact_form(md: SymTensorField2) -> bool:
     return False
 
 
+def _symmetric(G: np.ndarray) -> np.ndarray:
+    return 0.5 * (G + G.T)
+
+
 def orthonormalize(basis: BasisSet, degenerate_gap: float | None = None) -> BasisSet:
     """Scale modes to unit L2 norm and orthogonalize degenerate clusters.
 
     Within each eigenvalue cluster (relative gap below the threshold) a
     modified Gram-Schmidt pass runs with the larger-trace-norm mode as the
     first axis. Mode signs follow the largest-absolute-nodal-value convention.
+
+    Modes of distinct (m, parity) tags are orthogonal, so each output mode is
+    a combination of the input modes of its own tag group, and the pass runs
+    over the members of one tag in a cluster. The passes and the output Grams
+    work on those coefficients, with inner products taken from the input
+    Grams of the group (one BLAS product each).
     """
     gap = degenerate_gap if degenerate_gap is not None else \
         basis.provenance.get("degenerate_gap", 1e-6)
-    modes = list(basis.modes)
-    n = len(modes)
-
-    # normalize
-    for i in range(n):
-        nrm = np.sqrt(max(_inner_or_zero(modes[i], modes[i]), 0.0))
-        if nrm == 0:
-            raise BasisError(f"mode {i} has zero norm")
-        modes[i] = (1.0 / nrm) * modes[i]
+    n = len(basis.modes)
 
     # cluster detection on eigenvalues (airy backend: single MGS pass overall
     # is not needed -- its construction already orthonormalizes)
-    if basis.eigenvalues is not None and n > 1:
+    clusters = []
+    if basis.eigenvalues is not None:
         lam = basis.eigenvalues
-        clusters = []
         start = 0
         for i in range(1, n):
             if (lam[i] - lam[i - 1]) > gap * max(lam[i - 1], 1e-300):
                 clusters.append(list(range(start, i)))
                 start = i
         clusters.append(list(range(start, n)))
-        for cl in clusters:
-            if len(cl) == 1:
-                continue
-            order = sorted(cl, key=lambda i: -_trace_norm(modes[i]))
-            done = []
-            for i in order:
-                v = modes[i]
-                for j in done:
-                    c = _inner_or_zero(v, modes[j])
-                    if c != 0.0:
-                        v = v - c * modes[j]
-                nrm = np.sqrt(max(_inner_or_zero(v, v), 0.0))
-                if nrm < 1e-8:
-                    raise BasisError(f"rank deficiency inside degenerate cluster {cl}")
-                modes[i] = (1.0 / nrm) * v
-                done.append(i)
 
-    # materialize purely discrete modes as plain component fields so that
-    # quadrature evaluation is bit-identical between a freshly built basis and
-    # one reloaded from the cache (closed-form modes keep their exact handles)
-    fixed = []
-    for md in modes:
-        md = _sign_fix(md)
-        if not _has_exact_form(md):
-            md = SymTensorField2(md.mesh, md.components.copy(), m=md.m,
-                                 parity=md.parity)
-        fixed.append(md)
-    modes = fixed
-    gram = np.zeros((n, n))
-    tgram = np.zeros((n, n))
-    from .fields import l2_inner_scalar, planar_trace
-    traces = [planar_trace(md) for md in modes]
-    for i in range(n):
-        for j in range(i, n):
-            if (modes[i].m, modes[i].parity) != (modes[j].m, modes[j].parity):
+    fixed = [None] * n
+    out = BasisSet(fixed, basis.eigenvalues, np.zeros((n, n)),
+                   np.zeros((n, n)), dict(basis.provenance))
+    for key, idx in basis.groups().items():
+        m, parity = key or (None, None)
+        Q = basis.quad_matrix(idx)
+        Tr = Q[0] + Q[1]
+        G = _symmetric(tensor_gram(basis.mesh, m, parity, Q, Q))
+        Gt = _symmetric(scalar_gram(basis.mesh, m, parity, Tr, Tr))
+        # column p of T: output mode p in terms of the group's input modes
+        nrm = np.sqrt(np.maximum(np.diag(G), 0.0))
+        if not nrm.all():
+            raise BasisError(f"mode {idx[int(np.argmin(nrm))]} has zero norm")
+        T = np.diag(1.0 / nrm)
+
+        pos = {i: p for p, i in enumerate(idx)}
+        for cl in clusters:
+            members = [pos[i] for i in cl if i in pos]
+            if len(members) < 2:
                 continue
-            gram[i, j] = gram[j, i] = _inner_or_zero(modes[i], modes[j])
-            tgram[i, j] = tgram[j, i] = l2_inner_scalar(traces[i], traces[j])
-    return BasisSet(modes, basis.eigenvalues, gram, tgram, dict(basis.provenance))
+            order = sorted(members, key=lambda p: -np.sqrt(
+                max(T[:, p] @ Gt @ T[:, p], 0.0)))
+            done = []
+            for p in order:
+                v = T[:, p]
+                for q in done:
+                    c = v @ G @ T[:, q]
+                    if c != 0.0:
+                        v = v - c * T[:, q]
+                nrm = np.sqrt(max(v @ G @ v, 0.0))
+                if nrm < 1e-8:
+                    raise BasisError(
+                        f"rank deficiency inside degenerate cluster {cl}")
+                T[:, p] = (1.0 / nrm) * v
+                done.append(p)
+
+        # materialize purely discrete modes as plain component fields so that
+        # quadrature evaluation is bit-identical between a freshly built basis
+        # and one reloaded from the cache (closed-form modes keep their exact
+        # handles)
+        tag = basis.modes[idx[0]]
+        for p, i in enumerate(idx):
+            parts = [(float(T[q, p]), basis.modes[idx[q]])
+                     for q in np.flatnonzero(T[:, p])]
+            raw = SymTensorField2(tag.mesh, m=tag.m, parity=tag.parity,
+                                  parts=parts)
+            md = _sign_fix(raw)
+            if md is not raw:
+                T[:, p] = -T[:, p]
+            if not _has_exact_form(md):
+                md = SymTensorField2(md.mesh, md.components.copy(), m=md.m,
+                                     parity=md.parity)
+            fixed[i] = md
+        block = np.ix_(idx, idx)
+        out.gram_l2[block] = _symmetric(T.T @ G @ T)
+        out.trace_gram[block] = _symmetric(T.T @ Gt @ T)
+    return out
 
 
 def _record_residuals(basis: BasisSet):
@@ -468,7 +522,7 @@ def airy_bump_basis(mesh: RectangleMesh, n: int) -> BasisSet:
 
     k = len(modes)
     gram = np.array([[l2_inner_tensor(a, b) for b in modes] for a in modes])
-    from .fields import l2_inner_scalar, planar_trace
+    from .fields import l2_inner_scalar
     traces = [planar_trace(m) for m in modes]
     tgram = np.array([[l2_inner_scalar(a, b) for b in traces] for a in traces])
     basis = BasisSet(modes, None, gram, tgram, {
@@ -534,9 +588,10 @@ def _h1_gram(basis: BasisSet) -> np.ndarray:
             cn[2 * nn:] = 0.0
             cs = cols.copy()
             cs[:2 * nn] = 0.0
-            Gn = cn.T @ A @ cn
-            Gs = cs.T @ A @ cs
-            Gx = cn.T @ A @ cs
+            Acs = A @ cs
+            Gn = cn.T @ (A @ cn)
+            Gs = cs.T @ Acs
+            Gx = cn.T @ Acs
             if m == 0:
                 sub = fac_n * Gn + fac_s * Gs
             else:

@@ -8,7 +8,8 @@ Verbs:
   preset dump   NAME
   oracle build  --preset NAME --out FILE
 
-Exit codes: 0 success, 1 numeric failure, 2 usage error.
+Exit codes: 0 success, 1 numeric failure, 2 usage error (including invalid
+materials and meshes); errors print one line on stderr.
 The basis/oracle cache directory is taken from $SB_CACHE_DIR.
 """
 from __future__ import annotations
@@ -21,6 +22,9 @@ from . import experiments
 from .basis import BasisError, load_basis, save_basis, verify_basis
 from .experiments import (ExperimentConfig, ExperimentError, UsageError,
                           get_preset, list_presets, run_experiment)
+from .materials import MaterialError
+from .meshes import MeshError
+from .solvers import SolverError
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -161,10 +165,10 @@ def main(argv=None) -> int:
         if args.verb == "oracle":
             return _cmd_oracle_build(args)
         raise UsageError(f"unknown verb {args.verb!r}")
-    except UsageError as exc:
+    except (UsageError, MaterialError, MeshError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ExperimentError, BasisError) as exc:
+    except (ExperimentError, BasisError, SolverError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 1
     except FileNotFoundError as exc:

@@ -150,10 +150,11 @@ class ExperimentConfig:
         return cfg
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        """The config as ``from_dict`` accepts it: unset fields are left out."""
+        return {k: v for k, v in asdict(self).items() if v is not None}
 
     def at_full_scale(self) -> "ExperimentConfig":
-        raw = {k: v for k, v in self.to_dict().items() if v is not None}
+        raw = self.to_dict()
         raw.update({k: v for k, v in self.full.items()})
         raw["full"] = {}
         return ExperimentConfig.from_dict(raw)

@@ -187,7 +187,8 @@ class RectOps:
 class RadialOps:
     """Quadrature, interpolation, and radial matrices for a radial grid.
 
-    Matrix definitions (over r in [r_a, r_b], quadratic shapes N):
+    Sparse (CSR) matrix definitions (over r in [r_a, r_b], quadratic
+    shapes N):
     K = int N'_a N'_b r dr,  Mr = int N_a N_b r dr,  W = int N_a N_b / r dr,
     W1 = int N_a N_b dr,  D = int N_a N'_b r dr.
     """
@@ -217,25 +218,22 @@ class RadialOps:
         self.P = sp.csr_matrix((Pv, (rows, cols)), shape=(self.nq, nn))
         self.Pr = sp.csr_matrix((Prv, (rows, cols)), shape=(self.nq, nn))
 
-        K = np.zeros((nn, nn))
-        Mr = np.zeros((nn, nn))
-        W = np.zeros((nn, nn))
-        W1 = np.zeros((nn, nn))
-        D = np.zeros((nn, nn))
-        for e in range(nel):
-            idx = conn[e]
-            j = J[e]
-            for q in range(len(g)):
-                r = x0[e] + (g[q] + 1) * j
-                w = gw[q] * j
-                N = Nt[q]
-                dN = dNt[q] / j
-                K[np.ix_(idx, idx)] += w * r * np.outer(dN, dN)
-                Mr[np.ix_(idx, idx)] += w * r * np.outer(N, N)
-                W[np.ix_(idx, idx)] += (w / r) * np.outer(N, N)
-                W1[np.ix_(idx, idx)] += w * np.outer(N, N)
-                D[np.ix_(idx, idx)] += w * r * np.outer(N, dN)
-        self.K, self.Mr, self.W, self.W1, self.D = K, Mr, W, W1, D
+        # element matrices (nel, 3, 3) from per-element quadrature tables
+        r = self.rq.reshape(nel, -1)
+        w = self.wq.reshape(nel, -1)
+        dN = dNt[None] / J[:, None, None]
+        NN = np.einsum("qa,qb->qab", Nt, Nt)
+        erow = np.repeat(conn, 3, axis=1).ravel()
+        ecol = np.tile(conn, (1, 3)).ravel()
+
+        def mk(v):
+            return sp.csr_matrix((v.ravel(), (erow, ecol)), shape=(nn, nn))
+
+        self.K = mk(np.einsum("eq,eqa,eqb->eab", w * r, dN, dN))
+        self.Mr = mk(np.einsum("eq,qab->eab", w * r, NN))
+        self.W = mk(np.einsum("eq,qab->eab", w / r, NN))
+        self.W1 = mk(np.einsum("eq,qab->eab", w, NN))
+        self.D = mk(np.einsum("eq,qa,eqb->eab", w * r, Nt, dN))
 
 
 def rect_ops(mesh: RectangleMesh) -> RectOps:

@@ -288,6 +288,47 @@ def l2_inner_scalar(f: ScalarField, g: ScalarField) -> float:
     return float(np.dot(ops.qw, a * b))
 
 
+def quad_metric(mesh, m=None, parity=None):
+    """Quadrature weights and per-component factors of the L2 inner product.
+
+    <A, B> = sum_c fac[c] sum_q w[q] A[c, q] B[c, q]; the off-diagonal
+    component counts twice, and on radial grids the factors carry the theta
+    integrals of the (m, parity) family.
+    """
+    ops = _ops(mesh)
+    if isinstance(mesh, RadialMesh):
+        fn, fs = theta_factors(m, parity)
+        return ops.wq * ops.rq, (fn, fn, 2 * fs)
+    return ops.qw, (1.0, 1.0, 2.0)
+
+
+def _weighted_product(w, a, b):
+    """sum_q w[q] a[q, ...] b[q, ...] as one BLAS product.
+
+    ``a`` is (nq,) or (nq, i) and ``b`` is (nq,) or (nq, j); the result has the
+    trailing shape of ``a`` then of ``b``.
+    """
+    return (a.T * w) @ b
+
+
+def tensor_gram(mesh, m, parity, A, B):
+    """L2 products of quadrature stacks A (3, nq[, i]) and B (3, nq[, j]).
+
+    One component at a time, so that only a single weighted component is
+    held in memory besides the operands.
+    """
+    w, fac = quad_metric(mesh, m, parity)
+    return sum(f * _weighted_product(w, A[c], B[c])
+               for c, f in enumerate(fac) if f != 0.0)
+
+
+def scalar_gram(mesh, m, parity, a, b):
+    """L2 products of scalar quadrature stacks a (nq[, i]) and b (nq[, j])."""
+    w, _ = quad_metric(mesh, m, parity)
+    fac = trace_theta_factor(m, parity) if isinstance(mesh, RadialMesh) else 1.0
+    return fac * _weighted_product(w, a, b)
+
+
 def l2_norm_tensor(A: SymTensorField2) -> float:
     return float(np.sqrt(max(l2_inner_tensor(A, A), 0.0)))
 

@@ -147,15 +147,20 @@ def compliance_apply(material: Material, sigma: SymTensorField2) -> SymTensorFie
     return SymTensorField2(mesh, eps, m=sigma.m, parity=sigma.parity)
 
 
-def compliance_quad(material: Material, sigma: SymTensorField2) -> np.ndarray:
-    """C^{-1} sigma evaluated at quadrature points, shape (3, nq)."""
-    mesh = sigma.mesh
+def compliance_on_quad(material: Material, mesh, values: np.ndarray) -> np.ndarray:
+    """C^{-1} applied to quadrature-point stresses of shape (3, nq, ...)."""
     if material.kind == "orthotropic" and isinstance(mesh, RadialMesh):
         raise MaterialError("orthotropic law is defined on rectangle meshes only")
     Y = None
     if material.kind == "isotropic" and not material.uniform:
         Y = material._modulus_on_quad(mesh)
-    return material.compliance_on_values(sigma.at_quad(), Y=Y)
+        Y = Y.reshape(Y.shape + (1,) * (np.ndim(values) - 2))
+    return material.compliance_on_values(values, Y=Y)
+
+
+def compliance_quad(material: Material, sigma: SymTensorField2) -> np.ndarray:
+    """C^{-1} sigma evaluated at quadrature points, shape (3, nq)."""
+    return compliance_on_quad(material, sigma.mesh, sigma.at_quad())
 
 
 def energy_inner(material: Material, A: SymTensorField2, B: SymTensorField2) -> float:

@@ -19,11 +19,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
+from scipy.linalg import solve_triangular
 
 from .basis import BasisSet
-from .fields import (ScalarField, SymTensorField2, theta_factors,
-                     trace_theta_factor, _ops)
-from .materials import Material, compliance_quad, strain_energy
+from .fields import ScalarField, SymTensorField2, scalar_gram, tensor_gram
+from .materials import (Material, compliance_on_quad, compliance_quad,
+                        strain_energy)
 from .meshes import RadialMesh
 
 
@@ -57,59 +58,11 @@ def _select_indices(basis: BasisSet, sigma_p: SymTensorField2, N: int):
     return idx[:N]
 
 
-def _area_weights(mesh):
-    ops = _ops(mesh)
-    if isinstance(mesh, RadialMesh):
-        return ops.wq * ops.rq
-    return ops.qw
-
-
-def _tensor_products(mesh, m, parity, Aq, Phi):
-    """<A, phi_i> for quadrature fields: Aq (3, nq), Phi (3, nq, k)."""
-    w = _area_weights(mesh)
-    if isinstance(mesh, RadialMesh):
-        fn, fs = theta_factors(m, parity)
-        return (fn * np.einsum("q,q,qk->k", w, Aq[0], Phi[0])
-                + fn * np.einsum("q,q,qk->k", w, Aq[1], Phi[1])
-                + 2 * fs * np.einsum("q,q,qk->k", w, Aq[2], Phi[2]))
-    return (np.einsum("q,q,qk->k", w, Aq[0], Phi[0])
-            + np.einsum("q,q,qk->k", w, Aq[1], Phi[1])
-            + 2 * np.einsum("q,q,qk->k", w, Aq[2], Phi[2]))
-
-
-def _tensor_gram(mesh, m, parity, Aq, Bq):
-    """Gram <A_i, B_j> for mode stacks (3, nq, k)."""
-    w = _area_weights(mesh)
-    if isinstance(mesh, RadialMesh):
-        fn, fs = theta_factors(m, parity)
-        return (fn * np.einsum("q,qi,qj->ij", w, Aq[0], Bq[0])
-                + fn * np.einsum("q,qi,qj->ij", w, Aq[1], Bq[1])
-                + 2 * fs * np.einsum("q,qi,qj->ij", w, Aq[2], Bq[2]))
-    return (np.einsum("q,qi,qj->ij", w, Aq[0], Bq[0])
-            + np.einsum("q,qi,qj->ij", w, Aq[1], Bq[1])
-            + 2 * np.einsum("q,qi,qj->ij", w, Aq[2], Bq[2]))
-
-
-def _compliance_on_stack(material: Material, mesh, Phi):
-    """C^-1 applied to a mode stack (3, nq, k)."""
-    ops = _ops(mesh)
-    if material.kind == "isotropic":
-        if material.uniform:
-            Y = float(material.Y)
-        else:
-            Y = material._modulus_on_quad(mesh)[:, None]
-        nu = material.nu
-        exx = ((1 - nu**2) * Phi[0] - nu * (1 + nu) * Phi[1]) / Y
-        eyy = ((1 - nu**2) * Phi[1] - nu * (1 + nu) * Phi[0]) / Y
-        exy = (1 + nu) * Phi[2] / Y
-        return np.stack([exx, eyy, exy])
-    nxy = material.nu_xy
-    exx = (1 - nxy**2) * Phi[0] / material.Y_x \
-        - nxy * (1 + nxy) * Phi[1] / material.Y_y
-    eyy = -nxy * (1 + nxy) * Phi[0] / material.Y_y \
-        + (1 - nxy**2) * Phi[1] / material.Y_y
-    exy = Phi[2] / (2 * material.G_xy)
-    return np.stack([exx, eyy, exy])
+def _se_gram(material, mesh, m, parity, Phi):
+    """The symmetrized strain-energy Gram <C^-1 phi_j, phi_i>."""
+    M = tensor_gram(mesh, m, parity, compliance_on_quad(material, mesh, Phi),
+                    Phi)
+    return 0.5 * (M + M.T)
 
 
 def assemble_se_system(basis: BasisSet, sigma_p: SymTensorField2,
@@ -118,31 +71,17 @@ def assemble_se_system(basis: BasisSet, sigma_p: SymTensorField2,
     idx = _select_indices(basis, sigma_p, N)
     mesh = basis.mesh
     Phi = basis.quad_matrix(idx)
-    CPhi = _compliance_on_stack(material, mesh, Phi)
     m, parity = sigma_p.m, sigma_p.parity
-    M = _tensor_gram(mesh, m, parity, CPhi, Phi)
-    M = 0.5 * (M + M.T)
+    M = _se_gram(material, mesh, m, parity, Phi)
     eq = compliance_quad(material, sigma_p)
-    f = -_tensor_products(mesh, m, parity, eq, Phi)
+    f = -tensor_gram(mesh, m, parity, eq, Phi)
     return M, f
 
 
 def _trace_vector(basis, idx, sbar_quad, mesh, m, parity):
     """<sbar, trace(phi_i)> for a scalar quadrature field."""
     Phi = basis.quad_matrix(idx)
-    Tq = Phi[0] + Phi[1]
-    w = _area_weights(mesh)
-    if isinstance(mesh, RadialMesh):
-        fac = trace_theta_factor(m, parity)
-        return fac * np.einsum("q,q,qk->k", w, sbar_quad, Tq)
-    return np.einsum("q,q,qk->k", w, sbar_quad, Tq)
-
-
-def _scalar_sq(mesh, m, parity, g):
-    w = _area_weights(mesh)
-    if isinstance(mesh, RadialMesh):
-        return trace_theta_factor(m, parity) * float(np.dot(w, g * g))
-    return float(np.dot(w, g * g))
+    return scalar_gram(mesh, m, parity, sbar_quad, Phi[0] + Phi[1])
 
 
 def _reconstruct(sigma_p, basis, idx, a):
@@ -153,19 +92,19 @@ def _reconstruct(sigma_p, basis, idx, a):
 
 
 def _oracle_terms(basis, idx, sigma_p, sigma_true, material):
-    """Quadratic-form ingredients of E_n = |sigma^n - sigma_true|_E / |sigma_true|_E."""
+    """Ingredients of E_n = |sigma^n - sigma_true|_E / |sigma_true|_E besides
+    the SE Gram: |sigma_p - sigma_true|_E^2, <C^-1 (sigma_p - sigma_true),
+    phi_i> and |sigma_true|_E^2."""
     mesh = sigma_p.mesh
     d = sigma_p - sigma_true
     dd = strain_energy(material, d)
     Cd = compliance_quad(material, d)
     Phi = basis.quad_matrix(idx)
-    g = _tensor_products(mesh, sigma_p.m, sigma_p.parity, Cd, Phi)
-    CPhi = _compliance_on_stack(material, mesh, Phi)
-    Mse = _tensor_gram(mesh, sigma_p.m, sigma_p.parity, CPhi, Phi)
+    g = tensor_gram(mesh, sigma_p.m, sigma_p.parity, Cd, Phi)
     denom = strain_energy(material, sigma_true)
     if denom <= 0:
         raise SolverError("oracle stress has zero energy")
-    return dd, g, 0.5 * (Mse + Mse.T), denom
+    return dd, g, denom
 
 
 def _schedule(N, ns):
@@ -180,28 +119,37 @@ def _schedule(N, ns):
 def solve_strain_energy(sigma_p: SymTensorField2, basis: BasisSet,
                         material: Material, N: int, ns=None,
                         oracle: SymTensorField2 | None = None) -> Approximation:
-    """Coefficients by strain-energy minimization (M a = f, SPD factorization)."""
+    """Coefficients by strain-energy minimization (M a = f, SPD factorization).
+
+    M is factored once: the Cholesky factor of a leading block M[:n, :n] is
+    the leading block of the factor, so every n in the schedule costs two
+    triangular solves.
+    """
     idx = _select_indices(basis, sigma_p, N)
     M, f = assemble_se_system(basis, sigma_p, material, N)
     Ep = strain_energy(material, sigma_p)
     if oracle is not None:
-        dd, g, _, denom = _oracle_terms(basis, idx, sigma_p, oracle, material)
+        dd, g, denom = _oracle_terms(basis, idx, sigma_p, oracle, material)
     sched = _schedule(N, ns)
+    nmax = max(sched, default=0)
+    if nmax:
+        try:
+            L = np.linalg.cholesky(M[:nmax, :nmax])
+        except np.linalg.LinAlgError as exc:
+            raise SolverError(
+                f"SE system is not positive definite within n={nmax}: "
+                "broken basis or material") from exc
     objective = np.empty(len(sched))
     energy = np.empty(len(sched))
     errors = np.empty(len(sched)) if oracle is not None else None
     a = np.zeros(N)
     for k, n in enumerate(sched):
-        if n == 0:
-            an = np.zeros(0)
-        else:
-            try:
-                L = np.linalg.cholesky(M[:n, :n])
-            except np.linalg.LinAlgError as exc:
-                raise SolverError(
-                    f"SE system is not positive definite at n={n}: "
-                    "broken basis or material") from exc
-            an = np.linalg.solve(L.T, np.linalg.solve(L, f[:n]))
+        an = np.zeros(0)
+        if n:
+            an = solve_triangular(L[:n, :n], f[:n], lower=True,
+                                  check_finite=False)
+            an = solve_triangular(L[:n, :n], an, trans="T", lower=True,
+                                  check_finite=False)
         En = Ep - 2 * an @ f[:n] + an @ M[:n, :n] @ an
         objective[k] = En
         energy[k] = En
@@ -224,7 +172,8 @@ def _pt_like(sigma_p, basis, N, ns, sbar_quad, principle):
     t = _trace_vector(basis, idx, sbar_quad, mesh, sigma_p.m, sigma_p.parity)
     Gt = basis.trace_gram[np.ix_(idx, idx)]
     a = -t
-    Tp = _scalar_sq(mesh, sigma_p.m, sigma_p.parity, sbar_quad)
+    Tp = float(scalar_gram(mesh, sigma_p.m, sigma_p.parity, sbar_quad,
+                           sbar_quad))
     sched = _schedule(N, ns)
     objective = np.empty(len(sched))
     for k, n in enumerate(sched):
@@ -265,11 +214,9 @@ def energy_series(approx: Approximation, sigma_p: SymTensorField2,
     idx = approx.mode_indices
     mesh = sigma_p.mesh
     Phi = basis.quad_matrix(idx)
-    CPhi = _compliance_on_stack(material, mesh, Phi)
-    M = _tensor_gram(mesh, sigma_p.m, sigma_p.parity, CPhi, Phi)
-    M = 0.5 * (M + M.T)
+    M = _se_gram(material, mesh, sigma_p.m, sigma_p.parity, Phi)
     eq = compliance_quad(material, sigma_p)
-    q = _tensor_products(mesh, sigma_p.m, sigma_p.parity, eq, Phi)
+    q = tensor_gram(mesh, sigma_p.m, sigma_p.parity, eq, Phi)
     Ep = strain_energy(material, sigma_p)
     a = approx.coeffs
     out = np.empty(len(approx.diagnostics["n"]))
@@ -284,7 +231,9 @@ def error_series(approx: Approximation, sigma_p: SymTensorField2,
                  sigma_true: SymTensorField2) -> np.ndarray:
     """E_n against an oracle for every n in the recorded schedule."""
     idx = approx.mode_indices
-    dd, g, M, denom = _oracle_terms(basis, idx, sigma_p, sigma_true, material)
+    dd, g, denom = _oracle_terms(basis, idx, sigma_p, sigma_true, material)
+    M = _se_gram(material, sigma_p.mesh, sigma_p.m, sigma_p.parity,
+                 basis.quad_matrix(idx))
     a = approx.coeffs
     out = np.empty(len(approx.diagnostics["n"]))
     for k, n in enumerate(approx.diagnostics["n"]):
@@ -301,5 +250,5 @@ def galerkin_residual(approx: Approximation, sigma_p: SymTensorField2,
     mesh = sigma_p.mesh
     Phi = basis.quad_matrix(idx)
     eq = compliance_quad(material, approx.sigma_N)
-    r = _tensor_products(mesh, sigma_p.m, sigma_p.parity, eq, Phi)
+    r = tensor_gram(mesh, sigma_p.m, sigma_p.parity, eq, Phi)
     return float(np.max(np.abs(r)))

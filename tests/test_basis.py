@@ -1,11 +1,17 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.linalg import eigh, null_space
 
-from stressbasis.basis import (BasisError, EigenSolveConfig, airy_bump_basis,
-                               load_basis, save_basis, solve_basis_annulus,
-                               solve_basis_rectangle, verify_basis)
-from stressbasis.fields import l2_inner_tensor, l2_norm_tensor
-from stressbasis.meshes import Domain, build_rectangle_mesh
+from stressbasis import fem2d
+from stressbasis.basis import (BasisError, EigenSolveConfig, _kernel_by_lu,
+                               _radial_blocks, _solve_radial_m,
+                               airy_bump_basis, load_basis, save_basis,
+                               solve_basis_annulus, solve_basis_rectangle,
+                               verify_basis)
+from stressbasis.fields import (l2_inner_scalar, l2_inner_tensor,
+                                l2_norm_tensor, planar_trace)
+from stressbasis.meshes import Domain, build_radial_grid, build_rectangle_mesh
 
 
 def test_rectangle_basis_verifies(rect_basis):
@@ -56,6 +62,63 @@ def test_sin_twin_divergence_within_tolerance(ann_basis_merged):
                if mode.parity == "sin"]
     assert sin_idx, "merged basis should contain sin-family modes"
     assert np.all(div[sin_idx] <= tol[sin_idx])
+
+
+def _sign_fixed(cols):
+    rows = np.argmax(np.abs(cols), axis=0)
+    return cols * np.sign(cols[rows, np.arange(cols.shape[1])])
+
+
+@pytest.mark.parametrize("m", [0, 1, 2, 3])
+def test_radial_kernel_by_lu_matches_svd(m):
+    """The LU kernel spans ker C and reproduces the SVD-based eigenpairs."""
+    mesh = build_radial_grid(Domain.annulus(0.1, 0.3), 24)
+    nn = mesh.n_nodes
+    A, B, C = _radial_blocks(fem2d.radial_ops(mesh), m)
+    keep = np.setdiff1d(np.arange(3 * nn), [0, nn - 1, 2 * nn, 3 * nn - 1])
+    Z = _kernel_by_lu(C[:, keep])
+    Ck = C[:, keep].toarray()
+    Zs = null_space(Ck)
+    assert np.abs(Ck @ Z).max() <= 1e-12 * np.abs(Ck).max()
+    assert Z.shape[1] == Zs.shape[1]
+
+    k = 10
+    lam, cols = _solve_radial_m(mesh, m, k)
+    Ak = A[keep][:, keep]
+    Bk = B[keep][:, keep]
+    lam_s, Y = eigh(Zs.T @ (Ak @ Zs), Zs.T @ (Bk @ Zs))
+    assert np.allclose(lam, lam_s[:k], rtol=1e-10, atol=0)
+    ref = np.zeros_like(cols)
+    ref[keep] = Zs @ Y[:, :k]
+    dev = np.abs(_sign_fixed(cols) - _sign_fixed(ref)).max()
+    assert dev <= 1e-8 * np.abs(ref).max()
+
+
+def test_kernel_by_lu_drops_dependent_rows():
+    """A dependent row ahead of independent ones is dropped, not trusted."""
+    rng = np.random.default_rng(3)
+    C = rng.standard_normal((4, 9))
+    C[1] = 2.0 * C[0]
+    Z = _kernel_by_lu(sp.csr_matrix(C))
+    assert Z.shape == (9, 6)
+    assert np.abs(C @ Z).max() <= 1e-12 * np.abs(C).max()
+    assert np.linalg.matrix_rank(Z) == 6
+
+
+def test_grams_match_pairwise_inner_products(ann_basis_merged, rect_basis):
+    for basis in (ann_basis_merged, rect_basis):
+        modes = basis.modes
+        traces = [planar_trace(md) for md in modes]
+        n = len(modes)
+        G = np.zeros((n, n))
+        T = np.zeros((n, n))
+        for i in range(n):
+            for j in range(n):
+                if (modes[i].m, modes[i].parity) == (modes[j].m, modes[j].parity):
+                    G[i, j] = l2_inner_tensor(modes[i], modes[j])
+                    T[i, j] = l2_inner_scalar(traces[i], traces[j])
+        assert np.abs(basis.gram_l2 - G).max() <= 1e-13
+        assert np.abs(basis.trace_gram - T).max() <= 1e-13
 
 
 def test_l2_orthonormality_direct(ann_basis_m0):

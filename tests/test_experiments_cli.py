@@ -98,6 +98,13 @@ def test_every_preset_parses():
         assert cfg.N >= 1
 
 
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_preset_dump_is_a_valid_config(name, capsys):
+    assert main(["preset", "dump", name]) == 0
+    dumped = json.loads(capsys.readouterr().out)
+    assert ExperimentConfig.from_dict(dumped) == get_preset(name)
+
+
 # ---------------------------------------------------------------------------
 # Runner: determinism and caching
 # ---------------------------------------------------------------------------
@@ -158,6 +165,21 @@ def test_cli_usage_errors(capsys):
     assert main(["run", "example1", "--config", "x.json"]) == 2
     assert main(["basis", "verify", "/no/such/file"]) == 2
     assert main(["frobnicate"]) == 2               # argparse rejection
+
+
+@pytest.mark.parametrize("change, code, words", [
+    ({"material": {"kind": "isotropic", "Y": 1.0, "nu": 0.6}}, 2, "nu"),
+    ({"domain": {"kind": "annulus", "r_a": 0.3, "r_b": 0.1}}, 2, "r_a"),
+    ({"N": 11}, 1, "N=11"),
+], ids=["material", "mesh", "solver"])
+def test_cli_schema_valid_bad_input(tmp_path, capsys, change, code, words):
+    """Input errors exit 2 and numeric failures exit 1, with one line each."""
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(json.dumps(dict(SMALL_CFG, **change)))
+    assert main(["run", "--config", str(cfg_path),
+                 "--out", str(tmp_path / "out")]) == code
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and words in err
 
 
 def test_cli_preset_verbs(capsys):

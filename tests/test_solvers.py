@@ -105,6 +105,23 @@ def test_error_series_endpoints(ann_particular, ann_basis_m0, iso_material,
     assert np.allclose(also, E, rtol=1e-12)
 
 
+def test_single_factor_schedule_matches_per_n_cholesky(
+        ann_particular, ann_basis_m0, iso_material):
+    from stressbasis.solvers import assemble_se_system
+    N = len(ann_basis_m0)
+    se = solve_strain_energy(ann_particular.field, ann_basis_m0, iso_material,
+                             N)
+    M, f = assemble_se_system(ann_basis_m0, ann_particular.field,
+                              iso_material, N)
+    Ep = strain_energy(iso_material, ann_particular.field)
+    for k, n in enumerate(se.diagnostics["n"]):
+        L = np.linalg.cholesky(M[:n, :n])
+        an = np.linalg.solve(L.T, np.linalg.solve(L, f[:n]))
+        En = Ep - 2 * an @ f[:n] + an @ M[:n, :n] @ an
+        assert se.diagnostics["energy"][k] == pytest.approx(En, rel=1e-12)
+    assert np.allclose(se.coeffs, an, rtol=1e-12, atol=0)
+
+
 def test_solver_input_validation(ann_particular, ann_basis_m0, rect_basis,
                                  iso_material):
     with pytest.raises(SolverError):
