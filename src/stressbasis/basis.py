@@ -7,7 +7,8 @@ The basis functions are eigenfunctions of the constrained eigenproblem
 
 discretized with equal-order continuous quadratic elements for all stress and
 multiplier components. On the rectangle the divergence constraint is kept as a
-saddle block and the pencil is solved by shift-invert Lanczos; on the annulus
+saddle block and the pencil is solved by shift-invert Lanczos, one run per
+reflection-parity class of the mesh's mirror symmetries; on the annulus
 the problem reduces per azimuthal wavenumber m to a radial system whose
 constraint is eliminated by LU: with C^T = P L U (row pivoting), the kernel of
 C is spanned by the columns of P [-L1^-T L2^T; I], and the reduced dense pencil
@@ -23,13 +24,15 @@ import io
 import json
 import os
 import warnings
+import zipfile
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 import scipy.sparse as sp
 from numpy.polynomial import legendre as npleg
 from numpy.polynomial import polynomial as nppoly
-from scipy.linalg import LinAlgWarning, eigh, lu_factor, solve_triangular
+from scipy.linalg import (LinAlgWarning, eigh, lu_factor, qr,
+                          solve_triangular)
 # unused; kept importable: the benchmark's traced run wraps it by name
 from scipy.linalg import null_space  # noqa: F401
 from scipy.sparse.linalg import eigsh
@@ -41,6 +44,11 @@ from .meshes import (Domain, RadialMesh, RectangleMesh, _atomic_write_bytes,
                      build_radial_grid)
 
 _PARITIES = ("cos", "sin")
+
+# bumped whenever a fresh build can differ from a basis cached by an earlier
+# version (version 2: the rectangle eigensolve is split by reflection parity,
+# which orients degenerate clusters differently); part of the cache key
+SOLVER_VERSION = 2
 
 
 class BasisError(RuntimeError):
@@ -112,13 +120,120 @@ class BasisSet:
 # Rectangle backend
 # ---------------------------------------------------------------------------
 
+# parity of (sxx, syy, sxy) and of the multiplier (mu_x, mu_y) under the x and
+# y mirror reflections, relative to the class parity (px, py): a reflection
+# flips the sign of the shear stress and of the normal displacement
+_STRESS_SIGNS = ((1, 1), (1, 1), (-1, -1))
+_MULTIPLIER_SIGNS = ((-1, 1), (1, -1))
+
+# a mesh is mirror-symmetric about an axis when its breakpoints reflect onto
+# each other to this fraction of the side length
+_MIRROR_TOL = 1e-12
+
+# relative gap below which two eigenvalues of different classes are taken as
+# equal (the class solves agree to about 1e-12)
+_EQUAL_LAMBDA = 1e-10
+
+# a rigid motion whose projection keeps less than this fraction of its norm
+# does not live in the parity class
+_RIGID_TOL = 1e-8
+
+
+def _mirror_symmetric(breaks: np.ndarray, L: float) -> bool:
+    return bool(np.all(np.abs(breaks + breaks[::-1] - L) <= _MIRROR_TOL * L))
+
+
+def parity_classes(mesh: RectangleMesh) -> list:
+    """The reflection-parity classes (px, py) the rectangle eigensolve splits
+    into: +-1 about each mirror line of the mesh, 0 for an axis it is not
+    symmetric about. An asymmetric mesh has the single class (0, 0)."""
+    axes = [(1, -1) if _mirror_symmetric(br, L) else (0,)
+            for br, L in ((mesh.xs, mesh.domain.Lx), (mesh.ys, mesh.domain.Ly))]
+    return [(px, py) for px in axes[0] for py in axes[1]]
+
+
+def _parity_projection(mesh: RectangleMesh, cls, signs, keep) -> sp.csc_matrix:
+    """Orthonormal columns spanning the dofs ``keep`` of one parity class.
+
+    The dof vector stacks one nodal field per entry of ``signs``; a field's
+    parity is the class parity times its sign. Column j is the signed sum of
+    one field over the mirror orbit of one node (its reflections about the
+    split axes). Orbits whose signed sum cancels (an odd field on its mirror
+    line) and orbits of fixed dofs drop out; the fixed-dof set is itself
+    mirror-invariant, so every orbit is either wholly kept or wholly fixed.
+    """
+    nnx, nny = mesh.nnx, mesh.nny
+    nn = nnx * nny
+    jy, ix = np.divmod(np.arange(nn), nnx)
+    rows, cols, vals = [], [], []
+    ncol = 0
+    for f, (sx, sy) in enumerate(signs):
+        px, py = cls[0] * sx, cls[1] * sy
+        rep = np.ones(nn, dtype=bool)
+        if px:
+            rep &= ix <= (nnx - 1) // 2
+        if py:
+            rep &= jy <= (nny - 1) // 2
+        reps = np.flatnonzero(rep)
+        rx, ry = nnx - 1 - ix[reps], nny - 1 - jy[reps]
+        images = [(1, reps)]
+        if px:
+            images.append((px, jy[reps] * nnx + rx))
+        if py:
+            images.append((py, ry * nnx + ix[reps]))
+        if px and py:
+            images.append((px * py, ry * nnx + rx))
+        for s, nodes in images:
+            rows.append(f * nn + nodes)
+            cols.append(ncol + np.arange(len(reps)))
+            vals.append(np.full(len(reps), float(s)))
+        ncol += len(reps)
+    # duplicate entries (a node on its own mirror line) are summed
+    P = sp.csr_matrix((np.concatenate(vals),
+                       (np.concatenate(rows), np.concatenate(cols))),
+                      shape=(len(signs) * nn, ncol))[keep].tocsc()
+    P.eliminate_zeros()
+    P = P[:, np.flatnonzero(np.diff(P.indptr))]
+    norms = np.sqrt(np.asarray(P.multiply(P).sum(axis=0)).ravel())
+    return (P @ sp.diags(1.0 / norms)).tocsc()
+
+
+def _rigid_pins(mesh: RectangleMesh, Pm: sp.spmatrix) -> np.ndarray:
+    """Class multiplier coordinates to pin: one per rigid motion surviving the
+    projection, chosen by pivoted QR so the pinned rows of the projected
+    rigid motions are nonsingular (which removes the symmetric-gradient
+    kernel from the class)."""
+    X, Y = mesh.node_coords.T
+    nn = mesh.n_nodes
+    R = np.zeros((2 * nn, 3))
+    R[:nn, 0] = 1.0                                   # x-translation
+    R[nn:, 1] = 1.0                                   # y-translation
+    R[:nn, 2] = -(Y - 0.5 * mesh.domain.Ly)           # rotation
+    R[nn:, 2] = X - 0.5 * mesh.domain.Lx
+    Rc = Pm.T @ R
+    kept = np.linalg.norm(Rc, axis=0) > _RIGID_TOL * np.linalg.norm(R, axis=0)
+    Rc = Rc[:, kept]
+    if Rc.shape[1] == 0:
+        return np.empty(0, dtype=int)
+    _, piv = qr(Rc.T, mode="r", pivoting=True)
+    return piv[:Rc.shape[1]]
+
+
 def solve_basis_rectangle(mesh: RectangleMesh, cfg: EigenSolveConfig) -> BasisSet:
     """First n_modes eigenpairs on a rectangle mesh.
 
     sigma n = 0 is imposed strongly on boundary nodes (all three components at
     corners); the tangential natural condition is built into the weak form;
-    div sigma = 0 enters through the multiplier saddle block with three pinned
-    multiplier dofs removing the symmetric-gradient kernel.
+    div sigma = 0 enters through the multiplier saddle block.
+
+    The operator commutes with the mirror reflections of the mesh, so the
+    saddle system splits exactly into reflection-parity classes (see
+    ``parity_classes``), each solved by its own shift-invert Lanczos run on
+    the projected system; pinned multiplier coordinates remove the rigid
+    motions that live in the class. A class is asked for about n_modes /
+    (number of classes) modes plus a margin, and asked again for more until
+    its largest eigenvalue reaches the n_modes-th merged one, so the merged
+    spectrum is exact. Modes are merged by (lambda, class).
     """
     ops = fem2d.rect_ops(mesh)
     nn = mesh.n_nodes
@@ -136,37 +251,73 @@ def solve_basis_rectangle(mesh: RectangleMesh, cfg: EigenSolveConfig) -> BasisSe
     Ak = A[keep_s][:, keep_s]
     Bk = B[keep_s][:, keep_s]
     C = sp.bmat([[ops.Dx, Z, ops.Dy], [Z, ops.Dy, ops.Dx]]).tocsr()[:, keep_s]
-    # pin three multiplier dofs (kernel of the symmetric gradient)
-    pins = {0, nn, (mesh.nny - 1) * mesh.nnx}
-    keep_m = np.array([i for i in range(2 * nn) if i not in pins])
-    C = C[keep_m]
 
-    nm = C.shape[0]
-    K = sp.bmat([[Ak, C.T], [C, None]], format="csc")
-    M = sp.bmat([[Bk, None], [None, sp.csr_matrix((nm, nm))]], format="csc")
-    max_k = Ak.shape[0] - C.shape[0]
+    classes = parity_classes(mesh)
+    systems = []  # (K, M, sigma projection, subspace dimension) per class
+    for cls in classes:
+        Ps = _parity_projection(mesh, cls, _STRESS_SIGNS, keep_s)
+        Pm = _parity_projection(mesh, cls, _MULTIPLIER_SIGNS,
+                                np.arange(2 * nn))
+        keep_m = np.setdiff1d(np.arange(Pm.shape[1]), _rigid_pins(mesh, Pm))
+        Cc = (Pm[:, keep_m].T @ C @ Ps).tocsr()
+        nm = Cc.shape[0]
+        K = sp.bmat([[Ps.T @ Ak @ Ps, Cc.T], [Cc, None]], format="csc")
+        M = sp.bmat([[Ps.T @ Bk @ Ps, None], [None, sp.csr_matrix((nm, nm))]],
+                    format="csc")
+        systems.append((K, M, Ps, Ps.shape[1] - nm))
+    max_k = sum(s[3] for s in systems)
     if cfg.n_modes > max_k:
         raise BasisError(
             f"n_modes={cfg.n_modes} exceeds the discrete subspace dimension {max_k}")
-    v0 = np.ones(K.shape[0])
-    try:
-        vals, vecs = eigsh(K, k=cfg.n_modes, M=M, sigma=cfg.shift, which="LM",
-                           v0=v0, tol=cfg.tol)
-    except Exception as exc:  # noqa: BLE001 - eigensolver failures vary
-        raise BasisError(f"eigensolver did not converge: {exc}") from exc
-    order = np.argsort(vals)
+
+    def solve(c, k):
+        """The k smallest eigenpairs of class c, sigma part on the kept dofs."""
+        K, M, Ps, _ = systems[c]
+        if not k:
+            return np.empty(0), np.empty((len(keep_s), 0))
+        try:
+            vals, vecs = eigsh(K, k=k, M=M, sigma=cfg.shift, which="LM",
+                               v0=np.ones(K.shape[0]), tol=cfg.tol)
+        except Exception as exc:  # noqa: BLE001 - eigensolver failures vary
+            raise BasisError(f"eigensolver did not converge: {exc}") from exc
+        order = np.argsort(vals)
+        return vals[order], Ps @ vecs[:Ps.shape[1], order]
+
+    n = cfg.n_modes
+    ask = [min(dim, -(-n // len(classes)) + 2 + n // 16)
+           for *_, dim in systems]
+    found = [solve(c, k) for c, k in enumerate(ask)]
+    while True:
+        lam = np.sort(np.concatenate([v for v, _ in found]))
+        lam_n = lam[n - 1] if len(lam) >= n else np.inf
+        short = [c for c, (v, _) in enumerate(found)
+                 if ask[c] < systems[c][3] and v[-1] < lam_n]
+        if not short:
+            break
+        for c in short:
+            ask[c] = min(systems[c][3], 2 * ask[c])
+            found[c] = solve(c, ask[c])
+
+    # merge by (lambda, class), lambdas equal to round-off counting as equal:
+    # the two modes of a pair made degenerate by symmetry (the square's
+    # x <-> y pairs) then come in class order, not in round-off order
+    vals = np.concatenate([v for v, _ in found])
+    tags = np.repeat(np.arange(len(found)), [len(v) for v, _ in found])
+    by_lam = np.argsort(vals, kind="stable")
+    lam = vals[by_lam]
+    level = np.concatenate(
+        [[0], np.cumsum(np.diff(lam) > _EQUAL_LAMBDA * lam[:-1])])
+    order = by_lam[np.lexsort((tags[by_lam], level))][:n]
     vals = vals[order]
-    vecs = vecs[:, order]
+    vecs = np.hstack([V for _, V in found])[:, order]
     if np.any(vals <= 0):
         raise BasisError("eigensolver returned non-positive eigenvalues")
 
-    ns = len(keep_s)
     modes = []
-    for i in range(cfg.n_modes):
+    for i in range(n):
         full = np.zeros(3 * nn)
-        full[keep_s] = vecs[:ns, i]
-        comps = full.reshape(3, nn)
-        modes.append(SymTensorField2(mesh, comps))
+        full[keep_s] = vecs[:, i]
+        modes.append(SymTensorField2(mesh, full.reshape(3, nn)))
 
     h = float(max(np.diff(mesh.xs).max(), np.diff(mesh.ys).max()))
     basis = BasisSet(modes, vals, np.eye(len(modes)), np.eye(len(modes)), {
@@ -175,6 +326,7 @@ def solve_basis_rectangle(mesh: RectangleMesh, cfg: EigenSolveConfig) -> BasisSe
         "mesh": {"Lx": mesh.domain.Lx, "Ly": mesh.domain.Ly,
                  "xs": mesh.xs.tolist(), "ys": mesh.ys.tolist()},
         "n_modes": cfg.n_modes,
+        "parity_classes": [list(cls) for cls in classes],
         "solver_tol": cfg.tol,
         "degenerate_gap": cfg.degenerate_gap,
         "h": h,
@@ -693,28 +845,43 @@ def save_basis(basis: BasisSet, path: str):
 
 
 def load_basis(path: str) -> BasisSet:
+    """Read an SBBASIS file; BasisError when it is not a complete, consistent
+    one (unreadable header or payload, arrays whose shapes disagree)."""
     with open(path, "rb") as f:
         data = f.read()
     nl1 = data.find(b"\n")
     if nl1 < 0 or data[:nl1] != b"SBBASIS 1":
         raise BasisError(f"{path}: not an SBBASIS 1 file")
     nl2 = data.find(b"\n", nl1 + 1)
-    prov = json.loads(data[nl1 + 1:nl2].decode())
-    arrays = np.load(io.BytesIO(data[nl2 + 1:]))
-    if "radial_nodes" in arrays:
-        r = arrays["radial_nodes"]
-        mesh = RadialMesh(Domain.annulus(r[0], r[-1]), (len(r) - 1) // 2)
-    else:
-        xs, ys = arrays["xs"], arrays["ys"]
-        mesh = RectangleMesh(Domain.rectangle(xs[-1] - xs[0], ys[-1] - ys[0]),
-                             xs, ys, arrays["feature_x"], arrays["feature_y"])
-    comps = arrays["components"]
-    mtags = arrays["m_tags"]
-    ptags = arrays["parity_tags"]
+    try:
+        prov = json.loads(data[nl1 + 1:nl2].decode())
+        with np.load(io.BytesIO(data[nl2 + 1:])) as npz:
+            arrays = {k: npz[k] for k in npz.files}
+        if "radial_nodes" in arrays:
+            r = arrays["radial_nodes"]
+            mesh = RadialMesh(Domain.annulus(r[0], r[-1]), (len(r) - 1) // 2)
+        else:
+            xs, ys = arrays["xs"], arrays["ys"]
+            mesh = RectangleMesh(Domain.rectangle(xs[-1] - xs[0], ys[-1] - ys[0]),
+                                 xs, ys, arrays["feature_x"], arrays["feature_y"])
+        comps = arrays["components"]
+        mtags = arrays["m_tags"]
+        ptags = arrays["parity_tags"]
+        lam = arrays.get("eigenvalues")
+        gram_l2, trace_gram = arrays["gram_l2"], arrays["trace_gram"]
+    except (ValueError, KeyError, OSError, EOFError, zipfile.BadZipFile) as exc:
+        raise BasisError(f"{path}: unreadable SBBASIS payload ({exc})") from exc
+    k = len(comps)
+    shapes = [(comps.shape, (k, 3, mesh.n_nodes)), (mtags.shape, (k,)),
+              (ptags.shape, (k,)), (gram_l2.shape, (k, k)),
+              (trace_gram.shape, (k, k))]
+    if lam is not None:
+        shapes.append((lam.shape, (k,)))
+    if k == 0 or any(got != want for got, want in shapes):
+        raise BasisError(f"{path}: inconsistent SBBASIS arrays")
     modes = []
-    for i in range(len(comps)):
+    for i in range(k):
         m = None if mtags[i] < 0 else int(mtags[i])
         parity = None if ptags[i] < 0 else _PARITIES[int(ptags[i])]
         modes.append(SymTensorField2(mesh, comps[i], m=m, parity=parity))
-    lam = arrays["eigenvalues"] if "eigenvalues" in arrays else None
-    return BasisSet(modes, lam, arrays["gram_l2"], arrays["trace_gram"], prov)
+    return BasisSet(modes, lam, gram_l2, trace_gram, prov)

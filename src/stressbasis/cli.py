@@ -139,7 +139,7 @@ def _cmd_oracle_build(args) -> int:
     mesh = _build_mesh(domain, cfg.mesh)
     material = _build_material(cfg.material)
     ps = _build_particular(mesh, cfg.particular, material)
-    orc = get_oracle(mesh, cfg.oracle, ps.loading, material,
+    orc = get_oracle(mesh, cfg.oracle, ps.loading, cfg.material,
                      loading_id=cfg.particular, use_cache=False)
     if orc is None:
         raise UsageError(f"preset {cfg.name} declares no reference solution")

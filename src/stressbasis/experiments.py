@@ -29,9 +29,9 @@ from dataclasses import asdict, dataclass, field as dc_field
 import numpy as np
 import jsonschema
 
-from .basis import (BasisSet, EigenSolveConfig, airy_bump_basis, load_basis,
-                    save_basis, solve_basis_annulus, solve_basis_rectangle,
-                    verify_basis)
+from .basis import (SOLVER_VERSION, BasisError, BasisSet, EigenSolveConfig,
+                    airy_bump_basis, load_basis, save_basis,
+                    solve_basis_annulus, solve_basis_rectangle, verify_basis)
 from .fields import (ScalarField, SymTensorField2, dump_field_csv,
                      equilibrium_residual)
 from .materials import (Material, discontinuous_modulus, ramp_modulus,
@@ -47,6 +47,7 @@ from .solvers import (energy_series, error_series, solve_planar_trace,
                       solve_planar_trace_body, solve_strain_energy)
 
 _FMT = "%.17g"
+_ORACLE_FORMAT = "SBORACLE 2"
 
 
 class ExperimentError(RuntimeError):
@@ -207,17 +208,35 @@ def _key(payload: dict) -> str:
         json.dumps(payload, sort_keys=True).encode()).hexdigest()[:16]
 
 
+def _basis_matches(basis: BasisSet, mesh, backend: str, n_modes: int) -> bool:
+    """Whether a loaded basis is the one requested."""
+    if basis.mesh != mesh:
+        return False
+    if backend == "airy":
+        return basis.backend == "airy-bump" and \
+            basis.provenance.get("n_requested") == n_modes
+    return basis.backend.startswith("eigen") and len(basis) == n_modes
+
+
 def get_basis(mesh, spec: dict, use_cache: bool = True) -> BasisSet:
-    """Build (or load from the cache) the basis described by ``spec``."""
+    """Build (or load from the cache) the basis described by ``spec``.
+
+    A cached file that cannot be read, or holds another basis than the one
+    requested, is rebuilt and overwritten.
+    """
     backend = spec["backend"]
     n_modes = int(spec["n_modes"])
     wavenumbers = list(spec.get("wavenumbers", [0]))
     key = _key({"mesh": mesh.mesh_hash(), "backend": backend,
-                "n_modes": n_modes, "wavenumbers": wavenumbers})
+                "n_modes": n_modes, "wavenumbers": wavenumbers,
+                "solver": SOLVER_VERSION})
     path = os.path.join(cache_dir(), f"basis-{key}.sbbasis")
     if use_cache and os.path.exists(path):
-        basis = load_basis(path)
-        if basis.mesh == mesh:
+        try:
+            basis = load_basis(path)
+        except BasisError:
+            basis = None
+        if basis is not None and _basis_matches(basis, mesh, backend, n_modes):
             return basis
     if backend == "airy":
         basis = airy_bump_basis(mesh, n_modes)
@@ -252,9 +271,8 @@ def _build_particular(mesh, spec: dict, material: Material):
         # the loading comes from a named recipe; the field is the reference
         # solution for a (generally different) stand-in material
         inner = _build_particular(mesh, spec["loading"], material)
-        standin = _build_material(spec["material"])
-        orc = get_oracle(mesh, {"kind": "fem"}, inner.loading, standin,
-                         loading_id=spec["loading"])
+        orc = get_oracle(mesh, {"kind": "fem"}, inner.loading,
+                         spec["material"], loading_id=spec["loading"])
         # discrete reference field: equilibrium holds to discretization
         # accuracy only; the measured residuals land in the report
         return oracle_as_particular(orc.field, inner.loading,
@@ -262,12 +280,19 @@ def _build_particular(mesh, spec: dict, material: Material):
     raise UsageError(f"unknown particular recipe {recipe!r}")
 
 
-def get_oracle(mesh, spec: dict, loading, material: Material,
+def get_oracle(mesh, spec: dict, loading, material_spec: dict,
                loading_id=None, use_cache: bool = True):
-    """Build (or load from the cache) the reference solution."""
+    """Build (or load from the cache) the reference solution.
+
+    ``material_spec`` is the config's material block. The FEM reference is
+    cached under a key of the mesh, the material and loading specs and the
+    file format; a cached file that cannot be read or does not match the
+    mesh is rebuilt and overwritten.
+    """
     kind = spec.get("kind", "none")
     if kind == "none":
         return None
+    material = _build_material(material_spec)
     if kind == "lame":
         return lame_oracle(mesh.domain.r_a, mesh.domain.r_b,
                            spec.get("p", 1.0), material, mesh=mesh)
@@ -276,9 +301,9 @@ def get_oracle(mesh, spec: dict, loading, material: Material,
                                  material.nu, float(material.Y), mesh=mesh)
     if kind == "fem":
         refine = int(spec.get("refine", 2))
-        mat_id = _material_id(material)
         key = _key({"mesh": mesh.mesh_hash(), "kind": "fem", "refine": refine,
-                    "material": mat_id, "loading": loading_id})
+                    "material": material_spec, "loading": loading_id,
+                    "format": _ORACLE_FORMAT})
         path = os.path.join(cache_dir(), f"oracle-{key}.csv")
         if use_cache and os.path.exists(path):
             field = _load_oracle_field(path, mesh)
@@ -292,43 +317,39 @@ def get_oracle(mesh, spec: dict, loading, material: Material,
     raise UsageError(f"unknown oracle kind {kind!r}")
 
 
-def _material_id(material: Material):
-    if material.kind == "orthotropic":
-        return ["orthotropic", material.Y_x, material.Y_y, material.nu_xy,
-                material.G_xy]
-    if material.uniform:
-        return ["isotropic", float(material.Y), material.nu]
-    # varying modulus: fingerprint by callable name + sampled values
-    return ["isotropic-varying", material.nu,
-            repr(getattr(material.Y, "__qualname__", "field"))]
-
-
 def _save_oracle_field(orc: OracleSolution, path: str):
-    buf = io.StringIO()
-    meta = {"format": "SBORACLE 1", "method": orc.method,
-            "mesh_hash": orc.field.mesh.mesh_hash(),
-            "metadata": {k: v for k, v in orc.metadata.items()
-                         if isinstance(v, (int, float, str))}}
-    buf.write("# " + json.dumps(meta, sort_keys=True) + "\n")
-    buf.write("x,y,sxx,syy,sxy\n")
+    body = io.StringIO()
+    body.write("x,y,sxx,syy,sxy\n")
     coords = orc.field.mesh.node_coords
     for i in range(orc.field.mesh.n_nodes):
         row = [_FMT % coords[i, 0], _FMT % coords[i, 1]] + \
             [_FMT % orc.field.components[k][i] for k in range(3)]
-        buf.write(",".join(row) + "\n")
-    _atomic_write_text(path, buf.getvalue())
+        body.write(",".join(row) + "\n")
+    body = body.getvalue()
+    meta = {"format": _ORACLE_FORMAT, "method": orc.method,
+            "mesh_hash": orc.field.mesh.mesh_hash(),
+            "sha256": hashlib.sha256(body.encode()).hexdigest(),
+            "metadata": {k: v for k, v in orc.metadata.items()
+                         if isinstance(v, (int, float, str))}}
+    _atomic_write_text(path, "# " + json.dumps(meta, sort_keys=True) + "\n"
+                       + body)
 
 
 def _load_oracle_field(path: str, mesh):
-    with open(path) as f:
+    """The cached reference field, or None when the file is not a complete
+    SBORACLE file for this mesh."""
+    with open(path, "rb") as f:
         header = f.readline()
-        if not header.startswith("# "):
-            return None
-        meta = json.loads(header[2:])
-        if meta.get("mesh_hash") != mesh.mesh_hash():
-            return None
-        f.readline()  # column header
-        data = np.loadtxt(f, delimiter=",")
+        body = f.read()
+    try:
+        meta = json.loads(header[2:]) if header.startswith(b"# ") else {}
+    except ValueError:
+        return None
+    if (meta.get("format") != _ORACLE_FORMAT
+            or meta.get("mesh_hash") != mesh.mesh_hash()
+            or meta.get("sha256") != hashlib.sha256(body).hexdigest()):
+        return None
+    data = np.loadtxt(io.BytesIO(body), delimiter=",", skiprows=1, ndmin=2)
     if data.shape != (mesh.n_nodes, 5):
         return None
     return SymTensorField2(mesh, data[:, 2:5].T.copy())
@@ -489,7 +510,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str,
     basis = get_basis(mesh, cfg.basis, use_cache=use_cache)
     basis_report = verify_basis(basis)
     ps = _build_particular(mesh, cfg.particular, material)
-    oracle = get_oracle(mesh, cfg.oracle, ps.loading, material,
+    oracle = get_oracle(mesh, cfg.oracle, ps.loading, cfg.material,
                         loading_id=cfg.particular, use_cache=use_cache)
     oracle_field = oracle.field if oracle is not None else None
 

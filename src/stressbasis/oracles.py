@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-from scipy.integrate import solve_bvp
 
 from . import fem2d
 from .meshes import Domain
@@ -141,6 +140,10 @@ def annulus_m1_oracle(r_a: float = 0.1, r_b: float = 0.3, nu: float = 0.33,
         ettp = (1 + nu) / Y * ((1 - nu) * ftt_p - nu * frr_p)
         ces = 2 * ert + err - r_a * ettp
         return np.array([frr_a - 1.0, frt_a, yb[0] - 1.0 / 3.0, ces])
+
+    # imported here: scipy.integrate adds a third of the package import time
+    # and only this oracle uses it
+    from scipy.integrate import solve_bvp
 
     rgrid = np.linspace(r_a, r_b, 201)
     sol = solve_bvp(rhs, bc, rgrid, np.ones((4, 201)), tol=1e-10,

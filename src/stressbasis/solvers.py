@@ -131,33 +131,35 @@ def solve_strain_energy(sigma_p: SymTensorField2, basis: BasisSet,
     if oracle is not None:
         dd, g, denom = _oracle_terms(basis, idx, sigma_p, oracle, material)
     sched = _schedule(N, ns)
-    nmax = max(sched, default=0)
-    if nmax:
+    if N:
         try:
-            L = np.linalg.cholesky(M[:nmax, :nmax])
+            L = np.linalg.cholesky(M)
         except np.linalg.LinAlgError as exc:
             raise SolverError(
-                f"SE system is not positive definite within n={nmax}: "
+                f"SE system is not positive definite within n={N}: "
                 "broken basis or material") from exc
+
+    def coeffs(n):
+        if not n:
+            return np.zeros(0)
+        an = solve_triangular(L[:n, :n], f[:n], lower=True,
+                              check_finite=False)
+        return solve_triangular(L[:n, :n], an, trans="T", lower=True,
+                                check_finite=False)
+
     objective = np.empty(len(sched))
     energy = np.empty(len(sched))
     errors = np.empty(len(sched)) if oracle is not None else None
-    a = np.zeros(N)
     for k, n in enumerate(sched):
-        an = np.zeros(0)
-        if n:
-            an = solve_triangular(L[:n, :n], f[:n], lower=True,
-                                  check_finite=False)
-            an = solve_triangular(L[:n, :n], an, trans="T", lower=True,
-                                  check_finite=False)
+        an = coeffs(n)
         En = Ep - 2 * an @ f[:n] + an @ M[:n, :n] @ an
         objective[k] = En
         energy[k] = En
         if oracle is not None:
             e2 = (dd + 2 * an @ g[:n] + an @ M[:n, :n] @ an) / denom
             errors[k] = np.sqrt(max(e2, 0.0))
-        if n == N:
-            a = an
+    # the schedule may leave N out; the coefficients are always those of N
+    a = coeffs(N)
     diag = {"n": np.array(sched), "objective": objective, "energy": energy,
             "condition": float(np.linalg.cond(M)) if N else 1.0}
     if errors is not None:

@@ -6,12 +6,16 @@ from scipy.linalg import eigh, null_space
 from stressbasis import fem2d
 from stressbasis.basis import (BasisError, EigenSolveConfig, _kernel_by_lu,
                                _radial_blocks, _solve_radial_m,
-                               airy_bump_basis, load_basis, save_basis,
-                               solve_basis_annulus, solve_basis_rectangle,
-                               verify_basis)
+                               airy_bump_basis, load_basis, parity_classes,
+                               save_basis, solve_basis_annulus,
+                               solve_basis_rectangle, verify_basis)
 from stressbasis.fields import (l2_inner_scalar, l2_inner_tensor,
                                 l2_norm_tensor, planar_trace)
-from stressbasis.meshes import Domain, build_radial_grid, build_rectangle_mesh
+from stressbasis.materials import Material, discontinuous_modulus
+from stressbasis.meshes import (Domain, RectangleMesh, build_radial_grid,
+                                build_rectangle_mesh)
+from stressbasis.particular import uniform_pressure_particular
+from stressbasis.solvers import solve_strain_energy
 
 
 def test_rectangle_basis_verifies(rect_basis):
@@ -183,3 +187,137 @@ def test_eigenvalue_mesh_stability_rect101(rect101_basis3_48):
     drift = np.abs(coarse.eigenvalues - rect101_basis3_48.eigenvalues) \
         / rect101_basis3_48.eigenvalues
     assert np.all(drift <= 1e-3), f"relative drift {drift}"
+
+
+# ---------------------------------------------------------------------------
+# Rectangle eigensolve split by reflection parity
+# ---------------------------------------------------------------------------
+
+_FOUR = [(1, 1), (1, -1), (-1, 1), (-1, -1)]
+
+
+def _nudged(mesh, x=True, y=True):
+    """The mesh with one interior breakpoint per chosen axis moved by 1e-11 of
+    the side: no longer mirror-symmetric, the same discretization to 1e-11."""
+    xs, ys = mesh.xs.copy(), mesh.ys.copy()
+    if x:
+        xs[1] += 1e-11 * mesh.domain.Lx
+    if y:
+        ys[1] += 1e-11 * mesh.domain.Ly
+    return RectangleMesh(mesh.domain, xs, ys, mesh.feature_x, mesh.feature_y)
+
+
+def _parity_defect(mode, cls):
+    """max |R mode - p mode| / max |mode| over the split axes' reflections."""
+    mesh = mode.mesh
+    v = mode.components.reshape(3, mesh.nny, mesh.nnx)
+    sign = np.array([1.0, 1.0, -1.0])[:, None, None]  # shear flips
+    dev = 0.0
+    if cls[0]:
+        dev = max(dev, np.abs(sign * v[:, :, ::-1] - cls[0] * v).max())
+    if cls[1]:
+        dev = max(dev, np.abs(sign * v[:, ::-1, :] - cls[1] * v).max())
+    return dev / np.abs(v).max()
+
+
+def _mode_class(mode, classes):
+    return min(classes, key=lambda c: _parity_defect(mode, c))
+
+
+def _split_pair(mesh, k):
+    split = solve_basis_rectangle(mesh, EigenSolveConfig(n_modes=k))
+    whole = solve_basis_rectangle(_nudged(mesh), EigenSolveConfig(n_modes=k))
+    return split, whole
+
+
+@pytest.fixture(scope="module")
+def square16_pair():
+    """The 16x16 feature-line square, 60 modes: split and one-class solves."""
+    mesh = build_rectangle_mesh(Domain.rectangle(1.0, 1.0), 16, 16,
+                                feature_lines={"x": [0.25, 0.75], "y": [0.5]})
+    return _split_pair(mesh, 60)
+
+
+def test_split_matches_one_class_solve(square16_pair):
+    rect = build_rectangle_mesh(Domain.rectangle(1.0, 1.01), 24, 24)
+    for split, whole in (_split_pair(rect, 3), square16_pair):
+        assert split.provenance["parity_classes"] == [list(c) for c in _FOUR]
+        assert whole.provenance["parity_classes"] == [[0, 0]]
+        lam, ref = split.eigenvalues, whole.eigenvalues
+        assert np.abs(lam - ref).max() <= 1e-8 * ref.max()
+        assert verify_basis(split).passed and verify_basis(whole).passed
+
+
+def test_split_enlarges_a_crowded_class():
+    """On a slender strip the low modes crowd into the y-even classes, past
+    the first request of ceil(k/4) + 2 modes per class; those classes are
+    solved again for more, and the merged spectrum stays exact."""
+    mesh = build_rectangle_mesh(Domain.rectangle(1.0, 0.125), 32, 4)
+    split, whole = _split_pair(mesh, 12)
+    counts = {}
+    for mode in split.modes:
+        cls = _mode_class(mode, _FOUR)
+        counts[cls] = counts.get(cls, 0) + 1
+    assert max(counts.values()) > 3 + 2
+    assert np.abs(split.eigenvalues - whole.eigenvalues).max() \
+        <= 1e-8 * whole.eigenvalues.max()
+
+
+def test_split_modes_are_parity_pure(square16_pair, rect_basis):
+    for basis in (square16_pair[0], rect_basis):
+        for mode in basis.modes:
+            cls = _mode_class(mode, _FOUR)
+            assert _parity_defect(mode, cls) <= 1e-12
+
+
+def test_split_orders_symmetric_pairs_by_class(square16_pair):
+    """The two modes of a pair made degenerate by the square's x <-> y
+    symmetry follow the class order, whatever the round-off in their
+    eigenvalues."""
+    lam = square16_pair[0].eigenvalues
+    cls = [_FOUR.index(_mode_class(mode, _FOUR))
+           for mode in square16_pair[0].modes]
+    pairs = [i for i in range(1, len(lam))
+             if abs(lam[i] - lam[i - 1]) <= 1e-10 * lam[i]]
+    assert pairs
+    assert all(cls[i] > cls[i - 1] for i in pairs)
+
+
+def test_asymmetric_meshes_split_only_about_mirror_lines():
+    dom = Domain.rectangle(1.0, 1.0)
+    one_line = build_rectangle_mesh(dom, 8, 8, feature_lines={"x": [0.3]})
+    two_lines = build_rectangle_mesh(dom, 8, 8,
+                                     feature_lines={"x": [0.3], "y": [0.3]})
+    assert parity_classes(one_line) == [(0, 1), (0, -1)]
+    assert parity_classes(two_lines) == [(0, 0)]
+    for mesh in (one_line, two_lines):
+        basis = solve_basis_rectangle(mesh, EigenSolveConfig(n_modes=10))
+        rep = verify_basis(basis)
+        assert rep.passed, rep.failures
+    halves = solve_basis_rectangle(one_line, EigenSolveConfig(n_modes=10))
+    whole = solve_basis_rectangle(_nudged(one_line, x=False),
+                                  EigenSolveConfig(n_modes=10))
+    assert parity_classes(_nudged(one_line, x=False)) == [(0, 0)]
+    assert np.abs(halves.eigenvalues - whole.eigenvalues).max() \
+        <= 1e-8 * whole.eigenvalues.max()
+    for mode in halves.modes:
+        cls = _mode_class(mode, [(0, 1), (0, -1)])
+        assert _parity_defect(mode, cls) <= 1e-12
+
+
+def test_split_keeps_se_objective_at_cluster_closings(square16_pair):
+    """Values at n closing a degenerate cluster do not depend on how the
+    modes inside a cluster are oriented, so the split leaves them alone."""
+    material = Material.isotropic(discontinuous_modulus(1.0, 3.0, 0.5), 0.33)
+    out = []
+    for basis in square16_pair:
+        ps = uniform_pressure_particular(basis.mesh, 1.0)
+        res = solve_strain_energy(ps.field, basis, material, len(basis))
+        out.append(res.diagnostics["objective"])
+    lam = square16_pair[0].eigenvalues
+    gap = square16_pair[0].provenance["degenerate_gap"]
+    closing = [n for n in range(1, len(lam))
+               if lam[n] - lam[n - 1] > gap * lam[n - 1]] + [len(lam)]
+    assert len(closing) < len(lam)  # the square has degenerate pairs
+    split, whole = (o[np.array(closing) - 1] for o in out)
+    assert np.abs(split - whole).max() <= 1e-9 * np.abs(whole).max()

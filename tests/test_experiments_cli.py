@@ -1,10 +1,14 @@
 import filecmp
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import stressbasis
+from stressbasis.basis import load_basis, save_basis
 from stressbasis.cli import main
 from stressbasis.experiments import (ExperimentConfig, ExperimentError,
                                      PRESET_NAMES, UsageError, fit_slope,
@@ -151,6 +155,92 @@ def test_basis_cache_round_trip(ann_mesh):
     assert np.array_equal(b1.eigenvalues, b2.eigenvalues)
     for m1, m2 in zip(b1.modes, b2.modes):
         assert np.array_equal(m1.components, m2.components)
+
+
+# a feature-line square small enough for a cold run in seconds, with a FEM
+# reference on a varying modulus
+RECT_CFG = {
+    "name": "tiny_rect",
+    "domain": {"kind": "rectangle", "Lx": 1.0, "Ly": 1.0},
+    "mesh": {"nx": 8, "ny": 8, "feature_x": [0.25, 0.75], "feature_y": [0.5]},
+    "material": {"kind": "isotropic", "nu": 0.33,
+                 "Y": {"profile": "discontinuous", "Y_top": 1.0,
+                       "Y_bottom": 3.0}},
+    "basis": {"backend": "eigen", "n_modes": 12},
+    "particular": {"recipe": "uniform_pressure", "p": 1.0},
+    "principles": ["SE"],
+    "N": 12,
+    "oracle": {"kind": "fem", "refine": 1},
+}
+
+
+def _rect_cfg(y_bottom=3.0):
+    raw = json.loads(json.dumps(RECT_CFG))
+    raw["material"]["Y"]["Y_bottom"] = y_bottom
+    return ExperimentConfig.from_dict(raw)
+
+
+def _cached(cache, prefix):
+    return sorted(p for p in os.listdir(cache) if p.startswith(prefix))
+
+
+def test_oracle_cache_keyed_on_material_spec(tmp_path, monkeypatch):
+    """Moduli that differ only in a parameter get their own FEM reference."""
+    cache = tmp_path / "cache"
+    monkeypatch.setenv("SB_CACHE_DIR", str(cache))
+    r3 = run_experiment(_rect_cfg(3.0), str(tmp_path / "y3"))
+    r30 = run_experiment(_rect_cfg(30.0), str(tmp_path / "y30"))
+    assert len(_cached(cache, "oracle-")) == 2
+    assert len(_cached(cache, "basis-")) == 1
+    assert r3["final_error"]["SE"] != r30["final_error"]["SE"]
+    fresh = run_experiment(_rect_cfg(30.0), str(tmp_path / "fresh"),
+                           use_cache=False)
+    assert r30["final_error"] == fresh["final_error"]
+
+
+def test_damaged_cache_files_are_rebuilt(tmp_path, monkeypatch):
+    cache = tmp_path / "cache"
+    monkeypatch.setenv("SB_CACHE_DIR", str(cache))
+    cfg_path = tmp_path / "rect.json"
+    cfg_path.write_text(json.dumps(RECT_CFG))
+
+    def run(tag):
+        out = tmp_path / tag
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+        return (out / "report.json").read_bytes()
+
+    cold = run("cold")
+    files = _cached(cache, "basis-") + _cached(cache, "oracle-")
+    assert len(files) == 2
+    for name in files:
+        data = (cache / name).read_bytes()
+        (cache / name).write_bytes(data[:len(data) // 2])
+    assert run("damaged") == cold
+    assert run("warm") == cold
+
+
+def test_basis_cache_rebuilds_on_mode_count_mismatch(tmp_path, monkeypatch,
+                                                     rect_mesh):
+    monkeypatch.setenv("SB_CACHE_DIR", str(tmp_path))
+    spec = {"backend": "eigen", "n_modes": 6}
+    get_basis(rect_mesh, spec)
+    [name] = _cached(tmp_path, "basis-")
+    save_basis(get_basis(rect_mesh, {"backend": "eigen", "n_modes": 4},
+                         use_cache=False), str(tmp_path / name))
+    assert len(get_basis(rect_mesh, spec)) == 6
+    assert len(load_basis(str(tmp_path / name))) == 6
+
+
+def test_cli_import_leaves_out_scipy_integrate():
+    """Only the m = 1 annulus oracle needs scipy.integrate; it is imported
+    there, not with the package."""
+    src = os.path.dirname(os.path.dirname(stressbasis.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys, stressbasis.cli; "
+            "print('scipy.integrate' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 # ---------------------------------------------------------------------------

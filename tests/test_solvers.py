@@ -3,7 +3,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from stressbasis.basis import EigenSolveConfig, solve_basis_annulus
 from stressbasis.materials import Material, strain_energy
+from stressbasis.meshes import Domain, build_radial_grid
 from stressbasis.oracles import lame_oracle
 from stressbasis.particular import (axisym_airy_particular,
                                     band_pressure_particular)
@@ -120,6 +122,21 @@ def test_single_factor_schedule_matches_per_n_cholesky(
         En = Ep - 2 * an @ f[:n] + an @ M[:n, :n] @ an
         assert se.diagnostics["energy"][k] == pytest.approx(En, rel=1e-12)
     assert np.allclose(se.coeffs, an, rtol=1e-12, atol=0)
+
+
+def test_se_coefficients_do_not_depend_on_the_schedule(iso_material):
+    """A report schedule that leaves N out still yields the N-mode solution."""
+    mesh = build_radial_grid(Domain.annulus(0.1, 0.3), 32)
+    basis = solve_basis_annulus(mesh.domain, [0],
+                                EigenSolveConfig(n_modes=8, resolution=32),
+                                mesh=mesh)
+    field = axisym_airy_particular(mesh).field
+    full = solve_strain_energy(field, basis, iso_material, 8)
+    part = solve_strain_energy(field, basis, iso_material, 8, ns=[2, 4])
+    assert np.abs(full.coeffs).max() > 1e-6
+    assert np.array_equal(part.coeffs, full.coeffs)
+    assert list(part.diagnostics["n"]) == [2, 4]
+    assert galerkin_residual(part, field, basis, iso_material) <= 1e-8
 
 
 def test_solver_input_validation(ann_particular, ann_basis_m0, rect_basis,
