@@ -15,7 +15,7 @@ from .fields import (ScalarField, SymTensorField2, equilibrium_residual,
                      l2_inner_scalar, l2_inner_tensor, planar_trace)
 from .materials import Material, compliance_apply, strain_energy
 from .meshes import (Domain, LoadingSpec, build_radial_grid,
-                     build_rectangle_mesh, load_mesh, save_mesh)
+                     build_rectangle_mesh)
 from .oracles import (CesaroLoop, OracleSolution, annulus_m1_oracle,
                       approximation_error, cesaro_diagnostic,
                       displacement_fem_oracle, lame_oracle, trace_energy)
@@ -37,9 +37,8 @@ __all__ = [
     "build_radial_grid", "build_rectangle_mesh", "cesaro_diagnostic",
     "compliance_apply", "displacement_fem_oracle", "equilibrium_residual",
     "gauss_1d", "gauss_2d", "gravity_particular", "l2_inner_scalar",
-    "l2_inner_tensor", "lame_oracle", "load_basis", "load_mesh",
-    "oracle_as_particular", "orthonormalize", "planar_trace", "save_basis",
-    "save_mesh", "solve_basis_annulus", "solve_basis_rectangle",
-    "solve_planar_trace", "solve_planar_trace_body", "solve_strain_energy",
-    "strain_energy", "trace_energy", "verify_basis",
+    "l2_inner_tensor", "lame_oracle", "load_basis", "oracle_as_particular",
+    "orthonormalize", "planar_trace", "save_basis", "solve_basis_annulus",
+    "solve_basis_rectangle", "solve_planar_trace", "solve_planar_trace_body",
+    "solve_strain_energy", "strain_energy", "trace_energy", "verify_basis",
 ]

@@ -38,8 +38,8 @@ from scipy.linalg import null_space  # noqa: F401
 from scipy.sparse.linalg import eigsh
 
 from . import fem2d
-from .fields import (SymTensorField2, planar_trace, scalar_gram, tensor_gram,
-                     theta_factors)
+from .fields import (SymTensorField2, _ops, planar_trace, scalar_gram,
+                     tensor_gram, theta_factors)
 from .meshes import (Domain, RadialMesh, RectangleMesh, _atomic_write_bytes,
                      build_radial_grid)
 
@@ -101,11 +101,23 @@ class BasisSet:
         return out
 
     def quad_matrix(self, indices) -> np.ndarray:
-        """(3, nq, k) quadrature-point values of the selected modes."""
+        """(3, nq, k) quadrature-point values of the selected modes.
+
+        Nodal modes are evaluated together, one sparse product per component;
+        a selection holding a mode with an exact form is evaluated mode by
+        mode.
+        """
         key = ("quad", tuple(indices))
         if key not in self._cache:
-            self._cache[key] = np.stack(
-                [self.modes[i].at_quad() for i in indices], axis=2)
+            modes = [self.modes[i] for i in indices]
+            if any(map(_has_exact_form, modes)):
+                Q = np.stack([md.at_quad() for md in modes], axis=2)
+            else:
+                C = np.array([md.components for md in modes]).reshape(
+                    len(modes), 3, self.mesh.n_nodes)
+                P = _ops(self.mesh).P
+                Q = np.stack([P @ C[:, c].T for c in range(3)])
+            self._cache[key] = Q
         return self._cache[key]
 
     def select(self, m=None, parity=None) -> list:
@@ -751,10 +763,10 @@ def _h1_gram(basis: BasisSet) -> np.ndarray:
             G[np.ix_(idx, idx)] = sub
         return G
     ops = fem2d.rect_ops(mesh)
-    cols = np.stack([mode.components for mode in basis.modes], axis=2)
+    cols = np.array([mode.components for mode in basis.modes])
     Gx = np.zeros((n, n))
     for w, comp in ((1.0, 0), (1.0, 1), (2.0, 2)):
-        V = cols[comp]
+        V = cols[:, comp].T
         Gx += w * (V.T @ (ops.Ks @ V))
     return Gx
 
@@ -844,9 +856,13 @@ def save_basis(basis: BasisSet, path: str):
     _atomic_write_bytes(path, header + payload.getvalue())
 
 
-def load_basis(path: str) -> BasisSet:
+def load_basis(path: str, mesh=None) -> BasisSet:
     """Read an SBBASIS file; BasisError when it is not a complete, consistent
-    one (unreadable header or payload, arrays whose shapes disagree)."""
+    one (unreadable header or payload, arrays whose shapes disagree).
+
+    When ``mesh`` equals the file's mesh, the modes are built on ``mesh``
+    itself, so they share its operators with the caller's other fields.
+    """
     with open(path, "rb") as f:
         data = f.read()
     nl1 = data.find(b"\n")
@@ -859,11 +875,12 @@ def load_basis(path: str) -> BasisSet:
             arrays = {k: npz[k] for k in npz.files}
         if "radial_nodes" in arrays:
             r = arrays["radial_nodes"]
-            mesh = RadialMesh(Domain.annulus(r[0], r[-1]), (len(r) - 1) // 2)
+            stored = RadialMesh(Domain.annulus(r[0], r[-1]), (len(r) - 1) // 2)
         else:
             xs, ys = arrays["xs"], arrays["ys"]
-            mesh = RectangleMesh(Domain.rectangle(xs[-1] - xs[0], ys[-1] - ys[0]),
-                                 xs, ys, arrays["feature_x"], arrays["feature_y"])
+            stored = RectangleMesh(
+                Domain.rectangle(xs[-1] - xs[0], ys[-1] - ys[0]), xs, ys,
+                arrays["feature_x"], arrays["feature_y"])
         comps = arrays["components"]
         mtags = arrays["m_tags"]
         ptags = arrays["parity_tags"]
@@ -871,6 +888,8 @@ def load_basis(path: str) -> BasisSet:
         gram_l2, trace_gram = arrays["gram_l2"], arrays["trace_gram"]
     except (ValueError, KeyError, OSError, EOFError, zipfile.BadZipFile) as exc:
         raise BasisError(f"{path}: unreadable SBBASIS payload ({exc})") from exc
+    if mesh is None or mesh != stored:
+        mesh = stored
     k = len(comps)
     shapes = [(comps.shape, (k, 3, mesh.n_nodes)), (mtags.shape, (k,)),
               (ptags.shape, (k,)), (gram_l2.shape, (k, k)),

@@ -33,7 +33,7 @@ from .basis import (SOLVER_VERSION, BasisError, BasisSet, EigenSolveConfig,
                     airy_bump_basis, load_basis, save_basis,
                     solve_basis_annulus, solve_basis_rectangle, verify_basis)
 from .fields import (ScalarField, SymTensorField2, dump_field_csv,
-                     equilibrium_residual)
+                     equilibrium_residual, field_csv)
 from .materials import (Material, discontinuous_modulus, ramp_modulus,
                         strain_energy)
 from .meshes import (Domain, RadialMesh, build_radial_grid,
@@ -117,6 +117,12 @@ CONFIG_SCHEMA = {
 }
 
 
+# built once per process; the schema itself is checked by the test suite,
+# not on every load
+_CONFIG_VALIDATOR = jsonschema.validators.validator_for(CONFIG_SCHEMA)(
+    CONFIG_SCHEMA)
+
+
 @dataclass
 class ExperimentConfig:
     """Declarative description of one experiment."""
@@ -139,10 +145,10 @@ class ExperimentConfig:
 
     @staticmethod
     def from_dict(raw: dict) -> "ExperimentConfig":
-        try:
-            jsonschema.validate(raw, CONFIG_SCHEMA)
-        except jsonschema.ValidationError as exc:
-            raise UsageError(f"invalid experiment config: {exc.message}") from exc
+        error = jsonschema.exceptions.best_match(
+            _CONFIG_VALIDATOR.iter_errors(raw))
+        if error is not None:
+            raise UsageError(f"invalid experiment config: {error.message}")
         cfg = ExperimentConfig(**raw)
         if cfg.ns is not None:
             ns = list(cfg.ns)
@@ -233,7 +239,7 @@ def get_basis(mesh, spec: dict, use_cache: bool = True) -> BasisSet:
     path = os.path.join(cache_dir(), f"basis-{key}.sbbasis")
     if use_cache and os.path.exists(path):
         try:
-            basis = load_basis(path)
+            basis = load_basis(path, mesh)
         except BasisError:
             basis = None
         if basis is not None and _basis_matches(basis, mesh, backend, n_modes):
@@ -318,14 +324,7 @@ def get_oracle(mesh, spec: dict, loading, material_spec: dict,
 
 
 def _save_oracle_field(orc: OracleSolution, path: str):
-    body = io.StringIO()
-    body.write("x,y,sxx,syy,sxy\n")
-    coords = orc.field.mesh.node_coords
-    for i in range(orc.field.mesh.n_nodes):
-        row = [_FMT % coords[i, 0], _FMT % coords[i, 1]] + \
-            [_FMT % orc.field.components[k][i] for k in range(3)]
-        body.write(",".join(row) + "\n")
-    body = body.getvalue()
+    body = field_csv(orc.field)
     meta = {"format": _ORACLE_FORMAT, "method": orc.method,
             "mesh_hash": orc.field.mesh.mesh_hash(),
             "sha256": hashlib.sha256(body.encode()).hexdigest(),
@@ -395,13 +394,10 @@ def _solve(principle, ps, basis, material, N, ns, oracle_field):
 
 
 def _convergence_csv(path, ns, objective, energy, errors):
-    buf = io.StringIO()
-    buf.write("N,objective,energy,E_N\n")
-    for i, n in enumerate(ns):
-        row = [str(int(n)), _FMT % objective[i], _FMT % energy[i],
-               (_FMT % errors[i]) if errors is not None else ""]
-        buf.write(",".join(row) + "\n")
-    _atomic_write_text(path, buf.getvalue())
+    errors = [_FMT % e for e in errors] if errors is not None else [""] * len(ns)
+    rows = (f"{int(n)},{_FMT % o},{_FMT % e},{x}\n"
+            for n, o, e, x in zip(ns, objective, energy, errors))
+    _atomic_write_text(path, "N,objective,energy,E_N\n" + "".join(rows))
 
 
 def _coeffs_csv(path, results):
@@ -529,14 +525,10 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str,
     primary = cfg.principles[0]
     for principle, res in results.items():
         d = res.diagnostics
-        fname = "convergence.csv" if principle == primary else None
-        if len(results) > 1:
-            _convergence_csv(os.path.join(out_dir,
-                                          f"convergence_{principle}.csv"),
-                             d["n"], d["objective"], d["energy"],
-                             d.get("E_N"))
-        if fname:
-            _convergence_csv(os.path.join(out_dir, fname), d["n"],
+        names = ["convergence.csv"] if principle == primary else []
+        names += [f"convergence_{principle}.csv"] if len(results) > 1 else []
+        for name in names:
+            _convergence_csv(os.path.join(out_dir, name), d["n"],
                              d["objective"], d["energy"], d.get("E_N"))
 
     prim = results[primary]
@@ -561,12 +553,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str,
         n_airy = int(cfg.airy_compare)
         abasis = get_basis(mesh, {"backend": "airy", "n_modes": n_airy},
                            use_cache=use_cache)
-        a_res = solve_strain_energy(ps.field, abasis, material,
-                                    min(n_airy, len(abasis)), ns=[min(n_airy, len(abasis))])
-        e_res = solve_strain_energy(ps.field, basis, material,
-                                    min(n_airy, len(basis)), ns=[min(n_airy, len(basis))])
-        ea = a_res.diagnostics["energy"][-1]
-        ee = e_res.diagnostics["energy"][-1]
+        ea, ee = (solve_strain_energy(ps.field, b, material, n, ns=[n])
+                  .diagnostics["energy"][-1]
+                  for b in (abasis, basis) for n in [min(n_airy, len(b))])
         airy_dev = float((ea - ee) / ee)
     ctx["airy_energy_rel_dev"] = airy_dev
 

@@ -43,6 +43,8 @@ class RectOps:
     Attributes
     ----------
     qx, qy, qw : (nq,) quadrature coordinates and weights (area measure)
+    Nt, dXt, dYt : (nqp, 9) reference shape values and derivatives per
+        element quadrature point; Jx, Jy : (nel,) element half-sizes
     P, Px, Py : sparse (nq, nn) evaluation of a nodal field and its gradient
         at the quadrature points
     Ks, Ms, Dx, Dy : sparse (nn, nn) scalar stiffness, mass, and the mixed
@@ -52,23 +54,18 @@ class RectOps:
     def __init__(self, mesh: RectangleMesh):
         self.mesh = mesh
         rule = gauss_2d(_GAUSS_N)
-        gp = rule.points
-        gw = rule.weights
-        nqp = len(gw)
-        nn = mesh.n_nodes
+        gp, gw = rule.points, rule.weights
+        nqp, nn = len(gw), mesh.n_nodes
         conn = mesh.connectivity()
         nel = len(conn)
 
         # reference shape tables (nqp, 9)
-        Nt = np.empty((nqp, 9))
-        dXt = np.empty((nqp, 9))
-        dYt = np.empty((nqp, 9))
-        for q, (xi, eta) in enumerate(gp):
-            Nt[q], dXt[q], dYt[q] = shape2d(xi, eta)
-
+        Nt, dXt, dYt = (np.array(t) for t in
+                        zip(*(shape2d(xi, eta) for xi, eta in gp)))
         dx = np.repeat(np.diff(mesh.xs)[None, :], mesh.nely, axis=0).ravel()
         dy = np.repeat(np.diff(mesh.ys)[:, None], mesh.nelx, axis=1).ravel()
         Jx, Jy = dx / 2, dy / 2
+        self.Nt, self.dXt, self.dYt, self.Jx, self.Jy = Nt, dXt, dYt, Jx, Jy
 
         ex_x0 = np.tile(mesh.xs[:-1], mesh.nely)
         ey_y0 = np.repeat(mesh.ys[:-1], mesh.nelx)
@@ -83,36 +80,32 @@ class RectOps:
         Pv = np.broadcast_to(Nt[None, :, :], (nel, nqp, 9)).ravel()
         Pxv = (dXt[None, :, :] / Jx[:, None, None]).ravel()
         Pyv = (dYt[None, :, :] / Jy[:, None, None]).ravel()
-        shape = (self.nq, nn)
-        self.P = sp.csr_matrix((Pv, (rows, cols)), shape=shape)
-        self.Px = sp.csr_matrix((Pxv, (rows, cols)), shape=shape)
-        self.Py = sp.csr_matrix((Pyv, (rows, cols)), shape=shape)
+        self.P, self.Px, self.Py = (
+            sp.csr_matrix((v, (rows, cols)), shape=(self.nq, nn))
+            for v in (Pv, Pxv, Pyv))
 
-        # scalar element matrices, cached per distinct element size
-        cache: dict = {}
-        vK = np.empty((nel, 81))
-        vM = np.empty((nel, 81))
-        vDx = np.empty((nel, 81))
-        vDy = np.empty((nel, 81))
-        for e in range(nel):
-            key = (round(dx[e], 14), round(dy[e], 14))
-            if key not in cache:
-                jx, jy = Jx[e], Jy[e]
-                w = gw * jx * jy
-                Ke = np.einsum("q,qa,qb->ab", w, dXt / jx, dXt / jx) \
-                    + np.einsum("q,qa,qb->ab", w, dYt / jy, dYt / jy)
-                Me = np.einsum("q,qa,qb->ab", w, Nt, Nt)
-                Dxe = np.einsum("q,qa,qb->ab", w, Nt, dXt / jx)
-                Dye = np.einsum("q,qa,qb->ab", w, Nt, dYt / jy)
-                cache[key] = (Ke.ravel(), Me.ravel(), Dxe.ravel(), Dye.ravel())
-            vK[e], vM[e], vDx[e], vDy[e] = cache[key]
+        # scalar element matrices: one table per element size, gathered onto
+        # the elements; sizes equal to 14 decimals share the table of the
+        # first element that has them
+        _, first, inv = np.unique(np.round(np.column_stack([dx, dy]), 14),
+                                  axis=0, return_index=True,
+                                  return_inverse=True)
+        tables = np.empty((4, len(first), 81))
+        for u, e in enumerate(first):
+            jx, jy = Jx[e], Jy[e]
+            w = gw * jx * jy
+            Ke = np.einsum("q,qa,qb->ab", w, dXt / jx, dXt / jx) \
+                + np.einsum("q,qa,qb->ab", w, dYt / jy, dYt / jy)
+            Me = np.einsum("q,qa,qb->ab", w, Nt, Nt)
+            Dxe = np.einsum("q,qa,qb->ab", w, Nt, dXt / jx)
+            Dye = np.einsum("q,qa,qb->ab", w, Nt, dYt / jy)
+            tables[:, u] = [Ke.ravel(), Me.ravel(), Dxe.ravel(), Dye.ravel()]
+        inv = inv.reshape(-1)
         r = np.repeat(conn, 9, axis=1).ravel()
         c = np.tile(conn, (1, 9)).ravel()
-
-        def mk(v):
-            return sp.csr_matrix((v.ravel(), (r, c)), shape=(nn, nn))
-
-        self.Ks, self.Ms, self.Dx, self.Dy = mk(vK), mk(vM), mk(vDx), mk(vDy)
+        self.Ks, self.Ms, self.Dx, self.Dy = (
+            sp.csr_matrix((t[inv].ravel(), (r, c)), shape=(nn, nn))
+            for t in tables)
         self._edge_cache: dict = {}
         self._ms_lu = None
 
@@ -153,20 +146,13 @@ class RectOps:
         w = (gw[None, :] * J[:, None]).ravel()
         nq = len(coords)
         rows = np.repeat(np.arange(nq), 3)
-        cols = np.empty((n_along, 3, 3), dtype=int)
-        nnx, nny = mesh.nnx, mesh.nny
-        for e in range(n_along):
-            if tag == "bottom":
-                ids = [2 * e, 2 * e + 1, 2 * e + 2]
-            elif tag == "top":
-                base = (nny - 1) * nnx
-                ids = [base + 2 * e, base + 2 * e + 1, base + 2 * e + 2]
-            elif tag == "left":
-                ids = [2 * e * nnx, (2 * e + 1) * nnx, (2 * e + 2) * nnx]
-            else:
-                ids = [2 * e * nnx + nnx - 1, (2 * e + 1) * nnx + nnx - 1,
-                       (2 * e + 2) * nnx + nnx - 1]
-            cols[e] = np.array(ids)[None, :]
+        # edge element e holds the side's nodes 2e, 2e + 1, 2e + 2, listed
+        # once per quadrature point
+        nnx = mesh.nnx
+        base, step = {"bottom": (0, 1), "top": ((mesh.nny - 1) * nnx, 1),
+                      "left": (0, nnx), "right": (nnx - 1, nnx)}[tag]
+        along = 2 * np.arange(n_along)[:, None] + np.arange(3)
+        cols = np.repeat(base + step * along, 3, axis=0)
         vals = np.broadcast_to(N1[None, :, :], (n_along, 3, 3)).ravel()
         E = sp.csr_matrix((vals, (rows, cols.ravel())), shape=(nq, mesh.n_nodes))
         if tag in ("bottom", "top"):
@@ -286,32 +272,20 @@ def solve_displacement(mesh: RectangleMesh, material, loading) -> np.ndarray:
     ops = rect_ops(mesh)
     nn = mesh.n_nodes
     conn = mesh.connectivity()
-    nel = len(conn)
-    rule = gauss_2d(_GAUSS_N)
-    gp, gw = rule.points, rule.weights
-    nqp = len(gw)
-
-    Nt = np.empty((nqp, 9))
-    dXt = np.empty((nqp, 9))
-    dYt = np.empty((nqp, 9))
-    for q, (xi, eta) in enumerate(gp):
-        Nt[q], dXt[q], dYt[q] = shape2d(xi, eta)
-
-    dx = np.repeat(np.diff(mesh.xs)[None, :], mesh.nely, axis=0).ravel()
-    dy = np.repeat(np.diff(mesh.ys)[:, None], mesh.nelx, axis=1).ravel()
-    Jx, Jy = dx / 2, dy / 2
+    nel, nqp = len(conn), len(ops.Nt)
 
     # B matrices: (nel, nqp, 3, 18); element dofs = 9 ux then 9 uy
-    dNdx = dXt[None, :, :] / Jx[:, None, None]
-    dNdy = dYt[None, :, :] / Jy[:, None, None]
+    dNdx = ops.dXt[None, :, :] / ops.Jx[:, None, None]
+    dNdy = ops.dYt[None, :, :] / ops.Jy[:, None, None]
     B = np.zeros((nel, nqp, 3, 18))
     B[:, :, 0, :9] = dNdx
     B[:, :, 1, 9:] = dNdy
     B[:, :, 2, :9] = dNdy
     B[:, :, 2, 9:] = dNdx
 
-    D = stiffness_matrix_at(material, ops.qx, ops.qy).reshape(nel, nqp, 3, 3)
-    w = (gw[None, :] * (Jx * Jy)[:, None])
+    Dq = stiffness_matrix_at(material, ops.qx, ops.qy)
+    D = Dq.reshape(nel, nqp, 3, 3)
+    w = ops.qw.reshape(nel, nqp)
     Ke = np.einsum("eq,eqia,eqij,eqjb->eab", w, B, D, B, optimize=True)
 
     edofs = np.concatenate([conn, conn + nn], axis=1)  # (nel, 18)
@@ -341,7 +315,6 @@ def solve_displacement(mesh: RectangleMesh, material, loading) -> np.ndarray:
     # stress at quadrature points, then L2-project to nodes
     ux, uy = u[:nn], u[nn:]
     strain = np.stack([ops.Px @ ux, ops.Py @ uy, ops.Py @ ux + ops.Px @ uy])
-    Dq = stiffness_matrix_at(material, ops.qx, ops.qy)
     sq = np.einsum("qij,jq->iq", Dq, strain)
     nodal = np.stack([ops.project_to_nodes(sq[i]) for i in range(3)])
     return nodal

@@ -21,7 +21,6 @@ Dump format: CSV with header ``x,y,sxx,syy,sxy`` (rectangle) or
 """
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -412,20 +411,28 @@ def equilibrium_residual(A: SymTensorField2, loading: LoadingSpec | None = None,
 # CSV dumps
 # ---------------------------------------------------------------------------
 
-def dump_field_csv(field: SymTensorField2, path: str):
-    """One row per node, 17 significant digits."""
-    buf = io.StringIO()
-    if isinstance(field.mesh, RadialMesh):
-        buf.write("r,m,srr,stt,srt\n")
-        for i, r in enumerate(field.mesh.nodes):
-            row = [_FMT % r, str(field.m)] + \
-                [_FMT % field.components[k][i] for k in range(3)]
-            buf.write(",".join(row) + "\n")
+def field_csv(field: SymTensorField2) -> str:
+    """CSV text of a field: one row per node, 17 significant digits."""
+    mesh = field.mesh
+    if "csv_nodes" not in mesh._cache:
+        # the node cells are formatted once per mesh and shared by its dumps
+        if isinstance(mesh, RadialMesh):
+            cells = [_FMT % r for r in mesh.nodes.tolist()]
+        else:
+            cells = [f"{_FMT},{_FMT}" % xy
+                     for xy in zip(*mesh.node_coords.T.tolist())]
+        mesh._cache["csv_nodes"] = cells
+    if isinstance(mesh, RadialMesh):
+        header, row = "r,m,srr,stt,srt\n", f"%s,{field.m}"
     else:
-        buf.write("x,y,sxx,syy,sxy\n")
-        coords = field.mesh.node_coords
-        for i in range(field.mesh.n_nodes):
-            row = [_FMT % coords[i, 0], _FMT % coords[i, 1]] + \
-                [_FMT % field.components[k][i] for k in range(3)]
-            buf.write(",".join(row) + "\n")
-    _atomic_write_text(path, buf.getvalue())
+        header, row = "x,y,sxx,syy,sxy\n", "%s"
+    row += f",{_FMT},{_FMT},{_FMT}\n"
+    # rows are zipped from one list per column: a list per row would make
+    # thousands of containers and set off garbage-collector passes
+    return header + "".join(row % t for t in zip(mesh._cache["csv_nodes"],
+                                                 *field.components.tolist()))
+
+
+def dump_field_csv(field: SymTensorField2, path: str):
+    """Write ``field_csv(field)`` to ``path`` (atomically)."""
+    _atomic_write_text(path, field_csv(field))

@@ -1,4 +1,4 @@
-"""Computational domains, structured meshes, loading descriptions, and mesh file I/O.
+"""Computational domains, structured meshes, and loading descriptions.
 
 Two domain kinds are supported:
 
@@ -7,14 +7,10 @@ Two domain kinds are supported:
 * ``annulus`` -- never meshed in 2D: all annulus work uses an azimuthal
   decomposition, i.e. radial 1D grids of quadratic (3-node) elements with fields
   tagged by an azimuthal wavenumber ``m`` and a trig parity.
-
-Mesh files use the line-oriented, versioned ``SBMESH 1`` text format (see
-``save_mesh`` / ``load_mesh``).
 """
 from __future__ import annotations
 
 import hashlib
-import io
 import os
 import tempfile
 from dataclasses import dataclass
@@ -22,14 +18,13 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-_COORD_FMT = "%.17g"
 # Tolerance under which a declared feature line is considered to coincide with an
 # existing grid line (it is then placed exactly at the declared value).
 _MERGE_TOL = 1e-9
 
 
 class MeshError(ValueError):
-    """Raised for invalid mesh construction or malformed mesh files."""
+    """Raised for invalid mesh construction."""
 
 
 @dataclass(frozen=True)
@@ -117,32 +112,17 @@ class RectangleMesh:
         X, Y = np.meshgrid(self.node_x, self.node_y)
         return np.column_stack([X.ravel(), Y.ravel()])
 
-    def element_nodes(self, ex: int, ey: int) -> np.ndarray:
-        """The 9 node ids of element (ex, ey), local ordering y-major."""
-        return np.array([(2 * ey + jy) * self.nnx + 2 * ex + ix
-                         for jy in range(3) for ix in range(3)])
-
     def connectivity(self) -> np.ndarray:
-        """(n_elements, 9) connectivity, elements ordered ey-major."""
+        """(n_elements, 9) connectivity, elements ordered ey-major; element
+        (ex, ey) lists node (2 ey + jy) nnx + 2 ex + ix at local position
+        3 jy + ix."""
         key = "connectivity"
         if key not in self._cache:
-            conn = np.array([self.element_nodes(ex, ey)
-                             for ey in range(self.nely) for ex in range(self.nelx)])
-            self._cache[key] = conn
+            ey, ex = np.divmod(np.arange(self.n_elements), self.nelx)
+            j, i = np.divmod(np.arange(9), 3)
+            self._cache[key] = (2 * ey * self.nnx + 2 * ex)[:, None] \
+                + (j * self.nnx + i)[None, :]
         return self._cache[key]
-
-    def boundary_edges(self):
-        """List of (corner_node_1, corner_node_2, tag) for every boundary element edge."""
-        nnx, nny = self.nnx, self.nny
-        edges = []
-        for ex in range(self.nelx):
-            edges.append((2 * ex, 2 * ex + 2, "bottom"))
-            base = (nny - 1) * nnx
-            edges.append((base + 2 * ex, base + 2 * ex + 2, "top"))
-        for ey in range(self.nely):
-            edges.append((2 * ey * nnx, (2 * ey + 2) * nnx, "left"))
-            edges.append((2 * ey * nnx + nnx - 1, (2 * ey + 2) * nnx + nnx - 1, "right"))
-        return edges
 
     def boundary_node_masks(self):
         """Masks (on_x_edges, on_y_edges) over node ids."""
@@ -197,15 +177,9 @@ class RadialMesh:
     def node_coords(self) -> np.ndarray:
         return self.nodes
 
-    def element_nodes(self, e: int) -> np.ndarray:
-        return np.array([2 * e, 2 * e + 1, 2 * e + 2])
-
     def connectivity(self) -> np.ndarray:
-        return np.array([self.element_nodes(e) for e in range(self.nel)])
-
-    def boundary_edges(self):
-        n = self.n_nodes
-        return [(0, 0, "inner"), (n - 1, n - 1, "outer")]
+        """(nel, 3) connectivity: element e holds nodes 2e, 2e + 1, 2e + 2."""
+        return 2 * np.arange(self.nel)[:, None] + np.arange(3)[None, :]
 
     def mesh_hash(self) -> str:
         h = hashlib.sha256()
@@ -460,60 +434,11 @@ def _theta_grid(n: int = 1440) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# SBMESH text format
+# Atomic file writes
 # ---------------------------------------------------------------------------
 
-def save_mesh(mesh, path: str):
-    """Write a mesh in the SBMESH 1 text format (atomic write)."""
-    buf = io.StringIO()
-    buf.write("SBMESH 1\n")
-    if mesh.kind == "rectangle":
-        coords = mesh.node_coords
-        buf.write(f"nodes {mesh.n_nodes}\n")
-        for x, y in coords:
-            buf.write(f"{_COORD_FMT % x} {_COORD_FMT % y}\n")
-        conn = mesh.connectivity()
-        buf.write(f"elements {len(conn)}\n")
-        for row in conn:
-            buf.write(" ".join(str(int(i)) for i in row) + "\n")
-        edges = mesh.boundary_edges()
-        buf.write(f"boundary {len(edges)}\n")
-        for n1, n2, tag in edges:
-            buf.write(f"edge {n1} {n2} {tag}\n")
-        nfeat = len(mesh.feature_x) + len(mesh.feature_y)
-        if nfeat:
-            buf.write(f"features {nfeat}\n")
-            for v in mesh.feature_x:
-                buf.write(f"x {_COORD_FMT % v}\n")
-            for v in mesh.feature_y:
-                buf.write(f"y {_COORD_FMT % v}\n")
-    else:
-        buf.write(f"nodes {mesh.n_nodes}\n")
-        for r in mesh.nodes:
-            buf.write(f"{_COORD_FMT % r} 0\n")
-        conn = mesh.connectivity()
-        buf.write(f"elements {len(conn)}\n")
-        for row in conn:
-            buf.write(" ".join(str(int(i)) for i in row) + "\n")
-        edges = mesh.boundary_edges()
-        buf.write(f"boundary {len(edges)}\n")
-        for n1, n2, tag in edges:
-            buf.write(f"edge {n1} {n2} {tag}\n")
-    _atomic_write_text(path, buf.getvalue())
-
-
 def _atomic_write_text(path: str, text: str):
-    d = os.path.dirname(os.path.abspath(path))
-    os.makedirs(d, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-sb-")
-    try:
-        with os.fdopen(fd, "w") as f:
-            f.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    _atomic_write_bytes(path, text.encode())
 
 
 def _atomic_write_bytes(path: str, data: bytes):
@@ -528,99 +453,3 @@ def _atomic_write_bytes(path: str, data: bytes):
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-
-
-def load_mesh(path: str):
-    """Read and fully validate an SBMESH 1 file, reconstructing the mesh object."""
-    with open(path) as f:
-        lines = [ln.strip() for ln in f if ln.strip()]
-    if not lines:
-        raise MeshError(f"{path}: empty mesh file")
-    if lines[0] != "SBMESH 1":
-        raise MeshError(f"{path}: bad header {lines[0]!r}")
-    pos = 1
-
-    def expect_section(name):
-        nonlocal pos
-        if pos >= len(lines):
-            raise MeshError(f"{path}: missing section {name!r}")
-        parts = lines[pos].split()
-        if len(parts) != 2 or parts[0] != name:
-            raise MeshError(f"{path}: expected section {name!r}, got {lines[pos]!r}")
-        pos += 1
-        return int(parts[1])
-
-    n = expect_section("nodes")
-    try:
-        coords = np.array([[float(v) for v in lines[pos + i].split()] for i in range(n)])
-    except (ValueError, IndexError) as exc:
-        raise MeshError(f"{path}: malformed node table: {exc}") from None
-    pos += n
-    m = expect_section("elements")
-    try:
-        conn = [np.array([int(v) for v in lines[pos + i].split()]) for i in range(m)]
-    except (ValueError, IndexError) as exc:
-        raise MeshError(f"{path}: malformed element table: {exc}") from None
-    pos += m
-    k = expect_section("boundary")
-    edges = []
-    for i in range(k):
-        parts = lines[pos + i].split()
-        if len(parts) != 4 or parts[0] != "edge":
-            raise MeshError(f"{path}: malformed boundary line {lines[pos + i]!r}")
-        edges.append((int(parts[1]), int(parts[2]), parts[3]))
-    pos += k
-    feat_x, feat_y = [], []
-    if pos < len(lines) and lines[pos].startswith("features"):
-        nf = int(lines[pos].split()[1])
-        pos += 1
-        for i in range(nf):
-            axis, val = lines[pos + i].split()
-            (feat_x if axis == "x" else feat_y).append(float(val))
-        pos += nf
-
-    for row in conn:
-        if row.min() < 0 or row.max() >= n:
-            raise MeshError(f"{path}: element references nonexistent node")
-
-    radial = np.all(coords[:, 1] == 0.0) and all(len(r) == 3 for r in conn)
-    if radial:
-        r = coords[:, 0]
-        nel = (len(r) - 1) // 2
-        dom = Domain.annulus(r[0], r[-1])
-        mesh = RadialMesh(dom, nel)
-        if not np.allclose(mesh.nodes, r, rtol=0, atol=1e-12):
-            raise MeshError(f"{path}: radial nodes are not a uniform quadratic grid")
-        _check_edges(edges, mesh.boundary_edges(), path)
-        return mesh
-
-    if not all(len(r) == 9 for r in conn):
-        raise MeshError(f"{path}: nonconforming element (expected 9-node quads)")
-    node_x = np.unique(coords[:, 0])
-    node_y = np.unique(coords[:, 1])
-    if len(node_x) % 2 == 0 or len(node_y) % 2 == 0:
-        raise MeshError(f"{path}: node grid is not a quadratic tensor grid")
-    xs, ys = node_x[0::2], node_y[0::2]
-    dom = Domain.rectangle(xs[-1] - xs[0], ys[-1] - ys[0])
-    mesh = RectangleMesh(dom, xs, ys, feat_x, feat_y)
-    if not np.allclose(mesh.node_coords, coords, rtol=0, atol=1e-12):
-        raise MeshError(f"{path}: nodes are not in canonical tensor-grid order")
-    ref = mesh.connectivity()
-    if not np.array_equal(np.array(conn), ref):
-        raise MeshError(f"{path}: nonconforming connectivity")
-    _check_edges(edges, mesh.boundary_edges(), path)
-    return mesh
-
-
-def _check_edges(found, expected, path):
-    fmap = {(n1, n2): tag for n1, n2, tag in found}
-    for n1, n2, tag in expected:
-        if (n1, n2) not in fmap:
-            raise MeshError(f"{path}: boundary edge ({n1}, {n2}) is untagged")
-        if fmap[(n1, n2)] != tag:
-            raise MeshError(
-                f"{path}: boundary edge ({n1}, {n2}) tagged {fmap[(n1, n2)]!r}, "
-                f"expected {tag!r}")
-    if len(fmap) != len(expected):
-        extra = set(fmap) - {(n1, n2) for n1, n2, _ in expected}
-        raise MeshError(f"{path}: unexpected boundary edges {sorted(extra)[:3]}")

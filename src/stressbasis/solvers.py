@@ -21,8 +21,9 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from .basis import BasisSet
-from .fields import ScalarField, SymTensorField2, scalar_gram, tensor_gram
+from .basis import BasisSet, _has_exact_form
+from .fields import (ScalarField, SymTensorField2, planar_trace, scalar_gram,
+                     tensor_gram)
 from .materials import (Material, compliance_on_quad, compliance_quad,
                         strain_energy)
 from .meshes import RadialMesh
@@ -58,53 +59,79 @@ def _select_indices(basis: BasisSet, sigma_p: SymTensorField2, N: int):
     return idx[:N]
 
 
-def _se_gram(material, mesh, m, parity, Phi):
-    """The symmetrized strain-energy Gram <C^-1 phi_j, phi_i>."""
-    M = tensor_gram(mesh, m, parity, compliance_on_quad(material, mesh, Phi),
-                    Phi)
-    return 0.5 * (M + M.T)
+def _se_gram(basis, idx, material, m, parity):
+    """The symmetrized strain-energy Gram <C^-1 phi_j, phi_i> of the modes
+    ``idx``, built once per (basis, material, mode selection) and kept in the
+    basis cache; the SE solve and every diagnostic series share it."""
+    key = ("se_gram", material, tuple(idx))
+    if key not in basis._cache:
+        mesh = basis.mesh
+        Phi = basis.quad_matrix(idx)
+        M = tensor_gram(mesh, m, parity,
+                        compliance_on_quad(material, mesh, Phi), Phi)
+        M = 0.5 * (M + M.T)
+        M.flags.writeable = False   # shared: a caller must not change it
+        basis._cache[key] = M
+    return basis._cache[key]
 
 
 def assemble_se_system(basis: BasisSet, sigma_p: SymTensorField2,
                        material: Material, N: int):
     """The strain-energy normal system (M, f) for the leading N modes."""
     idx = _select_indices(basis, sigma_p, N)
-    mesh = basis.mesh
-    Phi = basis.quad_matrix(idx)
     m, parity = sigma_p.m, sigma_p.parity
-    M = _se_gram(material, mesh, m, parity, Phi)
+    M = _se_gram(basis, idx, material, m, parity)
     eq = compliance_quad(material, sigma_p)
-    f = -tensor_gram(mesh, m, parity, eq, Phi)
+    f = -tensor_gram(basis.mesh, m, parity, eq, basis.quad_matrix(idx))
     return M, f
 
 
-def _trace_vector(basis, idx, sbar_quad, mesh, m, parity):
-    """<sbar, trace(phi_i)> for a scalar quadrature field."""
-    Phi = basis.quad_matrix(idx)
-    return scalar_gram(mesh, m, parity, sbar_quad, Phi[0] + Phi[1])
-
-
 def _reconstruct(sigma_p, basis, idx, a):
-    parts = [(1.0, sigma_p)] + [(float(a[j]), basis.modes[i])
-                                for j, i in enumerate(idx) if a[j] != 0.0]
-    return SymTensorField2(sigma_p.mesh, m=sigma_p.m, parity=sigma_p.parity,
-                           parts=parts)
+    """sigma_p + sum_j a_j phi_j.
+
+    The nodal modes are folded into one nodal field beside sigma_p, so the
+    quadrature, divergence and edge values of the sum cost a fixed number of
+    sparse products; modes with an exact form stay parts of their own. The
+    nodal array is summed term by term, in mode order.
+    """
+    terms = [(float(a[j]), basis.modes[i]) for j, i in enumerate(idx)
+             if a[j] != 0.0]
+    tags = {"m": sigma_p.m, "parity": sigma_p.parity}
+    parts = [(1.0, sigma_p)] + [(c, md) for c, md in terms
+                                if _has_exact_form(md)]
+    nodal = [(c, md) for c, md in terms if not _has_exact_form(md)]
+    if nodal:
+        folded = sum(c * md.components for c, md in nodal)
+        parts.append((1.0, SymTensorField2(sigma_p.mesh, folded, **tags)))
+    components = sum(c * f.components for c, f in [(1.0, sigma_p)] + terms)
+    return SymTensorField2(sigma_p.mesh, components, parts=parts, **tags)
 
 
 def _oracle_terms(basis, idx, sigma_p, sigma_true, material):
     """Ingredients of E_n = |sigma^n - sigma_true|_E / |sigma_true|_E besides
     the SE Gram: |sigma_p - sigma_true|_E^2, <C^-1 (sigma_p - sigma_true),
     phi_i> and |sigma_true|_E^2."""
-    mesh = sigma_p.mesh
     d = sigma_p - sigma_true
     dd = strain_energy(material, d)
     Cd = compliance_quad(material, d)
-    Phi = basis.quad_matrix(idx)
-    g = tensor_gram(mesh, sigma_p.m, sigma_p.parity, Cd, Phi)
+    g = tensor_gram(sigma_p.mesh, sigma_p.m, sigma_p.parity, Cd,
+                    basis.quad_matrix(idx))
     denom = strain_energy(material, sigma_true)
     if denom <= 0:
         raise SolverError("oracle stress has zero energy")
     return dd, g, denom
+
+
+def _quadratic_series(c0, v, M, ans):
+    """c0 + 2 a.v + a.M a for each coefficient vector a in ``ans`` (a holds
+    the leading len(a) coefficients)."""
+    return np.array([c0 + 2 * a @ v[:len(a)] + a @ M[:len(a), :len(a)] @ a
+                     for a in ans], dtype=float)
+
+
+def _error_series(oracle_terms, M, ans):
+    dd, g, denom = oracle_terms
+    return np.sqrt(np.maximum(_quadratic_series(dd, g, M, ans) / denom, 0.0))
 
 
 def _schedule(N, ns):
@@ -127,9 +154,6 @@ def solve_strain_energy(sigma_p: SymTensorField2, basis: BasisSet,
     """
     idx = _select_indices(basis, sigma_p, N)
     M, f = assemble_se_system(basis, sigma_p, material, N)
-    Ep = strain_energy(material, sigma_p)
-    if oracle is not None:
-        dd, g, denom = _oracle_terms(basis, idx, sigma_p, oracle, material)
     sched = _schedule(N, ns)
     if N:
         try:
@@ -147,41 +171,29 @@ def solve_strain_energy(sigma_p: SymTensorField2, basis: BasisSet,
         return solve_triangular(L[:n, :n], an, trans="T", lower=True,
                                 check_finite=False)
 
-    objective = np.empty(len(sched))
-    energy = np.empty(len(sched))
-    errors = np.empty(len(sched)) if oracle is not None else None
-    for k, n in enumerate(sched):
-        an = coeffs(n)
-        En = Ep - 2 * an @ f[:n] + an @ M[:n, :n] @ an
-        objective[k] = En
-        energy[k] = En
-        if oracle is not None:
-            e2 = (dd + 2 * an @ g[:n] + an @ M[:n, :n] @ an) / denom
-            errors[k] = np.sqrt(max(e2, 0.0))
+    ans = [coeffs(n) for n in sched]
+    energy = _quadratic_series(strain_energy(material, sigma_p), -f, M, ans)
     # the schedule may leave N out; the coefficients are always those of N
     a = coeffs(N)
-    diag = {"n": np.array(sched), "objective": objective, "energy": energy,
+    diag = {"n": np.array(sched), "objective": energy, "energy": energy.copy(),
             "condition": float(np.linalg.cond(M)) if N else 1.0}
-    if errors is not None:
-        diag["E_N"] = errors
+    if oracle is not None:
+        diag["E_N"] = _error_series(
+            _oracle_terms(basis, idx, sigma_p, oracle, material), M, ans)
     return Approximation(a, _reconstruct(sigma_p, basis, idx, a), "SE", diag,
                          list(idx))
 
 
 def _pt_like(sigma_p, basis, N, ns, sbar_quad, principle):
     idx = _select_indices(basis, sigma_p, N)
-    mesh = sigma_p.mesh
-    t = _trace_vector(basis, idx, sbar_quad, mesh, sigma_p.m, sigma_p.parity)
-    Gt = basis.trace_gram[np.ix_(idx, idx)]
+    mesh, m, parity = sigma_p.mesh, sigma_p.m, sigma_p.parity
+    Phi = basis.quad_matrix(idx)
+    t = scalar_gram(mesh, m, parity, sbar_quad, Phi[0] + Phi[1])
+    Tp = float(scalar_gram(mesh, m, parity, sbar_quad, sbar_quad))
     a = -t
-    Tp = float(scalar_gram(mesh, sigma_p.m, sigma_p.parity, sbar_quad,
-                           sbar_quad))
     sched = _schedule(N, ns)
-    objective = np.empty(len(sched))
-    for k, n in enumerate(sched):
-        an = a[:n]
-        objective[k] = Tp + 2 * an @ t[:n] + an @ Gt[:n, :n] @ an
-    diag = {"n": np.array(sched), "objective": objective}
+    diag = {"n": np.array(sched), "objective": _quadratic_series(
+        Tp, t, basis.trace_gram[np.ix_(idx, idx)], [a[:n] for n in sched])}
     return Approximation(a, _reconstruct(sigma_p, basis, idx, a), principle,
                          diag, list(idx))
 
@@ -193,7 +205,6 @@ def solve_planar_trace(sigma_p: SymTensorField2, basis: BasisSet, N: int,
     Valid for homogeneous isotropic bodies with zero net force on every hole
     (caller's responsibility); each coefficient is an independent integral.
     """
-    from .fields import planar_trace
     sbar = planar_trace(sigma_p).at_quad()
     return _pt_like(sigma_p, basis, N, ns, sbar, "PT")
 
@@ -202,7 +213,6 @@ def solve_planar_trace_body(sigma_p: SymTensorField2, basis: BasisSet,
                             V: ScalarField, nu: float, N: int,
                             ns=None) -> Approximation:
     """Planar-trace projection with body-force potential V (b = -grad V)."""
-    from .fields import planar_trace
     sbar = planar_trace(sigma_p).at_quad() - V.at_quad() / (1.0 - nu)
     return _pt_like(sigma_p, basis, N, ns, sbar, "PT_body")
 
@@ -213,19 +223,12 @@ def energy_series(approx: Approximation, sigma_p: SymTensorField2,
 
     Used to attach the energy column to material-blind (PT) solves.
     """
-    idx = approx.mode_indices
-    mesh = sigma_p.mesh
-    Phi = basis.quad_matrix(idx)
-    M = _se_gram(material, mesh, sigma_p.m, sigma_p.parity, Phi)
-    eq = compliance_quad(material, sigma_p)
-    q = tensor_gram(mesh, sigma_p.m, sigma_p.parity, eq, Phi)
-    Ep = strain_energy(material, sigma_p)
-    a = approx.coeffs
-    out = np.empty(len(approx.diagnostics["n"]))
-    for k, n in enumerate(approx.diagnostics["n"]):
-        an = a[:n]
-        out[k] = Ep + 2 * an @ q[:n] + an @ M[:n, :n] @ an
-    return out
+    idx, (m, parity) = approx.mode_indices, (sigma_p.m, sigma_p.parity)
+    q = tensor_gram(sigma_p.mesh, m, parity,
+                    compliance_quad(material, sigma_p), basis.quad_matrix(idx))
+    ans = [approx.coeffs[:n] for n in approx.diagnostics["n"]]
+    return _quadratic_series(strain_energy(material, sigma_p), q,
+                             _se_gram(basis, idx, material, m, parity), ans)
 
 
 def error_series(approx: Approximation, sigma_p: SymTensorField2,
@@ -233,16 +236,10 @@ def error_series(approx: Approximation, sigma_p: SymTensorField2,
                  sigma_true: SymTensorField2) -> np.ndarray:
     """E_n against an oracle for every n in the recorded schedule."""
     idx = approx.mode_indices
-    dd, g, denom = _oracle_terms(basis, idx, sigma_p, sigma_true, material)
-    M = _se_gram(material, sigma_p.mesh, sigma_p.m, sigma_p.parity,
-                 basis.quad_matrix(idx))
-    a = approx.coeffs
-    out = np.empty(len(approx.diagnostics["n"]))
-    for k, n in enumerate(approx.diagnostics["n"]):
-        an = a[:n]
-        e2 = (dd + 2 * an @ g[:n] + an @ M[:n, :n] @ an) / denom
-        out[k] = np.sqrt(max(e2, 0.0))
-    return out
+    terms = _oracle_terms(basis, idx, sigma_p, sigma_true, material)
+    M = _se_gram(basis, idx, material, sigma_p.m, sigma_p.parity)
+    ans = [approx.coeffs[:n] for n in approx.diagnostics["n"]]
+    return _error_series(terms, M, ans)
 
 
 def galerkin_residual(approx: Approximation, sigma_p: SymTensorField2,

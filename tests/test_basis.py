@@ -146,6 +146,30 @@ def test_sbbasis_round_trip(tmp_path, rect_basis):
     assert rep.passed, rep.failures
 
 
+def test_load_basis_builds_modes_on_an_equal_mesh(tmp_path, rect_basis):
+    path = tmp_path / "basis.sbbasis"
+    save_basis(rect_basis, str(path))
+    mesh = rect_basis.mesh
+    same = RectangleMesh(mesh.domain, mesh.xs.copy(), mesh.ys.copy())
+    assert all(md.mesh is same for md in load_basis(str(path), same).modes)
+    other = build_rectangle_mesh(mesh.domain, 10, 10)
+    back = load_basis(str(path), other)
+    assert back.mesh == mesh and back.mesh is not other
+
+
+def test_quad_matrix_matches_per_mode_evaluation(rect_basis, ann_basis_merged,
+                                                 rect_mesh):
+    """Nodal modes evaluated together give the per-mode values bit for bit;
+    modes with an exact form are evaluated one at a time."""
+    for basis in (rect_basis, ann_basis_merged):
+        idx = list(range(len(basis)))[::2]
+        want = np.stack([basis.modes[i].at_quad() for i in idx], axis=2)
+        assert np.array_equal(basis.quad_matrix(idx), want)
+    airy = airy_bump_basis(rect_mesh, 4)
+    want = np.stack([md.at_quad() for md in airy.modes], axis=2)
+    assert np.array_equal(airy.quad_matrix(range(4)), want)
+
+
 def test_load_basis_rejects_corruption(tmp_path):
     path = tmp_path / "bad.sbbasis"
     path.write_bytes(b"not a basis file")

@@ -4,14 +4,17 @@ import os
 import subprocess
 import sys
 
+import jsonschema
 import numpy as np
 import pytest
 
 import stressbasis
+from stressbasis import fem2d
 from stressbasis.basis import load_basis, save_basis
 from stressbasis.cli import main
-from stressbasis.experiments import (ExperimentConfig, ExperimentError,
-                                     PRESET_NAMES, UsageError, fit_slope,
+from stressbasis.experiments import (CONFIG_SCHEMA, ExperimentConfig,
+                                     ExperimentError, PRESET_NAMES,
+                                     UsageError, fit_slope,
                                      get_basis, get_preset, list_presets,
                                      run_experiment)
 
@@ -46,6 +49,12 @@ def test_config_schema_rejections():
     bad = dict(SMALL_CFG, ns=[5, 5, 10])
     with pytest.raises(UsageError):
         ExperimentConfig.from_dict(bad)
+
+
+def test_config_schema_is_a_valid_schema():
+    """Loads skip the schema's own check; this test makes it instead."""
+    jsonschema.validators.validator_for(CONFIG_SCHEMA).check_schema(
+        CONFIG_SCHEMA)
 
 
 def test_full_scale_override():
@@ -217,6 +226,30 @@ def test_damaged_cache_files_are_rebuilt(tmp_path, monkeypatch):
         (cache / name).write_bytes(data[:len(data) // 2])
     assert run("damaged") == cold
     assert run("warm") == cold
+
+
+def test_rectangle_warm_run_matches_cold_on_one_operator_set(tmp_path,
+                                                            monkeypatch):
+    """A warm rectangle run (cached eigenbasis and FEM reference) writes the
+    cold run's bytes, and every field of it shares one RectOps."""
+    monkeypatch.setenv("SB_CACHE_DIR", str(tmp_path / "cache"))
+    raw = json.loads(json.dumps(RECT_CFG))
+    raw["principles"] = ["SE", "PT"]
+    cfg = ExperimentConfig.from_dict(raw)
+    run_experiment(cfg, str(tmp_path / "cold"))
+    built = []
+    init = fem2d.RectOps.__init__
+    monkeypatch.setattr(fem2d.RectOps, "__init__",
+                        lambda self, mesh: built.append(mesh) or
+                        init(self, mesh))
+    run_experiment(cfg, str(tmp_path / "warm"))
+    assert len(built) == 1
+    names = sorted(os.listdir(tmp_path / "cold"))
+    assert names == sorted(os.listdir(tmp_path / "warm"))
+    assert "convergence_PT.csv" in names and "sigma_h.csv" in names
+    for name in names:
+        assert filecmp.cmp(tmp_path / "cold" / name, tmp_path / "warm" / name,
+                           shallow=False), name
 
 
 def test_basis_cache_rebuilds_on_mode_count_mismatch(tmp_path, monkeypatch,

@@ -7,6 +7,7 @@ from stressbasis.materials import Material
 from stressbasis.meshes import Domain, LoadingSpec, build_radial_grid, \
     build_rectangle_mesh
 from stressbasis.oracles import displacement_fem_oracle
+from stressbasis.quadrature import gauss_1d, gauss_2d
 
 
 def test_shape_functions_partition_of_unity():
@@ -86,3 +87,60 @@ def test_edge_quadrature_lengths(rect_mesh):
     for tag in ("left", "right", "bottom", "top"):
         _, _, w = ops.edge_quad(tag)
         assert w.sum() == pytest.approx(1.0, rel=1e-13)
+
+
+def _per_element_ops(mesh):
+    """Connectivity, scalar matrices and edge maps rebuilt one element at a
+    time from the definitions, each element from its own size."""
+    from scipy.sparse import coo_matrix
+    rule = gauss_2d(3)
+    Nt, dXt, dYt = np.array([shape2d(*p) for p in rule.points]).transpose(1, 0, 2)
+    nnx, nny = mesh.nnx, mesh.nny
+    out = {"conn": np.array([[(2 * ey + jy) * nnx + 2 * ex + ix
+                              for jy in range(3) for ix in range(3)]
+                             for ey in range(mesh.nely)
+                             for ex in range(mesh.nelx)])}
+    mats = []
+    for e in range(mesh.n_elements):
+        ey, ex = divmod(e, mesh.nelx)
+        jx, jy = np.diff(mesh.xs)[ex] / 2, np.diff(mesh.ys)[ey] / 2
+        w = rule.weights * jx * jy
+        mats.append([np.einsum("q,qa,qb->ab", w, dXt / jx, dXt / jx)
+                     + np.einsum("q,qa,qb->ab", w, dYt / jy, dYt / jy),
+                     np.einsum("q,qa,qb->ab", w, Nt, Nt),
+                     np.einsum("q,qa,qb->ab", w, Nt, dXt / jx),
+                     np.einsum("q,qa,qb->ab", w, Nt, dYt / jy)])
+    rows = np.repeat(out["conn"], 9, axis=1).ravel()
+    cols = np.tile(out["conn"], (1, 9)).ravel()
+    for i, name in enumerate(("Ks", "Ms", "Dx", "Dy")):
+        vals = np.ravel([m[i] for m in mats])
+        out[name] = coo_matrix((vals, (rows, cols)), shape=(nnx * nny,) * 2)
+    N1, _ = shape1d(gauss_1d(3).points[:, 0])
+    first = {"bottom": lambda e: (2 * e, 1),
+             "top": lambda e: ((nny - 1) * nnx + 2 * e, 1),
+             "left": lambda e: (2 * e * nnx, nnx),
+             "right": lambda e: (2 * e * nnx + nnx - 1, nnx)}
+    for tag, node in first.items():
+        n_along = mesh.nelx if tag in ("bottom", "top") else mesh.nely
+        out[tag] = np.zeros((3 * n_along, nnx * nny))
+        for e in range(n_along):
+            start, step = node(e)
+            out[tag][3 * e:3 * e + 3, start:start + 3 * step:step] = N1
+    return out
+
+
+def test_rect_ops_match_per_element_assembly():
+    """Every operator equals its element-by-element assembly on a graded
+    feature-line mesh (sizes repeat exactly, so one element table serves
+    several elements)."""
+    mesh = build_rectangle_mesh(Domain.rectangle(1.0, 0.75), 4, 6,
+                                feature_lines={"x": [0.125, 0.375, 0.4375],
+                                               "y": [0.0625, 0.65625]})
+    assert len(set(np.diff(mesh.xs))) > 2 and len(set(np.diff(mesh.ys))) > 2
+    ref = _per_element_ops(mesh)
+    ops = rect_ops(mesh)
+    assert np.array_equal(mesh.connectivity(), ref["conn"])
+    for name in ("Ks", "Ms", "Dx", "Dy"):
+        assert (getattr(ops, name) != ref[name].tocsr()).nnz == 0, name
+    for tag in ("bottom", "top", "left", "right"):
+        assert np.array_equal(ops.edge_interp(tag).toarray(), ref[tag]), tag

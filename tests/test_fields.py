@@ -121,3 +121,34 @@ def test_dump_field_csv(tmp_path, rect_mesh):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "x,y,sxx,syy,sxy"
     assert len(lines) == 1 + rect_mesh.n_nodes
+
+
+def _cell_by_cell_csv(field):
+    """The CSV text formatted one cell at a time, as the format defines it."""
+    fmt = "%.17g"
+    radial = field.mesh.kind == "radial"
+    lines = ["r,m,srr,stt,srt" if radial else "x,y,sxx,syy,sxy"]
+    coords = field.mesh.node_coords
+    for i in range(field.mesh.n_nodes):
+        lead = [fmt % coords[i], str(field.m)] if radial else \
+            [fmt % coords[i, 0], fmt % coords[i, 1]]
+        lines.append(",".join(lead + [fmt % field.components[k][i]
+                                      for k in range(3)]))
+    return "\n".join(lines) + "\n"
+
+
+def test_field_csv_matches_cell_by_cell_format(tmp_path, rect_mesh, ann_mesh,
+                                               rng):
+    specials = [-0.0, 5e-324, 1 / 3, 2.0**53 + 2, -1e22, 123456789.0]
+    for mesh, tags in ((rect_mesh, {}), (ann_mesh, {"m": 2, "parity": "sin"})):
+        comps = rng.standard_normal((3, mesh.n_nodes))
+        for k in range(3):
+            comps[k, k:k + len(specials)] = specials
+        field = SymTensorField2(mesh, comps, **tags)
+        want = _cell_by_cell_csv(field)
+        path = tmp_path / "field.csv"
+        # twice: the second dump reuses the node cells of the first
+        for _ in range(2):
+            dump_field_csv(field, str(path))
+            assert path.read_bytes() == want.encode()
+        assert "-0," in want and "4.9406564584124654e-324" in want

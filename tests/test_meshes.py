@@ -3,8 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from stressbasis.meshes import (Domain, LoadingError, LoadingSpec, MeshError,
-                                build_radial_grid, build_rectangle_mesh,
-                                load_mesh, save_mesh)
+                                build_radial_grid, build_rectangle_mesh)
 
 
 def test_domain_validation():
@@ -69,30 +68,6 @@ def test_radial_grid():
     mesh = build_radial_grid(Domain.annulus(0.1, 0.3), 16)
     assert mesh.n_nodes == 33  # quadratic elements: 2*nel + 1
     assert mesh.nodes[0] == 0.1 and mesh.nodes[-1] == pytest.approx(0.3)
-
-
-@pytest.mark.parametrize("make", [
-    lambda: build_rectangle_mesh(Domain.rectangle(1.0, 1.0), 6, 6,
-                                 feature_lines={"x": [0.25], "y": [0.5]}),
-    lambda: build_radial_grid(Domain.annulus(0.1, 0.3), 16),
-])
-def test_sbmesh_round_trip(tmp_path, make):
-    mesh = make()
-    path = tmp_path / "mesh.sbmesh"
-    save_mesh(mesh, str(path))
-    back = load_mesh(str(path))
-    assert back.mesh_hash() == mesh.mesh_hash()
-    assert back == mesh
-
-
-def test_load_mesh_rejects_corruption(tmp_path):
-    path = tmp_path / "bad.sbmesh"
-    path.write_text("SBMESH 1\nnodes 2\n0 0\n")
-    with pytest.raises(MeshError):
-        load_mesh(str(path))
-    path.write_text("NOTAMESH\n")
-    with pytest.raises(MeshError):
-        load_mesh(str(path))
 
 
 @settings(max_examples=25, deadline=None)

@@ -3,7 +3,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from stressbasis import solvers
 from stressbasis.basis import EigenSolveConfig, solve_basis_annulus
+from stressbasis.fields import SymTensorField2, equilibrium_residual
 from stressbasis.materials import Material, strain_energy
 from stressbasis.meshes import Domain, build_radial_grid
 from stressbasis.oracles import lame_oracle
@@ -165,3 +167,52 @@ def test_energy_quadratic_form_consistency(ann_particular, ann_basis_m0,
         sig = sig + float(a[j]) * ann_basis_m0.modes[j]
     assert strain_energy(iso_material, sig) == pytest.approx(
         closed, rel=1e-9, abs=1e-9)
+
+
+def test_se_gram_built_once_per_material_and_selection(band_particular,
+                                                       rect_basis, rect_mesh,
+                                                       monkeypatch):
+    """The SE solve, the energy and error series share one SE Gram per
+    (basis, material, mode selection)."""
+    built = []
+    compliance = solvers.compliance_on_quad
+    monkeypatch.setattr(solvers, "compliance_on_quad",
+                        lambda *args: built.append(1) or compliance(*args))
+    sp = band_particular.field
+    other = band_pressure_particular(rect_mesh, profile="discontinuous").field
+    mat = Material.isotropic(2.0, 0.25)
+    N = len(rect_basis)
+    solve_strain_energy(sp, rect_basis, mat, N, oracle=other)
+    pt = solve_planar_trace(sp, rect_basis, N)
+    energy_series(pt, sp, rect_basis, mat)
+    error_series(pt, sp, rect_basis, mat, other)
+    solve_strain_energy(sp, rect_basis, mat, N)
+    assert len(built) == 1
+    solve_strain_energy(sp, rect_basis, Material.isotropic(2.0, 0.25), N)
+    solve_strain_energy(sp, rect_basis, mat, N - 1)
+    assert len(built) == 3
+
+
+def test_reconstruction_folds_nodal_modes(band_particular, rect_basis,
+                                          iso_material):
+    """sigma_N keeps sigma_p and one folded nodal field as its parts; its
+    nodal array is the term-by-term sum, its integrals match the per-mode
+    sum to round-off."""
+    sp = band_particular.field
+    res = solve_strain_energy(sp, rect_basis, iso_material, len(rect_basis))
+    sN = res.sigma_N
+    assert len(sN.parts) == 2 and sN.parts[0] == (1.0, sp)
+    terms = [(1.0, sp)] + [(float(a), md)
+                           for a, md in zip(res.coeffs, rect_basis.modes)]
+    assert np.array_equal(sN.components,
+                          sum(c * f.components for c, f in terms))
+    ref = SymTensorField2(sp.mesh, parts=terms)
+    pairs = [(sN.at_quad(), ref.at_quad()),
+             (sN.divergence_quad(), ref.divergence_quad())]
+    pairs += [(sN.edge_values(t), ref.edge_values(t))
+              for t in ("left", "right", "bottom", "top")]
+    for got, want in pairs:
+        assert np.allclose(got, want, rtol=0, atol=1e-13 * np.abs(want).max())
+    got = equilibrium_residual(sN, band_particular.loading)
+    want = equilibrium_residual(ref, band_particular.loading)
+    assert got.interior_norm == pytest.approx(want.interior_norm, rel=1e-10)
