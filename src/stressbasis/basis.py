@@ -38,8 +38,8 @@ from scipy.linalg import null_space  # noqa: F401
 from scipy.sparse.linalg import eigsh
 
 from . import fem2d
-from .fields import (SymTensorField2, _ops, planar_trace, scalar_gram,
-                     tensor_gram, theta_factors)
+from .fields import (SymTensorField2, _ops, scalar_gram, tensor_gram,
+                     theta_factors)
 from .meshes import (Domain, RadialMesh, RectangleMesh, _atomic_write_bytes,
                      build_radial_grid)
 
@@ -670,8 +670,10 @@ def airy_bump_basis(mesh: RectangleMesh, n: int) -> BasisSet:
 
         raw.append(SymTensorField2(mesh, fn=fn, div_fn=div_fn))
 
-    from .fields import l2_inner_tensor
-    G = np.array([[l2_inner_tensor(a, b) for b in raw] for a in raw])
+    Q = np.stack([r.at_quad() for r in raw], axis=2)
+    Tr = Q[0] + Q[1]
+    G = _symmetric(tensor_gram(mesh, None, None, Q, Q))
+    Gt = _symmetric(scalar_gram(mesh, None, None, Tr, Tr))
     w, U = eigh(G)
     keepcols = w > 1e-10 * w.max()
     truncated = int(np.sum(~keepcols))
@@ -679,16 +681,19 @@ def airy_bump_basis(mesh: RectangleMesh, n: int) -> BasisSet:
     # canonical orthogonalization; reverse for a deterministic dominant-first order
     U = U[:, ::-1]
     w = w[::-1]
+    # column c of T: output mode c in terms of the raw fields
+    T = U / np.sqrt(w)
     modes = []
-    for c in range(U.shape[1]):
-        parts = [(float(U[r, c] / np.sqrt(w[c])), raw[r]) for r in range(len(raw))]
-        modes.append(_sign_fix(SymTensorField2(mesh, parts=parts)))
+    for c in range(T.shape[1]):
+        parts = [(float(T[r, c]), raw[r]) for r in range(len(raw))]
+        raw_mode = SymTensorField2(mesh, parts=parts)
+        md = _sign_fix(raw_mode)
+        if md is not raw_mode:
+            T[:, c] = -T[:, c]
+        modes.append(md)
 
-    k = len(modes)
-    gram = np.array([[l2_inner_tensor(a, b) for b in modes] for a in modes])
-    from .fields import l2_inner_scalar
-    traces = [planar_trace(m) for m in modes]
-    tgram = np.array([[l2_inner_scalar(a, b) for b in traces] for a in traces])
+    gram = _symmetric(T.T @ G @ T)
+    tgram = _symmetric(T.T @ Gt @ T)
     basis = BasisSet(modes, None, gram, tgram, {
         "backend": "airy-bump",
         "mesh_hash": mesh.mesh_hash(),

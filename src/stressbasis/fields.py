@@ -7,9 +7,13 @@ wavenumber tag ``m`` and a trig ``parity``:
 * ``parity='cos'``: normal components vary as cos(m th), shear as sin(m th);
 * ``parity='sin'``: normal components vary as sin(m th), shear as cos(m th).
 
-The theta integrals of the area measure ``dA = r dr dth`` are carried out
-analytically per tag pair; inner products across distinct tags are rejected
-(they vanish identically and are never needed pointwise).
+Every L2, trace and energy inner product in the package is taken with the
+one metric that ``quad_metric`` defines: the quadrature weights and the
+per-component factors (1, 1, 2), where the off-diagonal component counts
+twice. On radial grids the weights carry r and the factors carry the theta
+integrals of the area measure ``dA = r dr dth``, done analytically per tag
+pair; inner products across distinct tags are rejected (they vanish
+identically and are never needed pointwise).
 
 Fields built from closed-form expressions may carry exact evaluation and
 divergence callables; arithmetic combinations retain their parts so that
@@ -52,12 +56,6 @@ def theta_factors(m: int, parity: str) -> tuple[float, float]:
     return (np.pi, np.pi)
 
 
-def trace_theta_factor(m: int, parity: str) -> float:
-    if m == 0:
-        return 2 * np.pi if parity == "cos" else 0.0
-    return np.pi
-
-
 class ScalarField:
     """A scalar field sampled at mesh nodes (optionally with exact evaluation)."""
 
@@ -83,7 +81,7 @@ class ScalarField:
         if self._quad is None:
             ops = _ops(self.mesh)
             if self.fn is not None:
-                self._quad = np.asarray(_call_on_quad(self.fn, self.mesh, ops), float)
+                self._quad = _call_on_quad(self.fn, self.mesh, ops)
             else:
                 self._quad = ops.P @ self.values
         return self._quad
@@ -96,10 +94,10 @@ def _eval_scalar(fn, mesh):
     return np.broadcast_to(fn(c[:, 0], c[:, 1]), (mesh.n_nodes,)).astype(float)
 
 
-def _call_on_quad(fn, mesh, ops):
-    if isinstance(mesh, RadialMesh):
-        return np.broadcast_to(fn(ops.rq), ops.rq.shape)
-    return np.broadcast_to(fn(ops.qx, ops.qy), ops.qx.shape)
+def _call_on_quad(fn, mesh, ops, lead=()):
+    """``fn`` at the quadrature points, broadcast to ``lead + (nq,)``."""
+    pts = (ops.rq,) if isinstance(mesh, RadialMesh) else (ops.qx, ops.qy)
+    return np.asarray(np.broadcast_to(fn(*pts), lead + pts[0].shape), float)
 
 
 def _ops(mesh):
@@ -145,6 +143,7 @@ class SymTensorField2:
         self.components = components
         self._quad = None
         self._div = None
+        self._edge = {}
 
     # -- evaluation ---------------------------------------------------------
 
@@ -155,10 +154,7 @@ class SymTensorField2:
             if self.parts is not None:
                 self._quad = sum(c * p.at_quad() for c, p in self.parts)
             elif self.fn is not None:
-                if isinstance(self.mesh, RadialMesh):
-                    self._quad = np.asarray(self.fn(ops.rq), float)
-                else:
-                    self._quad = np.asarray(self.fn(ops.qx, ops.qy), float)
+                self._quad = _call_on_quad(self.fn, self.mesh, ops, (3,))
             else:
                 self._quad = np.stack([ops.P @ comp for comp in self.components])
         return self._quad
@@ -174,10 +170,7 @@ class SymTensorField2:
             if self.parts is not None:
                 self._div = sum(c * p.divergence_quad() for c, p in self.parts)
             elif self.div_fn is not None:
-                if isinstance(self.mesh, RadialMesh):
-                    self._div = np.asarray(self.div_fn(ops.rq), float)
-                else:
-                    self._div = np.asarray(self.div_fn(ops.qx, ops.qy), float)
+                self._div = _call_on_quad(self.div_fn, self.mesh, ops, (2,))
             elif isinstance(self.mesh, RadialMesh):
                 frr, ftt, frt = self.components
                 s = 1.0 if self.parity == "cos" else -1.0
@@ -199,8 +192,11 @@ class SymTensorField2:
         if self.parts is not None:
             return sum(c * p.edge_values(tag) for c, p in self.parts)
         if self.fn is not None:
-            ex, ey, _ = ops.edge_quad(tag)
-            return np.asarray(self.fn(ex, ey), float)
+            # kept: every field that holds this one as a part reads them
+            if tag not in self._edge:
+                ex, ey, _ = ops.edge_quad(tag)
+                self._edge[tag] = np.asarray(self.fn(ex, ey), float)
+            return self._edge[tag]
         E = ops.edge_interp(tag)
         return np.stack([E @ comp for comp in self.components])
 
@@ -266,29 +262,18 @@ def _require_same(A, B):
 def l2_inner_tensor(A: SymTensorField2, B: SymTensorField2) -> float:
     """int_Omega A . B dA (the off-diagonal component contributes twice)."""
     _require_same(A, B)
-    a, b = A.at_quad(), B.at_quad()
-    ops = _ops(A.mesh)
-    if isinstance(A.mesh, RadialMesh):
-        fn, fs = theta_factors(A.m, A.parity)
-        w = ops.wq * ops.rq
-        return float(fn * np.dot(w, a[0] * b[0] + a[1] * b[1])
-                     + 2 * fs * np.dot(w, a[2] * b[2]))
-    return float(np.dot(ops.qw, a[0] * b[0] + a[1] * b[1] + 2 * a[2] * b[2]))
+    return float(tensor_gram(A.mesh, A.m, A.parity, A.at_quad(), B.at_quad()))
 
 
 def l2_inner_scalar(f: ScalarField, g: ScalarField) -> float:
     """int_Omega f g dA."""
     _require_same(f, g)
-    ops = _ops(f.mesh)
-    a, b = f.at_quad(), g.at_quad()
-    if isinstance(f.mesh, RadialMesh):
-        fac = trace_theta_factor(f.m, f.parity)
-        return float(fac * np.dot(ops.wq * ops.rq, a * b))
-    return float(np.dot(ops.qw, a * b))
+    return float(scalar_gram(f.mesh, f.m, f.parity, f.at_quad(), g.at_quad()))
 
 
 def quad_metric(mesh, m=None, parity=None):
-    """Quadrature weights and per-component factors of the L2 inner product.
+    """Quadrature weights and per-component factors of the L2 inner product:
+    the one definition of the metric that every inner product goes through.
 
     <A, B> = sum_c fac[c] sum_q w[q] A[c, q] B[c, q]; the off-diagonal
     component counts twice, and on radial grids the factors carry the theta
@@ -322,10 +307,13 @@ def tensor_gram(mesh, m, parity, A, B):
 
 
 def scalar_gram(mesh, m, parity, a, b):
-    """L2 products of scalar quadrature stacks a (nq[, i]) and b (nq[, j])."""
-    w, _ = quad_metric(mesh, m, parity)
-    fac = trace_theta_factor(m, parity) if isinstance(mesh, RadialMesh) else 1.0
-    return fac * _weighted_product(w, a, b)
+    """L2 products of scalar quadrature stacks a (nq[, i]) and b (nq[, j]).
+
+    A scalar varies in theta as the normal components do, so it takes their
+    factor.
+    """
+    w, fac = quad_metric(mesh, m, parity)
+    return fac[0] * _weighted_product(w, a, b)
 
 
 def l2_norm_tensor(A: SymTensorField2) -> float:
@@ -336,10 +324,9 @@ def planar_trace(A: SymTensorField2) -> ScalarField:
     """sigma_bar = s_xx + s_yy (or s_rr + s_tt), nodewise; linear in A."""
     fn = None
     if A.fn is not None and A.parts is None:
-        if isinstance(A.mesh, RadialMesh):
-            fn = lambda r: np.asarray(A.fn(r))[0] + np.asarray(A.fn(r))[1]
-        else:
-            fn = lambda x, y: np.asarray(A.fn(x, y))[0] + np.asarray(A.fn(x, y))[1]
+        def fn(*pts):
+            s = np.asarray(A.fn(*pts))
+            return s[0] + s[1]
     out = ScalarField(A.mesh, A.components[0] + A.components[1],
                       m=A.m, parity=A.parity, fn=fn)
     out._quad = A.at_quad()[0] + A.at_quad()[1]
@@ -363,13 +350,21 @@ def equilibrium_residual(A: SymTensorField2, loading: LoadingSpec | None = None,
     quadrature points, with tau taken from ``loading`` (zero when absent).
     """
     ops = _ops(A.mesh)
-    div = A.divergence_quad()
+    res = A.divergence_quad()
+    b = body_force
+    if b is None and loading is not None:
+        b = loading.body_force
+    if b is not None:
+        if isinstance(A.mesh, RadialMesh):
+            raise FieldError("body forces are defined on rectangle meshes only")
+        res = res + [np.broadcast_to(v, ops.qx.shape) for v in b(ops.qx, ops.qy)]
+    # radially, the r and theta divergence profiles vary in theta as the
+    # normal and the shear components do
+    w, fac = quad_metric(A.mesh, A.m, A.parity)
+    interior = float(np.sqrt(max(fac[0] * np.dot(w, res[0]**2)
+                                 + fac[2] / 2 * np.dot(w, res[1]**2), 0.0)))
+    mismatch = 0.0
     if isinstance(A.mesh, RadialMesh):
-        fac_n, fac_s = theta_factors(A.m, A.parity)
-        w = ops.wq * ops.rq
-        interior = float(np.sqrt(max(
-            fac_n * np.dot(w, div[0]**2) + fac_s * np.dot(w, div[1]**2), 0.0)))
-        mismatch = 0.0
         bc = loading.boundary_stress if loading is not None else {}
         for tag, idx in (("inner", 0), ("outer", A.mesh.n_nodes - 1)):
             srr_bc, srt_bc = bc.get(tag, (0.0, 0.0))
@@ -382,16 +377,6 @@ def equilibrium_residual(A: SymTensorField2, loading: LoadingSpec | None = None,
                            abs(A.components[2][idx] - srt_bc))
         return EquilibriumReport(interior, mismatch, loading)
 
-    b = body_force
-    if b is None and loading is not None:
-        b = loading.body_force
-    res = div.copy()
-    if b is not None:
-        bx, by = b(ops.qx, ops.qy)
-        res[0] = res[0] + np.broadcast_to(bx, ops.qx.shape)
-        res[1] = res[1] + np.broadcast_to(by, ops.qy.shape)
-    interior = float(np.sqrt(max(np.dot(ops.qw, res[0]**2 + res[1]**2), 0.0)))
-    mismatch = 0.0
     for tag in ("left", "right", "bottom", "top"):
         nx, ny = ops.edge_normal(tag)
         ev = A.edge_values(tag)

@@ -16,8 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import fem2d
-from .fields import ScalarField, SymTensorField2, theta_factors, _ops
+from .fields import ScalarField, SymTensorField2, _ops, tensor_gram
 from .meshes import RadialMesh
 
 _NU_MAX = 0.49
@@ -167,17 +166,10 @@ def energy_inner(material: Material, A: SymTensorField2, B: SymTensorField2) -> 
     """The energy inner product <C^{-1} A, B>."""
     if A.mesh != B.mesh:
         raise MaterialError("mesh mismatch")
-    e = compliance_quad(material, A)
-    b = B.at_quad()
-    ops = _ops(A.mesh)
-    if isinstance(A.mesh, RadialMesh):
-        if (A.m, A.parity) != (B.m, B.parity):
-            raise MaterialError("wavenumber mismatch")
-        fn, fs = theta_factors(A.m, A.parity)
-        w = ops.wq * ops.rq
-        return float(fn * np.dot(w, e[0] * b[0] + e[1] * b[1])
-                     + 2 * fs * np.dot(w, e[2] * b[2]))
-    return float(np.dot(ops.qw, e[0] * b[0] + e[1] * b[1] + 2 * e[2] * b[2]))
+    if (A.m, A.parity) != (B.m, B.parity):
+        raise MaterialError("wavenumber mismatch")
+    return float(tensor_gram(A.mesh, A.m, A.parity, compliance_quad(material, A),
+                             B.at_quad()))
 
 
 def strain_energy(material: Material, sigma: SymTensorField2) -> float:

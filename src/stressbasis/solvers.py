@@ -75,15 +75,18 @@ def _se_gram(basis, idx, material, m, parity):
     return basis._cache[key]
 
 
+def _energy_pairing(basis, idx, material, sigma):
+    """<C^-1 sigma, phi_i> for the modes ``idx``."""
+    return tensor_gram(basis.mesh, sigma.m, sigma.parity,
+                       compliance_quad(material, sigma), basis.quad_matrix(idx))
+
+
 def assemble_se_system(basis: BasisSet, sigma_p: SymTensorField2,
                        material: Material, N: int):
     """The strain-energy normal system (M, f) for the leading N modes."""
     idx = _select_indices(basis, sigma_p, N)
-    m, parity = sigma_p.m, sigma_p.parity
-    M = _se_gram(basis, idx, material, m, parity)
-    eq = compliance_quad(material, sigma_p)
-    f = -tensor_gram(basis.mesh, m, parity, eq, basis.quad_matrix(idx))
-    return M, f
+    M = _se_gram(basis, idx, material, sigma_p.m, sigma_p.parity)
+    return M, -_energy_pairing(basis, idx, material, sigma_p)
 
 
 def _reconstruct(sigma_p, basis, idx, a):
@@ -113,9 +116,7 @@ def _oracle_terms(basis, idx, sigma_p, sigma_true, material):
     phi_i> and |sigma_true|_E^2."""
     d = sigma_p - sigma_true
     dd = strain_energy(material, d)
-    Cd = compliance_quad(material, d)
-    g = tensor_gram(sigma_p.mesh, sigma_p.m, sigma_p.parity, Cd,
-                    basis.quad_matrix(idx))
+    g = _energy_pairing(basis, idx, material, d)
     denom = strain_energy(material, sigma_true)
     if denom <= 0:
         raise SolverError("oracle stress has zero energy")
@@ -136,7 +137,8 @@ def _error_series(oracle_terms, M, ans):
 
 def _schedule(N, ns):
     if ns is None:
-        return list(range(1, N + 1))
+        # N = 0 reports sigma_p alone, as one row
+        return list(range(1, N + 1)) or [0]
     ns = sorted(set(int(n) for n in ns))
     if not ns or ns[0] < 0 or ns[-1] > N:
         raise SolverError("report schedule must lie within [0, N]")
@@ -223,12 +225,11 @@ def energy_series(approx: Approximation, sigma_p: SymTensorField2,
 
     Used to attach the energy column to material-blind (PT) solves.
     """
-    idx, (m, parity) = approx.mode_indices, (sigma_p.m, sigma_p.parity)
-    q = tensor_gram(sigma_p.mesh, m, parity,
-                    compliance_quad(material, sigma_p), basis.quad_matrix(idx))
+    idx = approx.mode_indices
+    q = _energy_pairing(basis, idx, material, sigma_p)
     ans = [approx.coeffs[:n] for n in approx.diagnostics["n"]]
-    return _quadratic_series(strain_energy(material, sigma_p), q,
-                             _se_gram(basis, idx, material, m, parity), ans)
+    M = _se_gram(basis, idx, material, sigma_p.m, sigma_p.parity)
+    return _quadratic_series(strain_energy(material, sigma_p), q, M, ans)
 
 
 def error_series(approx: Approximation, sigma_p: SymTensorField2,
@@ -245,9 +246,5 @@ def error_series(approx: Approximation, sigma_p: SymTensorField2,
 def galerkin_residual(approx: Approximation, sigma_p: SymTensorField2,
                       basis: BasisSet, material: Material) -> float:
     """max_i |<C^-1 sigma^N, phi_i>| over the solved modes (SE optimality)."""
-    idx = approx.mode_indices
-    mesh = sigma_p.mesh
-    Phi = basis.quad_matrix(idx)
-    eq = compliance_quad(material, approx.sigma_N)
-    r = tensor_gram(mesh, sigma_p.m, sigma_p.parity, eq, Phi)
+    r = _energy_pairing(basis, approx.mode_indices, material, approx.sigma_N)
     return float(np.max(np.abs(r)))

@@ -3,7 +3,7 @@ import pytest
 import scipy.sparse as sp
 from scipy.linalg import eigh, null_space
 
-from stressbasis import fem2d
+from stressbasis import basis as basis_mod, fem2d
 from stressbasis.basis import (BasisError, EigenSolveConfig, _kernel_by_lu,
                                _radial_blocks, _solve_radial_m,
                                airy_bump_basis, load_basis, parity_classes,
@@ -109,8 +109,10 @@ def test_kernel_by_lu_drops_dependent_rows():
     assert np.linalg.matrix_rank(Z) == 6
 
 
-def test_grams_match_pairwise_inner_products(ann_basis_merged, rect_basis):
-    for basis in (ann_basis_merged, rect_basis):
+def test_grams_match_pairwise_inner_products(ann_basis_merged, rect_basis,
+                                            rect_mesh):
+    for basis in (ann_basis_merged, rect_basis,
+                  airy_bump_basis(rect_mesh, 10)):
         modes = basis.modes
         traces = [planar_trace(md) for md in modes]
         n = len(modes)
@@ -187,6 +189,34 @@ def test_airy_bump_basis_properties(rect_mesh):
     for mode in basis.modes:
         div = mode.divergence_quad()
         assert np.abs(div).max() < 1e-8
+
+
+def test_airy_build_evaluates_each_potential_once_per_side(monkeypatch):
+    """The modes share the raw fields' edge values: the residual record
+    evaluates every raw potential on each side once, not once per mode."""
+    mesh = build_rectangle_mesh(Domain.rectangle(1.0, 0.5), 6, 4)
+    ops = fem2d.rect_ops(mesh)
+    edge_shapes = {ops.edge_quad(tag)[0].shape
+                   for tag in ("left", "right", "bottom", "top")}
+    calls = []
+
+    class Counted(basis_mod.SymTensorField2):
+        def __init__(self, mesh, *args, fn=None, **kwargs):
+            if fn is not None:
+                seen = []
+                calls.append(seen)
+                inner = fn
+
+                def fn(x, y):
+                    seen.append(np.shape(x))
+                    return inner(x, y)
+            super().__init__(mesh, *args, fn=fn, **kwargs)
+
+    monkeypatch.setattr(basis_mod, "SymTensorField2", Counted)
+    airy_bump_basis(mesh, 8)
+    assert len(calls) == 8
+    for seen in calls:
+        assert sum(shape in edge_shapes for shape in seen) <= 4
 
 
 def test_config_validation():

@@ -305,6 +305,22 @@ def test_cli_schema_valid_bad_input(tmp_path, capsys, change, code, words):
     assert len(err.strip().splitlines()) == 1 and words in err
 
 
+@pytest.mark.parametrize("principle", ["SE", "PT"])
+def test_cli_run_without_modes(tmp_path, monkeypatch, capsys, principle):
+    """N = 0 without a schedule reports sigma_p alone, as one row."""
+    monkeypatch.setenv("SB_CACHE_DIR", str(tmp_path / "cache"))
+    cfg_path = tmp_path / "n0.json"
+    cfg_path.write_text(json.dumps(dict(RECT_CFG, N=0,
+                                        principles=[principle])))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    rows = (out / "convergence.csv").read_text().splitlines()
+    assert len(rows) == 2 and rows[1].startswith("0,")
+    assert (out / "sigma_N.csv").read_bytes() == \
+        (out / "sigma_p.csv").read_bytes()
+
+
 def test_cli_preset_verbs(capsys):
     assert main(["preset", "list", "--machine"]) == 0
     out = capsys.readouterr().out

@@ -1,23 +1,28 @@
+import ast
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+import stressbasis
 from stressbasis.fields import (FieldError, ScalarField, SymTensorField2,
                                 constant_tensor_field, dump_field_csv,
                                 equilibrium_residual, l2_inner_scalar,
                                 l2_inner_tensor, l2_norm_tensor, planar_trace,
-                                theta_factors, trace_theta_factor)
+                                quad_metric, theta_factors)
 from stressbasis.meshes import LoadingSpec
 
 
-def test_theta_factors():
+def test_theta_factors(ann_mesh):
     assert theta_factors(0, "cos") == (2 * np.pi, 0.0)
     assert theta_factors(0, "sin") == (0.0, 2 * np.pi)
     assert theta_factors(3, "cos") == (np.pi, np.pi)
-    assert trace_theta_factor(0, "cos") == 2 * np.pi
-    assert trace_theta_factor(0, "sin") == 0.0
-    assert trace_theta_factor(2, "sin") == np.pi
+    # a scalar (the planar trace) takes the normal-component factor
+    assert quad_metric(ann_mesh, 0, "cos")[1][0] == 2 * np.pi
+    assert quad_metric(ann_mesh, 0, "sin")[1][0] == 0.0
+    assert quad_metric(ann_mesh, 2, "sin")[1][0] == np.pi
 
 
 def test_constructor_validation(rect_mesh, ann_mesh):
@@ -51,6 +56,31 @@ def test_radial_constant_field_norm(ann_mesh):
     ra, rb = ann_mesh.domain.r_a, ann_mesh.domain.r_b
     exact = 2 * np.pi * 2 * (rb**2 - ra**2) / 2
     assert l2_norm_tensor(A) ** 2 == pytest.approx(exact, rel=1e-12)
+
+
+def test_radial_constant_shear_norm_and_residual(ann_mesh):
+    # sigma_rt = 1 (m = 0, sin): div = (0, 2/r), so the residual takes the
+    # shear factor 2 pi, and the norm counts the shear twice
+    A = constant_tensor_field(ann_mesh, 0.0, 0.0, 1.0, m=0, parity="sin")
+    ra, rb = ann_mesh.domain.r_a, ann_mesh.domain.r_b
+    assert equilibrium_residual(A).interior_norm ** 2 == pytest.approx(
+        8 * np.pi * np.log(rb / ra), rel=1e-10)
+    assert l2_norm_tensor(A) ** 2 == pytest.approx(
+        2 * np.pi * (rb**2 - ra**2), rel=1e-10)
+
+
+def test_radial_constant_normal_residual(ann_mesh):
+    # sigma_rr = 1 (m = 0, cos): div = (1/r, 0) with the normal factor 2 pi
+    A = constant_tensor_field(ann_mesh, 1.0, 0.0, 0.0, m=0, parity="cos")
+    ra, rb = ann_mesh.domain.r_a, ann_mesh.domain.r_b
+    assert equilibrium_residual(A).interior_norm ** 2 == pytest.approx(
+        2 * np.pi * np.log(rb / ra), rel=1e-10)
+
+
+def test_radial_body_force_is_rejected(ann_mesh):
+    A = constant_tensor_field(ann_mesh, 1.0, 0.0, 0.0, m=0, parity="cos")
+    with pytest.raises(FieldError):
+        equilibrium_residual(A, body_force=lambda x, y: (0.0 * x, 0.0 * y))
 
 
 def test_wavenumber_mismatch_raises(ann_mesh):
@@ -152,3 +182,37 @@ def test_field_csv_matches_cell_by_cell_format(tmp_path, rect_mesh, ann_mesh,
             dump_field_csv(field, str(path))
             assert path.read_bytes() == want.encode()
         assert "-0," in want and "4.9406564584124654e-324" in want
+
+
+# the readers of the quadrature weights outside fem2d, which defines them and
+# assembles the finite-element operators from them: the L2 metric, and the
+# load resultants, which are vector integrals rather than inner products
+_WEIGHT_READERS = {"fields.quad_metric", "meshes.LoadingSpec.net_force",
+                   "meshes.LoadingSpec.net_moment"}
+
+
+def _weight_reads(tree, module):
+    """Qualified names of the functions in ``tree`` that read ``.qw``/``.wq``."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            scope = scope + [node.name]
+        if isinstance(node, ast.Attribute) and node.attr in ("qw", "wq"):
+            found.append(".".join([module] + scope))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, [])
+    return found
+
+
+def test_only_quad_metric_reads_the_weights():
+    src = os.path.dirname(stressbasis.__file__)
+    reads = []
+    for name in sorted(os.listdir(src)):
+        if name.endswith(".py") and name != "fem2d.py":
+            with open(os.path.join(src, name)) as f:
+                reads += _weight_reads(ast.parse(f.read()), name[:-3])
+    assert "fields.quad_metric" in reads
+    assert set(reads) <= _WEIGHT_READERS, sorted(set(reads) - _WEIGHT_READERS)
