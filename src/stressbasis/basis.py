@@ -8,7 +8,8 @@ The basis functions are eigenfunctions of the constrained eigenproblem
 discretized with equal-order continuous quadratic elements for all stress and
 multiplier components. On the rectangle the divergence constraint is kept as a
 saddle block and the pencil is solved by shift-invert Lanczos, one run per
-reflection-parity class of the mesh's mirror symmetries; on the annulus
+reflection-parity class of the mesh's mirror symmetries, the classes side by
+side on a thread pool with one BLAS thread per worker; on the annulus
 the problem reduces per azimuthal wavenumber m to a radial system whose
 constraint is eliminated by LU: with C^T = P L U (row pivoting), the kernel of
 C is spanned by the columns of P [-L1^-T L2^T; I], and the reduced dense pencil
@@ -20,14 +21,20 @@ traction-free) and orthonormalizes them.
 """
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
+import glob
 import io
 import json
 import os
 import warnings
 import zipfile
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
+import scipy
 import scipy.sparse as sp
 from numpy.polynomial import legendre as npleg
 from numpy.polynomial import polynomial as nppoly
@@ -47,8 +54,10 @@ _PARITIES = ("cos", "sin")
 
 # bumped whenever a fresh build can differ from a basis cached by an earlier
 # version (version 2: the rectangle eigensolve is split by reflection parity,
-# which orients degenerate clusters differently); part of the cache key
-SOLVER_VERSION = 2
+# which orients degenerate clusters differently; version 3: the class solves
+# run on one BLAS thread each, whatever OPENBLAS_NUM_THREADS says); part of
+# the cache key
+SOLVER_VERSION = 3
 
 
 class BasisError(RuntimeError):
@@ -231,6 +240,37 @@ def _rigid_pins(mesh: RectangleMesh, Pm: sp.spmatrix) -> np.ndarray:
     return piv[:Rc.shape[1]]
 
 
+@functools.lru_cache(maxsize=None)
+def _blas_thread_cap():
+    """``openblas_set_num_threads_local`` of the OpenBLAS bundled with scipy,
+    which ARPACK and SuperLU link against; None when it is not there."""
+    libs = os.path.join(os.path.dirname(os.path.dirname(scipy.__file__)),
+                        "scipy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas*.so"))):
+        try:
+            cap = ctypes.CDLL(path).openblas_set_num_threads_local
+        except (OSError, AttributeError):
+            continue
+        cap.argtypes, cap.restype = [ctypes.c_int], ctypes.c_int
+        return cap
+    return None
+
+
+@contextlib.contextmanager
+def _class_map(n_classes: int):
+    """A ``map`` for the independent class solves: a pool of
+    min(n_classes, usable CPUs) threads, each capped at one BLAS thread, so
+    the result depends on neither count; the builtin ``map`` in the calling
+    thread when the cap is not available."""
+    cap = _blas_thread_cap()
+    if cap is None:
+        yield map
+        return
+    workers = min(n_classes, len(os.sched_getaffinity(0)))
+    with ThreadPoolExecutor(workers, initializer=cap, initargs=(1,)) as pool:
+        yield pool.map
+
+
 def solve_basis_rectangle(mesh: RectangleMesh, cfg: EigenSolveConfig) -> BasisSet:
     """First n_modes eigenpairs on a rectangle mesh.
 
@@ -245,7 +285,8 @@ def solve_basis_rectangle(mesh: RectangleMesh, cfg: EigenSolveConfig) -> BasisSe
     motions that live in the class. A class is asked for about n_modes /
     (number of classes) modes plus a margin, and asked again for more until
     its largest eigenvalue reaches the n_modes-th merged one, so the merged
-    spectrum is exact. Modes are merged by (lambda, class).
+    spectrum is exact. Modes are merged by (lambda, class). The solves of one
+    round run concurrently (see ``_class_map``).
     """
     ops = fem2d.rect_ops(mesh)
     nn = mesh.n_nodes
@@ -298,17 +339,20 @@ def solve_basis_rectangle(mesh: RectangleMesh, cfg: EigenSolveConfig) -> BasisSe
     n = cfg.n_modes
     ask = [min(dim, -(-n // len(classes)) + 2 + n // 16)
            for *_, dim in systems]
-    found = [solve(c, k) for c, k in enumerate(ask)]
-    while True:
-        lam = np.sort(np.concatenate([v for v, _ in found]))
-        lam_n = lam[n - 1] if len(lam) >= n else np.inf
-        short = [c for c, (v, _) in enumerate(found)
-                 if ask[c] < systems[c][3] and v[-1] < lam_n]
-        if not short:
-            break
-        for c in short:
-            ask[c] = min(systems[c][3], 2 * ask[c])
-            found[c] = solve(c, ask[c])
+    with _class_map(len(classes)) as run:
+        found = list(run(solve, range(len(classes)), ask))
+        while True:
+            lam = np.sort(np.concatenate([v for v, _ in found]))
+            lam_n = lam[n - 1] if len(lam) >= n else np.inf
+            short = [c for c, (v, _) in enumerate(found)
+                     if ask[c] < systems[c][3] and v[-1] < lam_n]
+            if not short:
+                break
+            for c in short:
+                ask[c] = min(systems[c][3], 2 * ask[c])
+            redone = run(solve, short, [ask[c] for c in short])
+            for c, got in zip(short, redone):
+                found[c] = got
 
     # merge by (lambda, class), lambdas equal to round-off counting as equal:
     # the two modes of a pair made degenerate by symmetry (the square's

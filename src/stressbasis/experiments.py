@@ -214,6 +214,18 @@ def _key(payload: dict) -> str:
         json.dumps(payload, sort_keys=True).encode()).hexdigest()[:16]
 
 
+# the provenance entries that say which basis was built; the per-mode
+# residuals are left out, as round-off moves them on a bit-identical basis
+_PROVENANCE_IDENTITY = ("backend", "mesh_hash", "mesh", "n_modes",
+                        "n_requested", "rank_truncated", "wavenumbers",
+                        "parity_classes", "solver_tol", "degenerate_gap", "h")
+
+
+def _provenance_hash(basis: BasisSet) -> str:
+    return _key({k: basis.provenance[k] for k in _PROVENANCE_IDENTITY
+                 if k in basis.provenance})
+
+
 def _basis_matches(basis: BasisSet, mesh, backend: str, n_modes: int) -> bool:
     """Whether a loaded basis is the one requested."""
     if basis.mesh != mesh:
@@ -576,9 +588,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str,
         "name": cfg.name,
         "config": cfg.to_dict(),
         "basis": {
-            "provenance_hash": _key(
-                {k: v for k, v in basis.provenance.items()
-                 if isinstance(v, (str, int, float, list))}),
+            "provenance_hash": _provenance_hash(basis),
             "backend": basis.backend,
             "mesh_hash": mesh.mesh_hash(),
             "n_modes": len(basis),

@@ -37,6 +37,14 @@ def shape2d(xi, eta):
     return N, dN_dxi, dN_deta
 
 
+def _spd_lu(A: sp.csc_matrix):
+    """SuperLU factor of a symmetric positive definite matrix: a minimum-degree
+    ordering of the symmetric pattern, applied to rows and columns alike, with
+    the pivots kept on the diagonal."""
+    return splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                options={"SymmetricMode": True})
+
+
 class RectOps:
     """Quadrature, interpolation, and scalar matrices for a rectangle mesh.
 
@@ -165,7 +173,7 @@ class RectOps:
     def project_to_nodes(self, quad_values: np.ndarray) -> np.ndarray:
         """L2 projection of quadrature-point samples onto the nodal Q2 space."""
         if self._ms_lu is None:
-            self._ms_lu = splu(self.Ms.tocsc())
+            self._ms_lu = _spd_lu(self.Ms.tocsc())
         rhs = self.P.T @ (self.qw * quad_values)
         return self._ms_lu.solve(rhs)
 
@@ -309,8 +317,16 @@ def solve_displacement(mesh: RectangleMesh, material, loading) -> np.ndarray:
     pins = [0, nn, nn + mesh.nnx - 1]
     free = np.setdiff1d(np.arange(2 * nn), pins)
     Kff = K[free][:, free].tocsc()
+    Ff = F[free]
+    lu = _spd_lu(Kff)
+    uf = lu.solve(Ff)
+    # two steps of iterative refinement: the point pins leave Kff ill
+    # conditioned, and a factor that pivots on its diagonal only loses digits
+    # there that these steps win back
+    for _ in range(2):
+        uf += lu.solve(Ff - Kff @ uf)
     u = np.zeros(2 * nn)
-    u[free] = splu(Kff).solve(F[free])
+    u[free] = uf
 
     # stress at quadrature points, then L2-project to nodes
     ux, uy = u[:nn], u[nn:]

@@ -1,8 +1,14 @@
+import os
+import subprocess
+import sys
+import threading
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from scipy.linalg import eigh, null_space
 
+import stressbasis
 from stressbasis import basis as basis_mod, fem2d
 from stressbasis.basis import (BasisError, EigenSolveConfig, _kernel_by_lu,
                                _radial_blocks, _solve_radial_m,
@@ -375,3 +381,69 @@ def test_split_keeps_se_objective_at_cluster_closings(square16_pair):
     assert len(closing) < len(lam)  # the square has degenerate pairs
     split, whole = (o[np.array(closing) - 1] for o in out)
     assert np.abs(split - whole).max() <= 1e-9 * np.abs(whole).max()
+
+
+# ---------------------------------------------------------------------------
+# Class solves on the thread pool
+# ---------------------------------------------------------------------------
+
+_BLAS_PROBE = """
+import hashlib
+import numpy as np
+from stressbasis.basis import EigenSolveConfig, solve_basis_rectangle
+from stressbasis.meshes import Domain, build_rectangle_mesh
+mesh = build_rectangle_mesh(Domain.rectangle(1.0, 1.0), 32, 32,
+                            feature_lines={"x": [0.3]})
+basis = solve_basis_rectangle(mesh, EigenSolveConfig(n_modes=6))
+modes = np.stack([md.components for md in basis.modes])
+print(hashlib.sha256(modes.tobytes()).hexdigest(),
+      basis.eigenvalues.tobytes().hex())
+"""
+
+
+def test_rectangle_basis_ignores_blas_thread_count():
+    """The class solves run on one BLAS thread each, so the basis is the same
+    bytes whatever OPENBLAS_NUM_THREADS says (two classes, x = 0.3 line)."""
+    src = os.path.dirname(os.path.dirname(stressbasis.__file__))
+    out = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)
+        run = subprocess.run([sys.executable, "-c", _BLAS_PROBE], env=env,
+                             capture_output=True, text=True, check=True)
+        out.append(run.stdout.split())
+    assert out[0][0] == out[1][0]   # mode bytes
+    assert out[0][1] == out[1][1]   # eigenvalue bytes
+
+
+def _eigsh_threads(monkeypatch):
+    """Record the thread of every eigsh call."""
+    seen = []
+    real = basis_mod.eigsh
+
+    def spy(*args, **kwargs):
+        seen.append(threading.get_ident())
+        return real(*args, **kwargs)
+    monkeypatch.setattr(basis_mod, "eigsh", spy)
+    return seen
+
+
+def test_rectangle_basis_same_on_one_or_two_workers(monkeypatch, rect_mesh):
+    seen = _eigsh_threads(monkeypatch)
+    built = []
+    for cpus in ({0}, {0, 1}):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, c=cpus: c)
+        built.append(solve_basis_rectangle(rect_mesh,
+                                           EigenSolveConfig(n_modes=8)))
+    one, two = built
+    assert one.eigenvalues.tobytes() == two.eigenvalues.tobytes()
+    for a, b in zip(one.modes, two.modes):
+        assert a.components.tobytes() == b.components.tobytes()
+    assert threading.get_ident() not in seen
+
+
+def test_class_solves_stay_in_the_calling_thread_without_a_blas_cap(
+        monkeypatch, rect_mesh):
+    seen = _eigsh_threads(monkeypatch)
+    monkeypatch.setattr(basis_mod, "_blas_thread_cap", lambda: None)
+    solve_basis_rectangle(rect_mesh, EigenSolveConfig(n_modes=8))
+    assert seen and set(seen) == {threading.get_ident()}

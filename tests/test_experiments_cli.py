@@ -1,20 +1,22 @@
+import dataclasses
 import filecmp
 import json
 import os
 import subprocess
 import sys
+import threading
 
 import jsonschema
 import numpy as np
 import pytest
 
 import stressbasis
-from stressbasis import fem2d
+from stressbasis import basis as basis_mod, fem2d
 from stressbasis.basis import load_basis, save_basis
 from stressbasis.cli import main
 from stressbasis.experiments import (CONFIG_SCHEMA, ExperimentConfig,
                                      ExperimentError, PRESET_NAMES,
-                                     UsageError, fit_slope,
+                                     UsageError, _provenance_hash, fit_slope,
                                      get_basis, get_preset, list_presets,
                                      run_experiment)
 
@@ -319,6 +321,39 @@ def test_cli_run_without_modes(tmp_path, monkeypatch, capsys, principle):
     assert len(rows) == 2 and rows[1].startswith("0,")
     assert (out / "sigma_N.csv").read_bytes() == \
         (out / "sigma_p.csv").read_bytes()
+
+
+def test_cli_eigensolver_failure_in_a_worker(tmp_path, monkeypatch, capsys):
+    """A BasisError raised on a class-solve worker thread exits 1 with one
+    stderr line and no traceback."""
+    threads = []
+
+    def fail(*args, **kwargs):
+        threads.append(threading.get_ident())
+        raise RuntimeError("no convergence")
+    monkeypatch.setattr(basis_mod, "eigsh", fail)
+    cfg_path = tmp_path / "rect.json"
+    cfg_path.write_text(json.dumps(RECT_CFG))
+    assert main(["run", "--config", str(cfg_path), "--no-cache",
+                 "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert "eigensolver did not converge" in err and "Traceback" not in err
+    assert threads and threading.get_ident() not in threads
+
+
+def test_provenance_hash_leaves_out_residuals(rect_basis):
+    """Two bases that differ only in their residual floats hash equal."""
+    other = dict(rect_basis.provenance)
+    other["div_residuals"] = [2 * v for v in other["div_residuals"]]
+    other["boundary_residuals"] = [v + 1e-17
+                                   for v in other["boundary_residuals"]]
+    other["div_tolerances"] = [2 * v for v in other["div_tolerances"]]
+    twin = dataclasses.replace(rect_basis, provenance=other)
+    assert _provenance_hash(twin) == _provenance_hash(rect_basis)
+    other = dict(rect_basis.provenance, n_modes=9)
+    bigger = dataclasses.replace(rect_basis, provenance=other)
+    assert _provenance_hash(bigger) != _provenance_hash(rect_basis)
 
 
 def test_cli_preset_verbs(capsys):

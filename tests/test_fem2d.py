@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
+from scipy.sparse.linalg import splu
+
+from stressbasis import fem2d
 from stressbasis.fem2d import (radial_ops, rect_ops, shape1d, shape2d,
                                stiffness_matrix_at)
-from stressbasis.materials import Material
+from stressbasis.materials import Material, discontinuous_modulus
 from stressbasis.meshes import Domain, LoadingSpec, build_radial_grid, \
     build_rectangle_mesh
 from stressbasis.oracles import displacement_fem_oracle
@@ -80,6 +83,41 @@ def test_displacement_solver_patch_test():
     assert np.abs(comps[0]).max() < 1e-8
     assert np.abs(comps[1] + p).max() < 1e-8
     assert np.abs(comps[2]).max() < 1e-8
+
+
+def test_spd_factor_fills_less_than_colamd(monkeypatch):
+    """The symmetric minimum-degree factor of the refined 16x16 oracle mesh's
+    Kff has less fill than COLAMD's and solves to round-off."""
+    factored = []
+    real = fem2d._spd_lu
+
+    class Spy:
+        def __init__(self, A):
+            self.A, self.lu, self.solves = A, real(A), []
+            factored.append(self)
+
+        def solve(self, b):
+            x = self.lu.solve(b)
+            self.solves.append((b.copy(), x.copy()))
+            return x
+    monkeypatch.setattr(fem2d, "_spd_lu", Spy)
+    mesh = build_rectangle_mesh(Domain.rectangle(1.0, 1.0), 16, 16,
+                                feature_lines={"x": [0.25, 0.75], "y": [0.5]})
+    mat = Material.isotropic(discontinuous_modulus(1.0, 3.0, 0.5), 0.33)
+    loading = LoadingSpec.for_rectangle({
+        "top": lambda x, y: (np.zeros_like(x), -np.ones_like(x)),
+        "bottom": lambda x, y: (np.zeros_like(x), np.ones_like(x)),
+        "left": lambda x, y: (np.ones_like(y), np.zeros_like(y)),
+        "right": lambda x, y: (-np.ones_like(y), np.zeros_like(y)),
+    })
+    displacement_fem_oracle(mesh, loading, mat, refine=2)
+    kff = factored[0]
+    assert kff.A.shape[0] == 2 * mesh.refined(2).n_nodes - 3
+    colamd = splu(kff.A)
+    fill = kff.lu.L.nnz + kff.lu.U.nnz
+    assert fill < colamd.L.nnz + colamd.U.nnz
+    F, u = kff.solves[0]    # the plain solve, before any refinement step
+    assert np.linalg.norm(kff.A @ u - F) <= 1e-10 * np.linalg.norm(F)
 
 
 def test_edge_quadrature_lengths(rect_mesh):
