@@ -45,8 +45,8 @@ from scipy.linalg import null_space  # noqa: F401
 from scipy.sparse.linalg import eigsh
 
 from . import fem2d
-from .fields import (SymTensorField2, _ops, scalar_gram, tensor_gram,
-                     theta_factors)
+from .fields import (SymTensorField2, _ops, quad_metric, scalar_gram,
+                     tensor_gram)
 from .meshes import (Domain, RadialMesh, RectangleMesh, _atomic_write_bytes,
                      build_radial_grid)
 
@@ -778,46 +778,30 @@ class BasisReport:
 
 
 def _h1_gram(basis: BasisSet) -> np.ndarray:
-    n = len(basis.modes)
-    G = np.zeros((n, n))
+    """H1 Gram of the modes, with the component and theta factors of the one
+    L2 metric (``quad_metric``)."""
     mesh = basis.mesh
-    if isinstance(mesh, RadialMesh):
-        ops = fem2d.radial_ops(mesh)
-        for (m, parity), idx in basis.groups().items():
-            A, _, _ = _radial_blocks(ops, m)
-            fac_n, fac_s = theta_factors(m, parity)
-            # the assembled radial blocks correspond to the full H1 integrand
-            # with the theta measure already reduced; apply per-family factors
-            cols = np.stack([basis.modes[i].components.ravel() for i in idx], axis=1)
-            nn = mesh.n_nodes
-            if parity == "sin":
-                # map back to the cos-family profile convention (the assembled
-                # radial blocks encode that family's theta reduction)
-                cols = cols.copy()
-                cols[2 * nn:] *= -1.0
-            # split the quadratic form into normal-family and shear-family parts
-            # by evaluating with zeroed complements
-            cn = cols.copy()
-            cn[2 * nn:] = 0.0
-            cs = cols.copy()
-            cs[:2 * nn] = 0.0
-            Acs = A @ cs
-            Gn = cn.T @ (A @ cn)
-            Gs = cs.T @ Acs
-            Gx = cn.T @ Acs
-            if m == 0:
-                sub = fac_n * Gn + fac_s * Gs
-            else:
-                sub = fac_n * (Gn + Gs + Gx + Gx.T)
-            G[np.ix_(idx, idx)] = sub
-        return G
-    ops = fem2d.rect_ops(mesh)
-    cols = np.array([mode.components for mode in basis.modes])
-    Gx = np.zeros((n, n))
-    for w, comp in ((1.0, 0), (1.0, 1), (2.0, 2)):
-        V = cols[:, comp].T
-        Gx += w * (V.T @ (ops.Ks @ V))
-    return Gx
+    ops = _ops(mesh)
+    G = np.zeros((len(basis), len(basis)))
+    for key, idx in basis.groups().items():
+        m, parity = key or (None, None)
+        fac = quad_metric(mesh, m, parity)[1]
+        V = np.array([basis.modes[i].components for i in idx])
+        if m is None:
+            G[np.ix_(idx, idx)] = sum(f * (V[:, c] @ (ops.Ks @ V[:, c].T))
+                                      for c, f in enumerate(fac))
+            continue
+        if parity == "sin":
+            # the radial blocks encode the cos family's profile convention,
+            # in which the sin family's shear has the other sign
+            V[:, 2] *= -1.0
+        # the blocks count the shear twice already, and their normal-shear
+        # cross block 4mW vanishes at m = 0, where the factors differ
+        w = np.repeat([fac[0], fac[1], fac[2] / 2], mesh.n_nodes)
+        A = _radial_blocks(ops, m)[0]
+        V = V.reshape(len(idx), -1)
+        G[np.ix_(idx, idx)] = V @ (w[:, None] * (A @ V.T))
+    return G
 
 
 def verify_basis(basis: BasisSet, l2_tol: float = 1e-8, h1_tol: float = 1e-6,

@@ -109,7 +109,11 @@ def _cmd_run(args) -> int:
         cfg = get_preset(args.preset)
     else:
         with open(args.config) as f:
-            cfg = ExperimentConfig.from_dict(json.load(f))
+            try:
+                raw = json.load(f)
+            except ValueError as exc:  # malformed JSON or not text
+                raise UsageError(f"{args.config} is not JSON: {exc}") from None
+        cfg = ExperimentConfig.from_dict(raw)
     out = args.out or f"out/{cfg.name}"
     report = run_experiment(cfg, out, full=args.full,
                             use_cache=not args.no_cache)
@@ -171,7 +175,7 @@ def main(argv=None) -> int:
     except (ExperimentError, BasisError, SolverError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -47,7 +47,7 @@ from .solvers import (energy_series, error_series, solve_planar_trace,
                       solve_planar_trace_body, solve_strain_energy)
 
 _FMT = "%.17g"
-_ORACLE_FORMAT = "SBORACLE 2"
+_ORACLE_FORMAT = "SBORACLE 3"
 
 
 class ExperimentError(RuntimeError):
@@ -87,7 +87,17 @@ CONFIG_SCHEMA = {
                 "feature_y": {"type": "array", "items": {"type": "number"}},
             },
         },
-        "material": {"type": "object", "required": ["kind"]},
+        "material": {
+            "type": "object", "required": ["kind"],
+            "properties": {"Y": {"if": {"type": "object"}, "then": {
+                "required": ["profile", "Y_top", "Y_bottom"]}}},
+            "allOf": [
+                {"if": {"properties": {"kind": {"const": "isotropic"}}},
+                 "then": {"required": ["Y", "nu"]}},
+                {"if": {"properties": {"kind": {"const": "orthotropic"}}},
+                 "then": {"required": ["Y_x", "Y_y", "nu_xy", "G_xy"]}},
+            ],
+        },
         "basis": {
             "type": "object",
             "required": ["backend", "n_modes"],
@@ -97,7 +107,13 @@ CONFIG_SCHEMA = {
                 "wavenumbers": {"type": "array", "items": {"type": "integer"}},
             },
         },
-        "particular": {"type": "object", "required": ["recipe"]},
+        "particular": {
+            "type": "object", "required": ["recipe"],
+            "if": {"properties": {"recipe": {"const": "oracle"}}},
+            "then": {"required": ["material", "loading"], "properties": {
+                "material": {"$ref": "#/properties/material"},
+                "loading": {"$ref": "#/properties/particular"}}},
+        },
         "principles": {
             "type": "array", "minItems": 1,
             "items": {"enum": ["SE", "PT", "PT_body"]},
@@ -154,6 +170,9 @@ class ExperimentConfig:
             ns = list(cfg.ns)
             if any(b <= a for a, b in zip(ns, ns[1:])):
                 raise UsageError("mode schedule must be strictly increasing")
+            if not ns or ns[0] < 0 or ns[-1] > cfg.N:
+                raise UsageError("mode schedule must be non-empty and lie "
+                                 f"in [0, N={cfg.N}]")
         return cfg
 
     def to_dict(self) -> dict:

@@ -247,25 +247,20 @@ def radial_ops(mesh: RadialMesh) -> RadialOps:
 # ---------------------------------------------------------------------------
 
 def stiffness_matrix_at(material, x, y):
-    """Plane-strain stiffness D (engineering form) at points (x, y): (n, 3, 3)."""
-    n = len(np.atleast_1d(x))
-    if material.kind == "isotropic":
-        Y = material.modulus_at(x, y)
-        nu = material.nu
-        f = Y / ((1 + nu) * (1 - 2 * nu))
-        D = np.zeros((n, 3, 3))
-        D[:, 0, 0] = D[:, 1, 1] = f * (1 - nu)
-        D[:, 0, 1] = D[:, 1, 0] = f * nu
-        D[:, 2, 2] = f * (1 - 2 * nu) / 2
-        return D
-    S = np.array([
-        [(1 - material.nu_xy**2) / material.Y_x,
-         -material.nu_xy * (1 + material.nu_xy) / material.Y_y, 0.0],
-        [-material.nu_xy * (1 + material.nu_xy) / material.Y_y,
-         (1 - material.nu_xy**2) / material.Y_y, 0.0],
-        [0.0, 0.0, 1.0 / material.G_xy],
-    ])
-    return np.broadcast_to(np.linalg.inv(S), (n, 3, 3)).copy()
+    """Plane-strain stiffness D (engineering form) at points (x, y): (n, 3, 3).
+
+    D inverts the material's compliance of the three unit stresses taken at
+    Y = 1, with the shear row doubled for the engineering shear strain; an
+    isotropic modulus then scales it pointwise.
+    """
+    S = material.compliance_on_values(np.eye(3), Y=1.0)
+    S[2] *= 2
+    # S is SPD: inverted through its Cholesky factor, D comes out exactly
+    # symmetric, and so does the stiffness matrix that _spd_lu factors
+    L_inv = np.linalg.inv(np.linalg.cholesky(S))
+    Y = (material.modulus_at(x, y) if material.kind == "isotropic"
+         else np.ones(np.shape(x)))
+    return np.reshape(Y, (-1, 1, 1)) * (L_inv.T @ L_inv)
 
 
 def solve_displacement(mesh: RectangleMesh, material, loading) -> np.ndarray:

@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .fields import ScalarField, SymTensorField2, _ops, tensor_gram
+from .fields import (ScalarField, SymTensorField2, _call_on_quad, _eval_scalar,
+                     _ops, tensor_gram)
 from .meshes import RadialMesh
 
 _NU_MAX = 0.49
@@ -81,16 +82,6 @@ class Material:
             raise MaterialError("Y must be positive everywhere")
         return Y
 
-    def _modulus_on_quad(self, mesh):
-        ops = _ops(mesh)
-        if isinstance(self.Y, ScalarField):
-            if self.Y.mesh != mesh:
-                raise MaterialError("modulus field lives on a different mesh")
-            return self.Y.at_quad()
-        if isinstance(mesh, RadialMesh):
-            return self.modulus_at(ops.rq)
-        return self.modulus_at(ops.qx, ops.qy)
-
     def compliance_on_values(self, s: np.ndarray, Y=None) -> np.ndarray:
         """Strain components for stress components ``s`` of shape (3, n).
 
@@ -127,34 +118,35 @@ class Material:
             raise MaterialError("compliance is not positive definite")
 
 
-def compliance_apply(material: Material, sigma: SymTensorField2) -> SymTensorField2:
-    """Nodewise strain field epsilon = C^{-1} sigma."""
-    mesh = sigma.mesh
-    if material.kind == "isotropic" and not material.uniform:
-        if isinstance(material.Y, ScalarField):
-            Y = material.Y.values
-        elif isinstance(mesh, RadialMesh):
-            Y = material.modulus_at(mesh.nodes)
-        else:
-            c = mesh.node_coords
-            Y = material.modulus_at(c[:, 0], c[:, 1])
-    else:
-        Y = None
-    if material.kind == "orthotropic" and isinstance(mesh, RadialMesh):
-        raise MaterialError("orthotropic law is defined on rectangle meshes only")
-    eps = material.compliance_on_values(sigma.components, Y=Y)
-    return SymTensorField2(mesh, eps, m=sigma.m, parity=sigma.parity)
-
-
-def compliance_on_quad(material: Material, mesh, values: np.ndarray) -> np.ndarray:
-    """C^{-1} applied to quadrature-point stresses of shape (3, nq, ...)."""
+def _compliance_on(material: Material, mesh, values: np.ndarray,
+                   at_nodes: bool) -> np.ndarray:
+    """C^{-1} applied to stress components ``values`` of shape (3, n, ...)
+    sampled at the nodes of ``mesh`` or at its quadrature points."""
     if material.kind == "orthotropic" and isinstance(mesh, RadialMesh):
         raise MaterialError("orthotropic law is defined on rectangle meshes only")
     Y = None
     if material.kind == "isotropic" and not material.uniform:
-        Y = material._modulus_on_quad(mesh)
+        if isinstance(material.Y, ScalarField):
+            if material.Y.mesh != mesh:
+                raise MaterialError("modulus field lives on a different mesh")
+            Y = material.Y.values if at_nodes else material.Y.at_quad()
+        elif at_nodes:
+            Y = _eval_scalar(material.modulus_at, mesh)
+        else:
+            Y = _call_on_quad(material.modulus_at, mesh, _ops(mesh))
         Y = Y.reshape(Y.shape + (1,) * (np.ndim(values) - 2))
     return material.compliance_on_values(values, Y=Y)
+
+
+def compliance_apply(material: Material, sigma: SymTensorField2) -> SymTensorField2:
+    """Nodewise strain field epsilon = C^{-1} sigma."""
+    eps = _compliance_on(material, sigma.mesh, sigma.components, at_nodes=True)
+    return SymTensorField2(sigma.mesh, eps, m=sigma.m, parity=sigma.parity)
+
+
+def compliance_on_quad(material: Material, mesh, values: np.ndarray) -> np.ndarray:
+    """C^{-1} applied to quadrature-point stresses of shape (3, nq, ...)."""
+    return _compliance_on(material, mesh, values, at_nodes=False)
 
 
 def compliance_quad(material: Material, sigma: SymTensorField2) -> np.ndarray:

@@ -129,16 +129,16 @@ def annulus_m1_oracle(r_a: float = 0.1, r_b: float = 0.3, nu: float = 0.33,
             -Sp / r + S / r**2,
         ])
 
+    material = Material.isotropic(Y, nu)
+
     def bc(ya, yb):
         frr_a, frt_a, S_a, _ = ya
-        ftt_a = S_a - frr_a
         dya = rhs(np.array([r_a]), ya.reshape(4, 1)).ravel()
-        frr_p = dya[0]
-        ftt_p = dya[2] - frr_p
-        err = (1 + nu) / Y * ((1 - nu) * frr_a - nu * ftt_a)
-        ert = (1 + nu) / Y * frt_a
-        ettp = (1 + nu) / Y * ((1 - nu) * ftt_p - nu * frr_p)
-        ces = 2 * ert + err - r_a * ettp
+        # strains of the stress at r_a (column 0) and of its r-derivative
+        # (column 1): the compliance is linear, so e_tt' is the latter's e_tt
+        e = material.compliance_on_values(
+            [[frr_a, dya[0]], [S_a - frr_a, dya[2] - dya[0]], [frt_a, 0.0]])
+        ces = 2 * e[2, 0] + e[0, 0] - r_a * e[1, 1]
         return np.array([frr_a - 1.0, frt_a, yb[0] - 1.0 / 3.0, ces])
 
     # imported here: scipy.integrate adds a third of the package import time
@@ -276,13 +276,10 @@ def cesaro_diagnostic(sigma: SymTensorField2, loop: CesaroLoop,
     R = loop.radius
     if not (mesh.domain.r_a <= R <= mesh.domain.r_b):
         raise OracleError("loop radius must lie inside the annulus")
-    Y, nu = float(material.Y), material.nu
+    nu = material.nu
     m = sigma.m
 
-    srr, stt, srt = sigma.components
-    err = ((1 - nu**2) * srr - nu * (1 + nu) * stt) / Y
-    ett = ((1 - nu**2) * stt - nu * (1 + nu) * srr) / Y
-    ert = (1 + nu) * srt / Y
+    err, ett, ert = material.compliance_on_values(sigma.components)
     ebar = err + ett
 
     err_R, _ = _profile_at(mesh, err, R)

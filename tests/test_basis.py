@@ -10,13 +10,14 @@ from scipy.linalg import eigh, null_space
 
 import stressbasis
 from stressbasis import basis as basis_mod, fem2d
-from stressbasis.basis import (BasisError, EigenSolveConfig, _kernel_by_lu,
-                               _radial_blocks, _solve_radial_m,
+from stressbasis.basis import (BasisError, BasisSet, EigenSolveConfig,
+                               _kernel_by_lu, _radial_blocks, _solve_radial_m,
                                airy_bump_basis, load_basis, parity_classes,
                                save_basis, solve_basis_annulus,
                                solve_basis_rectangle, verify_basis)
-from stressbasis.fields import (l2_inner_scalar, l2_inner_tensor,
-                                l2_norm_tensor, planar_trace)
+from stressbasis.fields import (SymTensorField2, l2_inner_scalar,
+                                l2_inner_tensor, l2_norm_tensor,
+                                planar_trace)
 from stressbasis.materials import Material, discontinuous_modulus
 from stressbasis.meshes import (Domain, RectangleMesh, build_radial_grid,
                                 build_rectangle_mesh)
@@ -131,6 +132,52 @@ def test_grams_match_pairwise_inner_products(ann_basis_merged, rect_basis,
                     T[i, j] = l2_inner_scalar(traces[i], traces[j])
         assert np.abs(basis.gram_l2 - G).max() <= 1e-13
         assert np.abs(basis.trace_gram - T).max() <= 1e-13
+
+
+def _h1_gram_by_family_split(basis):
+    """The H1 Gram with the theta factors written out per family: the normal
+    and shear parts of each radial quadratic form evaluated separately."""
+    n = len(basis.modes)
+    G = np.zeros((n, n))
+    mesh = basis.mesh
+    if isinstance(mesh, RectangleMesh):
+        Ks = fem2d.rect_ops(mesh).Ks
+        for w, c in ((1.0, 0), (1.0, 1), (2.0, 2)):
+            V = np.array([md.components[c] for md in basis.modes]).T
+            G += w * (V.T @ (Ks @ V))
+        return G
+    ops = fem2d.radial_ops(mesh)
+    nn = mesh.n_nodes
+    for (m, parity), idx in basis.groups().items():
+        A = _radial_blocks(ops, m)[0]
+        cols = np.stack([basis.modes[i].components.ravel() for i in idx], 1)
+        if parity == "sin":
+            cols[2 * nn:] *= -1.0
+        cn, cs = cols.copy(), cols.copy()
+        cn[2 * nn:] = 0.0
+        cs[:2 * nn] = 0.0
+        Gn, Gs, Gx = cn.T @ A @ cn, cs.T @ A @ cs, cn.T @ A @ cs
+        if m == 0:
+            fac_n, fac_s = (2 * np.pi, 0.0) if parity == "cos" \
+                else (0.0, 2 * np.pi)
+            sub = fac_n * Gn + fac_s * Gs
+        else:
+            sub = np.pi * (Gn + Gs + Gx + Gx.T)
+        G[np.ix_(idx, idx)] = sub
+    return G
+
+
+def test_h1_gram_matches_the_family_split(ann_basis_merged, rect_basis,
+                                         ann_mesh, rng):
+    # random profiles in every m <= 1 family, the shear-only m = 0 sin one too
+    tags = [(0, "cos"), (0, "sin"), (1, "cos"), (1, "sin")] * 3
+    random = BasisSet([SymTensorField2(ann_mesh, rng.standard_normal(
+        (3, ann_mesh.n_nodes)), m=m, parity=p) for m, p in tags],
+        None, np.eye(len(tags)), np.eye(len(tags)), {})
+    for basis in (random, ann_basis_merged, rect_basis):
+        want = _h1_gram_by_family_split(basis)
+        got = basis_mod._h1_gram(basis)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_l2_orthonormality_direct(ann_basis_m0):

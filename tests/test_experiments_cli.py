@@ -282,7 +282,7 @@ def test_cli_import_leaves_out_scipy_integrate():
 # CLI exit codes
 # ---------------------------------------------------------------------------
 
-def test_cli_usage_errors(capsys):
+def test_cli_usage_errors(tmp_path, capsys):
     assert main(["run"]) == 2                      # neither preset nor config
     assert main(["run", "nope"]) == 2              # unknown preset
     err = capsys.readouterr().err
@@ -290,13 +290,34 @@ def test_cli_usage_errors(capsys):
     assert main(["run", "example1", "--config", "x.json"]) == 2
     assert main(["basis", "verify", "/no/such/file"]) == 2
     assert main(["frobnicate"]) == 2               # argparse rejection
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"name": ')
+    capsys.readouterr()
+    for path in (bad, tmp_path):                   # not JSON; a directory
+        assert main(["run", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1 and str(path) in err
 
 
 @pytest.mark.parametrize("change, code, words", [
     ({"material": {"kind": "isotropic", "Y": 1.0, "nu": 0.6}}, 2, "nu"),
     ({"domain": {"kind": "annulus", "r_a": 0.3, "r_b": 0.1}}, 2, "r_a"),
     ({"N": 11}, 1, "N=11"),
-], ids=["material", "mesh", "solver"])
+    ({"material": {"kind": "isotropic", "nu": 0.3}}, 2, "'Y'"),
+    ({"material": {"kind": "orthotropic", "Y_x": 1.0, "Y_y": 2.0,
+                   "nu_xy": 0.3}}, 2, "'G_xy'"),
+    ({"material": {"kind": "isotropic", "nu": 0.3,
+                   "Y": {"profile": "ramp", "Y_top": 1.0}}}, 2, "'Y_bottom'"),
+    ({"particular": {"recipe": "oracle", "material": {
+        "kind": "isotropic", "Y": 1.0, "nu": 0.3}}}, 2, "'loading'"),
+    ({"particular": {"recipe": "oracle", "loading": {"recipe": "band"},
+                     "material": {"kind": "isotropic", "nu": 0.3}}}, 2, "'Y'"),
+    ({"N": 6, "ns": [2, 9]}, 2, "N=6"),
+    ({"ns": []}, 2, "non-empty"),
+], ids=["material", "mesh", "solver", "isotropic_without_Y",
+        "orthotropic_without_G_xy", "profile_without_Y_bottom",
+        "oracle_without_loading", "oracle_material_without_Y",
+        "schedule_above_N", "empty_schedule"])
 def test_cli_schema_valid_bad_input(tmp_path, capsys, change, code, words):
     """Input errors exit 2 and numeric failures exit 1, with one line each."""
     cfg_path = tmp_path / "bad.json"

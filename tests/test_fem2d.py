@@ -62,11 +62,23 @@ def test_project_to_nodes_roundtrip(rect_mesh, rng):
     assert np.allclose(back, f, atol=1e-9)
 
 
-def test_stiffness_matrix_spd():
-    mat = Material.isotropic(2.0, 0.3)
-    D = stiffness_matrix_at(mat, np.array([0.5]), np.array([0.5]))[0]
-    assert np.allclose(D, D.T)
-    assert np.all(np.linalg.eigvalsh(D) > 0)
+@pytest.mark.parametrize("mat", [
+    Material.isotropic(2.0, 0.3),
+    Material.isotropic(discontinuous_modulus(1.0, 3.0, 0.5), 0.33),
+    Material.orthotropic(1.0, 2.0, 0.33, 1.0),      # example8's law
+], ids=["uniform", "discontinuous", "orthotropic"])
+def test_stiffness_matrix_spd(mat):
+    """D is SPD and inverts the material's compliance, shear row doubled for
+    the engineering strain, at each point."""
+    x, y = np.array([0.2, 0.5, 0.8]), np.array([0.1, 0.5, 0.9])
+    D = stiffness_matrix_at(mat, x, y)
+    Y = mat.modulus_at(x, y) if mat.kind == "isotropic" else [None] * len(x)
+    for Dk, Yk in zip(D, Y):
+        S_eng = mat.compliance_on_values(np.eye(3), Y=Yk)
+        S_eng[2] *= 2
+        assert np.array_equal(Dk, Dk.T)
+        assert np.all(np.linalg.eigvalsh(Dk) > 0)
+        assert np.abs(Dk @ S_eng - np.eye(3)).max() <= 1e-13
 
 
 def test_displacement_solver_patch_test():

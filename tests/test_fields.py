@@ -191,14 +191,15 @@ _WEIGHT_READERS = {"fields.quad_metric", "meshes.LoadingSpec.net_force",
                    "meshes.LoadingSpec.net_moment"}
 
 
-def _weight_reads(tree, module):
-    """Qualified names of the functions in ``tree`` that read ``.qw``/``.wq``."""
+def _scopes_where(tree, module, hit):
+    """Qualified names of the functions in ``tree`` holding a node that
+    ``hit`` accepts, once per such node."""
     found = []
 
     def visit(node, scope):
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             scope = scope + [node.name]
-        if isinstance(node, ast.Attribute) and node.attr in ("qw", "wq"):
+        if hit(node):
             found.append(".".join([module] + scope))
         for child in ast.iter_child_nodes(node):
             visit(child, scope)
@@ -207,12 +208,30 @@ def _weight_reads(tree, module):
     return found
 
 
-def test_only_quad_metric_reads_the_weights():
+def _package_sources():
+    """(module name, syntax tree) of every module of the package."""
     src = os.path.dirname(stressbasis.__file__)
-    reads = []
     for name in sorted(os.listdir(src)):
-        if name.endswith(".py") and name != "fem2d.py":
+        if name.endswith(".py"):
             with open(os.path.join(src, name)) as f:
-                reads += _weight_reads(ast.parse(f.read()), name[:-3])
+                yield name[:-3], ast.parse(f.read())
+
+
+def test_only_quad_metric_reads_the_weights():
+    def reads_weights(node):
+        return isinstance(node, ast.Attribute) and node.attr in ("qw", "wq")
+    reads = [scope for module, tree in _package_sources() if module != "fem2d"
+             for scope in _scopes_where(tree, module, reads_weights)]
     assert "fields.quad_metric" in reads
     assert set(reads) <= _WEIGHT_READERS, sorted(set(reads) - _WEIGHT_READERS)
+
+
+def test_only_quad_metric_calls_theta_factors():
+    """The theta integrals of the area measure enter inner products only
+    through the metric's component factors."""
+    def calls_theta_factors(node):
+        return isinstance(node, ast.Call) and "theta_factors" in (
+            getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    calls = [scope for module, tree in _package_sources()
+             for scope in _scopes_where(tree, module, calls_theta_factors)]
+    assert calls == ["fields.quad_metric"], calls
