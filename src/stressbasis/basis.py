@@ -25,11 +25,8 @@ import contextlib
 import ctypes
 import functools
 import glob
-import io
-import json
 import os
 import warnings
-import zipfile
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
 
@@ -47,8 +44,8 @@ from scipy.sparse.linalg import eigsh
 from . import fem2d
 from .fields import (SymTensorField2, _ops, quad_metric, scalar_gram,
                      tensor_gram)
-from .meshes import (Domain, RadialMesh, RectangleMesh, _atomic_write_bytes,
-                     build_radial_grid)
+from .meshes import (Domain, RadialMesh, RectangleMesh, _read_tagged,
+                     _write_tagged, build_radial_grid)
 
 _PARITIES = ("cos", "sin")
 
@@ -58,6 +55,10 @@ _PARITIES = ("cos", "sin")
 # run on one BLAS thread each, whatever OPENBLAS_NUM_THREADS says); part of
 # the cache key
 SOLVER_VERSION = 3
+
+# relative eigenvalue gap below which neighbouring modes form one degenerate
+# cluster, orthogonalized together; recorded in the provenance
+_DEGENERATE_GAP = 1e-6
 
 
 class BasisError(RuntimeError):
@@ -70,9 +71,6 @@ class EigenSolveConfig:
 
     n_modes: int = 20
     resolution: int = 128          # radial elements (annulus backend)
-    shift: float = 0.0             # shift-invert target
-    tol: float = 0.0               # eigensolver tolerance (0 = machine)
-    degenerate_gap: float = 1e-6   # relative lambda gap for cluster detection
 
     def __post_init__(self):
         if self.n_modes < 1:
@@ -329,8 +327,8 @@ def solve_basis_rectangle(mesh: RectangleMesh, cfg: EigenSolveConfig) -> BasisSe
         if not k:
             return np.empty(0), np.empty((len(keep_s), 0))
         try:
-            vals, vecs = eigsh(K, k=k, M=M, sigma=cfg.shift, which="LM",
-                               v0=np.ones(K.shape[0]), tol=cfg.tol)
+            vals, vecs = eigsh(K, k=k, M=M, sigma=0.0, which="LM",
+                               v0=np.ones(K.shape[0]), tol=0.0)
         except Exception as exc:  # noqa: BLE001 - eigensolver failures vary
             raise BasisError(f"eigensolver did not converge: {exc}") from exc
         order = np.argsort(vals)
@@ -383,11 +381,11 @@ def solve_basis_rectangle(mesh: RectangleMesh, cfg: EigenSolveConfig) -> BasisSe
                  "xs": mesh.xs.tolist(), "ys": mesh.ys.tolist()},
         "n_modes": cfg.n_modes,
         "parity_classes": [list(cls) for cls in classes],
-        "solver_tol": cfg.tol,
-        "degenerate_gap": cfg.degenerate_gap,
+        "solver_tol": 0.0,
+        "degenerate_gap": _DEGENERATE_GAP,
         "h": h,
     })
-    basis = orthonormalize(basis, degenerate_gap=cfg.degenerate_gap)
+    basis = orthonormalize(basis)
     _record_residuals(basis)
     return basis
 
@@ -515,11 +513,11 @@ def solve_basis_annulus(domain: Domain, wavenumbers, cfg: EigenSolveConfig,
         "mesh": {"r_a": domain.r_a, "r_b": domain.r_b, "nel": mesh.nel},
         "wavenumbers": wavenumbers,
         "n_modes": cfg.n_modes,
-        "solver_tol": cfg.tol,
-        "degenerate_gap": cfg.degenerate_gap,
+        "solver_tol": 0.0,
+        "degenerate_gap": _DEGENERATE_GAP,
         "h": h,
     })
-    basis = orthonormalize(basis, degenerate_gap=cfg.degenerate_gap)
+    basis = orthonormalize(basis)
     _record_residuals(basis)
     return basis
 
@@ -548,10 +546,10 @@ def _symmetric(G: np.ndarray) -> np.ndarray:
     return 0.5 * (G + G.T)
 
 
-def orthonormalize(basis: BasisSet, degenerate_gap: float | None = None) -> BasisSet:
+def orthonormalize(basis: BasisSet) -> BasisSet:
     """Scale modes to unit L2 norm and orthogonalize degenerate clusters.
 
-    Within each eigenvalue cluster (relative gap below the threshold) a
+    Within each eigenvalue cluster (relative gap below ``_DEGENERATE_GAP``) a
     modified Gram-Schmidt pass runs with the larger-trace-norm mode as the
     first axis. Mode signs follow the largest-absolute-nodal-value convention.
 
@@ -561,8 +559,6 @@ def orthonormalize(basis: BasisSet, degenerate_gap: float | None = None) -> Basi
     work on those coefficients, with inner products taken from the input
     Grams of the group (one BLAS product each).
     """
-    gap = degenerate_gap if degenerate_gap is not None else \
-        basis.provenance.get("degenerate_gap", 1e-6)
     n = len(basis.modes)
 
     # cluster detection on eigenvalues (airy backend: single MGS pass overall
@@ -572,7 +568,7 @@ def orthonormalize(basis: BasisSet, degenerate_gap: float | None = None) -> Basi
         lam = basis.eigenvalues
         start = 0
         for i in range(1, n):
-            if (lam[i] - lam[i - 1]) > gap * max(lam[i - 1], 1e-300):
+            if lam[i] - lam[i - 1] > _DEGENERATE_GAP * max(lam[i - 1], 1e-300):
                 clusters.append(list(range(start, i)))
                 start = i
         clusters.append(list(range(start, n)))
@@ -857,9 +853,12 @@ def verify_basis(basis: BasisSet, l2_tol: float = 1e-8, h1_tol: float = 1e-6,
 # SBBASIS cache format
 # ---------------------------------------------------------------------------
 
+# the tag line of a basis cache file (layout: ``meshes._write_tagged``)
+_BASIS_FORMAT = "SBBASIS 1"
+
+
 def save_basis(basis: BasisSet, path: str):
     """Versioned cache: text header + JSON provenance + binary payload."""
-    payload = io.BytesIO()
     comps = np.stack([m.components for m in basis.modes])
     mtags = np.array([m.m if m.m is not None else -1 for m in basis.modes])
     ptags = np.array([_PARITIES.index(m.parity) if m.parity else -1
@@ -881,12 +880,10 @@ def save_basis(basis: BasisSet, path: str):
         arrays["ys"] = mesh.ys
         arrays["feature_x"] = np.asarray(mesh.feature_x)
         arrays["feature_y"] = np.asarray(mesh.feature_y)
-    np.savez(payload, **arrays)
     prov = dict(basis.provenance)
     if basis.backend == "airy-bump":
         prov["note"] = "reloaded airy modes are nodal interpolants"
-    header = ("SBBASIS 1\n" + json.dumps(prov, sort_keys=True) + "\n").encode()
-    _atomic_write_bytes(path, header + payload.getvalue())
+    _write_tagged(path, _BASIS_FORMAT, prov, arrays)
 
 
 def load_basis(path: str, mesh=None) -> BasisSet:
@@ -896,16 +893,8 @@ def load_basis(path: str, mesh=None) -> BasisSet:
     When ``mesh`` equals the file's mesh, the modes are built on ``mesh``
     itself, so they share its operators with the caller's other fields.
     """
-    with open(path, "rb") as f:
-        data = f.read()
-    nl1 = data.find(b"\n")
-    if nl1 < 0 or data[:nl1] != b"SBBASIS 1":
-        raise BasisError(f"{path}: not an SBBASIS 1 file")
-    nl2 = data.find(b"\n", nl1 + 1)
     try:
-        prov = json.loads(data[nl1 + 1:nl2].decode())
-        with np.load(io.BytesIO(data[nl2 + 1:])) as npz:
-            arrays = {k: npz[k] for k in npz.files}
+        prov, arrays = _read_tagged(path, _BASIS_FORMAT)
         if "radial_nodes" in arrays:
             r = arrays["radial_nodes"]
             stored = RadialMesh(Domain.annulus(r[0], r[-1]), (len(r) - 1) // 2)
@@ -919,8 +908,9 @@ def load_basis(path: str, mesh=None) -> BasisSet:
         ptags = arrays["parity_tags"]
         lam = arrays.get("eigenvalues")
         gram_l2, trace_gram = arrays["gram_l2"], arrays["trace_gram"]
-    except (ValueError, KeyError, OSError, EOFError, zipfile.BadZipFile) as exc:
-        raise BasisError(f"{path}: unreadable SBBASIS payload ({exc})") from exc
+    except (ValueError, KeyError) as exc:
+        raise BasisError(
+            f"{path}: not a complete {_BASIS_FORMAT} file ({exc})") from exc
     if mesh is None or mesh != stored:
         mesh = stored
     k = len(comps)
@@ -930,7 +920,7 @@ def load_basis(path: str, mesh=None) -> BasisSet:
     if lam is not None:
         shapes.append((lam.shape, (k,)))
     if k == 0 or any(got != want for got, want in shapes):
-        raise BasisError(f"{path}: inconsistent SBBASIS arrays")
+        raise BasisError(f"{path}: inconsistent {_BASIS_FORMAT} arrays")
     modes = []
     for i in range(k):
         m = None if mtags[i] < 0 else int(mtags[i])

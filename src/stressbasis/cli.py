@@ -1,12 +1,12 @@
 """Command-line interface.
 
 Verbs:
-  basis build   --domain rectangle|annulus [geometry/mesh options] --out FILE
+  basis build   PRESET | --config FILE   --out FILE
   basis verify  FILE
   run           PRESET | --config FILE   [--out DIR] [--full] [--no-cache]
   preset list   [--machine]
   preset dump   NAME
-  oracle build  --preset NAME --out FILE
+  oracle build  PRESET | --config FILE   --out FILE
 
 Exit codes: 0 success, 1 numeric failure, 2 usage error (including invalid
 materials and meshes); errors print one line on stderr.
@@ -18,10 +18,12 @@ import argparse
 import json
 import sys
 
-from . import experiments
 from .basis import BasisError, load_basis, save_basis, verify_basis
 from .experiments import (ExperimentConfig, ExperimentError, UsageError,
+                          _build_domain, _build_material, _build_mesh,
+                          _build_particular, get_basis, get_oracle,
                           get_preset, list_presets, run_experiment)
+from .fields import dump_field_csv
 from .materials import MaterialError
 from .meshes import MeshError
 from .solvers import SolverError
@@ -35,26 +37,11 @@ def _build_parser() -> argparse.ArgumentParser:
     b = sub.add_parser("basis", help="build or verify a basis cache file")
     bsub = b.add_subparsers(dest="action", required=True)
     bb = bsub.add_parser("build")
-    bb.add_argument("--domain", choices=["rectangle", "annulus"],
-                    required=True)
-    bb.add_argument("--Lx", type=float, default=1.0)
-    bb.add_argument("--Ly", type=float, default=1.0)
-    bb.add_argument("--r-a", type=float, default=0.1)
-    bb.add_argument("--r-b", type=float, default=0.3)
-    bb.add_argument("--nx", type=int, default=48)
-    bb.add_argument("--ny", type=int, default=48)
-    bb.add_argument("--nel", type=int, default=128)
-    bb.add_argument("--n-modes", type=int, default=20)
-    bb.add_argument("--wavenumbers", type=str, default="0",
-                    help="comma-separated azimuthal wavenumbers (annulus)")
-    bb.add_argument("--backend", choices=["eigen", "airy"], default="eigen")
     bb.add_argument("--out", required=True)
     bv = bsub.add_parser("verify")
     bv.add_argument("path")
 
     r = sub.add_parser("run", help="run an experiment")
-    r.add_argument("preset", nargs="?", help="preset name")
-    r.add_argument("--config", help="path to a JSON experiment config")
     r.add_argument("--out", default=None, help="output directory")
     r.add_argument("--full", action="store_true",
                    help="full-scale settings where the preset defines them")
@@ -67,27 +54,35 @@ def _build_parser() -> argparse.ArgumentParser:
     pd = psub.add_parser("dump")
     pd.add_argument("name")
 
-    o = sub.add_parser("oracle", help="build and cache a reference solution")
+    o = sub.add_parser("oracle", help="build a reference solution")
     osub = o.add_subparsers(dest="action", required=True)
     ob = osub.add_parser("build")
-    ob.add_argument("--preset", required=True)
     ob.add_argument("--out", required=True)
+
+    for verb in (bb, r, ob):  # one way to name a problem
+        verb.add_argument("preset", nargs="?", help="preset name")
+        verb.add_argument("--config", help="path to a JSON experiment config")
     return ap
 
 
+def _config(args) -> ExperimentConfig:
+    """The experiment config named by PRESET or read from --config."""
+    if bool(args.preset) == bool(args.config):
+        raise UsageError("give exactly one of PRESET or --config PATH")
+    if args.preset:
+        return get_preset(args.preset)
+    with open(args.config) as f:
+        try:
+            raw = json.load(f)
+        except ValueError as exc:  # malformed JSON or not text
+            raise UsageError(f"{args.config} is not JSON: {exc}") from None
+    return ExperimentConfig.from_dict(raw)
+
+
 def _cmd_basis_build(args) -> int:
-    from .experiments import _build_domain, _build_mesh, get_basis
-    if args.domain == "rectangle":
-        domain = _build_domain({"kind": "rectangle", "Lx": args.Lx,
-                                "Ly": args.Ly})
-        mesh = _build_mesh(domain, {"nx": args.nx, "ny": args.ny})
-    else:
-        domain = _build_domain({"kind": "annulus", "r_a": args.r_a,
-                                "r_b": args.r_b})
-        mesh = _build_mesh(domain, {"nel": args.nel})
-    wn = [int(s) for s in args.wavenumbers.split(",") if s.strip()]
-    basis = get_basis(mesh, {"backend": args.backend, "n_modes": args.n_modes,
-                             "wavenumbers": wn}, use_cache=False)
+    cfg = _config(args)
+    mesh = _build_mesh(_build_domain(cfg.domain), cfg.mesh)
+    basis = get_basis(mesh, cfg.basis, use_cache=False)
     save_basis(basis, args.out)
     rep = verify_basis(basis)
     print(f"built {len(basis)} modes -> {args.out}")
@@ -96,24 +91,17 @@ def _cmd_basis_build(args) -> int:
 
 
 def _cmd_basis_verify(args) -> int:
-    basis = load_basis(args.path)
+    try:
+        basis = load_basis(args.path)
+    except BasisError as exc:  # not a basis file: the argument is wrong
+        raise UsageError(str(exc)) from None
     rep = verify_basis(basis)
     print(rep)
     return 0 if rep.passed else 1
 
 
 def _cmd_run(args) -> int:
-    if bool(args.preset) == bool(args.config):
-        raise UsageError("give exactly one of PRESET or --config PATH")
-    if args.preset:
-        cfg = get_preset(args.preset)
-    else:
-        with open(args.config) as f:
-            try:
-                raw = json.load(f)
-            except ValueError as exc:  # malformed JSON or not text
-                raise UsageError(f"{args.config} is not JSON: {exc}") from None
-        cfg = ExperimentConfig.from_dict(raw)
+    cfg = _config(args)
     out = args.out or f"out/{cfg.name}"
     report = run_experiment(cfg, out, full=args.full,
                             use_cache=not args.no_cache)
@@ -135,19 +123,14 @@ def _cmd_preset(args) -> int:
 
 
 def _cmd_oracle_build(args) -> int:
-    from .experiments import (_build_domain, _build_material, _build_mesh,
-                              _build_particular, _save_oracle_field,
-                              get_oracle)
-    cfg = get_preset(args.preset)
-    domain = _build_domain(cfg.domain)
-    mesh = _build_mesh(domain, cfg.mesh)
-    material = _build_material(cfg.material)
-    ps = _build_particular(mesh, cfg.particular, material)
+    cfg = _config(args)
+    mesh = _build_mesh(_build_domain(cfg.domain), cfg.mesh)
+    ps = _build_particular(mesh, cfg.particular, _build_material(cfg.material))
     orc = get_oracle(mesh, cfg.oracle, ps.loading, cfg.material,
                      loading_id=cfg.particular, use_cache=False)
     if orc is None:
-        raise UsageError(f"preset {cfg.name} declares no reference solution")
-    _save_oracle_field(orc, args.out)
+        raise UsageError(f"config {cfg.name} declares no reference solution")
+    dump_field_csv(orc.field, args.out)
     print(f"{orc.method} reference -> {args.out}")
     return 0
 

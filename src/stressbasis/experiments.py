@@ -33,11 +33,12 @@ from .basis import (SOLVER_VERSION, BasisError, BasisSet, EigenSolveConfig,
                     airy_bump_basis, load_basis, save_basis,
                     solve_basis_annulus, solve_basis_rectangle, verify_basis)
 from .fields import (ScalarField, SymTensorField2, dump_field_csv,
-                     equilibrium_residual, field_csv)
+                     equilibrium_residual)
 from .materials import (Material, discontinuous_modulus, ramp_modulus,
                         strain_energy)
 from .meshes import (Domain, RadialMesh, build_radial_grid,
-                     build_rectangle_mesh, _atomic_write_text)
+                     build_rectangle_mesh, _atomic_write_text, _read_tagged,
+                     _write_tagged)
 from .oracles import (CesaroLoop, OracleSolution, annulus_m1_oracle,
                       cesaro_diagnostic, displacement_fem_oracle, lame_oracle)
 from .particular import (annulus_m1_particular, axisym_airy_particular,
@@ -47,7 +48,8 @@ from .solvers import (energy_series, error_series, solve_planar_trace,
                       solve_planar_trace_body, solve_strain_energy)
 
 _FMT = "%.17g"
-_ORACLE_FORMAT = "SBORACLE 3"
+# the tag of a FEM reference cache file (``meshes._write_tagged``); in its key
+_ORACLE_FORMAT = "SBORACLE 4"
 
 
 class ExperimentError(RuntimeError):
@@ -341,7 +343,7 @@ def get_oracle(mesh, spec: dict, loading, material_spec: dict,
         key = _key({"mesh": mesh.mesh_hash(), "kind": "fem", "refine": refine,
                     "material": material_spec, "loading": loading_id,
                     "format": _ORACLE_FORMAT})
-        path = os.path.join(cache_dir(), f"oracle-{key}.csv")
+        path = os.path.join(cache_dir(), f"oracle-{key}.sboracle")
         if use_cache and os.path.exists(path):
             field = _load_oracle_field(path, mesh)
             if field is not None:
@@ -349,40 +351,25 @@ def get_oracle(mesh, spec: dict, loading, material_spec: dict,
                                       {"cache": path, "refine": refine})
         orc = displacement_fem_oracle(mesh, loading, material, refine=refine)
         if use_cache:
-            _save_oracle_field(orc, path)
+            _write_tagged(path, _ORACLE_FORMAT,
+                          {"mesh_hash": mesh.mesh_hash()},
+                          {"components": orc.field.components})
         return orc
     raise UsageError(f"unknown oracle kind {kind!r}")
-
-
-def _save_oracle_field(orc: OracleSolution, path: str):
-    body = field_csv(orc.field)
-    meta = {"format": _ORACLE_FORMAT, "method": orc.method,
-            "mesh_hash": orc.field.mesh.mesh_hash(),
-            "sha256": hashlib.sha256(body.encode()).hexdigest(),
-            "metadata": {k: v for k, v in orc.metadata.items()
-                         if isinstance(v, (int, float, str))}}
-    _atomic_write_text(path, "# " + json.dumps(meta, sort_keys=True) + "\n"
-                       + body)
 
 
 def _load_oracle_field(path: str, mesh):
     """The cached reference field, or None when the file is not a complete
     SBORACLE file for this mesh."""
-    with open(path, "rb") as f:
-        header = f.readline()
-        body = f.read()
     try:
-        meta = json.loads(header[2:]) if header.startswith(b"# ") else {}
+        meta, arrays = _read_tagged(path, _ORACLE_FORMAT)
     except ValueError:
         return None
-    if (meta.get("format") != _ORACLE_FORMAT
-            or meta.get("mesh_hash") != mesh.mesh_hash()
-            or meta.get("sha256") != hashlib.sha256(body).hexdigest()):
+    comps = arrays.get("components")
+    if (meta.get("mesh_hash") != mesh.mesh_hash() or comps is None
+            or comps.shape != (3, mesh.n_nodes)):
         return None
-    data = np.loadtxt(io.BytesIO(body), delimiter=",", skiprows=1, ndmin=2)
-    if data.shape != (mesh.n_nodes, 5):
-        return None
-    return SymTensorField2(mesh, data[:, 2:5].T.copy())
+    return SymTensorField2(mesh, comps)
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,11 @@ Two domain kinds are supported:
 from __future__ import annotations
 
 import hashlib
+import io
+import json
 import os
 import tempfile
+import zipfile
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
@@ -434,7 +437,7 @@ def _theta_grid(n: int = 1440) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Atomic file writes
+# Atomic file writes and the cache-file layout
 # ---------------------------------------------------------------------------
 
 def _atomic_write_text(path: str, text: str):
@@ -453,3 +456,33 @@ def _atomic_write_bytes(path: str, data: bytes):
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _write_tagged(path: str, tag: str, meta: dict, arrays: dict):
+    """Write the one cache-file layout (atomically): the line ``tag``, the
+    sorted JSON of ``meta`` on one line, then an npz payload of ``arrays``."""
+    payload = io.BytesIO()
+    np.savez(payload, **arrays)
+    header = (tag + "\n" + json.dumps(meta, sort_keys=True) + "\n").encode()
+    _atomic_write_bytes(path, header + payload.getvalue())
+
+
+def _read_tagged(path: str, tag: str):
+    """(meta, arrays) of a file written by ``_write_tagged`` with ``tag``;
+    ValueError when it is not a complete one. Damage in the payload shows
+    as a bad CRC-32, which every npz member carries."""
+    with open(path, "rb") as f:
+        data = f.read()
+    nl1 = data.find(b"\n")
+    nl2 = data.find(b"\n", nl1 + 1)
+    if nl1 < 0 or nl2 < 0 or data[:nl1] != tag.encode():
+        raise ValueError(f"no {tag!r} tag line")
+    try:
+        meta = json.loads(data[nl1 + 1:nl2].decode())
+        with np.load(io.BytesIO(data[nl2 + 1:])) as npz:
+            arrays = {k: npz[k] for k in npz.files}
+    except (ValueError, OSError, EOFError, zipfile.BadZipFile) as exc:
+        raise ValueError(f"unreadable header or payload: {exc}") from exc
+    if not isinstance(meta, dict):
+        raise ValueError("the header is not a JSON object")
+    return meta, arrays

@@ -16,9 +16,10 @@ from stressbasis.basis import load_basis, save_basis
 from stressbasis.cli import main
 from stressbasis.experiments import (CONFIG_SCHEMA, ExperimentConfig,
                                      ExperimentError, PRESET_NAMES,
-                                     UsageError, _provenance_hash, fit_slope,
-                                     get_basis, get_preset, list_presets,
-                                     run_experiment)
+                                     UsageError, _ORACLE_FORMAT,
+                                     _provenance_hash, fit_slope, get_basis,
+                                     get_preset, list_presets, run_experiment)
+from stressbasis.meshes import _read_tagged
 
 
 SMALL_CFG = {
@@ -223,11 +224,65 @@ def test_damaged_cache_files_are_rebuilt(tmp_path, monkeypatch):
     cold = run("cold")
     files = _cached(cache, "basis-") + _cached(cache, "oracle-")
     assert len(files) == 2
-    for name in files:
-        data = (cache / name).read_bytes()
-        (cache / name).write_bytes(data[:len(data) // 2])
-    assert run("damaged") == cold
+    built = {name: (cache / name).read_bytes() for name in files}
+
+    def flip_payload_byte(data):
+        # a byte in the middle of the npz payload, past the two header lines
+        start = data.index(b"\n", data.index(b"\n") + 1) + 1
+        data = bytearray(data)
+        data[(start + len(data)) // 2] ^= 0xFF
+        return bytes(data)
+
+    for tag, damage in (("truncated", lambda data: data[:len(data) // 2]),
+                        ("flipped", flip_payload_byte)):
+        for name, data in built.items():
+            (cache / name).write_bytes(damage(data))
+        assert run(tag) == cold, tag
+        # each damaged file was rebuilt, to the cold run's bytes
+        assert {name: (cache / name).read_bytes() for name in files} == built
     assert run("warm") == cold
+
+
+@pytest.fixture(scope="module")
+def rect_run(tmp_path_factory):
+    """RECT_CFG run once on its own cache: (config path, cache directory)."""
+    d = tmp_path_factory.mktemp("rect_run")
+    cfg_path = d / "rect.json"
+    cfg_path.write_text(json.dumps(RECT_CFG))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("SB_CACHE_DIR", str(d / "cache"))
+        assert main(["run", "--config", str(cfg_path),
+                     "--out", str(d / "out")]) == 0
+    return cfg_path, d / "cache"
+
+
+def test_basis_build_writes_the_basis_run_caches(rect_run, tmp_path):
+    """``basis build --config`` builds the config's basis on its own mesh,
+    feature lines included."""
+    cfg_path, cache = rect_run
+    out = tmp_path / "b.sbbasis"
+    assert main(["basis", "build", "--config", str(cfg_path),
+                 "--out", str(out)]) == 0
+    [name] = _cached(cache, "basis-")
+    built, cached = load_basis(str(out)), load_basis(str(cache / name))
+    assert len(built) == RECT_CFG["basis"]["n_modes"]
+    assert np.array_equal(built.eigenvalues, cached.eigenvalues)
+    for a, b in zip(built.modes, cached.modes):
+        assert np.array_equal(a.components, b.components)
+
+
+def test_oracle_build_writes_the_cached_reference(rect_run, tmp_path):
+    """``oracle build --config`` writes the reference the run caches, as a
+    CSV with the columns of sigma_p.csv."""
+    cfg_path, cache = rect_run
+    out = tmp_path / "oracle.csv"
+    assert main(["oracle", "build", "--config", str(cfg_path),
+                 "--out", str(out)]) == 0
+    assert out.read_text().splitlines()[0] == "x,y,sxx,syy,sxy"
+    [name] = _cached(cache, "oracle-")
+    _, arrays = _read_tagged(str(cache / name), _ORACLE_FORMAT)
+    csv = np.loadtxt(out, delimiter=",", skiprows=1)
+    assert np.array_equal(csv[:, 2:].T, arrays["components"])
 
 
 def test_rectangle_warm_run_matches_cold_on_one_operator_set(tmp_path,
@@ -284,11 +339,15 @@ def test_cli_import_leaves_out_scipy_integrate():
 
 def test_cli_usage_errors(tmp_path, capsys):
     assert main(["run"]) == 2                      # neither preset nor config
+    assert main(["oracle", "build", "--out", str(tmp_path / "o.csv")]) == 2
     assert main(["run", "nope"]) == 2              # unknown preset
     err = capsys.readouterr().err
     assert "example1" in err                       # lists the presets
     assert main(["run", "example1", "--config", "x.json"]) == 2
     assert main(["basis", "verify", "/no/such/file"]) == 2
+    notbasis = tmp_path / "notbasis.json"
+    notbasis.write_text("{}")
+    assert main(["basis", "verify", str(notbasis)]) == 2
     assert main(["frobnicate"]) == 2               # argparse rejection
     bad = tmp_path / "bad.json"
     bad.write_text('{"name": ')
@@ -297,6 +356,12 @@ def test_cli_usage_errors(tmp_path, capsys):
         assert main(["run", "--config", str(path)]) == 2
         err = capsys.readouterr().err
         assert len(err.strip().splitlines()) == 1 and str(path) in err
+    zero = tmp_path / "zero.json"                  # schema-invalid: no modes
+    zero.write_text(json.dumps(dict(RECT_CFG, basis={"backend": "eigen",
+                                                     "n_modes": 0})))
+    assert main(["basis", "build", "--config", str(zero),
+                 "--out", str(tmp_path / "b.sbbasis")]) == 2
+    assert len(capsys.readouterr().err.strip().splitlines()) == 1
 
 
 @pytest.mark.parametrize("change, code, words", [

@@ -226,6 +226,20 @@ def test_only_quad_metric_reads_the_weights():
     assert set(reads) <= _WEIGHT_READERS, sorted(set(reads) - _WEIGHT_READERS)
 
 
+def test_only_the_cache_file_pair_calls_numpy_file_io():
+    """Cache files have one layout: its writer and reader are the only
+    callers of numpy's file I/O."""
+    def calls_numpy_io(node):
+        return (isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("savez", "load", "loadtxt")
+                and getattr(node.func.value, "id", None) == "np")
+    calls = [scope for module, tree in _package_sources()
+             for scope in _scopes_where(tree, module, calls_numpy_io)]
+    assert sorted(calls) == ["meshes._read_tagged", "meshes._write_tagged"], \
+        calls
+
+
 def test_only_quad_metric_calls_theta_factors():
     """The theta integrals of the area measure enter inner products only
     through the metric's component factors."""
