@@ -367,7 +367,7 @@ def _load_oracle_field(path: str, mesh):
         return None
     comps = arrays.get("components")
     if (meta.get("mesh_hash") != mesh.mesh_hash() or comps is None
-            or comps.shape != (3, mesh.n_nodes)):
+            or comps.dtype != np.float64 or comps.shape != (3, mesh.n_nodes)):
         return None
     return SymTensorField2(mesh, comps)
 

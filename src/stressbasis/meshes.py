@@ -469,8 +469,8 @@ def _write_tagged(path: str, tag: str, meta: dict, arrays: dict):
 
 def _read_tagged(path: str, tag: str):
     """(meta, arrays) of a file written by ``_write_tagged`` with ``tag``;
-    ValueError when it is not a complete one. Damage in the payload shows
-    as a bad CRC-32, which every npz member carries."""
+    ValueError when it is not a complete one. Each npz member's CRC-32 is
+    checked up front: ``np.load`` may stop short of a member's end."""
     with open(path, "rb") as f:
         data = f.read()
     nl1 = data.find(b"\n")
@@ -479,7 +479,12 @@ def _read_tagged(path: str, tag: str):
         raise ValueError(f"no {tag!r} tag line")
     try:
         meta = json.loads(data[nl1 + 1:nl2].decode())
-        with np.load(io.BytesIO(data[nl2 + 1:])) as npz:
+        payload = io.BytesIO(data[nl2 + 1:])
+        with zipfile.ZipFile(payload) as zf:
+            if zf.testzip() is not None:
+                raise ValueError("bad CRC-32 in the payload")
+        payload.seek(0)
+        with np.load(payload) as npz:
             arrays = {k: npz[k] for k in npz.files}
     except (ValueError, OSError, EOFError, zipfile.BadZipFile) as exc:
         raise ValueError(f"unreadable header or payload: {exc}") from exc

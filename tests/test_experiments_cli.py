@@ -233,8 +233,15 @@ def test_damaged_cache_files_are_rebuilt(tmp_path, monkeypatch):
         data[(start + len(data)) // 2] ^= 0xFF
         return bytes(data)
 
+    def narrow_dtype(data):
+        # '<f8' -> '<f4' in an npy header keeps the shape, so the array still
+        # parses; np.load then stops short of the member's end and its CRC
+        assert data.count(b"'<f8'") >= 1
+        return data.replace(b"'<f8'", b"'<f4'", 1)
+
     for tag, damage in (("truncated", lambda data: data[:len(data) // 2]),
-                        ("flipped", flip_payload_byte)):
+                        ("flipped", flip_payload_byte),
+                        ("narrowed", narrow_dtype)):
         for name, data in built.items():
             (cache / name).write_bytes(damage(data))
         assert run(tag) == cold, tag
