@@ -28,7 +28,7 @@ import glob
 import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field
 
 import numpy as np
 import scipy
@@ -44,8 +44,8 @@ from scipy.sparse.linalg import eigsh
 from . import fem2d
 from .fields import (SymTensorField2, _ops, quad_metric, scalar_gram,
                      tensor_gram)
-from .meshes import (Domain, RadialMesh, RectangleMesh, _read_tagged,
-                     _write_tagged, build_radial_grid)
+from ._cache import read_tagged, write_tagged
+from .meshes import Domain, RadialMesh, RectangleMesh, build_radial_grid
 
 _PARITIES = ("cos", "sin")
 
@@ -63,6 +63,10 @@ _DEGENERATE_GAP = 1e-6
 
 class BasisError(RuntimeError):
     pass
+
+
+class BasisFileError(BasisError, ValueError):
+    """Not a complete, consistent SBBASIS file (with the requested key)."""
 
 
 @dataclass(frozen=True)
@@ -86,6 +90,8 @@ class BasisSet:
     gram_l2: np.ndarray
     trace_gram: np.ndarray
     provenance: dict
+    # ``verify_basis`` of the basis, computed once; SBBASIS files store it
+    report: BasisReport | None = dc_field(default=None, compare=False)
     _cache: dict = dc_field(default_factory=dict, repr=False, compare=False)
 
     def __len__(self):
@@ -239,19 +245,34 @@ def _rigid_pins(mesh: RectangleMesh, Pm: sp.spmatrix) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=None)
+def _openblas(package, symbol: str, argtypes: tuple = ()):
+    """The int function ``symbol`` of the OpenBLAS bundled with ``package``
+    (numpy or scipy); None when it is not there."""
+    libs = os.path.join(os.path.dirname(os.path.dirname(package.__file__)),
+                        package.__name__ + ".libs")
+    for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas*.so"))):
+        try:
+            fn = getattr(ctypes.CDLL(path), symbol)
+        except (OSError, AttributeError):
+            continue
+        fn.argtypes, fn.restype = list(argtypes), ctypes.c_int
+        return fn
+    return None
+
+
 def _blas_thread_cap():
     """``openblas_set_num_threads_local`` of the OpenBLAS bundled with scipy,
     which ARPACK and SuperLU link against; None when it is not there."""
-    libs = os.path.join(os.path.dirname(os.path.dirname(scipy.__file__)),
-                        "scipy.libs")
-    for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas*.so"))):
-        try:
-            cap = ctypes.CDLL(path).openblas_set_num_threads_local
-        except (OSError, AttributeError):
-            continue
-        cap.argtypes, cap.restype = [ctypes.c_int], ctypes.c_int
-        return cap
-    return None
+    return _openblas(scipy, "openblas_set_num_threads_local", (ctypes.c_int,))
+
+
+def _blas_threads() -> list:
+    """The thread counts of the OpenBLAS bundled with scipy and of the one
+    bundled with numpy (None where one is not there). The dense annulus
+    solve runs on them, and its modes move at round-off when they change."""
+    counts = (_openblas(scipy, "scipy_openblas_get_num_threads"),
+              _openblas(np, "scipy_openblas_get_num_threads64_"))
+    return [None if get is None else get() for get in counts]
 
 
 @contextlib.contextmanager
@@ -853,12 +874,15 @@ def verify_basis(basis: BasisSet, l2_tol: float = 1e-8, h1_tol: float = 1e-6,
 # SBBASIS cache format
 # ---------------------------------------------------------------------------
 
-# the tag line of a basis cache file (layout: ``meshes._write_tagged``)
-_BASIS_FORMAT = "SBBASIS 1"
+# the tag line of a basis file (layout: ``_cache.write_tagged``). The file
+# stores the build's ``verify_basis`` report, which a load returns unchecked:
+# a change to ``verify_basis`` or its tolerances must bump this tag
+_BASIS_FORMAT = "SBBASIS 2"
 
 
-def save_basis(basis: BasisSet, path: str):
-    """Versioned cache: text header + JSON provenance + binary payload."""
+def save_basis(basis: BasisSet, path: str, key: dict | None = None):
+    """Write an SBBASIS file; its meta holds the provenance, the
+    ``verify_basis`` report and the cache ``key``."""
     comps = np.stack([m.components for m in basis.modes])
     mtags = np.array([m.m if m.m is not None else -1 for m in basis.modes])
     ptags = np.array([_PARITIES.index(m.parity) if m.parity else -1
@@ -883,18 +907,20 @@ def save_basis(basis: BasisSet, path: str):
     prov = dict(basis.provenance)
     if basis.backend == "airy-bump":
         prov["note"] = "reloaded airy modes are nodal interpolants"
-    _write_tagged(path, _BASIS_FORMAT, prov, arrays)
+    report = basis.report if basis.report is not None else verify_basis(basis)
+    write_tagged(path, _BASIS_FORMAT, {"key": key, "provenance": prov,
+                                       "report": asdict(report)}, arrays)
 
 
-def load_basis(path: str, mesh=None) -> BasisSet:
-    """Read an SBBASIS file; BasisError when it is not a complete, consistent
-    one (unreadable header or payload, arrays whose shapes disagree).
+def load_basis(path: str, mesh=None, key: dict | None = None) -> BasisSet:
+    """Read an SBBASIS file; BasisFileError when it is not a trusted one
+    (``_cache.read_tagged``) or its arrays' shapes disagree.
 
     When ``mesh`` equals the file's mesh, the modes are built on ``mesh``
     itself, so they share its operators with the caller's other fields.
     """
     try:
-        prov, arrays = _read_tagged(path, _BASIS_FORMAT)
+        meta, arrays = read_tagged(path, _BASIS_FORMAT, key)
         if "radial_nodes" in arrays:
             r = arrays["radial_nodes"]
             stored = RadialMesh(Domain.annulus(r[0], r[-1]), (len(r) - 1) // 2)
@@ -908,8 +934,9 @@ def load_basis(path: str, mesh=None) -> BasisSet:
         ptags = arrays["parity_tags"]
         lam = arrays.get("eigenvalues")
         gram_l2, trace_gram = arrays["gram_l2"], arrays["trace_gram"]
-    except (ValueError, KeyError) as exc:
-        raise BasisError(
+        prov, report = meta["provenance"], BasisReport(**meta["report"])
+    except (ValueError, KeyError, TypeError) as exc:
+        raise BasisFileError(
             f"{path}: not a complete {_BASIS_FORMAT} file ({exc})") from exc
     if mesh is None or mesh != stored:
         mesh = stored
@@ -920,10 +947,10 @@ def load_basis(path: str, mesh=None) -> BasisSet:
     if lam is not None:
         shapes.append((lam.shape, (k,)))
     if k == 0 or any(got != want for got, want in shapes):
-        raise BasisError(f"{path}: inconsistent {_BASIS_FORMAT} arrays")
+        raise BasisFileError(f"{path}: inconsistent {_BASIS_FORMAT} arrays")
     modes = []
     for i in range(k):
         m = None if mtags[i] < 0 else int(mtags[i])
         parity = None if ptags[i] < 0 else _PARITIES[int(ptags[i])]
         modes.append(SymTensorField2(mesh, comps[i], m=m, parity=parity))
-    return BasisSet(modes, lam, gram_l2, trace_gram, prov)
+    return BasisSet(modes, lam, gram_l2, trace_gram, prov, report)

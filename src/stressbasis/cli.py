@@ -84,10 +84,9 @@ def _cmd_basis_build(args) -> int:
     mesh = _build_mesh(_build_domain(cfg.domain), cfg.mesh)
     basis = get_basis(mesh, cfg.basis, use_cache=False)
     save_basis(basis, args.out)
-    rep = verify_basis(basis)
     print(f"built {len(basis)} modes -> {args.out}")
-    print(rep)
-    return 0 if rep.passed else 1
+    print(basis.report)
+    return 0 if basis.report.passed else 1
 
 
 def _cmd_basis_verify(args) -> int:
@@ -125,7 +124,8 @@ def _cmd_preset(args) -> int:
 def _cmd_oracle_build(args) -> int:
     cfg = _config(args)
     mesh = _build_mesh(_build_domain(cfg.domain), cfg.mesh)
-    ps = _build_particular(mesh, cfg.particular, _build_material(cfg.material))
+    ps = _build_particular(mesh, cfg.particular, _build_material(cfg.material),
+                           use_cache=False)
     orc = get_oracle(mesh, cfg.oracle, ps.loading, cfg.material,
                      loading_id=cfg.particular, use_cache=False)
     if orc is None:

@@ -13,14 +13,12 @@ reference solution. Running one writes, into the output directory:
 * ``report.json``                -- provenance, tolerances, fitted slopes, and
   pass/fail results of the checks bound to the preset.
 
-Bases and reference fields are cached under ``$SB_CACHE_DIR`` (default
-``~/.cache/stressbasis``) keyed by mesh hash and build parameters. All outputs
-are written atomically and contain no timestamps, so a rerun with the same
-configuration is byte-identical.
+Bases and reference fields are cached (``_cache``). All outputs are written
+atomically and contain no timestamps, so a rerun with the same configuration
+is byte-identical.
 """
 from __future__ import annotations
 
-import hashlib
 import io
 import json
 import os
@@ -29,7 +27,9 @@ from dataclasses import asdict, dataclass, field as dc_field
 import numpy as np
 import jsonschema
 
-from .basis import (SOLVER_VERSION, BasisError, BasisSet, EigenSolveConfig,
+from ._cache import atomic_write_text, digest, get_or_build, read_tagged, \
+    write_tagged
+from .basis import (SOLVER_VERSION, BasisSet, EigenSolveConfig, _blas_threads,
                     airy_bump_basis, load_basis, save_basis,
                     solve_basis_annulus, solve_basis_rectangle, verify_basis)
 from .fields import (ScalarField, SymTensorField2, dump_field_csv,
@@ -37,8 +37,7 @@ from .fields import (ScalarField, SymTensorField2, dump_field_csv,
 from .materials import (Material, discontinuous_modulus, ramp_modulus,
                         strain_energy)
 from .meshes import (Domain, RadialMesh, build_radial_grid,
-                     build_rectangle_mesh, _atomic_write_text, _read_tagged,
-                     _write_tagged)
+                     build_rectangle_mesh)
 from .oracles import (CesaroLoop, OracleSolution, annulus_m1_oracle,
                       cesaro_diagnostic, displacement_fem_oracle, lame_oracle)
 from .particular import (annulus_m1_particular, axisym_airy_particular,
@@ -48,8 +47,8 @@ from .solvers import (energy_series, error_series, solve_planar_trace,
                       solve_planar_trace_body, solve_strain_energy)
 
 _FMT = "%.17g"
-# the tag of a FEM reference cache file (``meshes._write_tagged``); in its key
-_ORACLE_FORMAT = "SBORACLE 4"
+# the tag of a FEM reference cache file (``_cache.write_tagged``)
+_ORACLE_FORMAT = "SBORACLE 5"
 
 
 class ExperimentError(RuntimeError):
@@ -223,18 +222,6 @@ def _build_material(spec: dict) -> Material:
     return Material.isotropic(Y, spec["nu"])
 
 
-def cache_dir() -> str:
-    d = os.environ.get("SB_CACHE_DIR") or \
-        os.path.join(os.path.expanduser("~"), ".cache", "stressbasis")
-    os.makedirs(d, exist_ok=True)
-    return d
-
-
-def _key(payload: dict) -> str:
-    return hashlib.sha256(
-        json.dumps(payload, sort_keys=True).encode()).hexdigest()[:16]
-
-
 # the provenance entries that say which basis was built; the per-mode
 # residuals are left out, as round-off moves them on a bit-identical basis
 _PROVENANCE_IDENTITY = ("backend", "mesh_hash", "mesh", "n_modes",
@@ -243,55 +230,43 @@ _PROVENANCE_IDENTITY = ("backend", "mesh_hash", "mesh", "n_modes",
 
 
 def _provenance_hash(basis: BasisSet) -> str:
-    return _key({k: basis.provenance[k] for k in _PROVENANCE_IDENTITY
-                 if k in basis.provenance})
-
-
-def _basis_matches(basis: BasisSet, mesh, backend: str, n_modes: int) -> bool:
-    """Whether a loaded basis is the one requested."""
-    if basis.mesh != mesh:
-        return False
-    if backend == "airy":
-        return basis.backend == "airy-bump" and \
-            basis.provenance.get("n_requested") == n_modes
-    return basis.backend.startswith("eigen") and len(basis) == n_modes
+    return digest({k: basis.provenance[k] for k in _PROVENANCE_IDENTITY
+                   if k in basis.provenance})
 
 
 def get_basis(mesh, spec: dict, use_cache: bool = True) -> BasisSet:
-    """Build (or load from the cache) the basis described by ``spec``.
-
-    A cached file that cannot be read, or holds another basis than the one
-    requested, is rebuilt and overwritten.
-    """
+    """Build (or load from the cache) the basis described by ``spec``, with
+    its ``verify_basis`` report."""
     backend = spec["backend"]
     n_modes = int(spec["n_modes"])
     wavenumbers = list(spec.get("wavenumbers", [0]))
-    key = _key({"mesh": mesh.mesh_hash(), "backend": backend,
-                "n_modes": n_modes, "wavenumbers": wavenumbers,
-                "solver": SOLVER_VERSION})
-    path = os.path.join(cache_dir(), f"basis-{key}.sbbasis")
-    if use_cache and os.path.exists(path):
-        try:
-            basis = load_basis(path, mesh)
-        except BasisError:
-            basis = None
-        if basis is not None and _basis_matches(basis, mesh, backend, n_modes):
-            return basis
-    if backend == "airy":
-        basis = airy_bump_basis(mesh, n_modes)
-    elif isinstance(mesh, RadialMesh):
-        basis = solve_basis_annulus(mesh.domain, wavenumbers,
-                                    EigenSolveConfig(n_modes=n_modes,
-                                                     resolution=mesh.nel),
-                                    mesh=mesh)
-    else:
-        basis = solve_basis_rectangle(mesh, EigenSolveConfig(n_modes=n_modes))
-    if use_cache:
-        save_basis(basis, path)
-    return basis
+    key = {"mesh": mesh.mesh_hash(), "backend": backend, "n_modes": n_modes,
+           "wavenumbers": wavenumbers, "solver": SOLVER_VERSION}
+    if backend != "airy" and isinstance(mesh, RadialMesh):
+        # the dense annulus solve's bytes depend on the BLAS thread counts
+        key["blas_threads"] = _blas_threads()
+
+    def build():
+        if backend == "airy":
+            basis = airy_bump_basis(mesh, n_modes)
+        elif isinstance(mesh, RadialMesh):
+            basis = solve_basis_annulus(mesh.domain, wavenumbers,
+                                        EigenSolveConfig(n_modes=n_modes,
+                                                         resolution=mesh.nel),
+                                        mesh=mesh)
+        else:
+            basis = solve_basis_rectangle(mesh,
+                                          EigenSolveConfig(n_modes=n_modes))
+        basis.report = verify_basis(basis)
+        return basis
+
+    return get_or_build("basis-{}.sbbasis", key, build, save_basis,
+                        lambda path, key: load_basis(path, mesh, key),
+                        use_cache)
 
 
-def _build_particular(mesh, spec: dict, material: Material):
+def _build_particular(mesh, spec: dict, material: Material,
+                      use_cache: bool = True):
     recipe = spec["recipe"]
     if recipe == "axisym_airy":
         return axisym_airy_particular(mesh, spec.get("p_in", 1.0),
@@ -311,7 +286,8 @@ def _build_particular(mesh, spec: dict, material: Material):
         # solution for a (generally different) stand-in material
         inner = _build_particular(mesh, spec["loading"], material)
         orc = get_oracle(mesh, {"kind": "fem"}, inner.loading,
-                         spec["material"], loading_id=spec["loading"])
+                         spec["material"], loading_id=spec["loading"],
+                         use_cache=use_cache)
         # discrete reference field: equilibrium holds to discretization
         # accuracy only; the measured residuals land in the report
         return oracle_as_particular(orc.field, inner.loading,
@@ -324,9 +300,8 @@ def get_oracle(mesh, spec: dict, loading, material_spec: dict,
     """Build (or load from the cache) the reference solution.
 
     ``material_spec`` is the config's material block. The FEM reference is
-    cached under a key of the mesh, the material and loading specs and the
-    file format; a cached file that cannot be read or does not match the
-    mesh is rebuilt and overwritten.
+    cached under a key of the mesh, the refinement and the material and
+    loading specs.
     """
     kind = spec.get("kind", "none")
     if kind == "none":
@@ -340,36 +315,26 @@ def get_oracle(mesh, spec: dict, loading, material_spec: dict,
                                  material.nu, float(material.Y), mesh=mesh)
     if kind == "fem":
         refine = int(spec.get("refine", 2))
-        key = _key({"mesh": mesh.mesh_hash(), "kind": "fem", "refine": refine,
-                    "material": material_spec, "loading": loading_id,
-                    "format": _ORACLE_FORMAT})
-        path = os.path.join(cache_dir(), f"oracle-{key}.sboracle")
-        if use_cache and os.path.exists(path):
-            field = _load_oracle_field(path, mesh)
-            if field is not None:
-                return OracleSolution(field, loading, "displacement-fem",
-                                      {"cache": path, "refine": refine})
-        orc = displacement_fem_oracle(mesh, loading, material, refine=refine)
-        if use_cache:
-            _write_tagged(path, _ORACLE_FORMAT,
-                          {"mesh_hash": mesh.mesh_hash()},
-                          {"components": orc.field.components})
-        return orc
+        key = {"mesh": mesh.mesh_hash(), "kind": "fem", "refine": refine,
+               "material": material_spec, "loading": loading_id}
+
+        def build():
+            return displacement_fem_oracle(mesh, loading, material,
+                                           refine=refine).field
+
+        def save(field, path, key):
+            write_tagged(path, _ORACLE_FORMAT, {"key": key},
+                         {"components": field.components})
+
+        def load(path, key):
+            _, arrays = read_tagged(path, _ORACLE_FORMAT, key)
+            return SymTensorField2(mesh, arrays["components"])
+
+        field = get_or_build("oracle-{}.sboracle", key, build, save, load,
+                             use_cache)
+        return OracleSolution(field, loading, "displacement-fem",
+                              {"refine": refine})
     raise UsageError(f"unknown oracle kind {kind!r}")
-
-
-def _load_oracle_field(path: str, mesh):
-    """The cached reference field, or None when the file is not a complete
-    SBORACLE file for this mesh."""
-    try:
-        meta, arrays = _read_tagged(path, _ORACLE_FORMAT)
-    except ValueError:
-        return None
-    comps = arrays.get("components")
-    if (meta.get("mesh_hash") != mesh.mesh_hash() or comps is None
-            or comps.dtype != np.float64 or comps.shape != (3, mesh.n_nodes)):
-        return None
-    return SymTensorField2(mesh, comps)
 
 
 # ---------------------------------------------------------------------------
@@ -415,7 +380,7 @@ def _convergence_csv(path, ns, objective, energy, errors):
     errors = [_FMT % e for e in errors] if errors is not None else [""] * len(ns)
     rows = (f"{int(n)},{_FMT % o},{_FMT % e},{x}\n"
             for n, o, e, x in zip(ns, objective, energy, errors))
-    _atomic_write_text(path, "N,objective,energy,E_N\n" + "".join(rows))
+    atomic_write_text(path, "N,objective,energy,E_N\n" + "".join(rows))
 
 
 def _coeffs_csv(path, results):
@@ -429,7 +394,7 @@ def _coeffs_csv(path, results):
             a = results[p].coeffs
             row.append(_FMT % a[i] if i < len(a) else "")
         buf.write(",".join(row) + "\n")
-    _atomic_write_text(path, buf.getvalue())
+    atomic_write_text(path, buf.getvalue())
 
 
 def _run_checks(cfg, ctx) -> dict:
@@ -522,8 +487,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str,
     mesh = _build_mesh(domain, cfg.mesh)
     material = _build_material(cfg.material)
     basis = get_basis(mesh, cfg.basis, use_cache=use_cache)
-    basis_report = verify_basis(basis)
-    ps = _build_particular(mesh, cfg.particular, material)
+    ps = _build_particular(mesh, cfg.particular, material, use_cache)
     oracle = get_oracle(mesh, cfg.oracle, ps.loading, cfg.material,
                         loading_id=cfg.particular, use_cache=use_cache)
     oracle_field = oracle.field if oracle is not None else None
@@ -598,8 +562,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str,
             "backend": basis.backend,
             "mesh_hash": mesh.mesh_hash(),
             "n_modes": len(basis),
-            "verified": basis_report.passed,
-            "verify_failures": basis_report.failures,
+            "verified": basis.report.passed,
+            "verify_failures": basis.report.failures,
         },
         "tolerances": {
             "basis_l2": 1e-8, "basis_h1": 1e-6,
@@ -621,7 +585,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str,
         "checks": checks,
         "all_checks_passed": all(c.get("passed") for c in checks.values()),
     }
-    _atomic_write_text(os.path.join(out_dir, "report.json"),
+    atomic_write_text(os.path.join(out_dir, "report.json"),
                        json.dumps(report, indent=2, sort_keys=True) + "\n")
     return report
 

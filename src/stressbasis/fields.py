@@ -30,7 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fem2d
-from .meshes import LoadingSpec, RadialMesh, RectangleMesh, _atomic_write_text
+from ._cache import atomic_write_text
+from .meshes import LoadingSpec, RadialMesh
 
 _FMT = "%.17g"
 
@@ -420,4 +421,4 @@ def field_csv(field: SymTensorField2) -> str:
 
 def dump_field_csv(field: SymTensorField2, path: str):
     """Write ``field_csv(field)`` to ``path`` (atomically)."""
-    _atomic_write_text(path, field_csv(field))
+    atomic_write_text(path, field_csv(field))

@@ -11,11 +11,6 @@ Two domain kinds are supported:
 from __future__ import annotations
 
 import hashlib
-import io
-import json
-import os
-import tempfile
-import zipfile
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
@@ -434,60 +429,3 @@ class LoadingSpec:
 def _theta_grid(n: int = 1440) -> np.ndarray:
     # open uniform grid: trapezoid rule on the circle, exact for trig polynomials
     return np.arange(n) * (2 * np.pi / n)
-
-
-# ---------------------------------------------------------------------------
-# Atomic file writes and the cache-file layout
-# ---------------------------------------------------------------------------
-
-def _atomic_write_text(path: str, text: str):
-    _atomic_write_bytes(path, text.encode())
-
-
-def _atomic_write_bytes(path: str, data: bytes):
-    d = os.path.dirname(os.path.abspath(path))
-    os.makedirs(d, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-sb-")
-    try:
-        with os.fdopen(fd, "wb") as f:
-            f.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
-def _write_tagged(path: str, tag: str, meta: dict, arrays: dict):
-    """Write the one cache-file layout (atomically): the line ``tag``, the
-    sorted JSON of ``meta`` on one line, then an npz payload of ``arrays``."""
-    payload = io.BytesIO()
-    np.savez(payload, **arrays)
-    header = (tag + "\n" + json.dumps(meta, sort_keys=True) + "\n").encode()
-    _atomic_write_bytes(path, header + payload.getvalue())
-
-
-def _read_tagged(path: str, tag: str):
-    """(meta, arrays) of a file written by ``_write_tagged`` with ``tag``;
-    ValueError when it is not a complete one. Each npz member's CRC-32 is
-    checked up front: ``np.load`` may stop short of a member's end."""
-    with open(path, "rb") as f:
-        data = f.read()
-    nl1 = data.find(b"\n")
-    nl2 = data.find(b"\n", nl1 + 1)
-    if nl1 < 0 or nl2 < 0 or data[:nl1] != tag.encode():
-        raise ValueError(f"no {tag!r} tag line")
-    try:
-        meta = json.loads(data[nl1 + 1:nl2].decode())
-        payload = io.BytesIO(data[nl2 + 1:])
-        with zipfile.ZipFile(payload) as zf:
-            if zf.testzip() is not None:
-                raise ValueError("bad CRC-32 in the payload")
-        payload.seek(0)
-        with np.load(payload) as npz:
-            arrays = {k: npz[k] for k in npz.files}
-    except (ValueError, OSError, EOFError, zipfile.BadZipFile) as exc:
-        raise ValueError(f"unreadable header or payload: {exc}") from exc
-    if not isinstance(meta, dict):
-        raise ValueError("the header is not a JSON object")
-    return meta, arrays

@@ -11,15 +11,15 @@ import numpy as np
 import pytest
 
 import stressbasis
-from stressbasis import basis as basis_mod, fem2d
-from stressbasis.basis import load_basis, save_basis
+from stressbasis import basis as basis_mod, experiments, fem2d
+from stressbasis.basis import load_basis, save_basis, verify_basis
 from stressbasis.cli import main
 from stressbasis.experiments import (CONFIG_SCHEMA, ExperimentConfig,
                                      ExperimentError, PRESET_NAMES,
                                      UsageError, _ORACLE_FORMAT,
                                      _provenance_hash, fit_slope, get_basis,
                                      get_preset, list_presets, run_experiment)
-from stressbasis.meshes import _read_tagged
+from stressbasis._cache import read_tagged
 
 
 SMALL_CFG = {
@@ -210,6 +210,21 @@ def test_oracle_cache_keyed_on_material_spec(tmp_path, monkeypatch):
     assert r30["final_error"] == fresh["final_error"]
 
 
+def test_run_without_cache_leaves_the_cache_alone(tmp_path, monkeypatch):
+    """``use_cache=False`` also reaches the FEM reference behind an
+    ``oracle`` particular recipe: nothing is read or written."""
+    cache = tmp_path / "cache"
+    monkeypatch.setenv("SB_CACHE_DIR", str(cache))
+    raw = json.loads(json.dumps(RECT_CFG))
+    raw["particular"] = {"recipe": "oracle", "tol": 1.0,
+                         "material": {"kind": "isotropic", "Y": 1.0,
+                                      "nu": 0.3},
+                         "loading": RECT_CFG["particular"]}
+    run_experiment(ExperimentConfig.from_dict(raw), str(tmp_path / "out"),
+                   use_cache=False)
+    assert not cache.exists() or os.listdir(cache) == []
+
+
 def test_damaged_cache_files_are_rebuilt(tmp_path, monkeypatch):
     cache = tmp_path / "cache"
     monkeypatch.setenv("SB_CACHE_DIR", str(cache))
@@ -227,8 +242,8 @@ def test_damaged_cache_files_are_rebuilt(tmp_path, monkeypatch):
     built = {name: (cache / name).read_bytes() for name in files}
 
     def flip_payload_byte(data):
-        # a byte in the middle of the npz payload, past the two header lines
-        start = data.index(b"\n", data.index(b"\n") + 1) + 1
+        # a byte in the middle of the npz payload, past the tag line
+        start = data.index(b"\n") + 1
         data = bytearray(data)
         data[(start + len(data)) // 2] ^= 0xFF
         return bytes(data)
@@ -239,11 +254,20 @@ def test_damaged_cache_files_are_rebuilt(tmp_path, monkeypatch):
         assert data.count(b"'<f8'") >= 1
         return data.replace(b"'<f8'", b"'<f4'", 1)
 
+    def edit_meta(data):
+        # a meta edit that is still valid JSON: the basis file's mesh size
+        if b'"h": 0.125' not in data:
+            return data
+        return data.replace(b'"h": 0.125', b'"h": 0.925')
+
     for tag, damage in (("truncated", lambda data: data[:len(data) // 2]),
                         ("flipped", flip_payload_byte),
-                        ("narrowed", narrow_dtype)):
-        for name, data in built.items():
-            (cache / name).write_bytes(damage(data))
+                        ("narrowed", narrow_dtype),
+                        ("meta", edit_meta)):
+        damaged = {name: damage(data) for name, data in built.items()}
+        assert damaged != built, tag
+        for name, data in damaged.items():
+            (cache / name).write_bytes(data)
         assert run(tag) == cold, tag
         # each damaged file was rebuilt, to the cold run's bytes
         assert {name: (cache / name).read_bytes() for name in files} == built
@@ -278,6 +302,62 @@ def test_basis_build_writes_the_basis_run_caches(rect_run, tmp_path):
         assert np.array_equal(a.components, b.components)
 
 
+def test_warm_run_does_no_verification_work(rect_run, tmp_path, monkeypatch):
+    """A warm run reads the basis's stored report: it neither verifies the
+    basis nor builds its H1 Gram."""
+    cfg_path, cache = rect_run
+    monkeypatch.setenv("SB_CACHE_DIR", str(cache))
+    calls = []
+    for mod, name in ((basis_mod, "verify_basis"), (basis_mod, "_h1_gram"),
+                      (experiments, "verify_basis")):
+        fn = getattr(mod, name)
+        monkeypatch.setattr(mod, name, lambda *a, fn=fn, name=name, **k:
+                            calls.append(name) or fn(*a, **k))
+    before = {p.name: p.stat().st_mtime_ns for p in cache.iterdir()}
+    assert main(["run", "--config", str(cfg_path),
+                 "--out", str(tmp_path / "warm")]) == 0
+    assert calls == []
+    assert {p.name: p.stat().st_mtime_ns for p in cache.iterdir()} == before
+
+
+def test_stored_report_equals_a_fresh_verification(tmp_path, monkeypatch,
+                                                   rect_mesh, ann_mesh):
+    """The report a cached basis carries is ``verify_basis`` of the loaded
+    basis, field for field, and the report of the cold build."""
+    monkeypatch.setenv("SB_CACHE_DIR", str(tmp_path))
+    for mesh, spec in ((rect_mesh, {"backend": "eigen", "n_modes": 6}),
+                       (ann_mesh, {"backend": "eigen", "n_modes": 8,
+                                   "wavenumbers": [0, 1]}),
+                       (rect_mesh, {"backend": "airy", "n_modes": 4})):
+        cold = get_basis(mesh, spec)
+        warm = get_basis(mesh, spec)
+        assert warm is not cold and warm.report is not cold.report
+        assert dataclasses.asdict(warm.report) == \
+            dataclasses.asdict(verify_basis(warm)) == \
+            dataclasses.asdict(cold.report), spec
+        assert warm.report.passed, spec
+    assert len(_cached(tmp_path, "basis-")) == 3
+
+
+def test_annulus_cache_key_covers_the_blas_thread_counts(tmp_path,
+                                                         monkeypatch,
+                                                         rect_mesh, ann_mesh):
+    """Annulus modes move at round-off with the BLAS thread counts, so each
+    count gets its own annulus file; rectangle bases do not depend on it."""
+    monkeypatch.setenv("SB_CACHE_DIR", str(tmp_path))
+    for mesh, spec, n_files in (
+            (ann_mesh, {"backend": "eigen", "n_modes": 6}, 2),
+            (rect_mesh, {"backend": "eigen", "n_modes": 4}, 1)):
+        for threads in ([1, 1], [2, 2], [1, 1]):
+            monkeypatch.setattr(experiments, "_blas_threads",
+                                lambda threads=threads: threads)
+            get_basis(mesh, spec)
+        names = set(_cached(tmp_path, "basis-"))
+        assert len(names) == n_files, spec
+        for name in names:
+            os.unlink(tmp_path / name)
+
+
 def test_oracle_build_writes_the_cached_reference(rect_run, tmp_path):
     """``oracle build --config`` writes the reference the run caches, as a
     CSV with the columns of sigma_p.csv."""
@@ -287,7 +367,7 @@ def test_oracle_build_writes_the_cached_reference(rect_run, tmp_path):
                  "--out", str(out)]) == 0
     assert out.read_text().splitlines()[0] == "x,y,sxx,syy,sxy"
     [name] = _cached(cache, "oracle-")
-    _, arrays = _read_tagged(str(cache / name), _ORACLE_FORMAT)
+    _, arrays = read_tagged(str(cache / name), _ORACLE_FORMAT)
     csv = np.loadtxt(out, delimiter=",", skiprows=1)
     assert np.array_equal(csv[:, 2:].T, arrays["components"])
 

@@ -228,16 +228,23 @@ def test_only_quad_metric_reads_the_weights():
 
 def test_only_the_cache_file_pair_calls_numpy_file_io():
     """Cache files have one layout: its writer and reader are the only
-    callers of numpy's file I/O."""
+    callers of numpy's file I/O, and the reader the only user of zipfile."""
     def calls_numpy_io(node):
         return (isinstance(node, ast.Call)
                 and isinstance(node.func, ast.Attribute)
                 and node.func.attr in ("savez", "load", "loadtxt")
                 and getattr(node.func.value, "id", None) == "np")
+
+    def uses_zipfile(node):
+        return (isinstance(node, ast.Attribute)
+                and getattr(node.value, "id", None) == "zipfile")
     calls = [scope for module, tree in _package_sources()
              for scope in _scopes_where(tree, module, calls_numpy_io)]
-    assert sorted(calls) == ["meshes._read_tagged", "meshes._write_tagged"], \
+    assert sorted(calls) == ["_cache.read_tagged", "_cache.write_tagged"], \
         calls
+    users = {scope for module, tree in _package_sources()
+             for scope in _scopes_where(tree, module, uses_zipfile)}
+    assert users == {"_cache.read_tagged"}, users
 
 
 def test_only_quad_metric_calls_theta_factors():
