@@ -35,8 +35,8 @@ import scipy
 import scipy.sparse as sp
 from numpy.polynomial import legendre as npleg
 from numpy.polynomial import polynomial as nppoly
-from scipy.linalg import (LinAlgWarning, eigh, lu_factor, qr,
-                          solve_triangular)
+from scipy.linalg import LinAlgWarning, eigh, lu_factor, qr
+from scipy.linalg.lapack import dtrtrs
 # unused; kept importable: the benchmark's traced run wraps it by name
 from scipy.linalg import null_space  # noqa: F401
 from scipy.sparse.linalg import eigsh
@@ -116,20 +116,21 @@ class BasisSet:
     def quad_matrix(self, indices) -> np.ndarray:
         """(3, nq, k) quadrature-point values of the selected modes.
 
-        Nodal modes are evaluated together, one sparse product per component;
-        a selection holding a mode with an exact form is evaluated mode by
-        mode.
+        Nodal modes are evaluated together, one sparse product per component
+        written into the result, so that one component is held besides it; a
+        selection holding a mode with an exact form is evaluated mode by mode.
         """
         key = ("quad", tuple(indices))
         if key not in self._cache:
             modes = [self.modes[i] for i in indices]
+            P = _ops(self.mesh).P
+            Q = np.empty((3, P.shape[0], len(modes)))
             if any(map(_has_exact_form, modes)):
-                Q = np.stack([md.at_quad() for md in modes], axis=2)
-            else:
-                C = np.array([md.components for md in modes]).reshape(
-                    len(modes), 3, self.mesh.n_nodes)
-                P = _ops(self.mesh).P
-                Q = np.stack([P @ C[:, c].T for c in range(3)])
+                for j, md in enumerate(modes):
+                    Q[:, :, j] = md.at_quad()
+            elif modes:
+                for c in range(3):
+                    Q[c] = P @ np.stack([md.components[c] for md in modes], 1)
             self._cache[key] = Q
         return self._cache[key]
 
@@ -460,11 +461,13 @@ def _kernel_by_lu(C: sp.spmatrix) -> np.ndarray:
     perm = np.arange(n)
     for i, j in enumerate(swaps):
         perm[[i, j]] = perm[[j, i]]
-    # only the strict lower triangle of LU[:r, :r] is read
-    X = solve_triangular(LU[:r, :r], LU[r:, :r].T, trans="T", lower=True,
-                         unit_diagonal=True, check_finite=False)
-    Z = np.empty((n, n - r))
-    Z[perm] = np.vstack([-X, np.eye(n - r)])
+    # L1 is read in place as the leading r columns of LU (leading dimension
+    # n), only its strict lower triangle; LU is dropped before Z is written
+    X = dtrtrs(LU[:, :r], LU[r:, :r].T, lower=1, trans=1, unitdiag=1)[0]
+    del LU
+    Z = np.zeros((n, n - r))
+    Z[perm[:r]] = np.negative(X, out=X)
+    Z[perm[r:], np.arange(n - r)] = 1.0
     return Z
 
 

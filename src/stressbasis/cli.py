@@ -26,6 +26,7 @@ from .experiments import (ExperimentConfig, ExperimentError, UsageError,
 from .fields import dump_field_csv
 from .materials import MaterialError
 from .meshes import MeshError
+from .particular import ParticularStressError
 from .solvers import SolverError
 
 
@@ -155,7 +156,8 @@ def main(argv=None) -> int:
     except (UsageError, MaterialError, MeshError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ExperimentError, BasisError, SolverError) as exc:
+    except (ExperimentError, BasisError, SolverError,
+            ParticularStressError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

@@ -62,13 +62,19 @@ def _select_indices(basis: BasisSet, sigma_p: SymTensorField2, N: int):
 def _se_gram(basis, idx, material, m, parity):
     """The symmetrized strain-energy Gram <C^-1 phi_j, phi_i> of the modes
     ``idx``, built once per (basis, material, mode selection) and kept in the
-    basis cache; the SE solve and every diagnostic series share it."""
+    basis cache; the SE solve and every diagnostic series share it.
+
+    M is built in three row blocks, so that the compliance of a block is no
+    larger than one component of the mode stack."""
     key = ("se_gram", material, tuple(idx))
     if key not in basis._cache:
         mesh = basis.mesh
         Phi = basis.quad_matrix(idx)
-        M = tensor_gram(mesh, m, parity,
-                        compliance_on_quad(material, mesh, Phi), Phi)
+        M = np.empty((len(idx), len(idx)))
+        b = -(-len(idx) // 3) or 1
+        for s in range(0, len(idx), b):
+            M[s:s + b] = tensor_gram(mesh, m, parity, compliance_on_quad(
+                material, mesh, Phi[:, :, s:s + b]), Phi)
         M = 0.5 * (M + M.T)
         M.flags.writeable = False   # shared: a caller must not change it
         basis._cache[key] = M

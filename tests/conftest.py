@@ -1,5 +1,6 @@
 """Shared fixtures: an isolated cache directory and small reusable bases."""
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -95,3 +96,19 @@ def iso_material():
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(20260823)
+
+
+@pytest.fixture
+def traced_peak():
+    """peak(f, *args) -> (f(*args), bytes traced at the peak of the call
+    above what was traced when it began); numpy reports its buffers to
+    tracemalloc."""
+    def peak(f, *args):
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            out = f(*args)
+            return out, tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+    return peak

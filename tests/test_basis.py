@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -223,6 +224,32 @@ def test_quad_matrix_matches_per_mode_evaluation(rect_basis, ann_basis_merged,
     airy = airy_bump_basis(rect_mesh, 4)
     want = np.stack([md.at_quad() for md in airy.modes], axis=2)
     assert np.array_equal(airy.quad_matrix(range(4)), want)
+
+
+def test_quad_matrix_of_no_modes(rect_basis):
+    """An empty selection (a run with N = 0) gives an empty stack."""
+    nq = fem2d.rect_ops(rect_basis.mesh).nq
+    assert rect_basis.quad_matrix([]).shape == (3, nq, 0)
+
+
+def test_quad_matrix_peak_memory(rect_basis, traced_peak):
+    """The stack is filled one component at a time: the call holds at most
+    half the stack besides its result."""
+    basis = dataclasses.replace(rect_basis, _cache={})
+    basis.quad_matrix([0])      # operators built outside the measurement
+    Q, peak = traced_peak(basis.quad_matrix, range(len(basis)))
+    assert peak <= 1.5 * Q.nbytes
+
+
+def test_kernel_by_lu_peak_memory(traced_peak):
+    """The dense LU is dropped before the kernel is written: the call holds
+    no more than the dense C and the kernel."""
+    mesh = build_radial_grid(Domain.annulus(0.1, 0.3), 64)
+    nn = mesh.n_nodes
+    C = _radial_blocks(fem2d.radial_ops(mesh), 2)[2]
+    C = C[:, np.setdiff1d(np.arange(3 * nn), [0, nn - 1, 2 * nn, 3 * nn - 1])]
+    Z, peak = traced_peak(_kernel_by_lu, C)
+    assert peak <= 8 * C.shape[0] * C.shape[1] + Z.nbytes
 
 
 def test_load_basis_rejects_corruption(tmp_path):

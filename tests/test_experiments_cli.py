@@ -515,6 +515,22 @@ def test_cli_eigensolver_failure_in_a_worker(tmp_path, monkeypatch, capsys):
     assert threads and threading.get_ident() not in threads
 
 
+def test_cli_particular_stress_failure(tmp_path, monkeypatch, capsys):
+    """An FEM-built particular stress refused by its equilibrium gate (the
+    orthotropic square on a 12x12 grid) exits 1 with one stderr line."""
+    monkeypatch.setenv("SB_CACHE_DIR", str(tmp_path / "cache"))
+    cfg = get_preset("example8_square_ortho").to_dict()
+    cfg["mesh"].update(nx=12, ny=12)
+    cfg.update(basis={"backend": "eigen", "n_modes": 10}, N=10)
+    cfg_path = tmp_path / "ex8.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["run", "--config", str(cfg_path),
+                 "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith("numeric failure: ") and "equilibrium" in err
+
+
 def test_provenance_hash_leaves_out_residuals(rect_basis):
     """Two bases that differ only in their residual floats hash equal."""
     other = dict(rect_basis.provenance)

@@ -1,12 +1,16 @@
 """Variational-solver properties: orthogonality, optimality, and invariances."""
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from stressbasis import solvers
 from stressbasis.basis import EigenSolveConfig, solve_basis_annulus
-from stressbasis.fields import SymTensorField2, equilibrium_residual
-from stressbasis.materials import Material, strain_energy
+from stressbasis.fields import (SymTensorField2, equilibrium_residual,
+                                tensor_gram)
+from stressbasis.materials import (Material, compliance_on_quad,
+                                   discontinuous_modulus, strain_energy)
 from stressbasis.meshes import Domain, build_radial_grid
 from stressbasis.oracles import lame_oracle
 from stressbasis.particular import (axisym_airy_particular,
@@ -173,11 +177,16 @@ def test_se_gram_built_once_per_material_and_selection(band_particular,
                                                        rect_basis, rect_mesh,
                                                        monkeypatch):
     """The SE solve, the energy and error series share one SE Gram per
-    (basis, material, mode selection)."""
+    (basis, material, mode selection). A build applies the compliance to
+    each selected mode once, a block of modes at a time; ``built`` counts
+    the modes."""
     built = []
     compliance = solvers.compliance_on_quad
-    monkeypatch.setattr(solvers, "compliance_on_quad",
-                        lambda *args: built.append(1) or compliance(*args))
+
+    def counted(material, mesh, values):
+        built.extend(range(values.shape[-1]))
+        return compliance(material, mesh, values)
+    monkeypatch.setattr(solvers, "compliance_on_quad", counted)
     sp = band_particular.field
     other = band_pressure_particular(rect_mesh, profile="discontinuous").field
     mat = Material.isotropic(2.0, 0.25)
@@ -187,10 +196,10 @@ def test_se_gram_built_once_per_material_and_selection(band_particular,
     energy_series(pt, sp, rect_basis, mat)
     error_series(pt, sp, rect_basis, mat, other)
     solve_strain_energy(sp, rect_basis, mat, N)
-    assert len(built) == 1
+    assert len(built) == N
     solve_strain_energy(sp, rect_basis, Material.isotropic(2.0, 0.25), N)
     solve_strain_energy(sp, rect_basis, mat, N - 1)
-    assert len(built) == 3
+    assert len(built) == 3 * N - 1
 
 
 def test_reconstruction_folds_nodal_modes(band_particular, rect_basis,
@@ -216,3 +225,40 @@ def test_reconstruction_folds_nodal_modes(band_particular, rect_basis,
     got = equilibrium_residual(sN, band_particular.loading)
     want = equilibrium_residual(ref, band_particular.loading)
     assert got.interior_norm == pytest.approx(want.interior_norm, rel=1e-10)
+
+
+_GRAM_MATERIALS = [
+    Material.isotropic(1.0, 0.3),
+    Material.isotropic(discontinuous_modulus(1.0, 3.0, 0.5), 0.33),
+    Material.orthotropic(1.0, 2.0, 0.33, 1.0),
+]
+
+
+@pytest.mark.parametrize("material", _GRAM_MATERIALS,
+                         ids=["isotropic", "discontinuous", "orthotropic"])
+def test_blocked_se_gram_matches_one_product(rect_basis, material):
+    """The SE Gram built in row blocks is the one-product Gram up to
+    round-off, exactly symmetric and read-only."""
+    basis = dataclasses.replace(rect_basis, _cache={})
+    idx = list(range(len(basis)))
+    M = solvers._se_gram(basis, idx, material, None, None)
+    Phi = basis.quad_matrix(idx)
+    ref = tensor_gram(basis.mesh, None, None,
+                      compliance_on_quad(material, basis.mesh, Phi), Phi)
+    ref = 0.5 * (ref + ref.T)
+    assert np.abs(M - ref).max() <= 1e-13 * np.abs(ref).max()
+    assert np.array_equal(M, M.T)
+    assert not M.flags.writeable
+    assert solvers._se_gram(basis, idx, material, None, None) is M
+
+
+def test_se_gram_peak_memory(rect_basis, iso_material, traced_peak):
+    """The compliance is applied to a block of modes at a time: building the
+    Gram holds less than one more mode stack."""
+    basis = dataclasses.replace(rect_basis, _cache={})
+    idx = list(range(len(basis)))
+    Phi = basis.quad_matrix(idx)
+    M, peak = traced_peak(solvers._se_gram, basis, idx, iso_material,
+                          None, None)
+    assert M.shape == (len(idx), len(idx))
+    assert peak <= Phi.nbytes
