@@ -42,10 +42,10 @@ from scipy.linalg import null_space  # noqa: F401
 from scipy.sparse.linalg import eigsh
 
 from . import fem2d
-from .fields import (SymTensorField2, _ops, quad_metric, scalar_gram,
-                     tensor_gram)
+from .fields import (SymTensorField2, _ops, _zero_divergence, quad_metric,
+                     scalar_gram, tensor_gram)
 from ._cache import read_tagged, write_tagged
-from .meshes import Domain, RadialMesh, RectangleMesh, build_radial_grid
+from .meshes import Domain, RadialMesh, RectangleMesh
 
 _PARITIES = ("cos", "sin")
 
@@ -67,18 +67,6 @@ class BasisError(RuntimeError):
 
 class BasisFileError(BasisError, ValueError):
     """Not a complete, consistent SBBASIS file (with the requested key)."""
-
-
-@dataclass(frozen=True)
-class EigenSolveConfig:
-    """Parameters of one eigenbasis build."""
-
-    n_modes: int = 20
-    resolution: int = 128          # radial elements (annulus backend)
-
-    def __post_init__(self):
-        if self.n_modes < 1:
-            raise BasisError("n_modes must be >= 1")
 
 
 @dataclass
@@ -291,7 +279,7 @@ def _class_map(n_classes: int):
         yield pool.map
 
 
-def solve_basis_rectangle(mesh: RectangleMesh, cfg: EigenSolveConfig) -> BasisSet:
+def solve_basis_rectangle(mesh: RectangleMesh, n_modes: int) -> BasisSet:
     """First n_modes eigenpairs on a rectangle mesh.
 
     sigma n = 0 is imposed strongly on boundary nodes (all three components at
@@ -308,6 +296,8 @@ def solve_basis_rectangle(mesh: RectangleMesh, cfg: EigenSolveConfig) -> BasisSe
     spectrum is exact. Modes are merged by (lambda, class). The solves of one
     round run concurrently (see ``_class_map``).
     """
+    if n_modes < 1:
+        raise BasisError("n_modes must be >= 1")
     ops = fem2d.rect_ops(mesh)
     nn = mesh.n_nodes
     on_x, on_y = mesh.boundary_node_masks()
@@ -339,9 +329,9 @@ def solve_basis_rectangle(mesh: RectangleMesh, cfg: EigenSolveConfig) -> BasisSe
                     format="csc")
         systems.append((K, M, Ps, Ps.shape[1] - nm))
     max_k = sum(s[3] for s in systems)
-    if cfg.n_modes > max_k:
+    if n_modes > max_k:
         raise BasisError(
-            f"n_modes={cfg.n_modes} exceeds the discrete subspace dimension {max_k}")
+            f"n_modes={n_modes} exceeds the discrete subspace dimension {max_k}")
 
     def solve(c, k):
         """The k smallest eigenpairs of class c, sigma part on the kept dofs."""
@@ -356,7 +346,7 @@ def solve_basis_rectangle(mesh: RectangleMesh, cfg: EigenSolveConfig) -> BasisSe
         order = np.argsort(vals)
         return vals[order], Ps @ vecs[:Ps.shape[1], order]
 
-    n = cfg.n_modes
+    n = n_modes
     ask = [min(dim, -(-n // len(classes)) + 2 + n // 16)
            for *_, dim in systems]
     with _class_map(len(classes)) as run:
@@ -401,7 +391,7 @@ def solve_basis_rectangle(mesh: RectangleMesh, cfg: EigenSolveConfig) -> BasisSe
         "mesh_hash": mesh.mesh_hash(),
         "mesh": {"Lx": mesh.domain.Lx, "Ly": mesh.domain.Ly,
                  "xs": mesh.xs.tolist(), "ys": mesh.ys.tolist()},
-        "n_modes": cfg.n_modes,
+        "n_modes": n_modes,
         "parity_classes": [list(cls) for cls in classes],
         "solver_tol": 0.0,
         "degenerate_gap": _DEGENERATE_GAP,
@@ -491,25 +481,25 @@ def _solve_radial_m(mesh: RadialMesh, m: int, n_modes: int):
     return lam[:k], full
 
 
-def solve_basis_annulus(domain: Domain, wavenumbers, cfg: EigenSolveConfig,
-                        mesh: RadialMesh | None = None) -> BasisSet:
+def solve_basis_annulus(mesh: RadialMesh, wavenumbers,
+                        n_modes: int) -> BasisSet:
     """Merged eigenbasis over the requested azimuthal wavenumbers.
 
     For every m the radial system is solved once; for m >= 1 each radial
     eigenfunction yields a degenerate cos/sin pair. Modes are merged and sorted
     by (lambda, m, parity) and truncated to n_modes.
     """
-    if domain.kind != "annulus":
-        raise BasisError("annulus backend requires an annulus domain")
-    if mesh is None:
-        mesh = build_radial_grid(domain, cfg.resolution)
+    if not isinstance(mesh, RadialMesh):
+        raise BasisError("annulus backend requires a radial mesh")
+    if n_modes < 1:
+        raise BasisError("n_modes must be >= 1")
     wavenumbers = sorted(set(int(m) for m in wavenumbers))
     if any(m < 0 for m in wavenumbers):
         raise BasisError("wavenumbers must be >= 0")
 
     entries = []  # (lambda, m, parity_index, profile columns)
     for m in wavenumbers:
-        lam, cols = _solve_radial_m(mesh, m, cfg.n_modes)
+        lam, cols = _solve_radial_m(mesh, m, n_modes)
         nn = mesh.n_nodes
         for i in range(len(lam)):
             comps = cols[:, i].reshape(3, nn)
@@ -521,8 +511,8 @@ def solve_basis_annulus(domain: Domain, wavenumbers, cfg: EigenSolveConfig,
                 twin[2] = -twin[2]
                 entries.append((lam[i], m, 1, twin))
     entries.sort(key=lambda t: (t[0], t[1], t[2]))
-    entries = entries[:cfg.n_modes]
-    if len(entries) < cfg.n_modes:
+    entries = entries[:n_modes]
+    if len(entries) < n_modes:
         raise BasisError("requested more modes than the discrete subspace holds")
 
     modes = []
@@ -534,9 +524,10 @@ def solve_basis_annulus(domain: Domain, wavenumbers, cfg: EigenSolveConfig,
     basis = BasisSet(modes, vals, np.eye(len(modes)), np.eye(len(modes)), {
         "backend": "eigen-annulus",
         "mesh_hash": mesh.mesh_hash(),
-        "mesh": {"r_a": domain.r_a, "r_b": domain.r_b, "nel": mesh.nel},
+        "mesh": {"r_a": mesh.domain.r_a, "r_b": mesh.domain.r_b,
+                 "nel": mesh.nel},
         "wavenumbers": wavenumbers,
-        "n_modes": cfg.n_modes,
+        "n_modes": n_modes,
         "solver_tol": 0.0,
         "degenerate_gap": _DEGENERATE_GAP,
         "h": h,
@@ -728,11 +719,7 @@ def airy_bump_basis(mesh: RectangleMesh, n: int) -> BasisSet:
         def fn(x, y, fj=fj, dfj=dfj, d2fj=d2fj, gk=gk, dgk=dgk, d2gk=d2gk):
             return np.stack([fj(x) * d2gk(y), d2fj(x) * gk(y), -dfj(x) * dgk(y)])
 
-        def div_fn(x, y):
-            z = np.zeros_like(np.asarray(x, dtype=float))
-            return np.stack([z, z.copy()])
-
-        raw.append(SymTensorField2(mesh, fn=fn, div_fn=div_fn))
+        raw.append(SymTensorField2(mesh, fn=fn, div_fn=_zero_divergence))
 
     Q = np.stack([r.at_quad() for r in raw], axis=2)
     Tr = Q[0] + Q[1]
@@ -824,8 +811,15 @@ def _h1_gram(basis: BasisSet) -> np.ndarray:
     return G
 
 
-def verify_basis(basis: BasisSet, l2_tol: float = 1e-8, h1_tol: float = 1e-6,
-                 rayleigh_tol: float = 1e-6) -> BasisReport:
+# the tolerances of ``verify_basis``: the largest L2 off-diagonal, the
+# largest relative H1 off-diagonal and the largest relative Rayleigh
+# deviation of the eigenvalues
+L2_TOL = 1e-8
+H1_TOL = 1e-6
+RAYLEIGH_TOL = 1e-6
+
+
+def verify_basis(basis: BasisSet) -> BasisReport:
     """Orthogonality, equilibrium, and Rayleigh-consistency report."""
     n = len(basis.modes)
     G = basis.gram_l2
@@ -834,8 +828,8 @@ def verify_basis(basis: BasisSet, l2_tol: float = 1e-8, h1_tol: float = 1e-6,
     diag_dev = float(np.abs(np.diag(G) - 1).max())
 
     failures = []
-    if max_l2 > l2_tol:
-        failures.append(f"L2 off-diagonal {max_l2:.2e} > {l2_tol:.0e}")
+    if max_l2 > L2_TOL:
+        failures.append(f"L2 off-diagonal {max_l2:.2e} > {L2_TOL:.0e}")
     if diag_dev > 1e-10:
         failures.append(f"L2 diagonal deviates by {diag_dev:.2e}")
 
@@ -848,12 +842,12 @@ def verify_basis(basis: BasisSet, l2_tol: float = 1e-8, h1_tol: float = 1e-6,
         scale = np.outer(d, d)
         rel = np.abs(H - np.diag(np.diag(H))) / np.where(scale == 0, 1.0, scale)
         max_h1 = float(rel.max()) if n > 1 else 0.0
-        if max_h1 > h1_tol:
-            failures.append(f"H1 off-diagonal {max_h1:.2e} > {h1_tol:.0e}")
+        if max_h1 > H1_TOL:
+            failures.append(f"H1 off-diagonal {max_h1:.2e} > {H1_TOL:.0e}")
         lam = basis.eigenvalues
         max_ray = float(np.max(np.abs(np.diag(H) - lam) / lam))
-        if max_ray > rayleigh_tol:
-            failures.append(f"Rayleigh deviation {max_ray:.2e} > {rayleigh_tol:.0e}")
+        if max_ray > RAYLEIGH_TOL:
+            failures.append(f"Rayleigh deviation {max_ray:.2e} > {RAYLEIGH_TOL:.0e}")
 
     div = np.asarray(basis.provenance.get("div_residuals", []))
     dtol = np.asarray(basis.provenance.get("div_tolerances", []))

@@ -26,6 +26,7 @@ from .experiments import (ExperimentConfig, ExperimentError, UsageError,
 from .fields import dump_field_csv
 from .materials import MaterialError
 from .meshes import MeshError
+from .oracles import OracleError
 from .particular import ParticularStressError
 from .solvers import SolverError
 
@@ -156,7 +157,7 @@ def main(argv=None) -> int:
     except (UsageError, MaterialError, MeshError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ExperimentError, BasisError, SolverError,
+    except (ExperimentError, BasisError, SolverError, OracleError,
             ParticularStressError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 1

@@ -29,17 +29,16 @@ import jsonschema
 
 from ._cache import atomic_write_text, digest, get_or_build, read_tagged, \
     write_tagged
-from .basis import (SOLVER_VERSION, BasisSet, EigenSolveConfig, _blas_threads,
+from .basis import (H1_TOL, L2_TOL, SOLVER_VERSION, BasisSet, _blas_threads,
                     airy_bump_basis, load_basis, save_basis,
                     solve_basis_annulus, solve_basis_rectangle, verify_basis)
-from .fields import (ScalarField, SymTensorField2, dump_field_csv,
-                     equilibrium_residual)
+from .fields import SymTensorField2, dump_field_csv, equilibrium_residual
 from .materials import (Material, discontinuous_modulus, ramp_modulus,
                         strain_energy)
 from .meshes import (Domain, RadialMesh, build_radial_grid,
                      build_rectangle_mesh)
-from .oracles import (CesaroLoop, OracleSolution, annulus_m1_oracle,
-                      cesaro_diagnostic, displacement_fem_oracle, lame_oracle)
+from .oracles import (OracleSolution, annulus_m1_oracle, cesaro_diagnostic,
+                      displacement_fem_oracle, lame_oracle)
 from .particular import (annulus_m1_particular, axisym_airy_particular,
                          band_pressure_particular, gravity_particular,
                          oracle_as_particular, uniform_pressure_particular)
@@ -110,6 +109,7 @@ CONFIG_SCHEMA = {
         },
         "particular": {
             "type": "object", "required": ["recipe"],
+            "properties": {"profile": {"enum": ["discontinuous", "quartic"]}},
             "if": {"properties": {"recipe": {"const": "oracle"}}},
             "then": {"required": ["material", "loading"], "properties": {
                 "material": {"$ref": "#/properties/material"},
@@ -121,7 +121,8 @@ CONFIG_SCHEMA = {
         },
         "N": {"type": "integer", "minimum": 0},
         "ns": {"type": ["array", "null"], "items": {"type": "integer"}},
-        "oracle": {"type": "object"},
+        "oracle": {"type": "object", "properties": {
+            "refine": {"type": "integer", "minimum": 1}}},
         "slope_window": {
             "type": "array", "minItems": 2, "maxItems": 2,
             "items": {"type": "integer"},
@@ -250,13 +251,9 @@ def get_basis(mesh, spec: dict, use_cache: bool = True) -> BasisSet:
         if backend == "airy":
             basis = airy_bump_basis(mesh, n_modes)
         elif isinstance(mesh, RadialMesh):
-            basis = solve_basis_annulus(mesh.domain, wavenumbers,
-                                        EigenSolveConfig(n_modes=n_modes,
-                                                         resolution=mesh.nel),
-                                        mesh=mesh)
+            basis = solve_basis_annulus(mesh, wavenumbers, n_modes)
         else:
-            basis = solve_basis_rectangle(mesh,
-                                          EigenSolveConfig(n_modes=n_modes))
+            basis = solve_basis_rectangle(mesh, n_modes)
         basis.report = verify_basis(basis)
         return basis
 
@@ -308,11 +305,9 @@ def get_oracle(mesh, spec: dict, loading, material_spec: dict,
         return None
     material = _build_material(material_spec)
     if kind == "lame":
-        return lame_oracle(mesh.domain.r_a, mesh.domain.r_b,
-                           spec.get("p", 1.0), material, mesh=mesh)
+        return lame_oracle(mesh, spec.get("p", 1.0))
     if kind == "ode_bvp":
-        return annulus_m1_oracle(mesh.domain.r_a, mesh.domain.r_b,
-                                 material.nu, float(material.Y), mesh=mesh)
+        return annulus_m1_oracle(mesh, material)
     if kind == "fem":
         refine = int(spec.get("refine", 2))
         key = {"mesh": mesh.mesh_hash(), "kind": "fem", "refine": refine,
@@ -370,9 +365,12 @@ def _solve(principle, ps, basis, material, N, ns, oracle_field):
     if principle == "PT":
         return solve_planar_trace(ps.field, basis, N, ns=ns)
     if principle == "PT_body":
-        V = ScalarField(ps.field.mesh, fn=ps.loading.body_potential)
-        return solve_planar_trace_body(ps.field, basis, V, material.nu, N,
-                                       ns=ns)
+        if ps.loading.body_potential is None or material.nu is None:
+            raise UsageError("PT_body needs an isotropic material and a "
+                             "particular recipe with a body-force potential")
+        return solve_planar_trace_body(ps.field, basis,
+                                       ps.loading.body_potential,
+                                       material.nu, N, ns=ns)
     raise UsageError(f"unknown principle {principle!r}")
 
 
@@ -525,9 +523,10 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str,
 
     cesaro = {}
     if cfg.cesaro is not None:
-        loop = CesaroLoop(radius=cfg.cesaro.get("radius", 0.2))
+        radius = cfg.cesaro.get("radius", 0.2)
         for principle, res in results.items():
-            cesaro[principle] = cesaro_diagnostic(res.sigma_N, loop, material)
+            cesaro[principle] = cesaro_diagnostic(res.sigma_N, radius,
+                                                  material)
     ctx["cesaro"] = cesaro
 
     airy_dev = None
@@ -566,7 +565,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str,
             "verify_failures": basis.report.failures,
         },
         "tolerances": {
-            "basis_l2": 1e-8, "basis_h1": 1e-6,
+            "basis_l2": L2_TOL, "basis_h1": H1_TOL,
             "particular_residual": 1e-8,
             "div_tolerance_rule": "4 * h * lambda^0.75",
         },

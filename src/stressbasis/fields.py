@@ -57,48 +57,15 @@ def theta_factors(m: int, parity: str) -> tuple[float, float]:
     return (np.pi, np.pi)
 
 
-class ScalarField:
-    """A scalar field sampled at mesh nodes (optionally with exact evaluation)."""
-
-    def __init__(self, mesh, values=None, m=None, parity=None, fn=None):
-        _check_tags(mesh, m, parity)
-        self.mesh = mesh
-        self.m = m
-        self.parity = parity
-        self.fn = fn
-        if values is None:
-            if fn is None:
-                raise FieldError("ScalarField requires values or fn")
-            values = _eval_scalar(fn, mesh)
-        values = np.asarray(values, dtype=float)
-        if values.shape != (mesh.n_nodes,):
-            raise FieldError("value count must equal the node count")
-        if not np.all(np.isfinite(values)):
-            raise FieldError("non-finite scalar values")
-        self.values = values
-        self._quad = None
-
-    def at_quad(self) -> np.ndarray:
-        if self._quad is None:
-            ops = _ops(self.mesh)
-            if self.fn is not None:
-                self._quad = _call_on_quad(self.fn, self.mesh, ops)
-            else:
-                self._quad = ops.P @ self.values
-        return self._quad
-
-
-def _eval_scalar(fn, mesh):
-    if isinstance(mesh, RadialMesh):
-        return np.broadcast_to(fn(mesh.nodes), mesh.nodes.shape).astype(float)
-    c = mesh.node_coords
-    return np.broadcast_to(fn(c[:, 0], c[:, 1]), (mesh.n_nodes,)).astype(float)
-
-
 def _call_on_quad(fn, mesh, ops, lead=()):
     """``fn`` at the quadrature points, broadcast to ``lead + (nq,)``."""
     pts = (ops.rq,) if isinstance(mesh, RadialMesh) else (ops.qx, ops.qy)
     return np.asarray(np.broadcast_to(fn(*pts), lead + pts[0].shape), float)
+
+
+def _zero_divergence(*pts):
+    """The ``div_fn`` of a closed-form field that is divergence-free."""
+    return np.zeros((2,) + np.shape(pts[0]))
 
 
 def _ops(mesh):
@@ -266,12 +233,6 @@ def l2_inner_tensor(A: SymTensorField2, B: SymTensorField2) -> float:
     return float(tensor_gram(A.mesh, A.m, A.parity, A.at_quad(), B.at_quad()))
 
 
-def l2_inner_scalar(f: ScalarField, g: ScalarField) -> float:
-    """int_Omega f g dA."""
-    _require_same(f, g)
-    return float(scalar_gram(f.mesh, f.m, f.parity, f.at_quad(), g.at_quad()))
-
-
 def quad_metric(mesh, m=None, parity=None):
     """Quadrature weights and per-component factors of the L2 inner product:
     the one definition of the metric that every inner product goes through.
@@ -321,17 +282,11 @@ def l2_norm_tensor(A: SymTensorField2) -> float:
     return float(np.sqrt(max(l2_inner_tensor(A, A), 0.0)))
 
 
-def planar_trace(A: SymTensorField2) -> ScalarField:
-    """sigma_bar = s_xx + s_yy (or s_rr + s_tt), nodewise; linear in A."""
-    fn = None
-    if A.fn is not None and A.parts is None:
-        def fn(*pts):
-            s = np.asarray(A.fn(*pts))
-            return s[0] + s[1]
-    out = ScalarField(A.mesh, A.components[0] + A.components[1],
-                      m=A.m, parity=A.parity, fn=fn)
-    out._quad = A.at_quad()[0] + A.at_quad()[1]
-    return out
+def planar_trace(A: SymTensorField2) -> np.ndarray:
+    """sigma_bar = s_xx + s_yy (or s_rr + s_tt) at the quadrature points,
+    shape (nq,); linear in A."""
+    q = A.at_quad()
+    return q[0] + q[1]
 
 
 @dataclass
@@ -341,8 +296,8 @@ class EquilibriumReport:
     loading: LoadingSpec | None
 
 
-def equilibrium_residual(A: SymTensorField2, loading: LoadingSpec | None = None,
-                         body_force=None) -> EquilibriumReport:
+def equilibrium_residual(A: SymTensorField2,
+                         loading: LoadingSpec | None = None) -> EquilibriumReport:
     """Weak-equilibrium diagnostics of a stress field.
 
     interior_norm: L2 norm of (div A + b) evaluated at element-interior
@@ -352,9 +307,7 @@ def equilibrium_residual(A: SymTensorField2, loading: LoadingSpec | None = None,
     """
     ops = _ops(A.mesh)
     res = A.divergence_quad()
-    b = body_force
-    if b is None and loading is not None:
-        b = loading.body_force
+    b = loading.body_force if loading is not None else None
     if b is not None:
         if isinstance(A.mesh, RadialMesh):
             raise FieldError("body forces are defined on rectangle meshes only")

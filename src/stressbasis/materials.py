@@ -10,14 +10,13 @@ and homogeneous orthotropic laws are supported. All relations are plane strain:
                  e_xy = s_xy / (2 G_xy)
 
 The same component relations apply verbatim to polar components of
-axisymmetrically decomposed fields (isotropic only).
+axisymmetrically decomposed fields (isotropic, uniform modulus only).
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .fields import (ScalarField, SymTensorField2, _call_on_quad, _eval_scalar,
-                     _ops, tensor_gram)
+from .fields import SymTensorField2, _ops, tensor_gram
 from .meshes import RadialMesh
 
 _NU_MAX = 0.49
@@ -38,7 +37,7 @@ class Material:
                 raise MaterialError("isotropic material requires Y and nu")
             if not (0.0 <= nu <= _NU_MAX):
                 raise MaterialError(f"nu must lie in [0, {_NU_MAX}]")
-            self.Y = Y  # constant, callable Y(x, y), or ScalarField
+            self.Y = Y  # a number or a callable Y(x, y)
             self.nu = float(nu)
             self.Y_x = self.Y_y = self.nu_xy = self.G_xy = None
         elif kind == "orthotropic":
@@ -69,13 +68,10 @@ class Material:
         return self.kind == "orthotropic" or np.isscalar(self.Y) or \
             isinstance(self.Y, (int, float))
 
-    def modulus_at(self, x, y=None):
+    def modulus_at(self, x, y):
         """Young's modulus at points (isotropic only)."""
-        if isinstance(self.Y, ScalarField):
-            raise MaterialError("ScalarField modulus must be sampled via its own mesh")
         if callable(self.Y):
-            Y = self.Y(x, y) if y is not None else self.Y(x)
-            Y = np.broadcast_to(Y, np.shape(x)).astype(float)
+            Y = np.broadcast_to(self.Y(x, y), np.shape(x)).astype(float)
         else:
             Y = np.full(np.shape(x) or (), float(self.Y))
         if np.any(Y <= 0):
@@ -122,18 +118,16 @@ def _compliance_on(material: Material, mesh, values: np.ndarray,
                    at_nodes: bool) -> np.ndarray:
     """C^{-1} applied to stress components ``values`` of shape (3, n, ...)
     sampled at the nodes of ``mesh`` or at its quadrature points."""
-    if material.kind == "orthotropic" and isinstance(mesh, RadialMesh):
-        raise MaterialError("orthotropic law is defined on rectangle meshes only")
+    varying = material.kind == "isotropic" and not material.uniform
+    if isinstance(mesh, RadialMesh) and (varying
+                                         or material.kind == "orthotropic"):
+        law = "a varying modulus" if varying else "the orthotropic law"
+        raise MaterialError(f"{law} is defined on rectangle meshes only")
     Y = None
-    if material.kind == "isotropic" and not material.uniform:
-        if isinstance(material.Y, ScalarField):
-            if material.Y.mesh != mesh:
-                raise MaterialError("modulus field lives on a different mesh")
-            Y = material.Y.values if at_nodes else material.Y.at_quad()
-        elif at_nodes:
-            Y = _eval_scalar(material.modulus_at, mesh)
-        else:
-            Y = _call_on_quad(material.modulus_at, mesh, _ops(mesh))
+    if varying:
+        ops = _ops(mesh)
+        Y = material.modulus_at(*(mesh.node_coords.T if at_nodes
+                                  else (ops.qx, ops.qy)))
         Y = Y.reshape(Y.shape + (1,) * (np.ndim(values) - 2))
     return material.compliance_on_values(values, Y=Y)
 

@@ -19,10 +19,10 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from . import fem2d
-from .meshes import Domain
-from .fields import SymTensorField2, l2_inner_scalar, planar_trace
-from .materials import Material, energy_inner, strain_energy
-from .meshes import LoadingSpec, RadialMesh, RectangleMesh, build_radial_grid
+from .fields import (SymTensorField2, _zero_divergence, planar_trace,
+                     scalar_gram)
+from .materials import Material, MaterialError, strain_energy
+from .meshes import LoadingSpec, MeshError, RadialMesh, RectangleMesh
 from .particular import ParticularStress, oracle_as_particular
 
 
@@ -47,17 +47,11 @@ class OracleSolution:
 # Reference solutions
 # ---------------------------------------------------------------------------
 
-def lame_oracle(r_a: float, r_b: float, p: float = 1.0,
-                material: Material | None = None,
-                mesh: RadialMesh | None = None) -> OracleSolution:
+def lame_oracle(mesh: RadialMesh, p: float = 1.0) -> OracleSolution:
     """Pressurized annulus: s_rr = A + B/r^2, s_tt = A - B/r^2, s_rt = 0,
     with s_rr(r_a) = -p and s_rr(r_b) = 0. The planar trace is the constant
     2A, so the field is compatible for any isotropic material."""
-    if mesh is None:
-        mesh = build_radial_grid(Domain.annulus(r_a, r_b), 128)
-    dom = mesh.domain
-    if abs(dom.r_a - r_a) > 1e-12 or abs(dom.r_b - r_b) > 1e-12:
-        raise OracleError("mesh radii do not match the requested annulus")
+    r_a, r_b = mesh.domain.r_a, mesh.domain.r_b
     A = p * r_a**2 / (r_b**2 - r_a**2)
     B = -A * r_b**2
 
@@ -65,18 +59,12 @@ def lame_oracle(r_a: float, r_b: float, p: float = 1.0,
         r = np.asarray(r, dtype=float)
         return np.stack([A + B / r**2, A - B / r**2, np.zeros_like(r)])
 
-    def div_fn(r):
-        r = np.asarray(r, dtype=float)
-        # d(srr)/dr + (srr - stt)/r = -2B/r^3 + 2B/r^3 = 0
-        z = np.zeros_like(r)
-        return np.stack([z, z.copy()])
-
-    field = SymTensorField2(mesh, m=0, parity="cos", fn=fn, div_fn=div_fn)
+    # d(srr)/dr + (srr - stt)/r = -2B/r^3 + 2B/r^3 = 0
+    field = SymTensorField2(mesh, m=0, parity="cos", fn=fn,
+                            div_fn=_zero_divergence)
     loading = LoadingSpec.for_annulus(m=0, inner=(-p, 0.0), outer=(0.0, 0.0))
-    meta = {"A": A, "B": B, "p": p, "nel": mesh.nel}
-    if material is not None:
-        meta["energy"] = strain_energy(material, field)
-    return OracleSolution(field, loading, "analytic", meta)
+    return OracleSolution(field, loading, "analytic",
+                          {"A": A, "B": B, "p": p, "nel": mesh.nel})
 
 
 def lame_energy_closed_form(r_a: float, r_b: float, p: float,
@@ -97,9 +85,8 @@ def lame_energy_closed_form(r_a: float, r_b: float, p: float,
     return 2 * np.pi * val
 
 
-def annulus_m1_oracle(r_a: float = 0.1, r_b: float = 0.3, nu: float = 0.33,
-                      Y: float = 1.0,
-                      mesh: RadialMesh | None = None) -> OracleSolution:
+def annulus_m1_oracle(mesh: RadialMesh,
+                      material: Material) -> OracleSolution:
     """Reference solution of the m=1 annulus problem with net hole force.
 
     The fourth-order radial system (equilibrium + trace-compatibility) is
@@ -113,12 +100,13 @@ def annulus_m1_oracle(r_a: float = 0.1, r_b: float = 0.3, nu: float = 0.33,
     the one-dimensional reduction of the Cesaro integral condition at r_a,
     2 e_rt + e_rr - r_a e_tt' = 0. The remaining traction condition
     f_rt(r_b) = 0 is implied by these four (the system has rank 4; the outer
-    shear closes automatically) and is checked a posteriori.
+    shear closes automatically) and is checked a posteriori. The material
+    must be isotropic with a uniform modulus.
     """
-    if mesh is None:
-        mesh = build_radial_grid(Domain.annulus(r_a, r_b), 128)
-    if abs(mesh.domain.r_a - r_a) > 1e-12 or abs(mesh.domain.r_b - r_b) > 1e-12:
-        raise OracleError("mesh radii do not match the requested annulus")
+    if material.kind != "isotropic" or not material.uniform:
+        raise MaterialError("the m=1 reference requires a uniform isotropic "
+                            "material")
+    r_a, r_b = mesh.domain.r_a, mesh.domain.r_b
 
     def rhs(r, y):
         frr, frt, S, Sp = y
@@ -128,8 +116,6 @@ def annulus_m1_oracle(r_a: float = 0.1, r_b: float = 0.3, nu: float = 0.33,
             Sp,
             -Sp / r + S / r**2,
         ])
-
-    material = Material.isotropic(Y, nu)
 
     def bc(ya, yb):
         frr_a, frt_a, S_a, _ = ya
@@ -172,7 +158,7 @@ def annulus_m1_oracle(r_a: float = 0.1, r_b: float = 0.3, nu: float = 0.33,
     loading = LoadingSpec.for_annulus(m=1, inner=(1.0, 0.0),
                                       outer=(1.0 / 3.0, srt_b))
     meta = {"bvp_nodes": int(sol.x.size), "bvp_rms": float(sol.rms_residuals.max()),
-            "outer_shear": srt_b, "nu": nu, "Y": Y,
+            "outer_shear": srt_b,
             "dropped_condition": "srt(r_b)=0 implied; residual recorded",
             "dropped_residual": abs(srt_b)}
     return OracleSolution(field, loading, "ode-bvp", meta)
@@ -223,23 +209,14 @@ def approximation_error(sigma_true: SymTensorField2, sigma_N: SymTensorField2,
 def trace_energy(sigma: SymTensorField2) -> float:
     """The squared L2 norm of the planar trace."""
     t = planar_trace(sigma)
-    return l2_inner_scalar(t, t)
+    return float(scalar_gram(sigma.mesh, sigma.m, sigma.parity, t, t))
 
 
-@dataclass(frozen=True)
-class CesaroLoop:
-    """A positively oriented circular loop of given radius around the hole."""
-
-    radius: float
-    center: tuple = (0.0, 0.0)
-    n_points: int = 720
-    reference: tuple = (0.0, 0.0)
-
-    def __post_init__(self):
-        if self.radius <= 0:
-            raise OracleError("loop radius must be positive")
-        if self.n_points < 16:
-            raise OracleError("loop needs at least 16 points")
+# the Cesaro loop: a positively oriented circle about the hole at the origin,
+# sampled at this many equally spaced points, with the reference point X of
+# the integrands at the origin
+_LOOP_POINTS = 720
+_LOOP_REFERENCE = (0.0, 0.0)
 
 
 def _profile_at(mesh: RadialMesh, vals: np.ndarray, r: float):
@@ -256,9 +233,10 @@ def _profile_at(mesh: RadialMesh, vals: np.ndarray, r: float):
     return float(N @ v), float(dN @ v)
 
 
-def cesaro_diagnostic(sigma: SymTensorField2, loop: CesaroLoop,
+def cesaro_diagnostic(sigma: SymTensorField2, radius: float,
                       material: Material) -> tuple[float, float]:
-    """The two in-plane Cesaro integrals F_i = loop integral of U_ij dx_j.
+    """The two in-plane Cesaro integrals F_i = loop integral of U_ij dx_j
+    around the circle of the given radius about the hole.
 
     U_11 = e_11 + (X_2 - x_2) c ebar_,2,   U_12 = e_12 - (X_2 - x_2) c ebar_,1,
     U_21 = e_21 - (X_1 - x_1) c ebar_,2,   U_22 = e_22 + (X_1 - x_1) c ebar_,1,
@@ -268,14 +246,14 @@ def cesaro_diagnostic(sigma: SymTensorField2, loop: CesaroLoop,
     """
     mesh = sigma.mesh
     if not isinstance(mesh, RadialMesh):
-        raise OracleError("the Cesaro diagnostic is computed on annulus fields")
+        raise MeshError("the Cesaro diagnostic is computed on annulus fields")
     if material.kind != "isotropic" or not material.uniform:
-        raise OracleError("the Cesaro diagnostic requires a uniform isotropic material")
-    if loop.center != (0.0, 0.0):
-        raise OracleError("loops are centered on the annulus hole at the origin")
-    R = loop.radius
+        raise MaterialError(
+            "the Cesaro diagnostic requires a uniform isotropic material")
+    R = radius
     if not (mesh.domain.r_a <= R <= mesh.domain.r_b):
-        raise OracleError("loop radius must lie inside the annulus")
+        raise MeshError(f"Cesaro loop radius {R} must lie inside the annulus "
+                        f"[{mesh.domain.r_a}, {mesh.domain.r_b}]")
     nu = material.nu
     m = sigma.m
 
@@ -287,7 +265,7 @@ def cesaro_diagnostic(sigma: SymTensorField2, loop: CesaroLoop,
     ert_R, _ = _profile_at(mesh, ert, R)
     h_val, h_der = _profile_at(mesh, ebar, R)
 
-    n = loop.n_points
+    n = _LOOP_POINTS
     th = np.arange(n) * (2 * np.pi / n)
     dth = 2 * np.pi / n
     ct, st = np.cos(th), np.sin(th)
@@ -306,7 +284,7 @@ def cesaro_diagnostic(sigma: SymTensorField2, loop: CesaroLoop,
     eyy = e_rr * st**2 + e_tt * ct**2 + 2 * e_rt * ct * st
     exy = (e_rr - e_tt) * ct * st + e_rt * (ct**2 - st**2)
 
-    X1, X2 = loop.reference
+    X1, X2 = _LOOP_REFERENCE
     x1, x2 = R * ct, R * st
     dx1, dx2 = -R * st * dth, R * ct * dth
     c = (1 - nu) / (1 - 2 * nu)

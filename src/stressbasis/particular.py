@@ -11,9 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import (FieldError, SymTensorField2, equilibrium_residual,
+from .fields import (SymTensorField2, _zero_divergence, equilibrium_residual,
                      l2_norm_tensor)
-from .meshes import LoadingSpec, RadialMesh, RectangleMesh
+from .meshes import LoadingSpec, MeshError, RadialMesh, RectangleMesh
 
 _REL_TOL = 1e-8
 
@@ -64,13 +64,9 @@ def axisym_airy_particular(mesh: RadialMesh, p_in: float = 1.0,
         stt = np.full_like(r, 2 * c2)
         return np.stack([srr, stt, np.zeros_like(r)])
 
-    def div_fn(r):
-        r = np.asarray(r, dtype=float)
-        # d(srr)/dr + (srr - stt)/r = -c1/r^2 + (c1/r)/r = 0
-        z = np.zeros_like(r)
-        return np.stack([z, z.copy()])
-
-    field = SymTensorField2(mesh, m=0, parity="cos", fn=fn, div_fn=div_fn)
+    # d(srr)/dr + (srr - stt)/r = -c1/r^2 + (c1/r)/r = 0
+    field = SymTensorField2(mesh, m=0, parity="cos", fn=fn,
+                            div_fn=_zero_divergence)
     loading = LoadingSpec.for_annulus(m=0, inner=(-p_in, 0.0), outer=(-p_out, 0.0))
     return ParticularStress(field, loading, "axisym_airy")
 
@@ -86,7 +82,7 @@ def _band_profile(profile: str, p: float):
             v = -p * 256.0 * (x - 0.25) ** 2 * (x - 0.75) ** 2
             return np.where((x >= 0.25) & (x <= 0.75), v, 0.0)
     else:
-        raise ParticularStressError(f"unknown band profile {profile!r}")
+        raise ValueError(f"unknown band profile {profile!r}")
     return prof
 
 
@@ -99,10 +95,10 @@ def band_pressure_particular(mesh: RectangleMesh, p: float = 1.0,
     breakpoints. The nodal array takes the two-sided average on the jump lines.
     """
     if abs(mesh.domain.Lx - 1) > 1e-12 or abs(mesh.domain.Ly - 1) > 1e-12:
-        raise ParticularStressError("band pressure is defined on the unit square")
+        raise MeshError("band pressure is defined on the unit square")
     for line in (0.25, 0.75):
         if not np.any(np.abs(mesh.xs - line) < 1e-12):
-            raise ParticularStressError(
+            raise MeshError(
                 f"mesh lacks the feature line x={line} required by the band jump")
     prof = _band_profile(profile, p)
 
@@ -112,11 +108,7 @@ def band_pressure_particular(mesh: RectangleMesh, p: float = 1.0,
         z = np.zeros_like(syy)
         return np.stack([z, syy, z.copy()])
 
-    def div_fn(x, y):
-        z = np.zeros_like(np.asarray(x, dtype=float))
-        return np.stack([z, z.copy()])
-
-    field = SymTensorField2(mesh, fn=fn, div_fn=div_fn)
+    field = SymTensorField2(mesh, fn=fn, div_fn=_zero_divergence)
     if profile == "discontinuous":
         # two-sided average at the jump nodes (dump/reconstruction only)
         comps = field.components.copy()
@@ -125,7 +117,7 @@ def band_pressure_particular(mesh: RectangleMesh, p: float = 1.0,
             cols = np.where(np.abs(nodes_x - line) < 1e-12)[0]
             for c in cols:
                 comps[1][c::mesh.nnx] = inside_val
-        field = SymTensorField2(mesh, comps, fn=fn, div_fn=div_fn)
+        field = SymTensorField2(mesh, comps, fn=fn, div_fn=_zero_divergence)
 
     def top(x, y):
         return np.zeros_like(x), prof(x)
@@ -145,17 +137,13 @@ def uniform_pressure_particular(mesh: RectangleMesh,
         z = np.zeros_like(np.asarray(x, dtype=float))
         return np.stack([z, np.full_like(z, -p), z.copy()])
 
-    def div_fn(x, y):
-        z = np.zeros_like(np.asarray(x, dtype=float))
-        return np.stack([z, z.copy()])
-
     def top(x, y):
         return np.zeros_like(x), np.full_like(x, -p)
 
     def bottom(x, y):
         return np.zeros_like(x), np.full_like(x, p)
 
-    field = SymTensorField2(mesh, fn=fn, div_fn=div_fn)
+    field = SymTensorField2(mesh, fn=fn, div_fn=_zero_divergence)
     loading = LoadingSpec.for_rectangle({"top": top, "bottom": bottom})
     return ParticularStress(field, loading, "uniform_pressure")
 
@@ -171,9 +159,9 @@ def gravity_particular(mesh: RectangleMesh, rho1: float = 1.0, rho2: float = 3.0
     force is b = (0, -rho(y) g) with potential V listed below.
     """
     if abs(mesh.domain.Lx - 1) > 1e-12 or abs(mesh.domain.Ly - 1) > 1e-12:
-        raise ParticularStressError("gravity block is defined on the unit square")
+        raise MeshError("gravity block is defined on the unit square")
     if not np.any(np.abs(mesh.ys - 0.5) < 1e-12):
-        raise ParticularStressError("mesh lacks the feature line y=1/2")
+        raise MeshError("mesh lacks the feature line y=1/2")
 
     def syy(y):
         y = np.asarray(y, dtype=float)
@@ -225,7 +213,7 @@ def annulus_m1_particular(mesh: RadialMesh) -> ParticularStress:
     """
     ra, rb = mesh.domain.r_a, mesh.domain.r_b
     if abs(ra - 0.1) > 1e-12 or abs(rb - 0.3) > 1e-12:
-        raise ParticularStressError(
+        raise MeshError(
             "the m=1 particular field is baked for r_a=0.1, r_b=0.3")
 
     def profiles(r):
@@ -235,12 +223,8 @@ def annulus_m1_particular(mesh: RadialMesh) -> ParticularStress:
         srt = r / 3 - 13 / 120 + 0.003 / (4 * r**2)
         return np.stack([srr, stt, srt])
 
-    def div_fn(r):
-        r = np.asarray(r, dtype=float)
-        z = np.zeros_like(r)
-        return np.stack([z, z.copy()])
-
-    field = SymTensorField2(mesh, m=1, parity="cos", fn=profiles, div_fn=div_fn)
+    field = SymTensorField2(mesh, m=1, parity="cos", fn=profiles,
+                            div_fn=_zero_divergence)
     prof_b = profiles(np.array([rb]))
     loading = LoadingSpec.for_annulus(
         m=1, inner=(1.0, 0.0), outer=(float(prof_b[0, 0]), float(prof_b[2, 0])))

@@ -22,8 +22,8 @@ import numpy as np
 from scipy.linalg import solve_triangular
 
 from .basis import BasisSet, _has_exact_form
-from .fields import (ScalarField, SymTensorField2, planar_trace, scalar_gram,
-                     tensor_gram)
+from .fields import (SymTensorField2, _call_on_quad, _ops, planar_trace,
+                     scalar_gram, tensor_gram)
 from .materials import (Material, compliance_on_quad, compliance_quad,
                         strain_energy)
 from .meshes import RadialMesh
@@ -213,15 +213,15 @@ def solve_planar_trace(sigma_p: SymTensorField2, basis: BasisSet, N: int,
     Valid for homogeneous isotropic bodies with zero net force on every hole
     (caller's responsibility); each coefficient is an independent integral.
     """
-    sbar = planar_trace(sigma_p).at_quad()
-    return _pt_like(sigma_p, basis, N, ns, sbar, "PT")
+    return _pt_like(sigma_p, basis, N, ns, planar_trace(sigma_p), "PT")
 
 
 def solve_planar_trace_body(sigma_p: SymTensorField2, basis: BasisSet,
-                            V: ScalarField, nu: float, N: int,
-                            ns=None) -> Approximation:
-    """Planar-trace projection with body-force potential V (b = -grad V)."""
-    sbar = planar_trace(sigma_p).at_quad() - V.at_quad() / (1.0 - nu)
+                            V, nu: float, N: int, ns=None) -> Approximation:
+    """Planar-trace projection with body-force potential V (b = -grad V), a
+    callable V(x, y) evaluated at the quadrature points."""
+    Vq = _call_on_quad(V, sigma_p.mesh, _ops(sigma_p.mesh))
+    sbar = planar_trace(sigma_p) - Vq / (1.0 - nu)
     return _pt_like(sigma_p, basis, N, ns, sbar, "PT_body")
 
 

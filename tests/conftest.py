@@ -5,8 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from stressbasis.basis import EigenSolveConfig, solve_basis_annulus, \
-    solve_basis_rectangle
+from stressbasis.basis import solve_basis_annulus, solve_basis_rectangle
 from stressbasis.materials import Material
 from stressbasis.meshes import Domain, build_radial_grid, build_rectangle_mesh
 
@@ -47,18 +46,14 @@ def ann_mesh(ann_domain):
 
 
 @pytest.fixture(scope="session")
-def ann_basis_m0(ann_domain, ann_mesh):
-    return solve_basis_annulus(ann_domain, [0],
-                               EigenSolveConfig(n_modes=12, resolution=64),
-                               mesh=ann_mesh)
+def ann_basis_m0(ann_mesh):
+    return solve_basis_annulus(ann_mesh, [0], 12)
 
 
 @pytest.fixture(scope="session")
-def ann_basis_merged(ann_domain, ann_mesh):
+def ann_basis_merged(ann_mesh):
     """Mixed wavenumbers, including degenerate cos/sin pairs."""
-    return solve_basis_annulus(ann_domain, [0, 1, 2],
-                               EigenSolveConfig(n_modes=18, resolution=64),
-                               mesh=ann_mesh)
+    return solve_basis_annulus(ann_mesh, [0, 1, 2], 18)
 
 
 @pytest.fixture(scope="session")
@@ -70,7 +65,7 @@ def rect_mesh():
 
 @pytest.fixture(scope="session")
 def rect_basis(rect_mesh):
-    return solve_basis_rectangle(rect_mesh, EigenSolveConfig(n_modes=8))
+    return solve_basis_rectangle(rect_mesh, 8)
 
 
 @pytest.fixture(scope="session")
@@ -83,7 +78,7 @@ def rect101_basis3_48():
     import time
     mesh = build_rectangle_mesh(Domain.rectangle(1.0, 1.01), 48, 48)
     t0 = time.perf_counter()
-    basis = solve_basis_rectangle(mesh, EigenSolveConfig(n_modes=3))
+    basis = solve_basis_rectangle(mesh, 3)
     basis.provenance["build_seconds"] = time.perf_counter() - t0
     return basis
 

@@ -11,14 +11,12 @@ from scipy.linalg import eigh, null_space
 
 import stressbasis
 from stressbasis import basis as basis_mod, fem2d
-from stressbasis.basis import (BasisError, BasisSet, EigenSolveConfig,
-                               _kernel_by_lu, _radial_blocks, _solve_radial_m,
+from stressbasis.basis import (BasisError, BasisSet, _kernel_by_lu, _radial_blocks, _solve_radial_m,
                                airy_bump_basis, load_basis, parity_classes,
                                save_basis, solve_basis_annulus,
                                solve_basis_rectangle, verify_basis)
-from stressbasis.fields import (SymTensorField2, l2_inner_scalar,
-                                l2_inner_tensor, l2_norm_tensor,
-                                planar_trace)
+from stressbasis.fields import (SymTensorField2, l2_inner_tensor,
+                                l2_norm_tensor, planar_trace, scalar_gram)
 from stressbasis.materials import Material, discontinuous_modulus
 from stressbasis.meshes import (Domain, RectangleMesh, build_radial_grid,
                                 build_rectangle_mesh)
@@ -130,7 +128,9 @@ def test_grams_match_pairwise_inner_products(ann_basis_merged, rect_basis,
             for j in range(n):
                 if (modes[i].m, modes[i].parity) == (modes[j].m, modes[j].parity):
                     G[i, j] = l2_inner_tensor(modes[i], modes[j])
-                    T[i, j] = l2_inner_scalar(traces[i], traces[j])
+                    T[i, j] = scalar_gram(basis.mesh, modes[i].m,
+                                          modes[i].parity, traces[i],
+                                          traces[j])
         assert np.abs(basis.gram_l2 - G).max() <= 1e-13
         assert np.abs(basis.trace_gram - T).max() <= 1e-13
 
@@ -299,13 +299,15 @@ def test_airy_build_evaluates_each_potential_once_per_side(monkeypatch):
         assert sum(shape in edge_shapes for shape in seen) <= 4
 
 
-def test_config_validation():
+def test_config_validation(rect_mesh, ann_mesh):
     with pytest.raises(BasisError):
-        EigenSolveConfig(n_modes=0)
+        solve_basis_rectangle(rect_mesh, 0)
     with pytest.raises(BasisError):
-        solve_basis_annulus(Domain.rectangle(1, 1), [0], EigenSolveConfig())
+        solve_basis_annulus(ann_mesh, [0], 0)
     with pytest.raises(BasisError):
-        solve_basis_annulus(Domain.annulus(0.1, 0.3), [-1], EigenSolveConfig())
+        solve_basis_annulus(rect_mesh, [0], 20)
+    with pytest.raises(BasisError):
+        solve_basis_annulus(ann_mesh, [-1], 20)
 
 
 def test_eigenvalue_mesh_stability_rect101(rect101_basis3_48):
@@ -316,8 +318,7 @@ def test_eigenvalue_mesh_stability_rect101(rect101_basis3_48):
     48x48 values themselves are accurate to < 0.1%). Kept at the strict bound.
     """
     dom = Domain.rectangle(1.0, 1.01)
-    coarse = solve_basis_rectangle(build_rectangle_mesh(dom, 24, 24),
-                                   EigenSolveConfig(n_modes=3))
+    coarse = solve_basis_rectangle(build_rectangle_mesh(dom, 24, 24), 3)
     drift = np.abs(coarse.eigenvalues - rect101_basis3_48.eigenvalues) \
         / rect101_basis3_48.eigenvalues
     assert np.all(drift <= 1e-3), f"relative drift {drift}"
@@ -359,8 +360,8 @@ def _mode_class(mode, classes):
 
 
 def _split_pair(mesh, k):
-    split = solve_basis_rectangle(mesh, EigenSolveConfig(n_modes=k))
-    whole = solve_basis_rectangle(_nudged(mesh), EigenSolveConfig(n_modes=k))
+    split = solve_basis_rectangle(mesh, k)
+    whole = solve_basis_rectangle(_nudged(mesh), k)
     return split, whole
 
 
@@ -425,12 +426,11 @@ def test_asymmetric_meshes_split_only_about_mirror_lines():
     assert parity_classes(one_line) == [(0, 1), (0, -1)]
     assert parity_classes(two_lines) == [(0, 0)]
     for mesh in (one_line, two_lines):
-        basis = solve_basis_rectangle(mesh, EigenSolveConfig(n_modes=10))
+        basis = solve_basis_rectangle(mesh, 10)
         rep = verify_basis(basis)
         assert rep.passed, rep.failures
-    halves = solve_basis_rectangle(one_line, EigenSolveConfig(n_modes=10))
-    whole = solve_basis_rectangle(_nudged(one_line, x=False),
-                                  EigenSolveConfig(n_modes=10))
+    halves = solve_basis_rectangle(one_line, 10)
+    whole = solve_basis_rectangle(_nudged(one_line, x=False), 10)
     assert parity_classes(_nudged(one_line, x=False)) == [(0, 0)]
     assert np.abs(halves.eigenvalues - whole.eigenvalues).max() \
         <= 1e-8 * whole.eigenvalues.max()
@@ -464,11 +464,11 @@ def test_split_keeps_se_objective_at_cluster_closings(square16_pair):
 _BLAS_PROBE = """
 import hashlib
 import numpy as np
-from stressbasis.basis import EigenSolveConfig, solve_basis_rectangle
+from stressbasis.basis import solve_basis_rectangle
 from stressbasis.meshes import Domain, build_rectangle_mesh
 mesh = build_rectangle_mesh(Domain.rectangle(1.0, 1.0), 32, 32,
                             feature_lines={"x": [0.3]})
-basis = solve_basis_rectangle(mesh, EigenSolveConfig(n_modes=6))
+basis = solve_basis_rectangle(mesh, 6)
 modes = np.stack([md.components for md in basis.modes])
 print(hashlib.sha256(modes.tobytes()).hexdigest(),
       basis.eigenvalues.tobytes().hex())
@@ -506,8 +506,7 @@ def test_rectangle_basis_same_on_one_or_two_workers(monkeypatch, rect_mesh):
     built = []
     for cpus in ({0}, {0, 1}):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid, c=cpus: c)
-        built.append(solve_basis_rectangle(rect_mesh,
-                                           EigenSolveConfig(n_modes=8)))
+        built.append(solve_basis_rectangle(rect_mesh, 8))
     one, two = built
     assert one.eigenvalues.tobytes() == two.eigenvalues.tobytes()
     for a, b in zip(one.modes, two.modes):
@@ -519,5 +518,5 @@ def test_class_solves_stay_in_the_calling_thread_without_a_blas_cap(
         monkeypatch, rect_mesh):
     seen = _eigsh_threads(monkeypatch)
     monkeypatch.setattr(basis_mod, "_blas_thread_cap", lambda: None)
-    solve_basis_rectangle(rect_mesh, EigenSolveConfig(n_modes=8))
+    solve_basis_rectangle(rect_mesh, 8)
     assert seen and set(seen) == {threading.get_ident()}

@@ -451,33 +451,90 @@ def test_cli_usage_errors(tmp_path, capsys):
     assert len(capsys.readouterr().err.strip().splitlines()) == 1
 
 
-@pytest.mark.parametrize("change, code, words", [
-    ({"material": {"kind": "isotropic", "Y": 1.0, "nu": 0.6}}, 2, "nu"),
-    ({"domain": {"kind": "annulus", "r_a": 0.3, "r_b": 0.1}}, 2, "r_a"),
-    ({"N": 11}, 1, "N=11"),
-    ({"material": {"kind": "isotropic", "nu": 0.3}}, 2, "'Y'"),
-    ({"material": {"kind": "orthotropic", "Y_x": 1.0, "Y_y": 2.0,
-                   "nu_xy": 0.3}}, 2, "'G_xy'"),
-    ({"material": {"kind": "isotropic", "nu": 0.3,
-                   "Y": {"profile": "ramp", "Y_top": 1.0}}}, 2, "'Y_bottom'"),
-    ({"particular": {"recipe": "oracle", "material": {
+_RAMP = {"kind": "isotropic", "nu": 0.3,
+         "Y": {"profile": "ramp", "Y_top": 1.0, "Y_bottom": 3.0}}
+_M1 = {"particular": {"recipe": "annulus_m1"},
+       "basis": {"backend": "eigen", "n_modes": 10, "wavenumbers": [1]}}
+
+
+@pytest.mark.parametrize("base, change, code, words", [
+    (SMALL_CFG, {"material": {"kind": "isotropic", "Y": 1.0, "nu": 0.6}}, 2,
+     "nu"),
+    (SMALL_CFG, {"domain": {"kind": "annulus", "r_a": 0.3, "r_b": 0.1}}, 2,
+     "r_a"),
+    (SMALL_CFG, {"N": 11}, 1, "N=11"),
+    (SMALL_CFG, {"material": {"kind": "isotropic", "nu": 0.3}}, 2, "'Y'"),
+    (SMALL_CFG, {"material": {"kind": "orthotropic", "Y_x": 1.0, "Y_y": 2.0,
+                              "nu_xy": 0.3}}, 2, "'G_xy'"),
+    (SMALL_CFG, {"material": {"kind": "isotropic", "nu": 0.3,
+                              "Y": {"profile": "ramp", "Y_top": 1.0}}}, 2,
+     "'Y_bottom'"),
+    (SMALL_CFG, {"particular": {"recipe": "oracle", "material": {
         "kind": "isotropic", "Y": 1.0, "nu": 0.3}}}, 2, "'loading'"),
-    ({"particular": {"recipe": "oracle", "loading": {"recipe": "band"},
-                     "material": {"kind": "isotropic", "nu": 0.3}}}, 2, "'Y'"),
-    ({"N": 6, "ns": [2, 9]}, 2, "N=6"),
-    ({"ns": []}, 2, "non-empty"),
+    (SMALL_CFG, {"particular": {"recipe": "oracle", "loading": {
+        "recipe": "band"}, "material": {"kind": "isotropic", "nu": 0.3}}}, 2,
+     "'Y'"),
+    (SMALL_CFG, {"N": 6, "ns": [2, 9]}, 2, "N=6"),
+    (SMALL_CFG, {"ns": []}, 2, "non-empty"),
+    (SMALL_CFG, {"material": _RAMP}, 2, "varying modulus"),
+    (SMALL_CFG, dict(_M1, material=_RAMP, oracle={"kind": "ode_bvp"}), 2,
+     "uniform isotropic"),
+    (RECT_CFG, {"oracle": {"kind": "fem", "refine": 0}}, 2, "minimum"),
+    (RECT_CFG, {"cesaro": {"radius": 0.2}}, 2, "annulus fields"),
+    (SMALL_CFG, {"cesaro": {"radius": 0.5}}, 2, "inside the annulus"),
+    (RECT_CFG, {"domain": {"kind": "rectangle", "Lx": 2.0, "Ly": 1.0},
+                "particular": {"recipe": "band"}}, 2, "unit square"),
+    (RECT_CFG, {"particular": {"recipe": "band", "profile": "cubic"}}, 2,
+     "'cubic'"),
+    (RECT_CFG, {"mesh": {"nx": 6, "ny": 6}, "particular": {"recipe": "band"}},
+     2, "feature line"),
+    (RECT_CFG, {"domain": {"kind": "rectangle", "Lx": 1.0, "Ly": 2.0},
+                "particular": {"recipe": "gravity"}}, 2, "unit square"),
+    (RECT_CFG, {"mesh": {"nx": 6, "ny": 5},
+                "particular": {"recipe": "gravity"}}, 2, "y=1/2"),
+    (SMALL_CFG, dict(_M1, domain={"kind": "annulus", "r_a": 0.1, "r_b": 0.4},
+                     oracle={"kind": "none"}), 2, "r_b=0.3"),
+    (SMALL_CFG, {"principles": ["PT_body"]}, 2, "body-force potential"),
+    (RECT_CFG, {"material": {"kind": "orthotropic", "Y_x": 1.0, "Y_y": 2.0,
+                             "nu_xy": 0.33, "G_xy": 1.0},
+                "particular": {"recipe": "gravity"}, "principles": ["PT_body"],
+                "oracle": {"kind": "none"}}, 2, "isotropic material"),
 ], ids=["material", "mesh", "solver", "isotropic_without_Y",
         "orthotropic_without_G_xy", "profile_without_Y_bottom",
         "oracle_without_loading", "oracle_material_without_Y",
-        "schedule_above_N", "empty_schedule"])
-def test_cli_schema_valid_bad_input(tmp_path, capsys, change, code, words):
+        "schedule_above_N", "empty_schedule", "ramp_modulus_on_annulus",
+        "ramp_modulus_with_ode_bvp", "fem_refine_0", "cesaro_on_rectangle",
+        "cesaro_outside_annulus", "band_off_unit_square",
+        "unknown_band_profile", "band_without_feature_lines",
+        "gravity_off_unit_square", "gravity_without_feature_line",
+        "m1_particular_radii", "pt_body_without_potential",
+        "pt_body_orthotropic"])
+def test_cli_schema_valid_bad_input(tmp_path, capsys, base, change, code,
+                                    words):
     """Input errors exit 2 and numeric failures exit 1, with one line each."""
     cfg_path = tmp_path / "bad.json"
-    cfg_path.write_text(json.dumps(dict(SMALL_CFG, **change)))
+    cfg_path.write_text(json.dumps(dict(base, **change)))
     assert main(["run", "--config", str(cfg_path),
                  "--out", str(tmp_path / "out")]) == code
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1 and words in err
+
+
+def test_cli_oracle_failure(tmp_path, monkeypatch, capsys):
+    """A radial reference BVP that does not converge exits 1 with one line."""
+    import scipy.integrate
+
+    def no_convergence(*args, **kwargs):
+        return type("Result", (), {"status": 1, "message": "too many nodes"})
+    monkeypatch.setattr(scipy.integrate, "solve_bvp", no_convergence)
+    cfg_path = tmp_path / "m1.json"
+    cfg_path.write_text(json.dumps(dict(SMALL_CFG, oracle={"kind": "ode_bvp"},
+                                        **_M1)))
+    assert main(["run", "--config", str(cfg_path),
+                 "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith("numeric failure: ") and "too many nodes" in err
 
 
 @pytest.mark.parametrize("principle", ["SE", "PT"])

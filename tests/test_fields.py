@@ -7,11 +7,11 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import stressbasis
-from stressbasis.fields import (FieldError, ScalarField, SymTensorField2,
+from stressbasis.fields import (FieldError, SymTensorField2,
                                 constant_tensor_field, dump_field_csv,
-                                equilibrium_residual, l2_inner_scalar,
-                                l2_inner_tensor, l2_norm_tensor, planar_trace,
-                                quad_metric, theta_factors)
+                                equilibrium_residual, l2_inner_tensor,
+                                l2_norm_tensor, planar_trace, quad_metric,
+                                scalar_gram, theta_factors)
 from stressbasis.meshes import LoadingSpec
 
 
@@ -47,7 +47,8 @@ def test_constant_field_inner_products(rect_mesh):
                                                   rel=1e-12)
     assert l2_norm_tensor(A) == pytest.approx(np.sqrt(1 + 4 + 2 * 9), rel=1e-12)
     tr = planar_trace(A)
-    assert l2_inner_scalar(tr, tr) == pytest.approx(9.0, rel=1e-12)
+    assert scalar_gram(rect_mesh, None, None, tr, tr) == pytest.approx(
+        9.0, rel=1e-12)
 
 
 def test_radial_constant_field_norm(ann_mesh):
@@ -80,7 +81,8 @@ def test_radial_constant_normal_residual(ann_mesh):
 def test_radial_body_force_is_rejected(ann_mesh):
     A = constant_tensor_field(ann_mesh, 1.0, 0.0, 0.0, m=0, parity="cos")
     with pytest.raises(FieldError):
-        equilibrium_residual(A, body_force=lambda x, y: (0.0 * x, 0.0 * y))
+        equilibrium_residual(A, LoadingSpec.for_rectangle(
+            body_force=lambda x, y: (0.0 * x, 0.0 * y)))
 
 
 def test_wavenumber_mismatch_raises(ann_mesh):
@@ -132,16 +134,6 @@ def test_equilibrium_residual_uniform(rect_mesh):
     })
     rep2 = equilibrium_residual(A, loading)
     assert rep2.boundary_mismatch < 1e-12
-
-
-def test_scalar_field_quadrature(rect_mesh):
-    f = ScalarField(rect_mesh, fn=lambda x, y: x**2 + y)
-    # quadratic functions are represented exactly by the 9-node elements
-    ops_vals = f.at_quad()
-    g = ScalarField(rect_mesh,
-                    values=rect_mesh.node_coords[:, 0]**2
-                    + rect_mesh.node_coords[:, 1])
-    assert np.allclose(ops_vals, g.at_quad(), atol=1e-12)
 
 
 def test_dump_field_csv(tmp_path, rect_mesh):

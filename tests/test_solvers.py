@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from stressbasis import solvers
-from stressbasis.basis import EigenSolveConfig, solve_basis_annulus
+from stressbasis.basis import solve_basis_annulus
 from stressbasis.fields import (SymTensorField2, equilibrium_residual,
                                 tensor_gram)
 from stressbasis.materials import (Material, compliance_on_quad,
@@ -40,7 +40,7 @@ def test_trace_gram_matches_tensor_gram(ann_basis_m0, rect_basis):
 def test_compatible_particular_gives_zero_coefficients(ann_mesh, ann_basis_m0,
                                                        iso_material):
     """A compatible (true-solution) particular field needs no correction."""
-    orc = lame_oracle(0.1, 0.3, 1.0, iso_material, mesh=ann_mesh)
+    orc = lame_oracle(ann_mesh, 1.0)
     sp = orc.as_particular().field
     pt = solve_planar_trace(sp, ann_basis_m0, len(ann_basis_m0))
     assert np.abs(pt.coeffs).max() <= 1e-8
@@ -102,7 +102,7 @@ def test_se_energy_identity(band_particular, rect_basis, iso_material, rng):
 
 def test_error_series_endpoints(ann_particular, ann_basis_m0, iso_material,
                                 ann_mesh):
-    orc = lame_oracle(0.1, 0.3, 1.0, iso_material, mesh=ann_mesh)
+    orc = lame_oracle(ann_mesh, 1.0)
     se = solve_strain_energy(ann_particular.field, ann_basis_m0, iso_material,
                              12, ns=[0, 6, 12], oracle=orc.field)
     E = se.diagnostics["E_N"]
@@ -133,9 +133,7 @@ def test_single_factor_schedule_matches_per_n_cholesky(
 def test_se_coefficients_do_not_depend_on_the_schedule(iso_material):
     """A report schedule that leaves N out still yields the N-mode solution."""
     mesh = build_radial_grid(Domain.annulus(0.1, 0.3), 32)
-    basis = solve_basis_annulus(mesh.domain, [0],
-                                EigenSolveConfig(n_modes=8, resolution=32),
-                                mesh=mesh)
+    basis = solve_basis_annulus(mesh, [0], 8)
     field = axisym_airy_particular(mesh).field
     full = solve_strain_energy(field, basis, iso_material, 8)
     part = solve_strain_energy(field, basis, iso_material, 8, ns=[2, 4])
