@@ -1,0 +1,129 @@
+#!/usr/bin/env python3
+"""Compare two output trees file by file and print the largest relative move.
+
+Usage:
+    python3 scripts/diff_outputs.py DIR_A DIR_B
+
+Every file under either directory is matched by its relative path. Per file
+one line is printed: ``identical`` when the bytes agree, otherwise the
+largest relative move and where it is:
+
+* ``report.json`` (any ``*.json``): over the numeric leaves, |a - b| / |a|
+  (the absolute move where a is 0), named by the leaf's key path;
+* ``*.csv``: per column, |a - b| over the largest |a| of the column, named
+  by the column;
+* other files: ``differs``.
+
+A file found in one tree only, a CSV whose header or row count differs, or a
+JSON leaf that is not a number (a verdict, a name) and differs is printed as
+a structural difference, and the exit code is then 1; numeric moves alone
+exit 0.
+"""
+import csv
+import json
+import math
+import sys
+from pathlib import Path
+
+
+def _leaves(obj, path=""):
+    if isinstance(obj, dict):
+        for k, v in obj.items():
+            yield from _leaves(v, f"{path}.{k}" if path else str(k))
+    elif isinstance(obj, list):
+        for i, v in enumerate(obj):
+            yield from _leaves(v, f"{path}[{i}]")
+    else:
+        yield path, obj
+
+
+def _is_number(v):
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _rel(a, b, scale):
+    if a == b or (math.isnan(a) and math.isnan(b)):
+        return 0.0
+    if math.isnan(a) or math.isnan(b):
+        return math.inf
+    return abs(a - b) / scale if scale else abs(a - b)
+
+
+def diff_json(a_path, b_path):
+    """(largest relative move, where, structural differences)."""
+    a = dict(_leaves(json.loads(a_path.read_text())))
+    b = dict(_leaves(json.loads(b_path.read_text())))
+    worst, where, structural = 0.0, "", []
+    for key in sorted(a.keys() | b.keys()):
+        if key not in a or key not in b:
+            structural.append(f"{key} in one tree only")
+        elif _is_number(a[key]) and _is_number(b[key]):
+            move = _rel(float(a[key]), float(b[key]), abs(float(a[key])))
+            if move > worst:
+                worst, where = move, key
+        elif a[key] != b[key]:
+            structural.append(f"{key}: {a[key]!r} -> {b[key]!r}")
+    return worst, where, structural
+
+
+def _read_csv(path):
+    with open(path, newline="") as f:
+        rows = list(csv.reader(f))
+    return rows[0], [[float(v) if v else math.nan for v in r]
+                     for r in rows[1:]]
+
+
+def diff_csv(a_path, b_path):
+    (ha, ra), (hb, rb) = _read_csv(a_path), _read_csv(b_path)
+    if ha != hb or len(ra) != len(rb):
+        return 0.0, "", [f"header or row count differs ({len(ra)} vs "
+                         f"{len(rb)} rows)"]
+    worst, where = 0.0, ""
+    for j, name in enumerate(ha):
+        col_a = [r[j] for r in ra]
+        col_b = [r[j] for r in rb]
+        scale = max((abs(v) for v in col_a if not math.isnan(v)), default=0)
+        move = max((_rel(x, y, scale) for x, y in zip(col_a, col_b)),
+                   default=0.0)
+        if move > worst:
+            worst, where = move, name
+    return worst, where, []
+
+
+def main(argv) -> int:
+    if len(argv) != 2:
+        print("usage: diff_outputs.py DIR_A DIR_B", file=sys.stderr)
+        return 2
+    root_a, root_b = map(Path, argv)
+    files = sorted({p.relative_to(root).as_posix()
+                    for root in (root_a, root_b)
+                    for p in root.rglob("*") if p.is_file()})
+    bad = False
+    width = max((len(f) for f in files), default=0)
+    for rel in files:
+        a, b = root_a / rel, root_b / rel
+        if not (a.is_file() and b.is_file()):
+            where = root_a if a.is_file() else root_b
+            print(f"{rel:{width}}  only in {where}")
+            bad = True
+            continue
+        if a.read_bytes() == b.read_bytes():
+            print(f"{rel:{width}}  identical")
+            continue
+        if a.suffix == ".json":
+            worst, where, structural = diff_json(a, b)
+        elif a.suffix == ".csv":
+            worst, where, structural = diff_csv(a, b)
+        else:
+            print(f"{rel:{width}}  differs")
+            bad = True
+            continue
+        print(f"{rel:{width}}  {worst:.2e}  {where}")
+        for line in structural:
+            print(f"{'':{width}}  {line}")
+        bad = bad or bool(structural)
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

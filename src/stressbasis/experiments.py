@@ -140,6 +140,18 @@ CONFIG_SCHEMA = {
 _CONFIG_VALIDATOR = jsonschema.validators.validator_for(CONFIG_SCHEMA)(
     CONFIG_SCHEMA)
 
+# the domain kind that a particular recipe, a reference kind, the airy
+# backend and airy_compare (which builds an airy basis) work on; the rest
+# work on both
+_DOMAIN_KIND = {
+    ("recipe", "band"): "rectangle", ("recipe", "gravity"): "rectangle",
+    ("recipe", "uniform_pressure"): "rectangle",
+    ("recipe", "oracle"): "rectangle", ("oracle", "fem"): "rectangle",
+    ("backend", "airy"): "rectangle", ("airy_compare", True): "rectangle",
+    ("recipe", "axisym_airy"): "annulus", ("recipe", "annulus_m1"): "annulus",
+    ("oracle", "lame"): "annulus", ("oracle", "ode_bvp"): "annulus",
+}
+
 
 @dataclass
 class ExperimentConfig:
@@ -168,6 +180,19 @@ class ExperimentConfig:
         if error is not None:
             raise UsageError(f"invalid experiment config: {error.message}")
         cfg = ExperimentConfig(**raw)
+        have = cfg.domain["kind"]
+        part = cfg.particular
+        for field, value in (
+                ("recipe", part["recipe"]),
+                ("recipe", part["recipe"] == "oracle"
+                 and part["loading"]["recipe"]),
+                ("oracle", cfg.oracle.get("kind")),
+                ("backend", cfg.basis["backend"]),
+                ("airy_compare", bool(cfg.airy_compare))):
+            need = _DOMAIN_KIND.get((field, value), have)
+            if need != have:
+                what = field if value is True else f"{field} {value!r}"
+                raise UsageError(f"{what} works on {need} domains only")
         if cfg.ns is not None:
             ns = list(cfg.ns)
             if any(b <= a for a, b in zip(ns, ns[1:])):

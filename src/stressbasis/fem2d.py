@@ -6,11 +6,25 @@ plane-strain solver used as a numerical reference.
 
 All quadrature follows the package defaults: 3x3 Gauss per quad element and
 3-point Gauss per radial element.
+
+The displacement solve reads only the quadrature, interpolation and edge
+tables of its (refined) mesh; the scalar matrices of ``RectOps`` are built on
+first access, which only the basis solve makes. Its stiffness matrix is
+assembled directly in a nested-dissection order of the node grid
+(``_nested_dissection``: separators on element-boundary grid lines, the two
+displacement components of a node adjacent), which SuperLU factors as given,
+with the pivots on the diagonal. The recovered stress is L2-projected to the
+nodes through the 1-D mass matrices: under the tensor Gauss rule the Q2 mass
+matrix of a tensor grid is kron(My, Mx), so the projection is one Cholesky
+solve per direction.
 """
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg import cho_factor, cho_solve
 from scipy.sparse.linalg import splu
 
 from .quadrature import gauss_1d, gauss_2d
@@ -38,10 +52,10 @@ def shape2d(xi, eta):
 
 
 def _spd_lu(A: sp.csc_matrix):
-    """SuperLU factor of a symmetric positive definite matrix: a minimum-degree
-    ordering of the symmetric pattern, applied to rows and columns alike, with
-    the pivots kept on the diagonal."""
-    return splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+    """SuperLU factor of a symmetric positive definite matrix whose rows and
+    columns are already in a fill-reducing order (``_nested_dissection``):
+    no column permutation, and the pivots kept on the diagonal."""
+    return splu(A, permc_spec="NATURAL", diag_pivot_thresh=0.0,
                 options={"SymmetricMode": True})
 
 
@@ -56,7 +70,8 @@ class RectOps:
     P, Px, Py : sparse (nq, nn) evaluation of a nodal field and its gradient
         at the quadrature points
     Ks, Ms, Dx, Dy : sparse (nn, nn) scalar stiffness, mass, and the mixed
-        matrices  Dx[a,b] = int N_a dN_b/dx dA  (likewise Dy)
+        matrices  Dx[a,b] = int N_a dN_b/dx dA  (likewise Dy); built together
+        on first access (``_scalar_matrices``)
     """
 
     def __init__(self, mesh: RectangleMesh):
@@ -91,31 +106,16 @@ class RectOps:
         self.P, self.Px, self.Py = (
             sp.csr_matrix((v, (rows, cols)), shape=(self.nq, nn))
             for v in (Pv, Pxv, Pyv))
-
-        # scalar element matrices: one table per element size, gathered onto
-        # the elements; sizes equal to 14 decimals share the table of the
-        # first element that has them
-        _, first, inv = np.unique(np.round(np.column_stack([dx, dy]), 14),
-                                  axis=0, return_index=True,
-                                  return_inverse=True)
-        tables = np.empty((4, len(first), 81))
-        for u, e in enumerate(first):
-            jx, jy = Jx[e], Jy[e]
-            w = gw * jx * jy
-            Ke = np.einsum("q,qa,qb->ab", w, dXt / jx, dXt / jx) \
-                + np.einsum("q,qa,qb->ab", w, dYt / jy, dYt / jy)
-            Me = np.einsum("q,qa,qb->ab", w, Nt, Nt)
-            Dxe = np.einsum("q,qa,qb->ab", w, Nt, dXt / jx)
-            Dye = np.einsum("q,qa,qb->ab", w, Nt, dYt / jy)
-            tables[:, u] = [Ke.ravel(), Me.ravel(), Dxe.ravel(), Dye.ravel()]
-        inv = inv.reshape(-1)
-        r = np.repeat(conn, 9, axis=1).ravel()
-        c = np.tile(conn, (1, 9)).ravel()
-        self.Ks, self.Ms, self.Dx, self.Dy = (
-            sp.csr_matrix((t[inv].ravel(), (r, c)), shape=(nn, nn))
-            for t in tables)
         self._edge_cache: dict = {}
-        self._ms_lu = None
+
+    @functools.cached_property
+    def _scalar(self):
+        return _scalar_matrices(self)
+
+    Ks = property(lambda self: self._scalar[0])
+    Ms = property(lambda self: self._scalar[1])
+    Dx = property(lambda self: self._scalar[2])
+    Dy = property(lambda self: self._scalar[3])
 
     # -- edges --------------------------------------------------------------
 
@@ -170,12 +170,62 @@ class RectOps:
         self._edge_cache[tag] = out
         return out
 
+    @functools.cached_property
+    def _mass_factors(self):
+        """Cholesky factors of the 1-D mass matrices along x and y."""
+        return tuple(cho_factor(_mass_1d(br))
+                     for br in (self.mesh.xs, self.mesh.ys))
+
     def project_to_nodes(self, quad_values: np.ndarray) -> np.ndarray:
-        """L2 projection of quadrature-point samples onto the nodal Q2 space."""
-        if self._ms_lu is None:
-            self._ms_lu = _spd_lu(self.Ms.tocsc())
-        rhs = self.P.T @ (self.qw * quad_values)
-        return self._ms_lu.solve(rhs)
+        """L2 projection of quadrature-point samples onto the nodal Q2 space.
+
+        The mass matrix is kron(My, Mx) on the x-fastest node numbering, so
+        Ms x = b is My X Mx = B with X and B on the (nny, nnx) node grid.
+        """
+        cx, cy = self._mass_factors
+        B = (self.P.T @ (self.qw * quad_values)).reshape(self.mesh.nny,
+                                                         self.mesh.nnx)
+        return cho_solve(cx, cho_solve(cy, B).T).T.ravel()
+
+
+def _scalar_matrices(ops: RectOps):
+    """(Ks, Ms, Dx, Dy) of a rectangle mesh from one element table per
+    element size, gathered onto the elements; sizes equal to 14 decimals
+    share the table of the first element that has them."""
+    Nt, dXt, dYt, Jx, Jy = ops.Nt, ops.dXt, ops.dYt, ops.Jx, ops.Jy
+    gw = gauss_2d(_GAUSS_N).weights
+    _, first, inv = np.unique(np.round(np.column_stack([2 * Jx, 2 * Jy]), 14),
+                              axis=0, return_index=True, return_inverse=True)
+    tables = np.empty((4, len(first), 81))
+    for u, e in enumerate(first):
+        jx, jy = Jx[e], Jy[e]
+        w = gw * jx * jy
+        Ke = np.einsum("q,qa,qb->ab", w, dXt / jx, dXt / jx) \
+            + np.einsum("q,qa,qb->ab", w, dYt / jy, dYt / jy)
+        Me = np.einsum("q,qa,qb->ab", w, Nt, Nt)
+        Dxe = np.einsum("q,qa,qb->ab", w, Nt, dXt / jx)
+        Dye = np.einsum("q,qa,qb->ab", w, Nt, dYt / jy)
+        tables[:, u] = [Ke.ravel(), Me.ravel(), Dxe.ravel(), Dye.ravel()]
+    inv = inv.reshape(-1)
+    conn = ops.mesh.connectivity()
+    nn = ops.mesh.n_nodes
+    r = np.repeat(conn, 9, axis=1).ravel()
+    c = np.tile(conn, (1, 9)).ravel()
+    return tuple(sp.csr_matrix((t[inv].ravel(), (r, c)), shape=(nn, nn))
+                 for t in tables)
+
+
+def _mass_1d(breaks: np.ndarray) -> np.ndarray:
+    """Dense mass matrix of quadratic elements on ``breaks``, under the
+    3-point Gauss rule; the tensor product of two is the Q2 mass matrix."""
+    rule = gauss_1d(_GAUSS_N)
+    N, _ = shape1d(rule.points[:, 0])
+    Me = np.einsum("q,qa,qb->ab", rule.weights, N, N)
+    J = np.diff(breaks) / 2
+    idx = 2 * np.arange(len(J))[:, None] + np.arange(3)
+    M = np.zeros((2 * len(J) + 1,) * 2)
+    np.add.at(M, (idx[:, :, None], idx[:, None, :]), J[:, None, None] * Me)
+    return M
 
 
 class RadialOps:
@@ -263,6 +313,41 @@ def stiffness_matrix_at(material, x, y):
     return np.reshape(Y, (-1, 1, 1)) * (L_inv.T @ L_inv)
 
 
+def _nested_dissection(nnx: int, nny: int) -> np.ndarray:
+    """The node ids of an nnx x nny Q2 node grid in nested-dissection order.
+
+    A box of nodes is cut by the grid line of even index nearest its middle,
+    across its longer side: an even line is an element boundary, and no
+    element holds nodes on both sides of it (an odd line runs through
+    elements and separates nothing). Each part is ordered the same way, then
+    the cut follows them; a box that no even line cuts keeps its natural
+    order.
+    """
+    grid = np.arange(nnx * nny).reshape(nny, nnx)
+    order = []
+
+    def cut(y0, y1, x0, x1):             # half-open node ranges
+        across_x = x1 - x0 >= y1 - y0
+        lo, hi = (x0, x1) if across_x else (y0, y1)
+        s = (lo + hi - 1) // 2
+        s -= s % 2
+        if not lo < s < hi - 1:
+            s += 2
+        if not lo < s < hi - 1:
+            order.append(grid[y0:y1, x0:x1].ravel())
+        elif across_x:
+            cut(y0, y1, x0, s)
+            cut(y0, y1, s + 1, x1)
+            order.append(grid[y0:y1, s])
+        else:
+            cut(y0, s, x0, x1)
+            cut(s + 1, y1, x0, x1)
+            order.append(grid[s, x0:x1])
+
+    cut(0, nny, 0, nnx)
+    return np.concatenate(order)
+
+
 def solve_displacement(mesh: RectangleMesh, material, loading) -> np.ndarray:
     """Standard Q2 displacement solve; returns nodal stress components (3, nn).
 
@@ -277,42 +362,52 @@ def solve_displacement(mesh: RectangleMesh, material, loading) -> np.ndarray:
     conn = mesh.connectivity()
     nel, nqp = len(conn), len(ops.Nt)
 
-    # B matrices: (nel, nqp, 3, 18); element dofs = 9 ux then 9 uy
-    dNdx = ops.dXt[None, :, :] / ops.Jx[:, None, None]
-    dNdy = ops.dYt[None, :, :] / ops.Jy[:, None, None]
-    B = np.zeros((nel, nqp, 3, 18))
-    B[:, :, 0, :9] = dNdx
-    B[:, :, 1, 9:] = dNdy
-    B[:, :, 2, :9] = dNdy
-    B[:, :, 2, 9:] = dNdx
+    # dof[node, component]: nested-dissection order with the two components
+    # of a node adjacent, and the three pins last
+    slot = np.empty(nn, dtype=np.int32)
+    slot[_nested_dissection(mesh.nnx, mesh.nny)] = np.arange(nn)
+    pinned = np.zeros((nn, 2), dtype=bool)
+    pinned[0] = pinned[mesh.nnx - 1, 1] = True
+    key = 2 * slot[:, None] + np.arange(2) + 2 * nn * pinned
+    dof = np.empty(2 * nn, dtype=np.int32)
+    dof[np.argsort(key, axis=None)] = np.arange(2 * nn)
+    dof = dof.reshape(nn, 2)
+    n = 2 * nn - 3
 
+    # element stiffness, one quadrature point at a time; element dofs are
+    # 9 ux then 9 uy
     Dq = stiffness_matrix_at(material, ops.qx, ops.qy)
     D = Dq.reshape(nel, nqp, 3, 3)
     w = ops.qw.reshape(nel, nqp)
-    Ke = np.einsum("eq,eqia,eqij,eqjb->eab", w, B, D, B, optimize=True)
+    B = np.zeros((nel, 3, 18))
+    Ke = np.zeros((nel, 18, 18))
+    for q in range(nqp):
+        B[:, 0, :9] = B[:, 2, 9:] = ops.dXt[q] / ops.Jx[:, None]
+        B[:, 1, 9:] = B[:, 2, :9] = ops.dYt[q] / ops.Jy[:, None]
+        Ke += np.swapaxes(B, 1, 2) @ (w[:, q, None, None] * D[:, q] @ B)
+    edofs = dof[conn].transpose(0, 2, 1).reshape(nel, 18)
+    K = sp.csc_matrix((Ke.ravel(), (np.repeat(edofs, 18, axis=1).ravel(),
+                                    np.tile(edofs, 18).ravel())),
+                      shape=(2 * nn, 2 * nn))
+    del B, Ke
+    Kff = K[:n, :n]
+    del K
 
-    edofs = np.concatenate([conn, conn + nn], axis=1)  # (nel, 18)
-    rows = np.repeat(edofs, 18, axis=1).ravel()
-    cols = np.tile(edofs, (1, 18)).ravel()
-    K = sp.csr_matrix((Ke.ravel(), (rows, cols)), shape=(2 * nn, 2 * nn))
-
-    F = np.zeros(2 * nn)
+    F = np.zeros((2, nn))
     for tag in ("left", "right", "bottom", "top"):
         ex, ey, ew = ops.edge_quad(tag)
         tx, ty = loading.traction_at(tag, ex, ey)
         E = ops.edge_interp(tag)
-        F[:nn] += E.T @ (ew * tx)
-        F[nn:] += E.T @ (ew * ty)
+        F[0] += E.T @ (ew * tx)
+        F[1] += E.T @ (ew * ty)
     if loading.body_force is not None:
         bx, by = loading.body_force(ops.qx, ops.qy)
-        F[:nn] += ops.P.T @ (ops.qw * np.broadcast_to(bx, ops.qx.shape))
-        F[nn:] += ops.P.T @ (ops.qw * np.broadcast_to(by, ops.qy.shape))
+        F[0] += ops.P.T @ (ops.qw * np.broadcast_to(bx, ops.qx.shape))
+        F[1] += ops.P.T @ (ops.qw * np.broadcast_to(by, ops.qy.shape))
+    Ff = np.empty(2 * nn)
+    Ff[dof.T] = F
+    Ff = Ff[:n]
 
-    # three point constraints
-    pins = [0, nn, nn + mesh.nnx - 1]
-    free = np.setdiff1d(np.arange(2 * nn), pins)
-    Kff = K[free][:, free].tocsc()
-    Ff = F[free]
     lu = _spd_lu(Kff)
     uf = lu.solve(Ff)
     # two steps of iterative refinement: the point pins leave Kff ill
@@ -320,11 +415,10 @@ def solve_displacement(mesh: RectangleMesh, material, loading) -> np.ndarray:
     # there that these steps win back
     for _ in range(2):
         uf += lu.solve(Ff - Kff @ uf)
-    u = np.zeros(2 * nn)
-    u[free] = uf
+    del lu
+    ux, uy = np.append(uf, np.zeros(3))[dof.T]
 
     # stress at quadrature points, then L2-project to nodes
-    ux, uy = u[:nn], u[nn:]
     strain = np.stack([ops.Px @ ux, ops.Py @ uy, ops.Py @ ux + ops.Px @ uy])
     sq = np.einsum("qij,jq->iq", Dq, strain)
     nodal = np.stack([ops.project_to_nodes(sq[i]) for i in range(3)])

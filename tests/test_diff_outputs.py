@@ -1,0 +1,45 @@
+import importlib.util
+import json
+from pathlib import Path
+
+SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "diff_outputs.py"
+_spec = importlib.util.spec_from_file_location("diff_outputs", SCRIPT)
+diff_outputs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(diff_outputs)
+
+
+def _tree(root, report, csv_text, extra=None):
+    (root / "p").mkdir(parents=True)
+    (root / "p" / "report.json").write_text(json.dumps(report))
+    (root / "p" / "convergence.csv").write_text(csv_text)
+    for name, text in (extra or {}).items():
+        (root / name).write_text(text)
+
+
+def test_diff_outputs_reports_the_largest_move_per_file(tmp_path, capsys):
+    """Numeric moves are relative to the first tree (CSV columns to their
+    largest value) and exit 0; a changed verdict or a file in one tree only
+    exits 1."""
+    report = {"true_energy": 2.0, "checks": {"slope": {"passed": True,
+                                                       "value": -0.5}}}
+    _tree(tmp_path / "a", report, "N,E_N\n1,0.5\n2,\n",
+          {"same.txt": "x"})
+    moved = {"true_energy": 2.0 + 2e-12,
+             "checks": {"slope": {"passed": True, "value": -0.5}}}
+    _tree(tmp_path / "b", moved, "N,E_N\n1,0.5000001\n2,\n",
+          {"same.txt": "x"})
+    assert diff_outputs.main([str(tmp_path / "a"), str(tmp_path / "b")]) == 0
+    out = dict(line.split(None, 1) for line in
+               capsys.readouterr().out.strip().splitlines())
+    assert out["same.txt"] == "identical"
+    assert out["p/report.json"] == "1.00e-12  true_energy"
+    assert out["p/convergence.csv"] == "2.00e-07  E_N"
+
+    moved["checks"]["slope"]["passed"] = False
+    (tmp_path / "b" / "p" / "report.json").write_text(json.dumps(moved))
+    (tmp_path / "b" / "same.txt").unlink()
+    assert diff_outputs.main([str(tmp_path / "a"), str(tmp_path / "b")]) == 1
+    out = capsys.readouterr().out
+    assert "checks.slope.passed: True -> False" in out
+    assert f"only in {tmp_path / 'a'}" in next(
+        line for line in out.splitlines() if line.startswith("same.txt"))

@@ -320,6 +320,20 @@ def test_warm_run_does_no_verification_work(rect_run, tmp_path, monkeypatch):
     assert {p.name: p.stat().st_mtime_ns for p in cache.iterdir()} == before
 
 
+def test_warm_run_builds_no_scalar_matrices(rect_run, tmp_path, monkeypatch):
+    """Only the basis solve and its H1 Gram read Ks, Ms, Dx and Dy, so a
+    warm run never builds them."""
+    cfg_path, cache = rect_run
+    monkeypatch.setenv("SB_CACHE_DIR", str(cache))
+    built = []
+    real = fem2d._scalar_matrices
+    monkeypatch.setattr(fem2d, "_scalar_matrices",
+                        lambda ops: built.append(ops.mesh) or real(ops))
+    assert main(["run", "--config", str(cfg_path),
+                 "--out", str(tmp_path / "warm")]) == 0
+    assert built == []
+
+
 def test_stored_report_equals_a_fresh_verification(tmp_path, monkeypatch,
                                                    rect_mesh, ann_mesh):
     """The report a cached basis carries is ``verify_basis`` of the loaded
@@ -499,6 +513,18 @@ _M1 = {"particular": {"recipe": "annulus_m1"},
                              "nu_xy": 0.33, "G_xy": 1.0},
                 "particular": {"recipe": "gravity"}, "principles": ["PT_body"],
                 "oracle": {"kind": "none"}}, 2, "isotropic material"),
+    (SMALL_CFG, {"particular": {"recipe": "band"}}, 2,
+     "recipe 'band' works on rectangle domains"),
+    (RECT_CFG, {"particular": {"recipe": "axisym_airy"}}, 2,
+     "recipe 'axisym_airy' works on annulus domains"),
+    (RECT_CFG, {"oracle": {"kind": "lame"}}, 2,
+     "oracle 'lame' works on annulus domains"),
+    (SMALL_CFG, {"oracle": {"kind": "fem"}}, 2,
+     "oracle 'fem' works on rectangle domains"),
+    (SMALL_CFG, {"basis": {"backend": "airy", "n_modes": 10}}, 2,
+     "backend 'airy' works on rectangle domains"),
+    (SMALL_CFG, {"airy_compare": 5}, 2,
+     "airy_compare works on rectangle domains"),
 ], ids=["material", "mesh", "solver", "isotropic_without_Y",
         "orthotropic_without_G_xy", "profile_without_Y_bottom",
         "oracle_without_loading", "oracle_material_without_Y",
@@ -508,7 +534,9 @@ _M1 = {"particular": {"recipe": "annulus_m1"},
         "unknown_band_profile", "band_without_feature_lines",
         "gravity_off_unit_square", "gravity_without_feature_line",
         "m1_particular_radii", "pt_body_without_potential",
-        "pt_body_orthotropic"])
+        "pt_body_orthotropic", "band_on_annulus", "axisym_airy_on_rectangle",
+        "lame_on_rectangle", "fem_on_annulus", "airy_backend_on_annulus",
+        "airy_compare_on_annulus"])
 def test_cli_schema_valid_bad_input(tmp_path, capsys, base, change, code,
                                     words):
     """Input errors exit 2 and numeric failures exit 1, with one line each."""

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from scipy.sparse.linalg import splu
+from scipy.sparse.linalg import splu, spsolve
 
 from stressbasis import fem2d
 from stressbasis.fem2d import (radial_ops, rect_ops, shape1d, shape2d,
@@ -97,9 +97,10 @@ def test_displacement_solver_patch_test():
     assert np.abs(comps[2]).max() < 1e-8
 
 
-def test_spd_factor_fills_less_than_colamd(monkeypatch):
-    """The symmetric minimum-degree factor of the refined 16x16 oracle mesh's
-    Kff has less fill than COLAMD's and solves to round-off."""
+@pytest.fixture
+def spd_factors(monkeypatch):
+    """Every matrix that ``fem2d._spd_lu`` factors, with its factor and the
+    (right side, solution) pairs solved with it."""
     factored = []
     real = fem2d._spd_lu
 
@@ -113,7 +114,12 @@ def test_spd_factor_fills_less_than_colamd(monkeypatch):
             self.solves.append((b.copy(), x.copy()))
             return x
     monkeypatch.setattr(fem2d, "_spd_lu", Spy)
-    mesh = build_rectangle_mesh(Domain.rectangle(1.0, 1.0), 16, 16,
+    return factored
+
+
+def _band_problem(n):
+    """example7_dc's mesh, material and a four-sided load on an n x n grid."""
+    mesh = build_rectangle_mesh(Domain.rectangle(1.0, 1.0), n, n,
                                 feature_lines={"x": [0.25, 0.75], "y": [0.5]})
     mat = Material.isotropic(discontinuous_modulus(1.0, 3.0, 0.5), 0.33)
     loading = LoadingSpec.for_rectangle({
@@ -122,14 +128,92 @@ def test_spd_factor_fills_less_than_colamd(monkeypatch):
         "left": lambda x, y: (np.ones_like(y), np.zeros_like(y)),
         "right": lambda x, y: (-np.ones_like(y), np.zeros_like(y)),
     })
+    return mesh, mat, loading
+
+
+def test_spd_factor_fills_less_than_colamd(spd_factors):
+    """The nested-dissection factor of the refined 16x16 oracle mesh's Kff
+    has less fill than COLAMD's and solves to round-off."""
+    mesh, mat, loading = _band_problem(16)
     displacement_fem_oracle(mesh, loading, mat, refine=2)
-    kff = factored[0]
+    kff = spd_factors[0]
     assert kff.A.shape[0] == 2 * mesh.refined(2).n_nodes - 3
     colamd = splu(kff.A)
     fill = kff.lu.L.nnz + kff.lu.U.nnz
     assert fill < colamd.L.nnz + colamd.U.nnz
     F, u = kff.solves[0]    # the plain solve, before any refinement step
     assert np.linalg.norm(kff.A @ u - F) <= 1e-10 * np.linalg.norm(F)
+
+
+def test_nested_dissection_fills_less_than_minimum_degree(spd_factors):
+    """On the refined 36x36 mesh (72x72 elements), Kff factored in its
+    nested-dissection order has less fill than with SuperLU's minimum-degree
+    ordering of the same matrix, and its plain solve leaves a residual
+    below 1e-10 of the load."""
+    mesh, mat, loading = _band_problem(36)
+    displacement_fem_oracle(mesh, loading, mat, refine=2)
+    kff = spd_factors[0]
+    mmd = splu(kff.A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+               options={"SymmetricMode": True})
+    assert kff.lu.L.nnz + kff.lu.U.nnz < mmd.L.nnz + mmd.U.nnz
+    F, u = kff.solves[0]
+    assert np.linalg.norm(kff.A @ u - F) <= 1e-10 * np.linalg.norm(F)
+
+
+@pytest.mark.parametrize("nnx, nny, last_cut", [
+    (3, 3, None), (9, 5, 4 + 9 * np.arange(5)), (5, 17, 40 + np.arange(5))])
+def test_nested_dissection_order(nnx, nny, last_cut):
+    """The order lists every node once and ends with the cut through the
+    middle element boundary across the longer side; one element is not
+    cut."""
+    order = fem2d._nested_dissection(nnx, nny)
+    assert np.array_equal(np.sort(order), np.arange(nnx * nny))
+    if last_cut is None:
+        assert np.array_equal(order, np.arange(nnx * nny))
+    else:
+        assert np.array_equal(order[-len(last_cut):], last_cut)
+
+
+def test_kronecker_projection_matches_the_mass_matrix_solve(rng):
+    """``project_to_nodes`` solves with kron(My, Mx); on a graded mesh that
+    equals a solve with the assembled 2-D mass matrix."""
+    mesh = build_rectangle_mesh(Domain.rectangle(1.0, 1.0), 7, 9,
+                                feature_lines={"x": [0.3], "y": [0.3]})
+    assert len(set(np.diff(mesh.xs))) > 1 and len(set(np.diff(mesh.ys))) > 1
+    ops = rect_ops(mesh)
+    q = rng.normal(size=ops.nq)
+    ref = spsolve(ops.Ms.tocsc(), ops.P.T @ (ops.qw * q))
+    got = ops.project_to_nodes(q)
+    assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
+
+
+def test_reference_solve_builds_no_scalar_matrices(monkeypatch):
+    """The fine mesh of a reference solve never builds Ks, Ms, Dx or Dy; a
+    mesh that reads them builds the four once."""
+    built = []
+    real = fem2d._scalar_matrices
+    monkeypatch.setattr(fem2d, "_scalar_matrices",
+                        lambda ops: built.append(ops.mesh) or real(ops))
+    mesh, mat, loading = _band_problem(4)
+    displacement_fem_oracle(mesh, loading, mat, refine=2)
+    assert built == []
+    ops = rect_ops(mesh)
+    ops.Ks, ops.Ms, ops.Dx, ops.Dy, ops.Ks
+    assert built == [mesh]
+
+
+def test_displacement_solve_peak_memory(traced_peak):
+    """The numpy transients of the reference solve on the refined 16x16 mesh
+    stay under five element-stiffness stacks (nel x 18 x 18 doubles): the
+    stack is built one quadrature point at a time, and Kff directly in its
+    factor order."""
+    mesh, mat, loading = _band_problem(16)
+    fine = mesh.refined(2)
+    ops = rect_ops(fine)
+    for tag in ("left", "right", "bottom", "top"):
+        ops.edge_quad(tag)
+    _, peak = traced_peak(fem2d.solve_displacement, fine, mat, loading)
+    assert peak <= 5 * fine.n_elements * 18 * 18 * 8
 
 
 def test_edge_quadrature_lengths(rect_mesh):
