@@ -42,8 +42,9 @@ from scipy.linalg import null_space  # noqa: F401
 from scipy.sparse.linalg import eigsh
 
 from . import fem2d
-from .fields import (SymTensorField2, _ops, _zero_divergence, quad_metric,
-                     scalar_gram, tensor_gram)
+from .fields import (SIDES, EquilibriumReport, SymTensorField2, _ops,
+                     _zero_divergence, equilibrium_residual, interior_norm,
+                     quad_metric, scalar_gram, tensor_gram, traction_mismatch)
 from ._cache import read_tagged, write_tagged
 from .meshes import Domain, RadialMesh, RectangleMesh
 
@@ -105,18 +106,20 @@ class BasisSet:
         """(3, nq, k) quadrature-point values of the selected modes.
 
         Nodal modes are evaluated together, one sparse product per component
-        written into the result, so that one component is held besides it; a
-        selection holding a mode with an exact form is evaluated mode by mode.
+        written into the result, so that one component is held besides it.
+        A basis that holds the stack of all its modes (``airy_bump_basis``
+        stores it) takes every selection from that stack.
         """
         key = ("quad", tuple(indices))
-        if key not in self._cache:
-            modes = [self.modes[i] for i in indices]
+        full = self._cache.get(("quad", tuple(range(len(self)))))
+        if key not in self._cache and full is not None:
+            # C-ordered like a fresh stack: products with it round by layout
+            self._cache[key] = np.take(full, key[1], axis=2)
+        elif key not in self._cache:
+            modes = [self.modes[i] for i in key[1]]
             P = _ops(self.mesh).P
             Q = np.empty((3, P.shape[0], len(modes)))
-            if any(map(_has_exact_form, modes)):
-                for j, md in enumerate(modes):
-                    Q[:, :, j] = md.at_quad()
-            elif modes:
+            if modes:
                 for c in range(3):
                     Q[c] = P @ np.stack([md.components[c] for md in modes], 1)
             self._cache[key] = Q
@@ -541,20 +544,17 @@ def solve_basis_annulus(mesh: RadialMesh, wavenumbers,
 # Orthonormalization and diagnostics
 # ---------------------------------------------------------------------------
 
-def _sign_fix(mode: SymTensorField2) -> SymTensorField2:
-    flat = mode.components.ravel()
-    i = int(np.argmax(np.abs(flat)))
-    if flat[i] < 0:
-        return -1.0 * mode
-    return mode
+def _sign_fixed(comps: np.ndarray):
+    """``comps`` with the mode sign convention (largest absolute nodal value
+    positive), and whether they were negated.
 
-
-def _has_exact_form(md: SymTensorField2) -> bool:
-    if md.fn is not None or md.div_fn is not None:
-        return True
-    if md.parts:
-        return any(_has_exact_form(p) for _, p in md.parts)
-    return False
+    ``comps`` is a sum of terms that starts at 0; negating the terms would
+    give ``0.0 - comps`` exactly, since a zero sum is +0.0 either way.
+    """
+    flat = comps.ravel()
+    if flat[np.argmax(np.abs(flat))] < 0:
+        return 0.0 - comps, True
+    return comps, False
 
 
 def _symmetric(G: np.ndarray) -> np.ndarray:
@@ -576,8 +576,7 @@ def orthonormalize(basis: BasisSet) -> BasisSet:
     """
     n = len(basis.modes)
 
-    # cluster detection on eigenvalues (airy backend: single MGS pass overall
-    # is not needed -- its construction already orthonormalizes)
+    # cluster detection on eigenvalues
     clusters = []
     if basis.eigenvalues is not None:
         lam = basis.eigenvalues
@@ -624,36 +623,31 @@ def orthonormalize(basis: BasisSet) -> BasisSet:
                 T[:, p] = (1.0 / nrm) * v
                 done.append(p)
 
-        # materialize purely discrete modes as plain component fields so that
-        # quadrature evaluation is bit-identical between a freshly built basis
-        # and one reloaded from the cache (closed-form modes keep their exact
-        # handles)
+        # the output modes are plain component fields, so that quadrature
+        # evaluation is bit-identical between a freshly built basis and one
+        # reloaded from the cache
         tag = basis.modes[idx[0]]
         for p, i in enumerate(idx):
-            parts = [(float(T[q, p]), basis.modes[idx[q]])
-                     for q in np.flatnonzero(T[:, p])]
-            raw = SymTensorField2(tag.mesh, m=tag.m, parity=tag.parity,
-                                  parts=parts)
-            md = _sign_fix(raw)
-            if md is not raw:
+            comps, flipped = _sign_fixed(sum(
+                float(T[q, p]) * basis.modes[idx[q]].components
+                for q in np.flatnonzero(T[:, p])))
+            if flipped:
                 T[:, p] = -T[:, p]
-            if not _has_exact_form(md):
-                md = SymTensorField2(md.mesh, md.components.copy(), m=md.m,
-                                     parity=md.parity)
-            fixed[i] = md
+            fixed[i] = SymTensorField2(tag.mesh, comps, m=tag.m,
+                                       parity=tag.parity)
         block = np.ix_(idx, idx)
         out.gram_l2[block] = _symmetric(T.T @ G @ T)
         out.trace_gram[block] = _symmetric(T.T @ Gt @ T)
     return out
 
 
-def _record_residuals(basis: BasisSet):
-    """Record per-mode equilibrium residuals and the backend tolerance."""
-    from .fields import equilibrium_residual
+def _record_residuals(basis: BasisSet, reports=None):
+    """Record per-mode equilibrium residuals and the backend tolerance; the
+    ``EquilibriumReport`` of each mode in order, by default its own
+    ``equilibrium_residual``."""
     div = []
     bc = []
-    for mode in basis.modes:
-        rep = equilibrium_residual(mode)
+    for rep in reports or map(equilibrium_residual, basis.modes):
         div.append(rep.interior_norm)
         bc.append(rep.boundary_mismatch)
     basis.provenance["div_residuals"] = [float(v) for v in div]
@@ -725,6 +719,7 @@ def airy_bump_basis(mesh: RectangleMesh, n: int) -> BasisSet:
     Tr = Q[0] + Q[1]
     G = _symmetric(tensor_gram(mesh, None, None, Q, Q))
     Gt = _symmetric(scalar_gram(mesh, None, None, Tr, Tr))
+    del Tr
     w, U = eigh(G)
     keepcols = w > 1e-10 * w.max()
     truncated = int(np.sum(~keepcols))
@@ -734,14 +729,15 @@ def airy_bump_basis(mesh: RectangleMesh, n: int) -> BasisSet:
     w = w[::-1]
     # column c of T: output mode c in terms of the raw fields
     T = U / np.sqrt(w)
+    C = _mode_values(np.stack([r.components for r in raw], 2), T)
     modes = []
     for c in range(T.shape[1]):
-        parts = [(float(T[r, c]), raw[r]) for r in range(len(raw))]
-        raw_mode = SymTensorField2(mesh, parts=parts)
-        md = _sign_fix(raw_mode)
-        if md is not raw_mode:
+        comps, flipped = _sign_fixed(np.ascontiguousarray(C[..., c]))
+        if flipped:
             T[:, c] = -T[:, c]
-        modes.append(md)
+        modes.append(SymTensorField2(mesh, comps, parts=[
+            (float(T[r, c]), raw[r]) for r in range(len(raw))]))
+    del C
 
     gram = _symmetric(T.T @ G @ T)
     tgram = _symmetric(T.T @ Gt @ T)
@@ -753,8 +749,42 @@ def airy_bump_basis(mesh: RectangleMesh, n: int) -> BasisSet:
         "n_requested": n,
         "rank_truncated": truncated,
     })
-    _record_residuals(basis)
+    # the modes' values come from the raw values, each potential evaluated
+    # once per point set; the basis keeps the quadrature stack
+    basis._cache[("quad", tuple(range(len(modes))))] = _mode_values(Q, T)
+    del Q
+    # a residual, formed by one product: its order of summation moves it at
+    # round-off only, and the potentials' divergence is exactly zero
+    div = np.stack([r.divergence_quad() for r in raw], 2) @ T
+    edges = {tag: _mode_values(np.stack([r.edge_values(tag) for r in raw], 2),
+                               T) for tag in SIDES}
+    _record_residuals(basis, (EquilibriumReport(
+        interior_norm(mesh, None, None, div[..., c]),
+        traction_mismatch(mesh, {tag: e[..., c] for tag, e in edges.items()}),
+        None) for c in range(len(modes))))
     return basis
+
+
+# points per block of ``_mode_values``
+_POINT_BLOCK = 4096
+
+
+def _mode_values(V: np.ndarray, T: np.ndarray) -> np.ndarray:
+    """The values (..., n_modes) of the modes with map T from the raw values
+    V (..., n_raw): each sums T[r, c] V[..., r] in r order, as a mode made of
+    ``parts`` does, so a column equals the mode's own evaluation bit for bit
+    (a matrix product sums in another order). The points go in blocks that
+    stay in cache, turned so that each product runs along a row of points.
+    """
+    V2 = V.reshape(-1, V.shape[-1])
+    out = np.empty((len(V2), T.shape[1]))
+    for s in range(0, len(V2), _POINT_BLOCK):
+        v = V2[s:s + _POINT_BLOCK].T.copy()
+        o = np.zeros((T.shape[1], v.shape[1]))
+        for t, vr in zip(T, v):
+            o += np.multiply.outer(t, vr)
+        out[s:s + _POINT_BLOCK] = o.T
+    return out.reshape(V.shape[:-1] + (T.shape[1],))
 
 
 # ---------------------------------------------------------------------------

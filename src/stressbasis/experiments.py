@@ -62,6 +62,11 @@ class UsageError(ValueError):
 # Configuration
 # ---------------------------------------------------------------------------
 
+def _numbers(*keys) -> dict:
+    """Schema properties: each key a number."""
+    return {k: {"type": "number"} for k in keys}
+
+
 CONFIG_SCHEMA = {
     "type": "object",
     "required": ["name", "domain", "mesh", "material", "basis", "particular",
@@ -74,9 +79,7 @@ CONFIG_SCHEMA = {
             "required": ["kind"],
             "properties": {
                 "kind": {"enum": ["rectangle", "annulus"]},
-                "Lx": {"type": "number"}, "Ly": {"type": "number"},
-                "r_a": {"type": "number"}, "r_b": {"type": "number"},
-            },
+                **_numbers("Lx", "Ly", "r_a", "r_b")},
         },
         "mesh": {
             "type": "object",
@@ -89,8 +92,13 @@ CONFIG_SCHEMA = {
         },
         "material": {
             "type": "object", "required": ["kind"],
-            "properties": {"Y": {"if": {"type": "object"}, "then": {
-                "required": ["profile", "Y_top", "Y_bottom"]}}},
+            "properties": {
+                "Y": {"type": ["number", "object"],
+                      "if": {"type": "object"}, "then": {
+                          "required": ["profile", "Y_top", "Y_bottom"],
+                          "properties": _numbers("Y_top", "Y_bottom",
+                                                 "y_interface", "zeta")}},
+                **_numbers("nu", "Y_x", "Y_y", "nu_xy", "G_xy")},
             "allOf": [
                 {"if": {"properties": {"kind": {"const": "isotropic"}}},
                  "then": {"required": ["Y", "nu"]}},
@@ -104,12 +112,15 @@ CONFIG_SCHEMA = {
             "properties": {
                 "backend": {"enum": ["eigen", "airy"]},
                 "n_modes": {"type": "integer", "minimum": 1},
-                "wavenumbers": {"type": "array", "items": {"type": "integer"}},
+                "wavenumbers": {"type": "array", "minItems": 1, "items": {
+                    "type": "integer", "minimum": 0}},
             },
         },
         "particular": {
             "type": "object", "required": ["recipe"],
-            "properties": {"profile": {"enum": ["discontinuous", "quartic"]}},
+            "properties": {"profile": {"enum": ["discontinuous", "quartic"]},
+                           **_numbers("p", "p_in", "p_out", "rho1", "rho2",
+                                      "g", "tol")},
             "if": {"properties": {"recipe": {"const": "oracle"}}},
             "then": {"required": ["material", "loading"], "properties": {
                 "material": {"$ref": "#/properties/material"},
@@ -122,13 +133,13 @@ CONFIG_SCHEMA = {
         "N": {"type": "integer", "minimum": 0},
         "ns": {"type": ["array", "null"], "items": {"type": "integer"}},
         "oracle": {"type": "object", "properties": {
-            "refine": {"type": "integer", "minimum": 1}}},
+            "refine": {"type": "integer", "minimum": 1}, **_numbers("p")}},
         "slope_window": {
             "type": "array", "minItems": 2, "maxItems": 2,
             "items": {"type": "integer"},
         },
-        "cesaro": {"type": "object"},
-        "airy_compare": {"type": ["integer", "null"]},
+        "cesaro": {"type": "object", "properties": _numbers("radius")},
+        "airy_compare": {"type": ["integer", "null"], "minimum": 0},
         "checks": {"type": "object"},
         "full": {"type": "object"},
     },

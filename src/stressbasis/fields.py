@@ -20,6 +20,11 @@ divergence callables; arithmetic combinations retain their parts so that
 quadrature values, boundary values, and weak divergences stay exact for
 piecewise-discontinuous ingredients (jumps aligned to mesh feature lines).
 
+Fields are values: a field keeps its constructor arguments and its nodal
+components and no evaluation state, so every evaluation recomputes its
+result. Values that are read many times are kept by their owner instead: a
+basis keeps the one quadrature stack of its modes (``BasisSet.quad_matrix``).
+
 Dump format: CSV with header ``x,y,sxx,syy,sxy`` (rectangle) or
 ``r,m,srr,stt,srt`` (radial), one row per node, 17 significant digits.
 """
@@ -34,6 +39,9 @@ from ._cache import atomic_write_text
 from .meshes import LoadingSpec, RadialMesh
 
 _FMT = "%.17g"
+
+# the sides of a rectangle, in the order the boundary checks visit them
+SIDES = ("left", "right", "bottom", "top")
 
 
 class FieldError(ValueError):
@@ -85,6 +93,10 @@ class SymTensorField2:
     divergence for closed-form fields. For discontinuous closed-form fields the
     nodal array takes the two-sided average at jump nodes; it is used only for
     CSV dumps and the nodewise reconstruction identity, never in integrals.
+
+    A field holds no evaluation state: ``at_quad``, ``divergence_quad`` and
+    ``edge_values`` recompute their result on every call (a field built from
+    ``parts`` evaluates its parts again, each distinct one once).
     """
 
     def __init__(self, mesh, components=None, m=None, parity=None,
@@ -109,23 +121,17 @@ class SymTensorField2:
         if not np.all(np.isfinite(components)):
             raise FieldError("non-finite tensor components")
         self.components = components
-        self._quad = None
-        self._div = None
-        self._edge = {}
 
     # -- evaluation ---------------------------------------------------------
 
     def at_quad(self) -> np.ndarray:
         """(3, nq) components at the mesh quadrature points."""
-        if self._quad is None:
-            ops = _ops(self.mesh)
-            if self.parts is not None:
-                self._quad = sum(c * p.at_quad() for c, p in self.parts)
-            elif self.fn is not None:
-                self._quad = _call_on_quad(self.fn, self.mesh, ops, (3,))
-            else:
-                self._quad = np.stack([ops.P @ comp for comp in self.components])
-        return self._quad
+        ops = _ops(self.mesh)
+        if self.parts is not None:
+            return _sum_parts(self, SymTensorField2.at_quad)
+        if self.fn is not None:
+            return _call_on_quad(self.fn, self.mesh, ops, (3,))
+        return np.stack([ops.P @ comp for comp in self.components])
 
     def divergence_quad(self) -> np.ndarray:
         """(2, nq) strong divergence at element-interior quadrature points.
@@ -133,38 +139,32 @@ class SymTensorField2:
         Radially, returns the two divergence profiles (the trig factors are
         handled by the integration weights).
         """
-        if self._div is None:
-            ops = _ops(self.mesh)
-            if self.parts is not None:
-                self._div = sum(c * p.divergence_quad() for c, p in self.parts)
-            elif self.div_fn is not None:
-                self._div = _call_on_quad(self.div_fn, self.mesh, ops, (2,))
-            elif isinstance(self.mesh, RadialMesh):
-                frr, ftt, frt = self.components
-                s = 1.0 if self.parity == "cos" else -1.0
-                v = ops.P @ np.stack([frr, ftt, frt], axis=1)
-                dv = ops.Pr @ np.stack([frr, frt], axis=1)
-                r = ops.rq
-                div_r = dv[:, 0] + (s * self.m * v[:, 2] + v[:, 0] - v[:, 1]) / r
-                div_t = dv[:, 1] + (2 * v[:, 2] - s * self.m * v[:, 1]) / r
-                self._div = np.stack([div_r, div_t])
-            else:
-                sxx, syy, sxy = self.components
-                self._div = np.stack([ops.Px @ sxx + ops.Py @ sxy,
-                                      ops.Px @ sxy + ops.Py @ syy])
-        return self._div
+        ops = _ops(self.mesh)
+        if self.parts is not None:
+            return _sum_parts(self, SymTensorField2.divergence_quad)
+        if self.div_fn is not None:
+            return _call_on_quad(self.div_fn, self.mesh, ops, (2,))
+        if isinstance(self.mesh, RadialMesh):
+            frr, ftt, frt = self.components
+            s = 1.0 if self.parity == "cos" else -1.0
+            v = ops.P @ np.stack([frr, ftt, frt], axis=1)
+            dv = ops.Pr @ np.stack([frr, frt], axis=1)
+            r = ops.rq
+            div_r = dv[:, 0] + (s * self.m * v[:, 2] + v[:, 0] - v[:, 1]) / r
+            div_t = dv[:, 1] + (2 * v[:, 2] - s * self.m * v[:, 1]) / r
+            return np.stack([div_r, div_t])
+        sxx, syy, sxy = self.components
+        return np.stack([ops.Px @ sxx + ops.Py @ sxy,
+                         ops.Px @ sxy + ops.Py @ syy])
 
     def edge_values(self, tag: str) -> np.ndarray:
         """(3, n_edge_q) components at boundary quadrature points (rectangle)."""
         ops = _ops(self.mesh)
         if self.parts is not None:
-            return sum(c * p.edge_values(tag) for c, p in self.parts)
+            return _sum_parts(self, lambda f: f.edge_values(tag))
         if self.fn is not None:
-            # kept: every field that holds this one as a part reads them
-            if tag not in self._edge:
-                ex, ey, _ = ops.edge_quad(tag)
-                self._edge[tag] = np.asarray(self.fn(ex, ey), float)
-            return self._edge[tag]
+            ex, ey, _ = ops.edge_quad(tag)
+            return np.asarray(self.fn(ex, ey), float)
         E = ops.edge_interp(tag)
         return np.stack([E @ comp for comp in self.components])
 
@@ -202,6 +202,21 @@ class SymTensorField2:
 
     def __neg__(self):
         return self * -1.0
+
+
+def _sum_parts(field, evaluate):
+    """sum c * evaluate(p) over the parts of ``field``, recursively and in
+    order. A leaf (a field without parts) met more than once, as the raw
+    fields that the airy modes of a sum share, is evaluated once per call."""
+    leaves = {}
+
+    def walk(f):
+        if f.parts is not None:
+            return sum(c * walk(p) for c, p in f.parts)
+        if id(f) not in leaves:
+            leaves[id(f)] = evaluate(f)
+        return leaves[id(f)]
+    return walk(field)
 
 
 def _eval_tensor(fn, mesh):
@@ -312,11 +327,7 @@ def equilibrium_residual(A: SymTensorField2,
         if isinstance(A.mesh, RadialMesh):
             raise FieldError("body forces are defined on rectangle meshes only")
         res = res + [np.broadcast_to(v, ops.qx.shape) for v in b(ops.qx, ops.qy)]
-    # radially, the r and theta divergence profiles vary in theta as the
-    # normal and the shear components do
-    w, fac = quad_metric(A.mesh, A.m, A.parity)
-    interior = float(np.sqrt(max(fac[0] * np.dot(w, res[0]**2)
-                                 + fac[2] / 2 * np.dot(w, res[1]**2), 0.0)))
+    interior = interior_norm(A.mesh, A.m, A.parity, res)
     mismatch = 0.0
     if isinstance(A.mesh, RadialMesh):
         bc = loading.boundary_stress if loading is not None else {}
@@ -331,9 +342,28 @@ def equilibrium_residual(A: SymTensorField2,
                            abs(A.components[2][idx] - srt_bc))
         return EquilibriumReport(interior, mismatch, loading)
 
-    for tag in ("left", "right", "bottom", "top"):
+    edges = {tag: A.edge_values(tag) for tag in SIDES}
+    return EquilibriumReport(interior, traction_mismatch(A.mesh, edges, loading),
+                             loading)
+
+
+def interior_norm(mesh, m, parity, res: np.ndarray) -> float:
+    """L2 norm of a (2, nq) interior residual at the quadrature points;
+    radially, the r and theta profiles vary in theta as the normal and the
+    shear components do."""
+    w, fac = quad_metric(mesh, m, parity)
+    return float(np.sqrt(max(fac[0] * np.dot(w, res[0]**2)
+                             + fac[2] / 2 * np.dot(w, res[1]**2), 0.0)))
+
+
+def traction_mismatch(mesh, edges: dict,
+                      loading: LoadingSpec | None = None) -> float:
+    """max |A n - tau| over the boundary quadrature points of a rectangle,
+    from A's (3, n_edge_q) values on each side (``edges[tag]``)."""
+    ops = _ops(mesh)
+    mismatch = 0.0
+    for tag, ev in edges.items():
         nx, ny = ops.edge_normal(tag)
-        ev = A.edge_values(tag)
         tAx = ev[0] * nx + ev[2] * ny
         tAy = ev[2] * nx + ev[1] * ny
         if loading is not None:
@@ -343,7 +373,7 @@ def equilibrium_residual(A: SymTensorField2,
             tx = ty = 0.0
         mismatch = max(mismatch, float(np.max(np.abs(tAx - tx))),
                        float(np.max(np.abs(tAy - ty))))
-    return EquilibriumReport(interior, mismatch, loading)
+    return mismatch
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from .basis import BasisSet, _has_exact_form
+from .basis import BasisSet
 from .fields import (SymTensorField2, _call_on_quad, _ops, planar_trace,
                      scalar_gram, tensor_gram)
 from .materials import (Material, compliance_on_quad, compliance_quad,
@@ -93,6 +93,14 @@ def assemble_se_system(basis: BasisSet, sigma_p: SymTensorField2,
     idx = _select_indices(basis, sigma_p, N)
     M = _se_gram(basis, idx, material, sigma_p.m, sigma_p.parity)
     return M, -_energy_pairing(basis, idx, material, sigma_p)
+
+
+def _has_exact_form(md: SymTensorField2) -> bool:
+    if md.fn is not None or md.div_fn is not None:
+        return True
+    if md.parts:
+        return any(_has_exact_form(p) for _, p in md.parts)
+    return False
 
 
 def _reconstruct(sigma_p, basis, idx, a):

@@ -107,3 +107,18 @@ def traced_peak():
         finally:
             tracemalloc.stop()
     return peak
+
+
+@pytest.fixture
+def traced_held():
+    """held(f, *args) -> (f(*args), bytes still traced after the call above
+    what was traced when it began, with the result alive)."""
+    def held(f, *args):
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            out = f(*args)
+            return out, tracemalloc.get_traced_memory()[0] - start
+        finally:
+            tracemalloc.stop()
+    return held

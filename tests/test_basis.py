@@ -215,8 +215,10 @@ def test_load_basis_builds_modes_on_an_equal_mesh(tmp_path, rect_basis):
 
 def test_quad_matrix_matches_per_mode_evaluation(rect_basis, ann_basis_merged,
                                                  rect_mesh):
-    """Nodal modes evaluated together give the per-mode values bit for bit;
-    modes with an exact form are evaluated one at a time."""
+    """Nodal modes evaluated together give the per-mode values bit for bit,
+    and so does the stack the airy build stores, for every selection; a
+    selection is C-ordered like a fresh stack, so products with it are
+    unchanged too."""
     for basis in (rect_basis, ann_basis_merged):
         idx = list(range(len(basis)))[::2]
         want = np.stack([basis.modes[i].at_quad() for i in idx], axis=2)
@@ -224,6 +226,8 @@ def test_quad_matrix_matches_per_mode_evaluation(rect_basis, ann_basis_merged,
     airy = airy_bump_basis(rect_mesh, 4)
     want = np.stack([md.at_quad() for md in airy.modes], axis=2)
     assert np.array_equal(airy.quad_matrix(range(4)), want)
+    got = airy.quad_matrix([3, 1])
+    assert np.array_equal(got, want[:, :, [3, 1]]) and got.flags.c_contiguous
 
 
 def test_quad_matrix_of_no_modes(rect_basis):
@@ -272,8 +276,9 @@ def test_airy_bump_basis_properties(rect_mesh):
 
 
 def test_airy_build_evaluates_each_potential_once_per_side(monkeypatch):
-    """The modes share the raw fields' edge values: the residual record
-    evaluates every raw potential on each side once, not once per mode."""
+    """The modes' values come from the raw fields' values: the build and a
+    read of its quadrature stack evaluate every raw potential once at the
+    quadrature points and once on each side, not once per mode."""
     mesh = build_rectangle_mesh(Domain.rectangle(1.0, 0.5), 6, 4)
     ops = fem2d.rect_ops(mesh)
     edge_shapes = {ops.edge_quad(tag)[0].shape
@@ -293,10 +298,36 @@ def test_airy_build_evaluates_each_potential_once_per_side(monkeypatch):
             super().__init__(mesh, *args, fn=fn, **kwargs)
 
     monkeypatch.setattr(basis_mod, "SymTensorField2", Counted)
-    airy_bump_basis(mesh, 8)
+    basis = airy_bump_basis(mesh, 8)
+    basis.quad_matrix(range(len(basis)))
     assert len(calls) == 8
     for seen in calls:
         assert sum(shape in edge_shapes for shape in seen) <= 4
+        assert seen.count(ops.qx.shape) == 1
+
+
+def test_airy_build_holds_its_stack_and_nodal_arrays(rect_mesh, traced_held):
+    """A built airy basis holds the quadrature stack of its modes and the
+    nodal arrays of its modes and raw fields, and no per-field values."""
+    airy_bump_basis(rect_mesh, 10)   # operators built outside the measurement
+    basis, held = traced_held(airy_bump_basis, rect_mesh, 10)
+    fields = basis.modes + [p for _, p in basis.modes[0].parts]
+    arrays = basis.quad_matrix(range(len(basis))).nbytes + sum(
+        f.components.nbytes for f in fields)
+    assert held <= 1.1 * arrays
+
+
+def test_residual_record_retains_no_divergence(rect_basis, traced_held):
+    """Recording an eigenbasis's residuals leaves no evaluation on its
+    modes: less than one (2, nq) divergence array is retained in all."""
+    def fresh():
+        return BasisSet([SymTensorField2(md.mesh, md.components)
+                         for md in rect_basis.modes], rect_basis.eigenvalues,
+                        rect_basis.gram_l2, rect_basis.trace_gram,
+                        dict(rect_basis.provenance))
+    basis_mod._record_residuals(fresh())   # operators built outside it
+    _, held = traced_held(basis_mod._record_residuals, fresh())
+    assert held < 2 * fem2d.rect_ops(rect_basis.mesh).nq * 8
 
 
 def test_config_validation(rect_mesh, ann_mesh):

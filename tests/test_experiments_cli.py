@@ -525,6 +525,19 @@ _M1 = {"particular": {"recipe": "annulus_m1"},
      "backend 'airy' works on rectangle domains"),
     (SMALL_CFG, {"airy_compare": 5}, 2,
      "airy_compare works on rectangle domains"),
+    (SMALL_CFG, {"cesaro": {"radius": "x"}}, 2, "'x' is not of type"),
+    (SMALL_CFG, {"material": {"kind": "isotropic", "Y": 1.0, "nu": "a"}}, 2,
+     "'a' is not of type"),
+    (RECT_CFG, {"particular": {"recipe": "uniform_pressure", "p": "a"}}, 2,
+     "'a' is not of type"),
+    (RECT_CFG, {"particular": {"recipe": "oracle", "tol": "a", "loading": {
+        "recipe": "uniform_pressure"}, "material": {
+        "kind": "isotropic", "Y": 1.0, "nu": 0.3}}}, 2, "'a' is not of type"),
+    (SMALL_CFG, {"basis": {"backend": "eigen", "n_modes": 10,
+                           "wavenumbers": [-1]}}, 2, "minimum"),
+    (SMALL_CFG, {"basis": {"backend": "eigen", "n_modes": 10,
+                           "wavenumbers": []}}, 2, "non-empty"),
+    (RECT_CFG, {"airy_compare": -3}, 2, "minimum"),
 ], ids=["material", "mesh", "solver", "isotropic_without_Y",
         "orthotropic_without_G_xy", "profile_without_Y_bottom",
         "oracle_without_loading", "oracle_material_without_Y",
@@ -536,7 +549,9 @@ _M1 = {"particular": {"recipe": "annulus_m1"},
         "m1_particular_radii", "pt_body_without_potential",
         "pt_body_orthotropic", "band_on_annulus", "axisym_airy_on_rectangle",
         "lame_on_rectangle", "fem_on_annulus", "airy_backend_on_annulus",
-        "airy_compare_on_annulus"])
+        "airy_compare_on_annulus", "cesaro_radius_not_a_number",
+        "nu_not_a_number", "pressure_not_a_number", "oracle_tol_not_a_number",
+        "negative_wavenumber", "no_wavenumbers", "negative_airy_compare"])
 def test_cli_schema_valid_bad_input(tmp_path, capsys, base, change, code,
                                     words):
     """Input errors exit 2 and numeric failures exit 1, with one line each."""

@@ -119,6 +119,14 @@ def test_field_arithmetic_consistency(rect_mesh, rng):
     C = 2.0 * A - B
     assert np.allclose(C.components, 2 * a - b)
     assert np.allclose(C.at_quad(), 2 * A.at_quad() - B.at_quad())
+    # fields are values: a field keeps its constructor arguments and nodal
+    # components, and evaluating it changes none of them
+    for f in (A, C):
+        before = dict(vars(f))
+        f.divergence_quad(), f.edge_values("top")
+        assert set(before) == {"mesh", "m", "parity", "fn", "div_fn", "parts",
+                               "components"}
+        assert all(getattr(f, k) is v for k, v in before.items())
 
 
 def test_equilibrium_residual_uniform(rect_mesh):
