@@ -15,9 +15,9 @@ constraint is eliminated by LU: with C^T = P L U (row pivoting), the kernel of
 C is spanned by the columns of P [-L1^-T L2^T; I], and the reduced dense pencil
 is solved by a symmetric-definite eigensolver.
 
-An alternative non-eigen backend generates stress fields from products of
-clamped polynomial "bump" potentials (exactly divergence-free and
-traction-free) and orthonormalizes them.
+An alternative non-eigen backend orthonormalizes the stress fields of
+clamped polynomial "bump" potentials f(x) g(y) (exactly divergence-free and
+traction-free), evaluated from 1-D tables of the factors f and g.
 """
 from __future__ import annotations
 
@@ -43,8 +43,9 @@ from scipy.sparse.linalg import eigsh
 
 from . import fem2d
 from .fields import (SIDES, EquilibriumReport, SymTensorField2, _ops,
-                     _zero_divergence, equilibrium_residual, interior_norm,
-                     quad_metric, scalar_gram, tensor_gram, traction_mismatch)
+                     _weighted_product, _zero_divergence, equilibrium_residual,
+                     interior_norm, quad_metric, scalar_gram, tensor_gram,
+                     traction_mismatch)
 from ._cache import read_tagged, write_tagged
 from .meshes import Domain, RadialMesh, RectangleMesh
 
@@ -56,6 +57,10 @@ _PARITIES = ("cos", "sin")
 # run on one BLAS thread each, whatever OPENBLAS_NUM_THREADS says); part of
 # the cache key
 SOLVER_VERSION = 3
+
+# the version of the airy build, in the airy cache key only (1: the modes
+# are summed from 1-D factor tables, which moves their values at round-off)
+AIRY_VERSION = 1
 
 # relative eigenvalue gap below which neighbouring modes form one degenerate
 # cluster, orthogonalized together; recorded in the provenance
@@ -667,11 +672,13 @@ def _record_residuals(basis: BasisSet, reports=None):
 # Airy bump backend (non-eigen alternative on simply-connected rectangles)
 # ---------------------------------------------------------------------------
 
-def _bump_polys(count: int, L: float):
-    """Clamped 1D polynomials f(0)=f'(0)=f(L)=f'(L)=0 and derivatives."""
+def _bump_polys(count: int, L: float) -> np.ndarray:
+    """Coefficients [power, d, j] of the clamped 1D polynomials
+    f_j(0)=f_j'(0)=f_j(L)=f_j'(L)=0, j < count, and of their derivatives of
+    order d = 0, 1, 2, zero-padded to count + 4 powers."""
     u2 = nppoly.Polynomial([0.0, 0.0, 1.0])           # u^2
     clamp = u2 * nppoly.Polynomial([1.0, -1.0]) ** 2  # u^2 (1-u)^2
-    out = []
+    out = np.zeros((count + 4, 3, count))
     for j in range(count):
         leg = npleg.Legendre.basis(j).convert(kind=nppoly.Polynomial)
         shifted = leg(nppoly.Polynomial([-1.0, 2.0]))  # P_j(2u - 1)
@@ -679,8 +686,32 @@ def _bump_polys(count: int, L: float):
         # substitute u = x / L
         coef = f_u.coef * (1.0 / L) ** np.arange(len(f_u.coef))
         f = nppoly.Polynomial(coef)
-        out.append((f, f.deriv(1), f.deriv(2), f.deriv(3)))
+        for d in range(3):
+            out[:j + 5 - d, d, j] = f.deriv(d).coef
     return out
+
+
+def _bump_tables(fx, fy, x, y):
+    """The 1-D tables of the points (x, y): F[d, j] = f_j^(d) at the distinct
+    x, G[d, k] = g_k^(d) at the distinct y, and each point's index into them
+    (Horner's rule on zero-padded coefficients is bitwise the plain one)."""
+    ux, ix = np.unique(x, return_inverse=True)
+    uy, iy = np.unique(y, return_inverse=True)
+    return nppoly.polyval(ux, fx), nppoly.polyval(uy, fy), ix, iy
+
+
+# the derivative orders (a, b) of f and g and the sign s of each component
+# s f^(a) g^(b) of the stress of a potential f(x) g(y): (f g'', f'' g, -f' g')
+_AIRY_FACTORS = ((0, 2, 1.0), (2, 0, 1.0), (1, 1, -1.0))
+
+
+def _airy_values(tables, C):
+    """(3, n_points) components at the points of ``tables`` of the stress of
+    the potential sum_jk C[j, k] f_j(x) g_k(y), each gathered from the
+    product s F_a^T C G_b on the distinct abscissae."""
+    F, G, ix, iy = tables
+    return np.stack([(s * (F[a].T @ C @ G[b]))[ix, iy]
+                     for a, b, s in _AIRY_FACTORS])
 
 
 def airy_bump_basis(mesh: RectangleMesh, n: int) -> BasisSet:
@@ -690,34 +721,37 @@ def airy_bump_basis(mesh: RectangleMesh, n: int) -> BasisSet:
     boundary, so sigma = (psi_yy, psi_xx, -psi_xy) is exactly traction-free and
     divergence-free. Near-dependent combinations are truncated (reported in
     provenance) when the Gram matrix loses numerical rank.
+
+    A mode is its J x K matrix of potential coefficients. Every point set
+    (nodes, quadrature points, sides) is a tensor grid: the factors are
+    tabulated once per set (``_bump_tables``) and the modes, their ``fn``
+    too, evaluated from the tables (``_airy_values``).
     """
     if n < 1:
         raise BasisError("n must be >= 1")
-    pairs = []
-    deg = 0
-    while len(pairs) < n:
-        for j in range(deg + 1):
-            pairs.append((j, deg - j))
-        deg += 1
-    pairs = pairs[:n]
-    jmax = max(p[0] for p in pairs) + 1
-    kmax = max(p[1] for p in pairs) + 1
-    fx = _bump_polys(jmax, mesh.domain.Lx)
-    fy = _bump_polys(kmax, mesh.domain.Ly)
+    # the potentials (j, k) in order of total degree
+    jr, kr = np.array([(j, d - j) for d in range(n)
+                       for j in range(d + 1)][:n]).T
+    fx = _bump_polys(jr.max() + 1, mesh.domain.Lx)
+    fy = _bump_polys(kr.max() + 1, mesh.domain.Ly)
 
-    raw = []
-    for j, k in pairs:
-        fj, dfj, d2fj, _ = fx[j]
-        gk, dgk, d2gk, _ = fy[k]
-
-        def fn(x, y, fj=fj, dfj=dfj, d2fj=d2fj, gk=gk, dgk=dgk, d2gk=d2gk):
-            return np.stack([fj(x) * d2gk(y), d2fj(x) * gk(y), -dfj(x) * dgk(y)])
-
-        raw.append(SymTensorField2(mesh, fn=fn, div_fn=_zero_divergence))
-
-    Q = np.stack([r.at_quad() for r in raw], axis=2)
-    Tr = Q[0] + Q[1]
-    G = _symmetric(tensor_gram(mesh, None, None, Q, Q))
+    ops = _ops(mesh)
+    quad = _bump_tables(fx, fy, ops.qx, ops.qy)
+    Fq, Gq, ix, iy = quad
+    # the Grams of the potentials, as ``tensor_gram`` and ``scalar_gram`` sum
+    # them, with one raw component (nq, n) held besides the trace
+    w, fac = quad_metric(mesh)
+    G = 0
+    for c, (a, b, s) in enumerate(_AIRY_FACTORS):
+        V = (s * Fq[a].T[:, jr])[ix]
+        V *= Gq[b].T[:, kr][iy]
+        G = G + fac[c] * _weighted_product(w, V, V)
+        if c == 0:
+            Tr = V
+        elif c == 1:
+            Tr += V
+        del V
+    G = _symmetric(G)
     Gt = _symmetric(scalar_gram(mesh, None, None, Tr, Tr))
     del Tr
     w, U = eigh(G)
@@ -727,17 +761,21 @@ def airy_bump_basis(mesh: RectangleMesh, n: int) -> BasisSet:
     # canonical orthogonalization; reverse for a deterministic dominant-first order
     U = U[:, ::-1]
     w = w[::-1]
-    # column c of T: output mode c in terms of the raw fields
+    # column c of T: output mode c in terms of the potentials
     T = U / np.sqrt(w)
-    C = _mode_values(np.stack([r.components for r in raw], 2), T)
+    coefs = np.zeros((T.shape[1], fx.shape[2], fy.shape[2]))
+    coefs[:, jr, kr] = T.T
+
+    nodes = _bump_tables(fx, fy, *mesh.node_coords.T)
     modes = []
-    for c in range(T.shape[1]):
-        comps, flipped = _sign_fixed(np.ascontiguousarray(C[..., c]))
+    for c, C in enumerate(coefs):
+        comps, flipped = _sign_fixed(_airy_values(nodes, C))
         if flipped:
             T[:, c] = -T[:, c]
-        modes.append(SymTensorField2(mesh, comps, parts=[
-            (float(T[r, c]), raw[r]) for r in range(len(raw))]))
-    del C
+            C *= -1.0
+        modes.append(SymTensorField2(
+            mesh, comps, div_fn=_zero_divergence,
+            fn=lambda x, y, C=C: _airy_values(_bump_tables(fx, fy, x, y), C)))
 
     gram = _symmetric(T.T @ G @ T)
     tgram = _symmetric(T.T @ Gt @ T)
@@ -749,42 +787,19 @@ def airy_bump_basis(mesh: RectangleMesh, n: int) -> BasisSet:
         "n_requested": n,
         "rank_truncated": truncated,
     })
-    # the modes' values come from the raw values, each potential evaluated
-    # once per point set; the basis keeps the quadrature stack
-    basis._cache[("quad", tuple(range(len(modes))))] = _mode_values(Q, T)
-    del Q
-    # a residual, formed by one product: its order of summation moves it at
-    # round-off only, and the potentials' divergence is exactly zero
-    div = np.stack([r.divergence_quad() for r in raw], 2) @ T
-    edges = {tag: _mode_values(np.stack([r.edge_values(tag) for r in raw], 2),
-                               T) for tag in SIDES}
+    # the basis keeps the quadrature stack of its modes
+    Q = np.empty((3, ops.nq, len(modes)))
+    for c, C in enumerate(coefs):
+        Q[:, :, c] = _airy_values(quad, C)
+    basis._cache[("quad", tuple(range(len(modes))))] = Q
+    sides = {tag: _bump_tables(fx, fy, *ops.edge_quad(tag)[:2])
+             for tag in SIDES}
     _record_residuals(basis, (EquilibriumReport(
-        interior_norm(mesh, None, None, div[..., c]),
-        traction_mismatch(mesh, {tag: e[..., c] for tag, e in edges.items()}),
-        None) for c in range(len(modes))))
+        interior_norm(mesh, None, None, md.divergence_quad()),
+        traction_mismatch(mesh, {tag: _airy_values(t, C)
+                                 for tag, t in sides.items()}),
+        None) for md, C in zip(modes, coefs)))
     return basis
-
-
-# points per block of ``_mode_values``
-_POINT_BLOCK = 4096
-
-
-def _mode_values(V: np.ndarray, T: np.ndarray) -> np.ndarray:
-    """The values (..., n_modes) of the modes with map T from the raw values
-    V (..., n_raw): each sums T[r, c] V[..., r] in r order, as a mode made of
-    ``parts`` does, so a column equals the mode's own evaluation bit for bit
-    (a matrix product sums in another order). The points go in blocks that
-    stay in cache, turned so that each product runs along a row of points.
-    """
-    V2 = V.reshape(-1, V.shape[-1])
-    out = np.empty((len(V2), T.shape[1]))
-    for s in range(0, len(V2), _POINT_BLOCK):
-        v = V2[s:s + _POINT_BLOCK].T.copy()
-        o = np.zeros((T.shape[1], v.shape[1]))
-        for t, vr in zip(T, v):
-            o += np.multiply.outer(t, vr)
-        out[s:s + _POINT_BLOCK] = o.T
-    return out.reshape(V.shape[:-1] + (T.shape[1],))
 
 
 # ---------------------------------------------------------------------------

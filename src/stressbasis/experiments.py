@@ -29,8 +29,8 @@ import jsonschema
 
 from ._cache import atomic_write_text, digest, get_or_build, read_tagged, \
     write_tagged
-from .basis import (H1_TOL, L2_TOL, SOLVER_VERSION, BasisSet, _blas_threads,
-                    airy_bump_basis, load_basis, save_basis,
+from .basis import (AIRY_VERSION, H1_TOL, L2_TOL, SOLVER_VERSION, BasisSet,
+                    _blas_threads, airy_bump_basis, load_basis, save_basis,
                     solve_basis_annulus, solve_basis_rectangle, verify_basis)
 from .fields import SymTensorField2, dump_field_csv, equilibrium_residual
 from .materials import (Material, discontinuous_modulus, ramp_modulus,
@@ -279,7 +279,9 @@ def get_basis(mesh, spec: dict, use_cache: bool = True) -> BasisSet:
     wavenumbers = list(spec.get("wavenumbers", [0]))
     key = {"mesh": mesh.mesh_hash(), "backend": backend, "n_modes": n_modes,
            "wavenumbers": wavenumbers, "solver": SOLVER_VERSION}
-    if backend != "airy" and isinstance(mesh, RadialMesh):
+    if backend == "airy":
+        key["airy"] = AIRY_VERSION
+    elif isinstance(mesh, RadialMesh):
         # the dense annulus solve's bytes depend on the BLAS thread counts
         key["blas_threads"] = _blas_threads()
 

@@ -96,7 +96,7 @@ class SymTensorField2:
 
     A field holds no evaluation state: ``at_quad``, ``divergence_quad`` and
     ``edge_values`` recompute their result on every call (a field built from
-    ``parts`` evaluates its parts again, each distinct one once).
+    ``parts`` evaluates each of its parts again).
     """
 
     def __init__(self, mesh, components=None, m=None, parity=None,
@@ -205,18 +205,9 @@ class SymTensorField2:
 
 
 def _sum_parts(field, evaluate):
-    """sum c * evaluate(p) over the parts of ``field``, recursively and in
-    order. A leaf (a field without parts) met more than once, as the raw
-    fields that the airy modes of a sum share, is evaluated once per call."""
-    leaves = {}
-
-    def walk(f):
-        if f.parts is not None:
-            return sum(c * walk(p) for c, p in f.parts)
-        if id(f) not in leaves:
-            leaves[id(f)] = evaluate(f)
-        return leaves[id(f)]
-    return walk(field)
+    """sum c * evaluate(p) over the parts of ``field``, in order; a part
+    that has parts of its own sums them in turn."""
+    return sum(c * evaluate(p) for c, p in field.parts)
 
 
 def _eval_tensor(fn, mesh):

@@ -95,28 +95,20 @@ def assemble_se_system(basis: BasisSet, sigma_p: SymTensorField2,
     return M, -_energy_pairing(basis, idx, material, sigma_p)
 
 
-def _has_exact_form(md: SymTensorField2) -> bool:
-    if md.fn is not None or md.div_fn is not None:
-        return True
-    if md.parts:
-        return any(_has_exact_form(p) for _, p in md.parts)
-    return False
-
-
 def _reconstruct(sigma_p, basis, idx, a):
     """sigma_p + sum_j a_j phi_j.
 
     The nodal modes are folded into one nodal field beside sigma_p, so the
     quadrature, divergence and edge values of the sum cost a fixed number of
-    sparse products; modes with an exact form stay parts of their own. The
-    nodal array is summed term by term, in mode order.
+    sparse products; modes with an exact form (an ``fn``) stay parts of
+    their own. The nodal array is summed term by term, in mode order.
     """
     terms = [(float(a[j]), basis.modes[i]) for j, i in enumerate(idx)
              if a[j] != 0.0]
     tags = {"m": sigma_p.m, "parity": sigma_p.parity}
     parts = [(1.0, sigma_p)] + [(c, md) for c, md in terms
-                                if _has_exact_form(md)]
-    nodal = [(c, md) for c, md in terms if not _has_exact_form(md)]
+                                if md.fn is not None]
+    nodal = [(c, md) for c, md in terms if md.fn is None]
     if nodal:
         folded = sum(c * md.components for c, md in nodal)
         parts.append((1.0, SymTensorField2(sigma_p.mesh, folded, **tags)))

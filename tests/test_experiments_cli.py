@@ -19,7 +19,7 @@ from stressbasis.experiments import (CONFIG_SCHEMA, ExperimentConfig,
                                      UsageError, _ORACLE_FORMAT,
                                      _provenance_hash, fit_slope, get_basis,
                                      get_preset, list_presets, run_experiment)
-from stressbasis._cache import read_tagged
+from stressbasis._cache import digest, read_tagged
 
 
 SMALL_CFG = {
@@ -370,6 +370,28 @@ def test_annulus_cache_key_covers_the_blas_thread_counts(tmp_path,
         assert len(names) == n_files, spec
         for name in names:
             os.unlink(tmp_path / name)
+
+
+def test_airy_file_of_the_older_key_is_rebuilt(tmp_path, monkeypatch,
+                                               rect_mesh):
+    """Airy modes summed from 1-D factor tables move at round-off against the
+    older build, so an airy file cached under the older key is rebuilt; an
+    eigenbasis file under the same key is still loaded."""
+    monkeypatch.setenv("SB_CACHE_DIR", str(tmp_path))
+    built = []
+    for backend, builder in (("airy", "airy_bump_basis"),
+                             ("eigen", "solve_basis_rectangle")):
+        spec = {"backend": backend, "n_modes": 4}
+        older = {"mesh": rect_mesh.mesh_hash(), "backend": backend,
+                 "n_modes": 4, "wavenumbers": [0],
+                 "solver": basis_mod.SOLVER_VERSION}
+        save_basis(get_basis(rect_mesh, spec, use_cache=False),
+                   str(tmp_path / f"basis-{digest(older)}.sbbasis"), older)
+        real = getattr(experiments, builder)
+        monkeypatch.setattr(experiments, builder, lambda *a, real=real,
+                            backend=backend: built.append(backend) or real(*a))
+        get_basis(rect_mesh, spec)
+    assert built == ["airy"]
 
 
 def test_oracle_build_writes_the_cached_reference(rect_run, tmp_path):
