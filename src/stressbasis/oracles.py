@@ -3,8 +3,8 @@
 Three reference constructions are provided:
 
 * ``lame_oracle`` -- the classical pressurized thick-cylinder closed form;
-* ``annulus_m1_oracle`` -- collocation solution of the radial ODE system for
-  the m=1 annulus problem with a nonzero net hole force;
+* ``annulus_m1_oracle`` -- the closed-form (Michell m=1) solution of the
+  radial system for the annulus problem with a nonzero net hole force;
 * ``displacement_fem_oracle`` -- a standard displacement-based plane-strain
   solve on a refined rectangle mesh, restricted back to the requested mesh.
 
@@ -36,7 +36,7 @@ class OracleSolution:
 
     field: SymTensorField2
     loading: LoadingSpec
-    method: str  # analytic | ode-bvp | displacement-fem
+    method: str  # analytic | displacement-fem
     metadata: dict = dc_field(default_factory=dict)
 
     def as_particular(self) -> ParticularStress:
@@ -89,79 +89,55 @@ def annulus_m1_oracle(mesh: RadialMesh,
                       material: Material) -> OracleSolution:
     """Reference solution of the m=1 annulus problem with net hole force.
 
-    The fourth-order radial system (equilibrium + trace-compatibility) is
-    collocated in the unknowns y = (f_rr, f_rt, S, S') with S = f_rr + f_tt:
+    Equilibrium and trace compatibility reduce to a radial system in
+    (f_rr, f_rt, S = f_rr + f_tt, r S') whose coefficients are constant in
+    t = ln r. Its solutions are the Michell m=1 family (J. H. Michell, Proc.
+    London Math. Soc. 31, 1899; J. R. Barber, Elasticity, "Problems in polar
+    coordinates"), which satisfies both equilibrium rows identically:
 
-        f_rr' = -(f_rt + 2 f_rr - S)/r
-        f_rt' = -(2 f_rt - S + f_rr)/r
-        S''   = -S'/r + S/r^2
+        S    = a r + b/r,
+        f_rr = a r/4 + (b + c)/(2r) + d/(2r^3),
+        f_rt = a r/4 + (b - c)/(2r) + d/(2r^3),    f_tt = S - f_rr.
 
     Boundary conditions: f_rr(r_a) = 1, f_rt(r_a) = 0, f_rr(r_b) = 1/3, and
     the one-dimensional reduction of the Cesaro integral condition at r_a,
-    2 e_rt + e_rr - r_a e_tt' = 0. The remaining traction condition
-    f_rt(r_b) = 0 is implied by these four (the system has rank 4; the outer
-    shear closes automatically) and is checked a posteriori. The material
-    must be isotropic with a uniform modulus.
+    2 e_rt + e_rr - r_a e_tt' = 0; one 4x4 solve gives (a, b, c, d). The
+    remaining traction condition f_rt(r_b) = 0 is implied by these four (the
+    outer shear closes automatically) and is recorded a posteriori. The
+    material must be isotropic with a uniform modulus.
     """
     if material.kind != "isotropic" or not material.uniform:
         raise MaterialError("the m=1 reference requires a uniform isotropic "
                             "material")
     r_a, r_b = mesh.domain.r_a, mesh.domain.r_b
-
-    def rhs(r, y):
-        frr, frt, S, Sp = y
-        return np.vstack([
-            -(frt + 2 * frr - S) / r,
-            -(2 * frt - S + frr) / r,
-            Sp,
-            -Sp / r + S / r**2,
-        ])
-
-    def bc(ya, yb):
-        frr_a, frt_a, S_a, _ = ya
-        dya = rhs(np.array([r_a]), ya.reshape(4, 1)).ravel()
-        # strains of the stress at r_a (column 0) and of its r-derivative
-        # (column 1): the compliance is linear, so e_tt' is the latter's e_tt
-        e = material.compliance_on_values(
-            [[frr_a, dya[0]], [S_a - frr_a, dya[2] - dya[0]], [frt_a, 0.0]])
-        ces = 2 * e[2, 0] + e[0, 0] - r_a * e[1, 1]
-        return np.array([frr_a - 1.0, frt_a, yb[0] - 1.0 / 3.0, ces])
-
-    # imported here: scipy.integrate adds a third of the package import time
-    # and only this oracle uses it
-    from scipy.integrate import solve_bvp
-
-    rgrid = np.linspace(r_a, r_b, 201)
-    sol = solve_bvp(rhs, bc, rgrid, np.ones((4, 201)), tol=1e-10,
-                    max_nodes=20000)
-    if sol.status != 0:
-        raise OracleError(f"radial BVP did not converge: {sol.message}")
-    srt_b = float(sol.sol(r_b)[1])
+    # (f_rr, f_tt, f_rt) = sum_p K[:, :, p] r^P[p]: a row of K per
+    # coefficient (a, b, c, d), a column per power
+    P = np.array([1.0, -1.0, -3.0])
+    K = np.array([[[1, 0, 0], [0, 2, 0], [0, 2, 0], [0, 0, 2]],       # f_rr
+                  [[3, 0, 0], [0, 2, 0], [0, -2, 0], [0, 0, -2]],     # f_tt
+                  [[1, 0, 0], [0, 2, 0], [0, -2, 0], [0, 0, 2]]]) / 4  # f_rt
+    val_a, val_b = K @ r_a**P, K @ r_b**P
+    # strains of the family at r_a (column 0) and of its r-derivative
+    # (column 1): the compliance is linear, so e_tt' is the latter's e_tt
+    e = material.compliance_on_values(
+        np.stack([val_a, K @ (P * r_a**(P - 1))], axis=1))
+    A = np.stack([val_a[0], val_a[2], val_b[0],
+                  2 * e[2, 0] + e[0, 0] - r_a * e[1, 1]])
+    coef = K.transpose(0, 2, 1) @ np.linalg.solve(A, [1.0, 0.0, 1 / 3, 0.0])
+    srt_b = float(coef[2] @ r_b**P)
 
     def fn(r):
-        r = np.asarray(r, dtype=float)
-        v = sol.sol(np.atleast_1d(r))
-        return np.stack([v[0], v[2] - v[0], v[1]]).reshape(3, *np.shape(r))
+        return np.tensordot(coef, np.power.outer(np.asarray(r, float), P),
+                            axes=(1, -1))
 
-    def div_fn(r):
-        r = np.atleast_1d(np.asarray(r, dtype=float))
-        v = sol.sol(r)
-        dv = rhs(r, v)
-        frr, frt, S = v[0], v[1], v[2]
-        ftt = S - frr
-        # m=1, cos parity divergence profiles
-        div_r = dv[0] + (frt + frr - ftt) / r
-        div_t = dv[1] + (2 * frt - ftt) / r
-        return np.stack([div_r, div_t])
-
-    field = SymTensorField2(mesh, m=1, parity="cos", fn=fn, div_fn=div_fn)
+    field = SymTensorField2(mesh, m=1, parity="cos", fn=fn,
+                            div_fn=_zero_divergence)
     loading = LoadingSpec.for_annulus(m=1, inner=(1.0, 0.0),
                                       outer=(1.0 / 3.0, srt_b))
-    meta = {"bvp_nodes": int(sol.x.size), "bvp_rms": float(sol.rms_residuals.max()),
-            "outer_shear": srt_b,
+    meta = {"outer_shear": srt_b,
             "dropped_condition": "srt(r_b)=0 implied; residual recorded",
             "dropped_residual": abs(srt_b)}
-    return OracleSolution(field, loading, "ode-bvp", meta)
+    return OracleSolution(field, loading, "analytic", meta)
 
 
 def displacement_fem_oracle(mesh: RectangleMesh, loading: LoadingSpec,

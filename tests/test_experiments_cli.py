@@ -19,6 +19,7 @@ from stressbasis.experiments import (CONFIG_SCHEMA, ExperimentConfig,
                                      UsageError, _ORACLE_FORMAT,
                                      _provenance_hash, fit_slope, get_basis,
                                      get_preset, list_presets, run_experiment)
+from stressbasis.oracles import OracleError
 from stressbasis._cache import digest, read_tagged
 
 
@@ -445,8 +446,8 @@ def test_basis_cache_rebuilds_on_mode_count_mismatch(tmp_path, monkeypatch,
 
 
 def test_cli_import_leaves_out_scipy_integrate():
-    """Only the m = 1 annulus oracle needs scipy.integrate; it is imported
-    there, not with the package."""
+    """Importing the package and its CLI leaves out scipy.integrate, which
+    no part of the program uses."""
     src = os.path.dirname(os.path.dirname(stressbasis.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     code = ("import sys, stressbasis.cli; "
@@ -454,6 +455,26 @@ def test_cli_import_leaves_out_scipy_integrate():
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_cli_m1_run_leaves_out_scipy_integrate(tmp_path):
+    """The m = 1 reference is closed-form: a run that uses it imports none of
+    scipy.integrate and the modules that come with it. A subprocess, since
+    this one has imported them already."""
+    src = os.path.dirname(os.path.dirname(stressbasis.__file__))
+    env = dict(os.environ, PYTHONPATH=src, SB_CACHE_DIR=str(tmp_path / "c"))
+    cfg_path = tmp_path / "m1.json"
+    cfg_path.write_text(json.dumps(dict(
+        SMALL_CFG, oracle={"kind": "ode_bvp"}, N=5, slope_window=[1, 5],
+        **_M1)))
+    code = ("import sys; from stressbasis.cli import main; "
+            "code = main(sys.argv[1:]); "
+            "print(code, *(m for m in ('scipy.integrate', 'scipy.optimize', "
+            "'scipy.special') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code, "run", "--config",
+                          str(cfg_path), "--out", str(tmp_path / "out")],
+                         env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.splitlines()[-1] == "0"
 
 
 # ---------------------------------------------------------------------------
@@ -586,12 +607,10 @@ def test_cli_schema_valid_bad_input(tmp_path, capsys, base, change, code,
 
 
 def test_cli_oracle_failure(tmp_path, monkeypatch, capsys):
-    """A radial reference BVP that does not converge exits 1 with one line."""
-    import scipy.integrate
-
-    def no_convergence(*args, **kwargs):
-        return type("Result", (), {"status": 1, "message": "too many nodes"})
-    monkeypatch.setattr(scipy.integrate, "solve_bvp", no_convergence)
+    """A reference that fails numerically exits 1 with one line."""
+    def failing(mesh, material):
+        raise OracleError("reference failed")
+    monkeypatch.setattr(experiments, "annulus_m1_oracle", failing)
     cfg_path = tmp_path / "m1.json"
     cfg_path.write_text(json.dumps(dict(SMALL_CFG, oracle={"kind": "ode_bvp"},
                                         **_M1)))
@@ -599,7 +618,7 @@ def test_cli_oracle_failure(tmp_path, monkeypatch, capsys):
                  "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1
-    assert err.startswith("numeric failure: ") and "too many nodes" in err
+    assert err.startswith("numeric failure: ") and "reference failed" in err
 
 
 @pytest.mark.parametrize("principle", ["SE", "PT"])
