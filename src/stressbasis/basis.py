@@ -672,12 +672,10 @@ def _record_residuals(basis: BasisSet, reports=None):
 # Airy bump backend (non-eigen alternative on simply-connected rectangles)
 # ---------------------------------------------------------------------------
 
-@functools.lru_cache(maxsize=None)
 def _bump_polys(count: int, L: float) -> np.ndarray:
     """Coefficients [power, d, j] of the clamped 1D polynomials
     f_j(0)=f_j'(0)=f_j(L)=f_j'(L)=0, j < count, and of their derivatives of
-    order d = 0, 1, 2, zero-padded to count + 4 powers; formed once per
-    (count, L) and returned read-only."""
+    order d = 0, 1, 2, zero-padded to count + 4 powers."""
     u2 = nppoly.Polynomial([0.0, 0.0, 1.0])           # u^2
     clamp = u2 * nppoly.Polynomial([1.0, -1.0]) ** 2  # u^2 (1-u)^2
     out = np.zeros((count + 4, 3, count))
@@ -690,7 +688,6 @@ def _bump_polys(count: int, L: float) -> np.ndarray:
         f = nppoly.Polynomial(coef)
         for d in range(3):
             out[:j + 5 - d, d, j] = f.deriv(d).coef
-    out.setflags(write=False)
     return out
 
 
@@ -735,8 +732,8 @@ def airy_bump_basis(mesh: RectangleMesh, n: int) -> BasisSet:
     # the potentials (j, k) in order of total degree
     jr, kr = np.array([(j, d - j) for d in range(n)
                        for j in range(d + 1)][:n]).T
-    fx = _bump_polys(int(jr.max()) + 1, mesh.domain.Lx)
-    fy = _bump_polys(int(kr.max()) + 1, mesh.domain.Ly)
+    fx = _bump_polys(jr.max() + 1, mesh.domain.Lx)
+    fy = _bump_polys(kr.max() + 1, mesh.domain.Ly)
 
     ops = _ops(mesh)
     quad = _bump_tables(fx, fy, ops.qx, ops.qy)

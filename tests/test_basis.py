@@ -278,24 +278,6 @@ def test_airy_bump_basis_properties(rect_mesh):
         assert mode.parts is None and mode.fn is not None
 
 
-def test_bump_polys_are_formed_once_per_count_and_length(rect_mesh):
-    """The clamped polynomials are kept read-only per (count, L), bit for bit
-    the fresh construction, and an airy build from the kept ones gives the
-    same Grams and quadrature stack as one that forms them anew."""
-    kept = basis_mod._bump_polys(7, 0.5)
-    assert basis_mod._bump_polys(7, 0.5) is kept and not kept.flags.writeable
-    assert kept.tobytes() == basis_mod._bump_polys.__wrapped__(7, 0.5).tobytes()
-
-    def build():
-        basis = airy_bump_basis(rect_mesh, 10)
-        return [basis.gram_l2, basis.trace_gram,
-                basis.quad_matrix(range(len(basis)))]
-    basis_mod._bump_polys.cache_clear()
-    fresh = build()
-    for got, want in zip(build(), fresh):
-        assert got.tobytes() == want.tobytes()
-
-
 def test_airy_build_evaluates_each_factor_once_per_point_set(monkeypatch):
     """The build and a read of its quadrature stack evaluate each 1-D factor
     and its first two derivatives once per point set (nodes, quadrature

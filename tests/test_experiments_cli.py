@@ -445,22 +445,10 @@ def test_basis_cache_rebuilds_on_mode_count_mismatch(tmp_path, monkeypatch,
     assert len(load_basis(str(tmp_path / name))) == 6
 
 
-def test_cli_import_leaves_out_scipy_integrate():
-    """Importing the package and its CLI leaves out scipy.integrate, which
-    no part of the program uses."""
-    src = os.path.dirname(os.path.dirname(stressbasis.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    code = ("import sys, stressbasis.cli; "
-            "print('scipy.integrate' in sys.modules)")
-    out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
-
-
-def test_cli_m1_run_leaves_out_scipy_integrate(tmp_path):
-    """The m = 1 reference is closed-form: a run that uses it imports none of
-    scipy.integrate and the modules that come with it. A subprocess, since
-    this one has imported them already."""
+def test_cli_import_leaves_out_scipy_integrate(tmp_path):
+    """The package, its CLI and a run of the closed-form m = 1 reference
+    import none of scipy.integrate and the modules that come with it. A
+    subprocess, since this one has imported them already."""
     src = os.path.dirname(os.path.dirname(stressbasis.__file__))
     env = dict(os.environ, PYTHONPATH=src, SB_CACHE_DIR=str(tmp_path / "c"))
     cfg_path = tmp_path / "m1.json"
