@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .basis import BasisError, load_basis, save_basis, verify_basis
@@ -67,6 +68,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _finite(text: str) -> float:
+    """A JSON number or constant as a float, refusing NaN, infinities and
+    overflow (1e400)."""
+    x = float(text)
+    if not math.isfinite(x):
+        raise ValueError(f"{text} is not a finite number")
+    return x
+
+
 def _config(args) -> ExperimentConfig:
     """The experiment config named by PRESET or read from --config."""
     if bool(args.preset) == bool(args.config):
@@ -75,8 +85,8 @@ def _config(args) -> ExperimentConfig:
         return get_preset(args.preset)
     with open(args.config) as f:
         try:
-            raw = json.load(f)
-        except ValueError as exc:  # malformed JSON or not text
+            raw = json.load(f, parse_float=_finite, parse_constant=_finite)
+        except ValueError as exc:  # malformed JSON, not text or not finite
             raise UsageError(f"{args.config} is not JSON: {exc}") from None
     return ExperimentConfig.from_dict(raw)
 

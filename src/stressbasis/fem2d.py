@@ -299,17 +299,15 @@ def radial_ops(mesh: RadialMesh) -> RadialOps:
 def stiffness_matrix_at(material, x, y):
     """Plane-strain stiffness D (engineering form) at points (x, y): (n, 3, 3).
 
-    D inverts the material's compliance of the three unit stresses taken at
-    Y = 1, with the shear row doubled for the engineering shear strain; an
-    isotropic modulus then scales it pointwise.
+    D inverts the material's unit-modulus compliance S, its shear row doubled
+    for the engineering shear strain, and the modulus Y(x, y) scales it
+    pointwise (Y = 1 for a law whose moduli are inside S).
     """
-    S = material.compliance_on_values(np.eye(3), Y=1.0)
-    S[2] *= 2
+    S = material.S * [[1.0], [1.0], [2.0]]
     # S is SPD: inverted through its Cholesky factor, D comes out exactly
     # symmetric, and so does the stiffness matrix that _spd_lu factors
     L_inv = np.linalg.inv(np.linalg.cholesky(S))
-    Y = (material.modulus_at(x, y) if material.kind == "isotropic"
-         else np.ones(np.shape(x)))
+    Y = material.modulus_at(x, y)
     return np.reshape(Y, (-1, 1, 1)) * (L_inv.T @ L_inv)
 
 

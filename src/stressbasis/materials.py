@@ -1,14 +1,16 @@
 """Plane-strain constitutive models and the energy norms they induce.
 
-Isotropic (Young's modulus possibly varying in space, Poisson's ratio constant)
-and homogeneous orthotropic laws are supported. All relations are plane strain:
+A law is a compliance ``S`` (3x3, at unit modulus) and a modulus ``Y`` (a
+number, a callable Y(x, y), or 1 when the moduli sit inside S): the tensor
+strains (e_xx, e_yy, e_xy) of a stress s = (s_xx, s_yy, s_xy) are (S s) / Y.
+All laws are plane strain; the entries of S not given here are 0:
 
-    isotropic:   e_xx = ((1-nu^2) s_xx - nu(1+nu) s_yy) / Y
-                 e_xy = (1+nu) s_xy / Y
-    orthotropic: e_xx = (1-nu_xy^2) s_xx / Y_x - nu_xy(1+nu_xy) s_yy / Y_y
-                 e_yy = -nu_xy(1+nu_xy) s_xx / Y_y + (1-nu_xy^2) s_yy / Y_y
-                 e_xy = s_xy / (2 G_xy)
+    isotropic:   S_00 = S_11 = 1-nu^2,  S_01 = S_10 = -nu(1+nu),  S_22 = 1+nu
+    orthotropic: S_00 = (1-nu_xy^2)/Y_x,  S_11 = (1-nu_xy^2)/Y_y,
+                 S_01 = S_10 = -nu_xy(1+nu_xy)/Y_y,  S_22 = 1/(2 G_xy)
 
+A law is valid when its energy form diag(1, 1, 2) S is positive definite and
+Y is finite and positive.
 The same component relations apply verbatim to polar components of
 axisymmetrically decomposed fields (isotropic, uniform modulus only).
 """
@@ -27,98 +29,84 @@ class MaterialError(ValueError):
 
 
 class Material:
-    """Immutable plane-strain material description."""
+    """Immutable plane-strain law (S, Y); ``nu`` for isotropic laws only,
+    ``kind`` a label."""
 
-    def __init__(self, kind, Y=None, nu=None, Y_x=None, Y_y=None,
-                 nu_xy=None, G_xy=None):
-        self.kind = kind
-        if kind == "isotropic":
-            if Y is None or nu is None:
-                raise MaterialError("isotropic material requires Y and nu")
-            if not (0.0 <= nu <= _NU_MAX):
-                raise MaterialError(f"nu must lie in [0, {_NU_MAX}]")
-            self.Y = Y  # a number or a callable Y(x, y)
-            self.nu = float(nu)
-            self.Y_x = self.Y_y = self.nu_xy = self.G_xy = None
-        elif kind == "orthotropic":
-            vals = {"Y_x": Y_x, "Y_y": Y_y, "nu_xy": nu_xy, "G_xy": G_xy}
-            if any(v is None for v in vals.values()):
-                raise MaterialError("orthotropic material requires Y_x, Y_y, nu_xy, G_xy")
-            if Y_x <= 0 or Y_y <= 0 or G_xy <= 0:
-                raise MaterialError("orthotropic moduli must be positive")
-            if not (0.0 <= nu_xy <= _NU_MAX):
-                raise MaterialError(f"nu_xy must lie in [0, {_NU_MAX}]")
-            self.Y_x, self.Y_y = float(Y_x), float(Y_y)
-            self.nu_xy, self.G_xy = float(nu_xy), float(G_xy)
-            self.Y = self.nu = None
-        else:
-            raise MaterialError(f"unknown material kind {kind!r}")
-        self._check_definite()
+    def __init__(self, kind, S, Y=1.0, nu=None):
+        self.kind, self.nu = kind, nu
+        self.S = np.array(S, dtype=float)
+        self.Y = Y if callable(Y) else float(Y)
+        if self.uniform:
+            self.modulus_at(0.0, 0.0)     # a finite, positive number
+        try:
+            np.linalg.cholesky(self.S * [[1.0], [1.0], [2.0]])
+        except np.linalg.LinAlgError:
+            raise MaterialError("compliance is not positive definite") from None
 
     @staticmethod
     def isotropic(Y, nu) -> "Material":
-        return Material("isotropic", Y=Y, nu=nu)
+        if Y is None or nu is None:
+            raise MaterialError("isotropic material requires Y and nu")
+        if not (0.0 <= nu <= _NU_MAX):
+            raise MaterialError(f"nu must lie in [0, {_NU_MAX}]")
+        nu = float(nu)
+        a, b = 1 - nu**2, -(nu * (1 + nu))
+        return Material("isotropic", [[a, b, 0], [b, a, 0], [0, 0, 1 + nu]],
+                        Y=Y, nu=nu)
 
     @staticmethod
     def orthotropic(Y_x, Y_y, nu_xy, G_xy) -> "Material":
-        return Material("orthotropic", Y_x=Y_x, Y_y=Y_y, nu_xy=nu_xy, G_xy=G_xy)
+        if any(v is None for v in (Y_x, Y_y, nu_xy, G_xy)):
+            raise MaterialError("orthotropic material requires Y_x, Y_y, nu_xy, G_xy")
+        if not (Y_x > 0 and Y_y > 0 and G_xy > 0):
+            raise MaterialError("orthotropic moduli must be positive")
+        if not (0.0 <= nu_xy <= _NU_MAX):
+            raise MaterialError(f"nu_xy must lie in [0, {_NU_MAX}]")
+        a, b = 1 - nu_xy**2, -(nu_xy * (1 + nu_xy))
+        return Material("orthotropic", [[a / Y_x, b / Y_y, 0],
+                                        [b / Y_y, a / Y_y, 0],
+                                        [0, 0, 1 / (2 * G_xy)]])
 
     @property
     def uniform(self) -> bool:
-        return self.kind == "orthotropic" or np.isscalar(self.Y) or \
-            isinstance(self.Y, (int, float))
+        return not callable(self.Y)
 
     def modulus_at(self, x, y):
-        """Young's modulus at points (isotropic only)."""
+        """The modulus Y at points (x, y)."""
         if callable(self.Y):
             Y = np.broadcast_to(self.Y(x, y), np.shape(x)).astype(float)
         else:
-            Y = np.full(np.shape(x) or (), float(self.Y))
-        if np.any(Y <= 0):
-            raise MaterialError("Y must be positive everywhere")
+            Y = np.full(np.shape(x) or (), self.Y)
+        if not np.all(np.isfinite(Y) & (Y > 0)):
+            raise MaterialError("Y must be finite and positive everywhere")
         return Y
 
     def compliance_on_values(self, s: np.ndarray, Y=None) -> np.ndarray:
-        """Strain components for stress components ``s`` of shape (3, n).
+        """Strain components (S s) / Y for stress components ``s`` of shape
+        (3, n, ...).
 
-        ``Y`` (same length as the points) is required for spatially varying
-        isotropic moduli. Returned shear component is the tensor strain e_xy.
+        ``Y`` (broadcastable to the points) is required for a spatially
+        varying modulus. Returned shear component is the tensor strain e_xy.
         """
         s = np.asarray(s, dtype=float)
-        if self.kind == "isotropic":
-            if Y is None:
-                if not self.uniform:
-                    raise MaterialError("pointwise Y needed for varying modulus")
-                Y = float(self.Y)
-            nu = self.nu
-            exx = ((1 - nu**2) * s[0] - nu * (1 + nu) * s[1]) / Y
-            eyy = ((1 - nu**2) * s[1] - nu * (1 + nu) * s[0]) / Y
-            exy = (1 + nu) * s[2] / Y
-            return np.stack([exx, eyy, exy])
-        nxy = self.nu_xy
-        exx = (1 - nxy**2) * s[0] / self.Y_x - nxy * (1 + nxy) * s[1] / self.Y_y
-        eyy = -nxy * (1 + nxy) * s[0] / self.Y_y + (1 - nxy**2) * s[1] / self.Y_y
-        exy = s[2] / (2 * self.G_xy)
-        return np.stack([exx, eyy, exy])
-
-    def _check_definite(self):
-        # probe the compliance quadratic form on a spanning set of stresses
-        probes = np.array([[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 0],
-                           [1, -1, 0], [1, 0, 1], [0.3, -0.7, 0.2]], dtype=float).T
-        Y = None
-        if self.kind == "isotropic" and not self.uniform:
-            Y = np.ones(probes.shape[1])
-        e = self.compliance_on_values(probes, Y=Y)
-        quad = e[0] * probes[0] + e[1] * probes[1] + 2 * e[2] * probes[2]
-        if np.any(quad <= 0):
-            raise MaterialError("compliance is not positive definite")
+        if Y is None:
+            if not self.uniform:
+                raise MaterialError("pointwise Y needed for varying modulus")
+            Y = self.Y
+        # term by term, zero entries skipped and no BLAS (whose FMA rounds
+        # differently): each component keeps the last bit of its formula
+        e = []
+        for row in self.S:
+            (c0, a0), *rest = [(c, a) for c, a in enumerate(row) if a != 0]
+            e.append(sum((a * s[c] for c, a in rest), a0 * s[c0]) / Y)
+        return np.stack(e)
 
 
 def _compliance_on(material: Material, mesh, values: np.ndarray,
                    at_nodes: bool) -> np.ndarray:
     """C^{-1} applied to stress components ``values`` of shape (3, n, ...)
     sampled at the nodes of ``mesh`` or at its quadrature points."""
-    varying = material.kind == "isotropic" and not material.uniform
+    varying = not material.uniform
     if isinstance(mesh, RadialMesh) and (varying
                                          or material.kind == "orthotropic"):
         law = "a varying modulus" if varying else "the orthotropic law"

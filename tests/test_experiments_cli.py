@@ -498,6 +498,9 @@ def test_cli_usage_errors(tmp_path, capsys):
 
 _RAMP = {"kind": "isotropic", "nu": 0.3,
          "Y": {"profile": "ramp", "Y_top": 1.0, "Y_bottom": 3.0}}
+# energy form eigenvalue -0.136: no valid compliance
+_INDEFINITE = {"kind": "orthotropic", "Y_x": 100.0, "Y_y": 1.0, "nu_xy": 0.3,
+               "G_xy": 1.0}
 _M1 = {"particular": {"recipe": "annulus_m1"},
        "basis": {"backend": "eigen", "n_modes": 10, "wavenumbers": [1]}}
 
@@ -569,6 +572,24 @@ _M1 = {"particular": {"recipe": "annulus_m1"},
     (SMALL_CFG, {"basis": {"backend": "eigen", "n_modes": 10,
                            "wavenumbers": []}}, 2, "non-empty"),
     (RECT_CFG, {"airy_compare": -3}, 2, "minimum"),
+    (SMALL_CFG, {"material": {"kind": "isotropic", "Y": 0, "nu": 0.3}}, 2,
+     "finite and positive"),
+    (RECT_CFG, {"material": _INDEFINITE}, 2, "not positive definite"),
+    (RECT_CFG, {"material": _INDEFINITE, "oracle": {"kind": "none"}}, 2,
+     "not positive definite"),
+    (RECT_CFG, {"material": dict(_INDEFINITE, Y_x=0)}, 2, "must be positive"),
+    (RECT_CFG, {"particular": {"recipe": "uniform_pressure",
+                               "p": float("nan")}}, 2, "NaN is not a finite"),
+    (RECT_CFG, {"particular": {"recipe": "uniform_pressure",
+                               "p": float("inf")}}, 2, "Infinity is not a"),
+    (SMALL_CFG, {"particular": {"recipe": "axisym_airy",
+                                "p_in": float("nan")}}, 2, "not a finite"),
+    (SMALL_CFG, {"material": {"kind": "isotropic", "Y": float("nan"),
+                              "nu": 0.3}}, 2, "not a finite"),
+    (RECT_CFG, {"particular": {"recipe": "oracle", "tol": float("nan"),
+                               "loading": {"recipe": "uniform_pressure"},
+                               "material": {"kind": "isotropic", "Y": 1.0,
+                                            "nu": 0.3}}}, 2, "not a finite"),
 ], ids=["material", "mesh", "solver", "isotropic_without_Y",
         "orthotropic_without_G_xy", "profile_without_Y_bottom",
         "oracle_without_loading", "oracle_material_without_Y",
@@ -582,7 +603,11 @@ _M1 = {"particular": {"recipe": "annulus_m1"},
         "lame_on_rectangle", "fem_on_annulus", "airy_backend_on_annulus",
         "airy_compare_on_annulus", "cesaro_radius_not_a_number",
         "nu_not_a_number", "pressure_not_a_number", "oracle_tol_not_a_number",
-        "negative_wavenumber", "no_wavenumbers", "negative_airy_compare"])
+        "negative_wavenumber", "no_wavenumbers", "negative_airy_compare",
+        "zero_modulus", "indefinite_orthotropic_with_fem",
+        "indefinite_orthotropic", "zero_orthotropic_modulus", "pressure_nan",
+        "pressure_infinite", "inner_pressure_nan", "modulus_nan",
+        "oracle_tol_nan"])
 def test_cli_schema_valid_bad_input(tmp_path, capsys, base, change, code,
                                     words):
     """Input errors exit 2 and numeric failures exit 1, with one line each."""
@@ -592,6 +617,16 @@ def test_cli_schema_valid_bad_input(tmp_path, capsys, base, change, code,
                  "--out", str(tmp_path / "out")]) == code
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1 and words in err
+
+
+def test_cli_refuses_overflowing_number(tmp_path, capsys):
+    """A literal that overflows a float (valid JSON) exits 2 with one line."""
+    cfg_path = tmp_path / "big.json"
+    cfg_path.write_text(json.dumps(RECT_CFG).replace('"p": 1.0', '"p": 1e400'))
+    assert main(["run", "--config", str(cfg_path),
+                 "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and "1e400 is not a finite" in err
 
 
 def test_cli_oracle_failure(tmp_path, monkeypatch, capsys):

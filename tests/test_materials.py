@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from stressbasis.fields import SymTensorField2, constant_tensor_field
 from stressbasis.materials import (Material, MaterialError, compliance_apply,
@@ -76,3 +77,62 @@ def test_material_validation():
         Material.isotropic(1.0, 0.6)  # nu must stay below 1/2
     with pytest.raises(MaterialError):
         Material.orthotropic(1.0, 2.0, 0.33, -1.0)
+
+
+def test_modulus_must_be_finite_and_positive():
+    for Y in (0.0, -1.0, np.inf, np.nan):
+        with pytest.raises(MaterialError, match="finite and positive"):
+            Material.isotropic(Y, 0.3)
+    for G_xy in (0.0, np.nan):
+        with pytest.raises(MaterialError, match="must be positive"):
+            Material.orthotropic(1.0, 2.0, 0.3, G_xy)
+    with pytest.raises(MaterialError, match="not positive definite"):
+        Material.orthotropic(np.inf, 2.0, 0.3, 1.0)
+    holey = Material.isotropic(lambda x, y: np.where(x > 0.5, np.nan, 1.0), 0.3)
+    with pytest.raises(MaterialError, match="finite and positive"):
+        holey.modulus_at(np.array([0.2, 0.8]), np.array([0.5, 0.5]))
+
+
+_NU = st.floats(0.0, 0.49)
+_MODULUS = st.floats(1e-3, 1e3)             # six decades
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.one_of(st.tuples(st.just("isotropic"), _MODULUS, _NU),
+                 st.tuples(st.just("orthotropic"), _MODULUS, _MODULUS, _NU,
+                           _MODULUS)))
+@example(("orthotropic", 100.0, 1.0, 0.3, 1.0))   # indefinite: eigenvalue -0.136
+def test_law_accepted_exactly_when_definite(law):
+    """A law is accepted exactly when its energy form diag(1, 1, 2) S is
+    positive definite, and it then applies the written-out plane-strain
+    component formulas."""
+    kind, *params = law
+    sxx, syy, sxy = s = np.random.default_rng(0).normal(size=(3, 16))
+    if kind == "isotropic":
+        Y, nu = params
+        S = np.array([[1 - nu**2, -nu * (1 + nu), 0],
+                      [-nu * (1 + nu), 1 - nu**2, 0],
+                      [0, 0, 1 + nu]]) / Y
+        e = [((1 - nu**2) * sxx - nu * (1 + nu) * syy) / Y,
+             ((1 - nu**2) * syy - nu * (1 + nu) * sxx) / Y,
+             (1 + nu) * sxy / Y]
+    else:
+        Y_x, Y_y, nu, G_xy = params
+        S = np.array([[(1 - nu**2) / Y_x, -nu * (1 + nu) / Y_y, 0],
+                      [-nu * (1 + nu) / Y_y, (1 - nu**2) / Y_y, 0],
+                      [0, 0, 1 / (2 * G_xy)]])
+        e = [(1 - nu**2) * sxx / Y_x - nu * (1 + nu) * syy / Y_y,
+             -nu * (1 + nu) * sxx / Y_y + (1 - nu**2) * syy / Y_y,
+             sxy / (2 * G_xy)]
+    lam = np.linalg.eigvalsh(np.diag([1.0, 1.0, 2.0]) @ S)
+    # a form within round-off of singular has no well-defined verdict
+    assume(abs(lam[0]) > 1e-12 * lam[-1])
+    try:
+        mat = getattr(Material, kind)(*params)
+    except MaterialError:
+        assert lam[0] < 0
+        return
+    assert lam[0] > 0
+    # the error of each term is a few ulps of its own size
+    scale = np.abs(S) @ np.abs(s)
+    assert np.all(np.abs(mat.compliance_on_values(s) - e) <= 1e-15 * scale)
