@@ -13,8 +13,8 @@ import argparse
 import json
 import sys
 
-from stressbasis.experiments import (ExperimentError, PRESET_NAMES, get_preset,
-                                     run_experiment)
+from stressbasis.cli import NUMERIC_FAILURES
+from stressbasis.experiments import PRESET_NAMES, get_preset, run_experiment
 
 
 def main() -> int:
@@ -32,7 +32,7 @@ def main() -> int:
         try:
             report = run_experiment(cfg, f"{args.out}/{name}", full=args.full,
                                     use_cache=not args.no_cache)
-        except ExperimentError as exc:
+        except NUMERIC_FAILURES as exc:
             print(f"ERROR {name}: {exc}", file=sys.stderr)
             return 1
         for check, res in sorted(report["checks"].items()):

@@ -21,15 +21,19 @@ import sys
 
 from .basis import BasisError, load_basis, save_basis, verify_basis
 from .experiments import (ExperimentConfig, ExperimentError, UsageError,
-                          _build_domain, _build_material, _build_mesh,
-                          _build_particular, get_basis, get_oracle,
-                          get_preset, list_presets, run_experiment)
+                          _build_domain, _build_mesh, _build_particular,
+                          get_basis, get_oracle, get_preset, list_presets,
+                          run_experiment)
 from .fields import dump_field_csv
 from .materials import MaterialError
 from .meshes import MeshError
 from .oracles import OracleError
 from .particular import ParticularStressError
 from .solvers import SolverError
+
+
+NUMERIC_FAILURES = (ExperimentError, BasisError, SolverError, OracleError,
+                    ParticularStressError)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -68,13 +72,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _finite(text: str) -> float:
-    """A JSON number or constant as a float, refusing NaN, infinities and
-    overflow (1e400)."""
-    x = float(text)
-    if not math.isfinite(x):
-        raise ValueError(f"{text} is not a finite number")
-    return x
+def _finite(text: str, kind=float):
+    """A JSON number or constant as ``kind``, refusing NaN, infinities and
+    literals that overflow a float (1e400, or 1 followed by 400 zeros)."""
+    if not math.isfinite(float(text)):
+        raise ValueError(f"{text[:24]}{'...' * (len(text) > 24)} "
+                         "is not a finite number")
+    return kind(text)
 
 
 def _config(args) -> ExperimentConfig:
@@ -85,7 +89,8 @@ def _config(args) -> ExperimentConfig:
         return get_preset(args.preset)
     with open(args.config) as f:
         try:
-            raw = json.load(f, parse_float=_finite, parse_constant=_finite)
+            raw = json.load(f, parse_float=_finite, parse_constant=_finite,
+                            parse_int=lambda text: _finite(text, int))
         except ValueError as exc:  # malformed JSON, not text or not finite
             raise UsageError(f"{args.config} is not JSON: {exc}") from None
     return ExperimentConfig.from_dict(raw)
@@ -136,8 +141,7 @@ def _cmd_preset(args) -> int:
 def _cmd_oracle_build(args) -> int:
     cfg = _config(args)
     mesh = _build_mesh(_build_domain(cfg.domain), cfg.mesh)
-    ps = _build_particular(mesh, cfg.particular, _build_material(cfg.material),
-                           use_cache=False)
+    ps = _build_particular(mesh, cfg.particular, use_cache=False)
     orc = get_oracle(mesh, cfg.oracle, ps.loading, cfg.material,
                      loading_id=cfg.particular, use_cache=False)
     if orc is None:
@@ -167,8 +171,7 @@ def main(argv=None) -> int:
     except (UsageError, MaterialError, MeshError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ExperimentError, BasisError, SolverError, OracleError,
-            ParticularStressError) as exc:
+    except NUMERIC_FAILURES as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

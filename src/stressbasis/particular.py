@@ -35,7 +35,11 @@ class ParticularStress:
         rep = equilibrium_residual(self.field, self.loading)
         self.interior_residual = rep.interior_norm
         self.boundary_residual = rep.boundary_mismatch
-        scale = max(l2_norm_tensor(self.field), 1e-300)
+        with np.errstate(over="ignore", invalid="ignore"):
+            scale = max(l2_norm_tensor(self.field), 1e-300)
+        if not np.isfinite(scale):
+            raise ParticularStressError(
+                f"{self.construction}: the field's norm overflows a float")
         if rep.interior_norm > self.tolerance * scale:
             raise ParticularStressError(
                 f"{self.construction}: interior equilibrium residual "

@@ -11,8 +11,10 @@ from one of three principles:
 * ``PT_body`` -- planar-trace projection with a body-force potential V:
                  a_i = -<trace(sigma_p) - V/(1-nu), trace(phi_i)>.
 
-Diagnostics (objective, strain energy, approximation error against an oracle)
-are reported for every n in the requested schedule from a single assembly.
+A solve keeps the coefficients of every n in its schedule (SE: the n-mode
+minimizer; PT: the first n). For every principle, the strain energy (SE's
+objective) and E_n come from these alone, in ``energy_series`` and
+``error_series``, through one SE Gram per (basis, material, tag group).
 """
 from __future__ import annotations
 
@@ -26,7 +28,6 @@ from .fields import (SymTensorField2, _call_on_quad, _ops, planar_trace,
                      scalar_gram, tensor_gram)
 from .materials import (Material, compliance_on_quad, compliance_quad,
                         strain_energy)
-from .meshes import RadialMesh
 
 
 class SolverError(RuntimeError):
@@ -42,37 +43,43 @@ class Approximation:
     principle: str
     diagnostics: dict
     mode_indices: list = dc_field(default_factory=list)
+    # the n-mode coefficient vector of every n in diagnostics["n"]
+    coeffs_by_n: list = dc_field(default_factory=list)
 
 
 def _select_indices(basis: BasisSet, sigma_p: SymTensorField2, N: int):
-    if isinstance(sigma_p.mesh, RadialMesh):
-        idx = basis.select(m=sigma_p.m, parity=sigma_p.parity)
-        if not idx:
-            raise SolverError(
-                f"basis holds no modes with tag (m={sigma_p.m}, {sigma_p.parity})")
-    else:
-        idx = basis.select()
-    if N > len(idx):
-        raise SolverError(f"N={N} exceeds the {len(idx)} available basis modes")
+    """The leading N modes of sigma_p's tag group (all on a rectangle)."""
+    group = basis.select(m=sigma_p.m, parity=sigma_p.parity)
+    if not group:
+        raise SolverError(
+            f"basis holds no modes with tag (m={sigma_p.m}, {sigma_p.parity})")
+    if N > len(group):
+        raise SolverError(f"N={N} exceeds the {len(group)} available basis modes")
     if basis.mesh != sigma_p.mesh:
         raise SolverError("basis and particular field live on different meshes")
-    return idx[:N]
+    return group[:N]
 
 
-def _se_gram(basis, idx, material, m, parity):
-    """The symmetrized strain-energy Gram <C^-1 phi_j, phi_i> of the modes
-    ``idx``, built once per (basis, material, mode selection) and kept in the
-    basis cache; the SE solve and every diagnostic series share it.
+def _stack(basis, m, parity, n):
+    """The first n columns of the (m, parity) group's quadrature stack."""
+    return basis.quad_matrix(basis.select(m=m, parity=parity))[:, :, :n]
+
+
+def _se_gram(basis, material, m, parity):
+    """The symmetrized strain-energy Gram <C^-1 phi_j, phi_i> of the whole
+    (m, parity) group, built once per (basis, material, group) and kept in
+    the basis cache. A selection of the leading n modes reads M[:n, :n]; the
+    SE solve and every diagnostic series share it.
 
     M is built in three row blocks, so that the compliance of a block is no
     larger than one component of the mode stack."""
-    key = ("se_gram", material, tuple(idx))
+    key = ("se_gram", material, m, parity)
     if key not in basis._cache:
         mesh = basis.mesh
-        Phi = basis.quad_matrix(idx)
-        M = np.empty((len(idx), len(idx)))
-        b = -(-len(idx) // 3) or 1
-        for s in range(0, len(idx), b):
+        Phi = _stack(basis, m, parity, None)
+        M = np.empty((Phi.shape[2],) * 2)
+        b = -(-len(M) // 3) or 1
+        for s in range(0, len(M), b):
             M[s:s + b] = tensor_gram(mesh, m, parity, compliance_on_quad(
                 material, mesh, Phi[:, :, s:s + b]), Phi)
         M = 0.5 * (M + M.T)
@@ -81,18 +88,20 @@ def _se_gram(basis, idx, material, m, parity):
     return basis._cache[key]
 
 
-def _energy_pairing(basis, idx, material, sigma):
-    """<C^-1 sigma, phi_i> for the modes ``idx``."""
-    return tensor_gram(basis.mesh, sigma.m, sigma.parity,
-                       compliance_quad(material, sigma), basis.quad_matrix(idx))
+def _energy_pairing(basis, material, sigma, n):
+    """<C^-1 sigma, phi_i> for the leading n modes of sigma's group."""
+    with np.errstate(over="ignore", invalid="ignore"):  # callers refuse inf
+        return tensor_gram(basis.mesh, sigma.m, sigma.parity,
+                           compliance_quad(material, sigma),
+                           _stack(basis, sigma.m, sigma.parity, n))
 
 
 def assemble_se_system(basis: BasisSet, sigma_p: SymTensorField2,
                        material: Material, N: int):
     """The strain-energy normal system (M, f) for the leading N modes."""
-    idx = _select_indices(basis, sigma_p, N)
-    M = _se_gram(basis, idx, material, sigma_p.m, sigma_p.parity)
-    return M, -_energy_pairing(basis, idx, material, sigma_p)
+    _select_indices(basis, sigma_p, N)
+    M = _se_gram(basis, material, sigma_p.m, sigma_p.parity)
+    return M[:N, :N], -_energy_pairing(basis, material, sigma_p, N)
 
 
 def _reconstruct(sigma_p, basis, idx, a):
@@ -116,29 +125,11 @@ def _reconstruct(sigma_p, basis, idx, a):
     return SymTensorField2(sigma_p.mesh, components, parts=parts, **tags)
 
 
-def _oracle_terms(basis, idx, sigma_p, sigma_true, material):
-    """Ingredients of E_n = |sigma^n - sigma_true|_E / |sigma_true|_E besides
-    the SE Gram: |sigma_p - sigma_true|_E^2, <C^-1 (sigma_p - sigma_true),
-    phi_i> and |sigma_true|_E^2."""
-    d = sigma_p - sigma_true
-    dd = strain_energy(material, d)
-    g = _energy_pairing(basis, idx, material, d)
-    denom = strain_energy(material, sigma_true)
-    if denom <= 0:
-        raise SolverError("oracle stress has zero energy")
-    return dd, g, denom
-
-
 def _quadratic_series(c0, v, M, ans):
     """c0 + 2 a.v + a.M a for each coefficient vector a in ``ans`` (a holds
     the leading len(a) coefficients)."""
     return np.array([c0 + 2 * a @ v[:len(a)] + a @ M[:len(a), :len(a)] @ a
                      for a in ans], dtype=float)
-
-
-def _error_series(oracle_terms, M, ans):
-    dd, g, denom = oracle_terms
-    return np.sqrt(np.maximum(_quadratic_series(dd, g, M, ans) / denom, 0.0))
 
 
 def _schedule(N, ns):
@@ -152,17 +143,18 @@ def _schedule(N, ns):
 
 
 def solve_strain_energy(sigma_p: SymTensorField2, basis: BasisSet,
-                        material: Material, N: int, ns=None,
-                        oracle: SymTensorField2 | None = None) -> Approximation:
+                        material: Material, N: int, ns=None) -> Approximation:
     """Coefficients by strain-energy minimization (M a = f, SPD factorization).
 
     M is factored once: the Cholesky factor of a leading block M[:n, :n] is
-    the leading block of the factor, so every n in the schedule costs two
-    triangular solves.
+    the leading block of the factor, so the n-mode solution of every n in the
+    schedule costs two triangular solves. Its strain energy is the objective.
     """
     idx = _select_indices(basis, sigma_p, N)
     M, f = assemble_se_system(basis, sigma_p, material, N)
     sched = _schedule(N, ns)
+    if not np.all(np.isfinite(f)):
+        raise SolverError("SE load vector is not finite")
     if N:
         try:
             L = np.linalg.cholesky(M)
@@ -179,31 +171,28 @@ def solve_strain_energy(sigma_p: SymTensorField2, basis: BasisSet,
         return solve_triangular(L[:n, :n], an, trans="T", lower=True,
                                 check_finite=False)
 
-    ans = [coeffs(n) for n in sched]
-    energy = _quadratic_series(strain_energy(material, sigma_p), -f, M, ans)
     # the schedule may leave N out; the coefficients are always those of N
     a = coeffs(N)
-    diag = {"n": np.array(sched), "objective": energy, "energy": energy.copy(),
-            "condition": float(np.linalg.cond(M)) if N else 1.0}
-    if oracle is not None:
-        diag["E_N"] = _error_series(
-            _oracle_terms(basis, idx, sigma_p, oracle, material), M, ans)
-    return Approximation(a, _reconstruct(sigma_p, basis, idx, a), "SE", diag,
-                         list(idx))
+    res = Approximation(a, _reconstruct(sigma_p, basis, idx, a), "SE",
+                        {"n": np.array(sched)}, list(idx),
+                        [coeffs(n) for n in sched])
+    res.diagnostics["objective"] = energy_series(res, sigma_p, basis, material)
+    return res
 
 
 def _pt_like(sigma_p, basis, N, ns, sbar_quad, principle):
     idx = _select_indices(basis, sigma_p, N)
     mesh, m, parity = sigma_p.mesh, sigma_p.m, sigma_p.parity
-    Phi = basis.quad_matrix(idx)
+    Phi = _stack(basis, m, parity, N)
     t = scalar_gram(mesh, m, parity, sbar_quad, Phi[0] + Phi[1])
     Tp = float(scalar_gram(mesh, m, parity, sbar_quad, sbar_quad))
     a = -t
     sched = _schedule(N, ns)
+    ans = [a[:n] for n in sched]
     diag = {"n": np.array(sched), "objective": _quadratic_series(
-        Tp, t, basis.trace_gram[np.ix_(idx, idx)], [a[:n] for n in sched])}
+        Tp, t, basis.trace_gram[np.ix_(idx, idx)], ans)}
     return Approximation(a, _reconstruct(sigma_p, basis, idx, a), principle,
-                         diag, list(idx))
+                         diag, list(idx), ans)
 
 
 def solve_planar_trace(sigma_p: SymTensorField2, basis: BasisSet, N: int,
@@ -227,30 +216,34 @@ def solve_planar_trace_body(sigma_p: SymTensorField2, basis: BasisSet,
 
 def energy_series(approx: Approximation, sigma_p: SymTensorField2,
                   basis: BasisSet, material: Material) -> np.ndarray:
-    """Strain energy of sigma^n for every n in the recorded schedule.
-
-    Used to attach the energy column to material-blind (PT) solves.
-    """
-    idx = approx.mode_indices
-    q = _energy_pairing(basis, idx, material, sigma_p)
-    ans = [approx.coeffs[:n] for n in approx.diagnostics["n"]]
-    M = _se_gram(basis, idx, material, sigma_p.m, sigma_p.parity)
-    return _quadratic_series(strain_energy(material, sigma_p), q, M, ans)
+    """Strain energy of sigma_p + sum_j a_j phi_j for the coefficient vector
+    a of every n in the recorded schedule, through the SE Gram of the modes'
+    group: the objective of SE, a diagnostic of the PT principles."""
+    M = _se_gram(basis, material, sigma_p.m, sigma_p.parity)
+    q = _energy_pairing(basis, material, sigma_p, len(approx.mode_indices))
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        e = _quadratic_series(strain_energy(material, sigma_p), q, M,
+                              approx.coeffs_by_n)
+    if not np.all(np.isfinite(e)):
+        raise SolverError(f"{approx.principle} energy series is not finite")
+    return e
 
 
 def error_series(approx: Approximation, sigma_p: SymTensorField2,
                  basis: BasisSet, material: Material,
                  sigma_true: SymTensorField2) -> np.ndarray:
-    """E_n against an oracle for every n in the recorded schedule."""
-    idx = approx.mode_indices
-    terms = _oracle_terms(basis, idx, sigma_p, sigma_true, material)
-    M = _se_gram(basis, idx, material, sigma_p.m, sigma_p.parity)
-    ans = [approx.coeffs[:n] for n in approx.diagnostics["n"]]
-    return _error_series(terms, M, ans)
+    """E_n = |sigma^n - sigma_true|_E / |sigma_true|_E against an oracle for
+    every n in the recorded schedule."""
+    denom = strain_energy(material, sigma_true)
+    if not 0 < denom < np.inf:
+        raise SolverError(f"oracle stress has energy {denom:.3e}")
+    e = energy_series(approx, sigma_p - sigma_true, basis, material)
+    return np.sqrt(np.maximum(e / denom, 0.0))
 
 
 def galerkin_residual(approx: Approximation, sigma_p: SymTensorField2,
                       basis: BasisSet, material: Material) -> float:
     """max_i |<C^-1 sigma^N, phi_i>| over the solved modes (SE optimality)."""
-    r = _energy_pairing(basis, approx.mode_indices, material, approx.sigma_N)
+    r = _energy_pairing(basis, material, approx.sigma_N,
+                        len(approx.mode_indices))
     return float(np.max(np.abs(r)))

@@ -590,6 +590,9 @@ _M1 = {"particular": {"recipe": "annulus_m1"},
                                "loading": {"recipe": "uniform_pressure"},
                                "material": {"kind": "isotropic", "Y": 1.0,
                                             "nu": 0.3}}}, 2, "not a finite"),
+    (SMALL_CFG, {"material": {"kind": "foo"}}, 2, "'foo' is not one of"),
+    (SMALL_CFG, {"material": {"kind": "foo", "Y": 1.0, "nu": 0.3}}, 2,
+     "'foo' is not one of"),
 ], ids=["material", "mesh", "solver", "isotropic_without_Y",
         "orthotropic_without_G_xy", "profile_without_Y_bottom",
         "oracle_without_loading", "oracle_material_without_Y",
@@ -607,7 +610,8 @@ _M1 = {"particular": {"recipe": "annulus_m1"},
         "zero_modulus", "indefinite_orthotropic_with_fem",
         "indefinite_orthotropic", "zero_orthotropic_modulus", "pressure_nan",
         "pressure_infinite", "inner_pressure_nan", "modulus_nan",
-        "oracle_tol_nan"])
+        "oracle_tol_nan", "unknown_material_kind",
+        "unknown_material_kind_with_moduli"])
 def test_cli_schema_valid_bad_input(tmp_path, capsys, base, change, code,
                                     words):
     """Input errors exit 2 and numeric failures exit 1, with one line each."""
@@ -627,6 +631,61 @@ def test_cli_refuses_overflowing_number(tmp_path, capsys):
                  "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1 and "1e400 is not a finite" in err
+
+
+def test_cli_refuses_integer_too_large_for_a_float(tmp_path, capsys):
+    """An integer literal that overflows a float exits 2 with one line."""
+    cfg_path = tmp_path / "big.json"
+    text = json.dumps(dict(SMALL_CFG, particular={"recipe": "axisym_airy",
+                                                  "p_in": 7}))
+    cfg_path.write_text(text.replace('"p_in": 7', '"p_in": 1' + 400 * "0"))
+    assert main(["run", "--config", str(cfg_path),
+                 "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and "is not a finite" in err
+
+
+@pytest.mark.parametrize("p, Y, principle, words", [
+    (1e308, 1.0, "PT", "norm overflows"),
+    (1e150, 1e-10, "PT", "energy series is not finite"),
+    (1e150, 1e-300, "SE", "load vector is not finite"),
+], ids=["field_norm", "energy", "se_load"])
+def test_cli_huge_load_is_a_numeric_failure(tmp_path, capsys, p, Y,
+                                            principle, words):
+    """A finite load whose stresses or energies overflow a float exits 1
+    with one line, not a run of NaN and overflow warnings."""
+    cfg = dict(RECT_CFG, particular={"recipe": "uniform_pressure", "p": p},
+               material={"kind": "isotropic", "Y": Y, "nu": 0.3},
+               oracle={"kind": "none"}, principles=[principle])
+    cfg_path = tmp_path / "huge.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["run", "--config", str(cfg_path),
+                 "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith("numeric failure: ") and words in err
+
+
+def test_run_all_maps_numeric_failures(tmp_path, monkeypatch, capsys):
+    """scripts/run_all.py exits 1 with one line on the numeric failures that
+    the CLI maps to exit 1, not only on ExperimentError."""
+    import importlib.util
+    from stressbasis.solvers import SolverError
+    path = os.path.join(os.path.dirname(__file__), "..", "scripts",
+                        "run_all.py")
+    spec = importlib.util.spec_from_file_location("run_all", path)
+    run_all = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run_all)
+
+    def failing(*args, **kwargs):
+        raise SolverError("SE system is not positive definite")
+    monkeypatch.setattr(run_all, "run_experiment", failing)
+    monkeypatch.setattr(sys, "argv", ["run_all.py", "--out",
+                                      str(tmp_path), "example1"])
+    assert run_all.main() == 1
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["ERROR example1: SE system is not positive "
+                                "definite"]
 
 
 def test_cli_oracle_failure(tmp_path, monkeypatch, capsys):

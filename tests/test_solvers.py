@@ -6,15 +6,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from stressbasis import solvers
-from stressbasis.basis import solve_basis_annulus
+from stressbasis.basis import solve_basis_annulus, solve_basis_rectangle
 from stressbasis.fields import (SymTensorField2, equilibrium_residual,
                                 tensor_gram)
 from stressbasis.materials import (Material, compliance_on_quad,
                                    discontinuous_modulus, strain_energy)
 from stressbasis.meshes import Domain, build_radial_grid
-from stressbasis.oracles import lame_oracle
+from stressbasis.oracles import displacement_fem_oracle, lame_oracle
 from stressbasis.particular import (axisym_airy_particular,
-                                    band_pressure_particular)
+                                    band_pressure_particular,
+                                    uniform_pressure_particular)
 from stressbasis.solvers import (SolverError, energy_series, error_series,
                                  galerkin_residual, solve_planar_trace,
                                  solve_strain_energy)
@@ -97,20 +98,21 @@ def test_se_energy_identity(band_particular, rect_basis, iso_material, rng):
     se = solve_strain_energy(band_particular.field, rect_basis, iso_material,
                              6, ns=[6])
     direct = strain_energy(iso_material, se.sigma_N)
-    assert se.diagnostics["energy"][-1] == pytest.approx(direct, rel=1e-10)
+    assert se.diagnostics["objective"][-1] == pytest.approx(direct, rel=1e-10)
 
 
 def test_error_series_endpoints(ann_particular, ann_basis_m0, iso_material,
                                 ann_mesh):
     orc = lame_oracle(ann_mesh, 1.0)
     se = solve_strain_energy(ann_particular.field, ann_basis_m0, iso_material,
-                             12, ns=[0, 6, 12], oracle=orc.field)
-    E = se.diagnostics["E_N"]
+                             12, ns=[0, 6, 12])
+    E = error_series(se, ann_particular.field, ann_basis_m0, iso_material,
+                     orc.field)
     # E_0 is the raw particular-field error; it must shrink as modes are added
     assert E[0] > E[-1] > 0
-    also = error_series(se, ann_particular.field, ann_basis_m0, iso_material,
-                        orc.field)
-    assert np.allclose(also, E, rtol=1e-12)
+    direct = np.sqrt(strain_energy(iso_material, se.sigma_N - orc.field)
+                     / strain_energy(iso_material, orc.field))
+    assert E[-1] == pytest.approx(direct, rel=1e-8)
 
 
 def test_single_factor_schedule_matches_per_n_cholesky(
@@ -126,8 +128,32 @@ def test_single_factor_schedule_matches_per_n_cholesky(
         L = np.linalg.cholesky(M[:n, :n])
         an = np.linalg.solve(L.T, np.linalg.solve(L, f[:n]))
         En = Ep - 2 * an @ f[:n] + an @ M[:n, :n] @ an
-        assert se.diagnostics["energy"][k] == pytest.approx(En, rel=1e-12)
+        assert se.diagnostics["objective"][k] == pytest.approx(En, rel=1e-12)
     assert np.allclose(se.coeffs, an, rtol=1e-12, atol=0)
+
+
+def test_se_series_are_those_of_the_n_mode_solutions(rect_mesh):
+    """On a varying-modulus rectangle the n-mode SE solution is not the
+    leading part of the N-mode one. The energy and error series of an SE
+    approximation are SE's objective and the errors of its n-mode
+    solutions, not of truncations of the N-mode coefficients."""
+    basis = solve_basis_rectangle(rect_mesh, 30)
+    mat = Material.isotropic(discontinuous_modulus(1.0, 3.0, 0.5), 0.33)
+    ps = uniform_pressure_particular(rect_mesh, 1.0)
+    true = displacement_fem_oracle(rect_mesh, ps.loading, mat, refine=1).field
+    se = solve_strain_energy(ps.field, basis, mat, len(basis))
+    energy = energy_series(se, ps.field, basis, mat)
+    errors = error_series(se, ps.field, basis, mat, true)
+    assert np.array_equal(energy, se.diagnostics["objective"])
+    true_energy, scale = strain_energy(mat, true), np.abs(se.coeffs).max()
+    for k, n in enumerate(se.diagnostics["n"]):
+        one = solve_strain_energy(ps.field, basis, mat, n, ns=[n])
+        assert np.allclose(se.coeffs_by_n[k], one.coeffs, rtol=0,
+                           atol=1e-12 * scale)
+        assert energy[k] == pytest.approx(strain_energy(mat, one.sigma_N),
+                                          rel=1e-10)
+        direct = np.sqrt(strain_energy(mat, one.sigma_N - true) / true_energy)
+        assert errors[k] == pytest.approx(direct, rel=1e-8)
 
 
 def test_se_coefficients_do_not_depend_on_the_schedule(iso_material):
@@ -175,9 +201,9 @@ def test_se_gram_built_once_per_material_and_selection(band_particular,
                                                        rect_basis, rect_mesh,
                                                        monkeypatch):
     """The SE solve, the energy and error series share one SE Gram per
-    (basis, material, mode selection). A build applies the compliance to
-    each selected mode once, a block of modes at a time; ``built`` counts
-    the modes."""
+    (basis, material, tag group); a selection of the leading modes reads
+    its leading block. A build applies the compliance to each mode of the
+    group once, a block of modes at a time; ``built`` counts the modes."""
     built = []
     compliance = solvers.compliance_on_quad
 
@@ -189,15 +215,15 @@ def test_se_gram_built_once_per_material_and_selection(band_particular,
     other = band_pressure_particular(rect_mesh, profile="discontinuous").field
     mat = Material.isotropic(2.0, 0.25)
     N = len(rect_basis)
-    solve_strain_energy(sp, rect_basis, mat, N, oracle=other)
-    pt = solve_planar_trace(sp, rect_basis, N)
-    energy_series(pt, sp, rect_basis, mat)
-    error_series(pt, sp, rect_basis, mat, other)
+    for res in (solve_strain_energy(sp, rect_basis, mat, N),
+                solve_planar_trace(sp, rect_basis, N)):
+        energy_series(res, sp, rect_basis, mat)
+        error_series(res, sp, rect_basis, mat, other)
     solve_strain_energy(sp, rect_basis, mat, N)
     assert len(built) == N
     solve_strain_energy(sp, rect_basis, Material.isotropic(2.0, 0.25), N)
     solve_strain_energy(sp, rect_basis, mat, N - 1)
-    assert len(built) == 3 * N - 1
+    assert len(built) == 2 * N
 
 
 def test_reconstruction_folds_nodal_modes(band_particular, rect_basis,
@@ -239,7 +265,7 @@ def test_blocked_se_gram_matches_one_product(rect_basis, material):
     round-off, exactly symmetric and read-only."""
     basis = dataclasses.replace(rect_basis, _cache={})
     idx = list(range(len(basis)))
-    M = solvers._se_gram(basis, idx, material, None, None)
+    M = solvers._se_gram(basis, material, None, None)
     Phi = basis.quad_matrix(idx)
     ref = tensor_gram(basis.mesh, None, None,
                       compliance_on_quad(material, basis.mesh, Phi), Phi)
@@ -247,7 +273,7 @@ def test_blocked_se_gram_matches_one_product(rect_basis, material):
     assert np.abs(M - ref).max() <= 1e-13 * np.abs(ref).max()
     assert np.array_equal(M, M.T)
     assert not M.flags.writeable
-    assert solvers._se_gram(basis, idx, material, None, None) is M
+    assert solvers._se_gram(basis, material, None, None) is M
 
 
 def test_se_gram_peak_memory(rect_basis, iso_material, traced_peak):
@@ -256,7 +282,6 @@ def test_se_gram_peak_memory(rect_basis, iso_material, traced_peak):
     basis = dataclasses.replace(rect_basis, _cache={})
     idx = list(range(len(basis)))
     Phi = basis.quad_matrix(idx)
-    M, peak = traced_peak(solvers._se_gram, basis, idx, iso_material,
-                          None, None)
+    M, peak = traced_peak(solvers._se_gram, basis, iso_material, None, None)
     assert M.shape == (len(idx), len(idx))
     assert peak <= Phi.nbytes
