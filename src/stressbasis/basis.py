@@ -58,10 +58,6 @@ _PARITIES = ("cos", "sin")
 # the cache key
 SOLVER_VERSION = 3
 
-# the version of the airy build, in the airy cache key only (1: the modes
-# are summed from 1-D factor tables, which moves their values at round-off)
-AIRY_VERSION = 1
-
 # relative eigenvalue gap below which neighbouring modes form one degenerate
 # cluster, orthogonalized together; recorded in the provenance
 _DEGENERATE_GAP = 1e-6
@@ -732,8 +728,11 @@ def airy_bump_basis(mesh: RectangleMesh, n: int) -> BasisSet:
     # the potentials (j, k) in order of total degree
     jr, kr = np.array([(j, d - j) for d in range(n)
                        for j in range(d + 1)][:n]).T
-    fx = _bump_polys(jr.max() + 1, mesh.domain.Lx)
-    fy = _bump_polys(kr.max() + 1, mesh.domain.Ly)
+    Lx, Ly = mesh.domain.Lx, mesh.domain.Ly
+    fy = _bump_polys(kr.max() + 1, Ly)
+    # on a square the x polynomials are a leading block of the y ones
+    fx = (fy[:jr.max() + 5, :, :jr.max() + 1] if Lx == Ly
+          else _bump_polys(jr.max() + 1, Lx))
 
     ops = _ops(mesh)
     quad = _bump_tables(fx, fy, ops.qx, ops.qy)
@@ -923,8 +922,10 @@ _BASIS_FORMAT = "SBBASIS 2"
 
 
 def save_basis(basis: BasisSet, path: str, key: dict | None = None):
-    """Write an SBBASIS file; its meta holds the provenance, the
-    ``verify_basis`` report and the cache ``key``."""
+    """Write the SBBASIS file of an eigenbasis; its meta holds the
+    provenance, the ``verify_basis`` report and the cache ``key``."""
+    if basis.eigenvalues is None:
+        raise BasisError("an airy basis is built on every run, never saved")
     comps = np.stack([m.components for m in basis.modes])
     mtags = np.array([m.m if m.m is not None else -1 for m in basis.modes])
     ptags = np.array([_PARITIES.index(m.parity) if m.parity else -1
@@ -935,9 +936,8 @@ def save_basis(basis: BasisSet, path: str, key: dict | None = None):
         "parity_tags": ptags,
         "gram_l2": basis.gram_l2,
         "trace_gram": basis.trace_gram,
+        "eigenvalues": basis.eigenvalues,
     }
-    if basis.eigenvalues is not None:
-        arrays["eigenvalues"] = basis.eigenvalues
     mesh = basis.mesh
     if isinstance(mesh, RadialMesh):
         arrays["radial_nodes"] = mesh.nodes
@@ -946,11 +946,9 @@ def save_basis(basis: BasisSet, path: str, key: dict | None = None):
         arrays["ys"] = mesh.ys
         arrays["feature_x"] = np.asarray(mesh.feature_x)
         arrays["feature_y"] = np.asarray(mesh.feature_y)
-    prov = dict(basis.provenance)
-    if basis.backend == "airy-bump":
-        prov["note"] = "reloaded airy modes are nodal interpolants"
     report = basis.report if basis.report is not None else verify_basis(basis)
-    write_tagged(path, _BASIS_FORMAT, {"key": key, "provenance": prov,
+    write_tagged(path, _BASIS_FORMAT, {"key": key,
+                                       "provenance": basis.provenance,
                                        "report": asdict(report)}, arrays)
 
 
@@ -974,7 +972,7 @@ def load_basis(path: str, mesh=None, key: dict | None = None) -> BasisSet:
         comps = arrays["components"]
         mtags = arrays["m_tags"]
         ptags = arrays["parity_tags"]
-        lam = arrays.get("eigenvalues")
+        lam = arrays["eigenvalues"]
         gram_l2, trace_gram = arrays["gram_l2"], arrays["trace_gram"]
         prov, report = meta["provenance"], BasisReport(**meta["report"])
     except (ValueError, KeyError, TypeError) as exc:
@@ -985,9 +983,7 @@ def load_basis(path: str, mesh=None, key: dict | None = None) -> BasisSet:
     k = len(comps)
     shapes = [(comps.shape, (k, 3, mesh.n_nodes)), (mtags.shape, (k,)),
               (ptags.shape, (k,)), (gram_l2.shape, (k, k)),
-              (trace_gram.shape, (k, k))]
-    if lam is not None:
-        shapes.append((lam.shape, (k,)))
+              (trace_gram.shape, (k, k)), (lam.shape, (k,))]
     if k == 0 or any(got != want for got, want in shapes):
         raise BasisFileError(f"{path}: inconsistent {_BASIS_FORMAT} arrays")
     modes = []

@@ -98,6 +98,8 @@ def _config(args) -> ExperimentConfig:
 
 def _cmd_basis_build(args) -> int:
     cfg = _config(args)
+    if cfg.basis["backend"] == "airy":
+        raise UsageError("airy bases are built on every run, never cached")
     mesh = _build_mesh(_build_domain(cfg.domain), cfg.mesh)
     basis = get_basis(mesh, cfg.basis, use_cache=False)
     save_basis(basis, args.out)

@@ -62,19 +62,23 @@ def _select_indices(basis: BasisSet, sigma_p: SymTensorField2, N: int):
 
 def _stack(basis, m, parity, n):
     """The first n columns of the (m, parity) group's quadrature stack."""
-    return basis.quad_matrix(basis.select(m=m, parity=parity))[:, :, :n]
+    group = basis.select(m=m, parity=parity) if n != 0 else []
+    return basis.quad_matrix(group)[:, :, :n]
 
 
-def _se_gram(basis, material, m, parity):
-    """The symmetrized strain-energy Gram <C^-1 phi_j, phi_i> of the whole
-    (m, parity) group, built once per (basis, material, group) and kept in
-    the basis cache. A selection of the leading n modes reads M[:n, :n]; the
-    SE solve and every diagnostic series share it.
+def _se_gram(basis, material, m, parity, n=None):
+    """M[:n, :n] of the symmetrized strain-energy Gram <C^-1 phi_j, phi_i> of
+    the whole (m, parity) group, built once per (basis, material, group) and
+    kept in the basis cache; the SE solve and every diagnostic series share
+    it. n = 0 builds nothing.
 
     M is built in three row blocks, so that the compliance of a block is no
     larger than one component of the mode stack."""
+    if n == 0:
+        return np.zeros((0, 0))
     key = ("se_gram", material, m, parity)
-    if key not in basis._cache:
+    M = basis._cache.get(key)
+    if M is None:
         mesh = basis.mesh
         Phi = _stack(basis, m, parity, None)
         M = np.empty((Phi.shape[2],) * 2)
@@ -85,7 +89,7 @@ def _se_gram(basis, material, m, parity):
         M = 0.5 * (M + M.T)
         M.flags.writeable = False   # shared: a caller must not change it
         basis._cache[key] = M
-    return basis._cache[key]
+    return M if n is None else M[:n, :n]
 
 
 def _energy_pairing(basis, material, sigma, n):
@@ -100,8 +104,8 @@ def assemble_se_system(basis: BasisSet, sigma_p: SymTensorField2,
                        material: Material, N: int):
     """The strain-energy normal system (M, f) for the leading N modes."""
     _select_indices(basis, sigma_p, N)
-    M = _se_gram(basis, material, sigma_p.m, sigma_p.parity)
-    return M[:N, :N], -_energy_pairing(basis, material, sigma_p, N)
+    return (_se_gram(basis, material, sigma_p.m, sigma_p.parity, N),
+            -_energy_pairing(basis, material, sigma_p, N))
 
 
 def _reconstruct(sigma_p, basis, idx, a):
@@ -155,17 +159,14 @@ def solve_strain_energy(sigma_p: SymTensorField2, basis: BasisSet,
     sched = _schedule(N, ns)
     if not np.all(np.isfinite(f)):
         raise SolverError("SE load vector is not finite")
-    if N:
-        try:
-            L = np.linalg.cholesky(M)
-        except np.linalg.LinAlgError as exc:
-            raise SolverError(
-                f"SE system is not positive definite within n={N}: "
-                "broken basis or material") from exc
+    try:
+        L = np.linalg.cholesky(M)
+    except np.linalg.LinAlgError as exc:
+        raise SolverError(
+            f"SE system is not positive definite within n={N}: "
+            "broken basis or material") from exc
 
     def coeffs(n):
-        if not n:
-            return np.zeros(0)
         an = solve_triangular(L[:n, :n], f[:n], lower=True,
                               check_finite=False)
         return solve_triangular(L[:n, :n], an, trans="T", lower=True,
@@ -219,8 +220,9 @@ def energy_series(approx: Approximation, sigma_p: SymTensorField2,
     """Strain energy of sigma_p + sum_j a_j phi_j for the coefficient vector
     a of every n in the recorded schedule, through the SE Gram of the modes'
     group: the objective of SE, a diagnostic of the PT principles."""
-    M = _se_gram(basis, material, sigma_p.m, sigma_p.parity)
-    q = _energy_pairing(basis, material, sigma_p, len(approx.mode_indices))
+    n = len(approx.mode_indices)
+    M = _se_gram(basis, material, sigma_p.m, sigma_p.parity, n)
+    q = _energy_pairing(basis, material, sigma_p, n)
     with np.errstate(over="ignore", invalid="ignore"):  # refused below
         e = _quadratic_series(strain_energy(material, sigma_p), q, M,
                               approx.coeffs_by_n)

@@ -11,6 +11,7 @@ from scipy.linalg import eigh, null_space
 
 import stressbasis
 from stressbasis import basis as basis_mod, fem2d
+from stressbasis._cache import read_tagged, write_tagged
 from stressbasis.basis import (BasisError, BasisSet, _kernel_by_lu, _radial_blocks, _solve_radial_m,
                                airy_bump_basis, load_basis, parity_classes,
                                save_basis, solve_basis_annulus,
@@ -200,6 +201,10 @@ def test_sbbasis_round_trip(tmp_path, rect_basis):
     assert back.provenance["backend"] == rect_basis.provenance["backend"]
     rep = verify_basis(back)
     assert rep.passed, rep.failures
+    with pytest.raises(BasisError, match="airy"):   # built on every run
+        save_basis(airy_bump_basis(rect_basis.mesh, 4),
+                   str(tmp_path / "airy.sbbasis"))
+    assert not (tmp_path / "airy.sbbasis").exists()
 
 
 def test_load_basis_builds_modes_on_an_equal_mesh(tmp_path, rect_basis):
@@ -257,10 +262,17 @@ def test_kernel_by_lu_peak_memory(traced_peak):
     assert peak <= 8 * C.shape[0] * C.shape[1] + Z.nbytes
 
 
-def test_load_basis_rejects_corruption(tmp_path):
+def test_load_basis_rejects_corruption(tmp_path, rect_basis):
     path = tmp_path / "bad.sbbasis"
     path.write_bytes(b"not a basis file")
     with pytest.raises(BasisError):
+        load_basis(str(path))
+    # a file without eigenvalues, as airy bases were once stored
+    save_basis(rect_basis, str(path))
+    meta, arrays = read_tagged(str(path), basis_mod._BASIS_FORMAT)
+    del arrays["eigenvalues"]
+    write_tagged(str(path), basis_mod._BASIS_FORMAT, meta, arrays)
+    with pytest.raises(BasisError, match="eigenvalues"):
         load_basis(str(path))
 
 
@@ -307,6 +319,23 @@ def test_airy_build_evaluates_each_factor_once_per_point_set(monkeypatch):
                      + (kr.max() + 1) * len(np.unique(y)))
                 for x, y in point_sets)
     assert 0 < sum(values) <= bound
+
+
+def test_airy_square_takes_its_x_polynomials_from_the_y_ones(rect_mesh,
+                                                             monkeypatch):
+    """On a square the build forms one table of 1-D polynomials: the x table
+    is the leading block of the y table, which equals a table of its own bit
+    for bit. A rectangle forms one table per side."""
+    calls = []
+    real = basis_mod._bump_polys
+    monkeypatch.setattr(basis_mod, "_bump_polys",
+                        lambda count, L: calls.append(count) or real(count, L))
+    oblong = build_rectangle_mesh(Domain.rectangle(1.0, 0.5), 6, 4)
+    for mesh, want in ((rect_mesh, [9]), (oblong, [9, 8])):
+        calls.clear()
+        airy_bump_basis(mesh, 40)        # x degrees < 8, y degrees < 9
+        assert sorted(calls, reverse=True) == want
+    assert np.array_equal(real(9, 1.0)[:12, :, :8], real(8, 1.0))
 
 
 def test_airy_build_holds_its_stack_and_nodal_arrays(rect_mesh, traced_held,

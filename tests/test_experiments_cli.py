@@ -338,12 +338,12 @@ def test_warm_run_builds_no_scalar_matrices(rect_run, tmp_path, monkeypatch):
 def test_stored_report_equals_a_fresh_verification(tmp_path, monkeypatch,
                                                    rect_mesh, ann_mesh):
     """The report a cached basis carries is ``verify_basis`` of the loaded
-    basis, field for field, and the report of the cold build."""
+    basis, field for field, and the report of the cold build. An airy basis
+    is built on every call, with a fresh report, and writes no file."""
     monkeypatch.setenv("SB_CACHE_DIR", str(tmp_path))
     for mesh, spec in ((rect_mesh, {"backend": "eigen", "n_modes": 6}),
                        (ann_mesh, {"backend": "eigen", "n_modes": 8,
-                                   "wavenumbers": [0, 1]}),
-                       (rect_mesh, {"backend": "airy", "n_modes": 4})):
+                                   "wavenumbers": [0, 1]})):
         cold = get_basis(mesh, spec)
         warm = get_basis(mesh, spec)
         assert warm is not cold and warm.report is not cold.report
@@ -351,7 +351,13 @@ def test_stored_report_equals_a_fresh_verification(tmp_path, monkeypatch,
             dataclasses.asdict(verify_basis(warm)) == \
             dataclasses.asdict(cold.report), spec
         assert warm.report.passed, spec
-    assert len(_cached(tmp_path, "basis-")) == 3
+    monkeypatch.setattr(experiments, "get_or_build", lambda *a, **k:
+                        pytest.fail("an airy basis went through the cache"))
+    airy = get_basis(rect_mesh, {"backend": "airy", "n_modes": 4})
+    assert dataclasses.asdict(airy.report) == \
+        dataclasses.asdict(verify_basis(airy))
+    assert airy.report.passed
+    assert len(_cached(tmp_path, "basis-")) == 2
 
 
 def test_annulus_cache_key_covers_the_blas_thread_counts(tmp_path,
@@ -373,26 +379,22 @@ def test_annulus_cache_key_covers_the_blas_thread_counts(tmp_path,
             os.unlink(tmp_path / name)
 
 
-def test_airy_file_of_the_older_key_is_rebuilt(tmp_path, monkeypatch,
-                                               rect_mesh):
-    """Airy modes summed from 1-D factor tables move at round-off against the
-    older build, so an airy file cached under the older key is rebuilt; an
-    eigenbasis file under the same key is still loaded."""
+def test_eigen_file_under_its_key_is_loaded(tmp_path, monkeypatch,
+                                            rect_mesh):
+    """A rectangle eigenbasis file cached under the key of its mesh, backend,
+    mode count, wavenumbers and solver version is loaded, not rebuilt."""
     monkeypatch.setenv("SB_CACHE_DIR", str(tmp_path))
+    spec = {"backend": "eigen", "n_modes": 4}
+    key = {"mesh": rect_mesh.mesh_hash(), "backend": "eigen", "n_modes": 4,
+           "wavenumbers": [0], "solver": basis_mod.SOLVER_VERSION}
+    save_basis(get_basis(rect_mesh, spec, use_cache=False),
+               str(tmp_path / f"basis-{digest(key)}.sbbasis"), key)
     built = []
-    for backend, builder in (("airy", "airy_bump_basis"),
-                             ("eigen", "solve_basis_rectangle")):
-        spec = {"backend": backend, "n_modes": 4}
-        older = {"mesh": rect_mesh.mesh_hash(), "backend": backend,
-                 "n_modes": 4, "wavenumbers": [0],
-                 "solver": basis_mod.SOLVER_VERSION}
-        save_basis(get_basis(rect_mesh, spec, use_cache=False),
-                   str(tmp_path / f"basis-{digest(older)}.sbbasis"), older)
-        real = getattr(experiments, builder)
-        monkeypatch.setattr(experiments, builder, lambda *a, real=real,
-                            backend=backend: built.append(backend) or real(*a))
-        get_basis(rect_mesh, spec)
-    assert built == ["airy"]
+    real = experiments.solve_basis_rectangle
+    monkeypatch.setattr(experiments, "solve_basis_rectangle",
+                        lambda *a: built.append(a) or real(*a))
+    get_basis(rect_mesh, spec)
+    assert built == []
 
 
 def test_oracle_build_writes_the_cached_reference(rect_run, tmp_path):
@@ -411,11 +413,13 @@ def test_oracle_build_writes_the_cached_reference(rect_run, tmp_path):
 
 def test_rectangle_warm_run_matches_cold_on_one_operator_set(tmp_path,
                                                             monkeypatch):
-    """A warm rectangle run (cached eigenbasis and FEM reference) writes the
-    cold run's bytes, and every field of it shares one RectOps."""
+    """A warm rectangle run (cached eigenbasis and FEM reference, airy basis
+    built again) writes the cold run's bytes, and every field of it shares
+    one RectOps."""
     monkeypatch.setenv("SB_CACHE_DIR", str(tmp_path / "cache"))
     raw = json.loads(json.dumps(RECT_CFG))
     raw["principles"] = ["SE", "PT"]
+    raw["airy_compare"] = 4
     cfg = ExperimentConfig.from_dict(raw)
     run_experiment(cfg, str(tmp_path / "cold"))
     built = []
@@ -494,6 +498,14 @@ def test_cli_usage_errors(tmp_path, capsys):
     assert main(["basis", "build", "--config", str(zero),
                  "--out", str(tmp_path / "b.sbbasis")]) == 2
     assert len(capsys.readouterr().err.strip().splitlines()) == 1
+    airy = tmp_path / "airy.json"                  # built every run: no file
+    airy.write_text(json.dumps(dict(RECT_CFG, basis={"backend": "airy",
+                                                     "n_modes": 4})))
+    assert main(["basis", "build", "--config", str(airy),
+                 "--out", str(tmp_path / "a.sbbasis")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "a.sbbasis").exists()
 
 
 _RAMP = {"kind": "isotropic", "nu": 0.3,

@@ -226,6 +226,20 @@ def test_se_gram_built_once_per_material_and_selection(band_particular,
     assert len(built) == 2 * N
 
 
+def test_no_modes_form_no_stack_and_no_se_gram(band_particular, rect_basis,
+                                              iso_material):
+    """N = 0 reports sigma_p alone: an SE and a PT solve and their energy
+    series form no mode stack with columns and no SE Gram."""
+    basis = dataclasses.replace(rect_basis, _cache={})
+    sp = band_particular.field
+    for res in (solve_strain_energy(sp, basis, iso_material, 0),
+                solve_planar_trace(sp, basis, 0)):
+        energy_series(res, sp, basis, iso_material)
+    assert not [key for key in basis._cache if key[0] == "se_gram"]
+    assert all(Q.shape[2] == 0 for key, Q in basis._cache.items()
+               if key[0] == "quad")
+
+
 def test_reconstruction_folds_nodal_modes(band_particular, rect_basis,
                                           iso_material):
     """sigma_N keeps sigma_p and one folded nodal field as its parts; its
