@@ -13,12 +13,11 @@ from .basis import (BasisSet, airy_bump_basis, load_basis, orthonormalize,
                     verify_basis)
 from .fields import (SymTensorField2, equilibrium_residual, l2_inner_tensor,
                      planar_trace)
-from .materials import Material, compliance_apply, strain_energy
+from .materials import Material, strain_energy
 from .meshes import (Domain, LoadingSpec, build_radial_grid,
                      build_rectangle_mesh)
-from .oracles import (OracleSolution, annulus_m1_oracle, approximation_error,
-                      cesaro_diagnostic, displacement_fem_oracle, lame_oracle,
-                      trace_energy)
+from .oracles import (OracleSolution, annulus_m1_oracle, cesaro_diagnostic,
+                      displacement_fem_oracle, lame_oracle)
 from .particular import (ParticularStress, annulus_m1_particular,
                          axisym_airy_particular, band_pressure_particular,
                          gravity_particular, oracle_as_particular)
@@ -32,12 +31,12 @@ __all__ = [
     "Approximation", "BasisSet", "Domain", "LoadingSpec", "Material",
     "OracleSolution", "ParticularStress", "QuadratureRule", "SymTensorField2",
     "airy_bump_basis", "annulus_m1_oracle", "annulus_m1_particular",
-    "approximation_error", "assemble_se_system", "axisym_airy_particular",
-    "band_pressure_particular", "build_radial_grid", "build_rectangle_mesh",
-    "cesaro_diagnostic", "compliance_apply", "displacement_fem_oracle",
-    "equilibrium_residual", "gauss_1d", "gauss_2d", "gravity_particular",
-    "l2_inner_tensor", "lame_oracle", "load_basis", "oracle_as_particular",
-    "orthonormalize", "planar_trace", "save_basis", "solve_basis_annulus",
-    "solve_basis_rectangle", "solve_planar_trace", "solve_planar_trace_body",
-    "solve_strain_energy", "strain_energy", "trace_energy", "verify_basis",
+    "assemble_se_system", "axisym_airy_particular", "band_pressure_particular",
+    "build_radial_grid", "build_rectangle_mesh", "cesaro_diagnostic",
+    "displacement_fem_oracle", "equilibrium_residual", "gauss_1d", "gauss_2d",
+    "gravity_particular", "l2_inner_tensor", "lame_oracle", "load_basis",
+    "oracle_as_particular", "orthonormalize", "planar_trace", "save_basis",
+    "solve_basis_annulus", "solve_basis_rectangle", "solve_planar_trace",
+    "solve_planar_trace_body", "solve_strain_energy", "strain_energy",
+    "verify_basis",
 ]

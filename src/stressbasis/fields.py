@@ -217,11 +217,6 @@ def _eval_tensor(fn, mesh):
     return np.asarray(fn(c[:, 0], c[:, 1]), dtype=float)
 
 
-def constant_tensor_field(mesh, sxx, syy, sxy, m=None, parity=None):
-    comps = np.stack([np.full(mesh.n_nodes, float(v)) for v in (sxx, syy, sxy)])
-    return SymTensorField2(mesh, comps, m=m, parity=parity)
-
-
 # ---------------------------------------------------------------------------
 # Inner products and diagnostics
 # ---------------------------------------------------------------------------

@@ -102,10 +102,8 @@ class Material:
         return np.stack(e)
 
 
-def _compliance_on(material: Material, mesh, values: np.ndarray,
-                   at_nodes: bool) -> np.ndarray:
-    """C^{-1} applied to stress components ``values`` of shape (3, n, ...)
-    sampled at the nodes of ``mesh`` or at its quadrature points."""
+def compliance_on_quad(material: Material, mesh, values: np.ndarray) -> np.ndarray:
+    """C^{-1} applied to quadrature-point stresses of shape (3, nq, ...)."""
     varying = not material.uniform
     if isinstance(mesh, RadialMesh) and (varying
                                          or material.kind == "orthotropic"):
@@ -114,21 +112,9 @@ def _compliance_on(material: Material, mesh, values: np.ndarray,
     Y = None
     if varying:
         ops = _ops(mesh)
-        Y = material.modulus_at(*(mesh.node_coords.T if at_nodes
-                                  else (ops.qx, ops.qy)))
+        Y = material.modulus_at(ops.qx, ops.qy)
         Y = Y.reshape(Y.shape + (1,) * (np.ndim(values) - 2))
     return material.compliance_on_values(values, Y=Y)
-
-
-def compliance_apply(material: Material, sigma: SymTensorField2) -> SymTensorField2:
-    """Nodewise strain field epsilon = C^{-1} sigma."""
-    eps = _compliance_on(material, sigma.mesh, sigma.components, at_nodes=True)
-    return SymTensorField2(sigma.mesh, eps, m=sigma.m, parity=sigma.parity)
-
-
-def compliance_on_quad(material: Material, mesh, values: np.ndarray) -> np.ndarray:
-    """C^{-1} applied to quadrature-point stresses of shape (3, nq, ...)."""
-    return _compliance_on(material, mesh, values, at_nodes=False)
 
 
 def compliance_quad(material: Material, sigma: SymTensorField2) -> np.ndarray:

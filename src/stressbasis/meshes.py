@@ -312,15 +312,6 @@ class LoadingSpec:
         return LoadingSpec("annulus", m=m, parity=parity,
                            boundary_stress={"inner": tuple(inner), "outer": tuple(outer)})
 
-    @staticmethod
-    def free(kind: str = "rectangle", m: int = 0):
-        """Traction-free loading."""
-        if kind == "rectangle":
-            return LoadingSpec.for_rectangle()
-        return LoadingSpec.for_annulus(m)
-
-    # -- resultants ---------------------------------------------------------
-
     def traction_at(self, tag: str, x, y):
         """Rectangle traction on side ``tag`` at points (x, y); zero if unspecified."""
         fn = self.tractions.get(tag)
@@ -331,101 +322,3 @@ class LoadingSpec:
         shape = np.shape(x)
         return np.broadcast_to(tx, shape).astype(float), \
             np.broadcast_to(ty, shape).astype(float)
-
-    def _circle_traction(self, tag: str, radius: float, th: np.ndarray):
-        """Cartesian traction on the body along the circle r=radius (annulus)."""
-        srr_amp, srt_amp = self.boundary_stress.get(tag, (0.0, 0.0))
-        mm = self.m
-        if self.parity == "cos":
-            srr = srr_amp * np.cos(mm * th)
-            srt = srt_amp * np.sin(mm * th)
-        else:
-            srr = srr_amp * np.sin(mm * th)
-            srt = srt_amp * np.cos(mm * th)
-        sign = 1.0 if tag == "outer" else -1.0  # outward normal of the body
-        tr, tt = sign * srr, sign * srt
-        tx = tr * np.cos(th) - tt * np.sin(th)
-        ty = tr * np.sin(th) + tt * np.cos(th)
-        return tx, ty
-
-    def net_force(self, mesh) -> np.ndarray:
-        """Total applied force (tractions plus body force)."""
-        if self.kind == "annulus":
-            F = np.zeros(2)
-            th = _theta_grid()
-            for tag, radius in (("inner", mesh.domain.r_a), ("outer", mesh.domain.r_b)):
-                tx, ty = self._circle_traction(tag, radius, th)
-                ds = radius * (th[1] - th[0])
-                F += np.array([tx.sum(), ty.sum()]) * ds
-            return F
-        from . import fem2d
-        ops = fem2d.rect_ops(mesh)
-        F = np.zeros(2)
-        for tag in ("left", "right", "bottom", "top"):
-            ex, ey, ew = ops.edge_quad(tag)
-            tx, ty = self.traction_at(tag, ex, ey)
-            F += np.array([np.dot(ew, tx), np.dot(ew, ty)])
-        if self.body_force is not None:
-            bx, by = self.body_force(ops.qx, ops.qy)
-            F += np.array([np.dot(ops.qw, np.broadcast_to(bx, ops.qx.shape)),
-                           np.dot(ops.qw, np.broadcast_to(by, ops.qx.shape))])
-        return F
-
-    def net_moment(self, mesh) -> float:
-        """Total applied moment about the origin."""
-        if self.kind == "annulus":
-            M = 0.0
-            th = _theta_grid()
-            for tag, radius in (("inner", mesh.domain.r_a), ("outer", mesh.domain.r_b)):
-                tx, ty = self._circle_traction(tag, radius, th)
-                x, y = radius * np.cos(th), radius * np.sin(th)
-                ds = radius * (th[1] - th[0])
-                M += np.sum(x * ty - y * tx) * ds
-            return M
-        from . import fem2d
-        ops = fem2d.rect_ops(mesh)
-        M = 0.0
-        for tag in ("left", "right", "bottom", "top"):
-            ex, ey, ew = ops.edge_quad(tag)
-            tx, ty = self.traction_at(tag, ex, ey)
-            M += np.dot(ew, ex * ty - ey * tx)
-        if self.body_force is not None:
-            bx, by = self.body_force(ops.qx, ops.qy)
-            bx = np.broadcast_to(bx, ops.qx.shape)
-            by = np.broadcast_to(by, ops.qx.shape)
-            M += np.dot(ops.qw, ops.qx * by - ops.qy * bx)
-        return M
-
-    def hole_resultants(self, mesh) -> dict:
-        """Net force and moment applied to the body along each hole boundary."""
-        if self.kind != "annulus":
-            return {}
-        th = _theta_grid()
-        radius = mesh.domain.r_a
-        tx, ty = self._circle_traction("inner", radius, th)
-        x, y = radius * np.cos(th), radius * np.sin(th)
-        ds = radius * (th[1] - th[0])
-        return {"inner": {
-            "force": np.array([tx.sum() * ds, ty.sum() * ds]),
-            "moment": float(np.sum(x * ty - y * tx) * ds),
-        }}
-
-    def validate(self, mesh, tol: float = 1e-10):
-        """Check global self-equilibration of the loading."""
-        F = self.net_force(mesh)
-        M = self.net_moment(mesh)
-        scale = max(1.0, self._magnitude())
-        if np.abs(F).max() > tol * scale or abs(M) > tol * scale:
-            raise LoadingError(
-                f"loading is not self-equilibrated: net force {F}, net moment {M}")
-
-    def _magnitude(self) -> float:
-        if self.kind == "annulus":
-            vals = [abs(v) for pair in self.boundary_stress.values() for v in pair]
-            return max(vals, default=0.0)
-        return 1.0
-
-
-def _theta_grid(n: int = 1440) -> np.ndarray:
-    # open uniform grid: trapezoid rule on the circle, exact for trig polynomials
-    return np.arange(n) * (2 * np.pi / n)

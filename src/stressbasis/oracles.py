@@ -1,4 +1,4 @@
-"""Independent reference solutions and the metrics evaluated against them.
+"""Independent reference solutions and the Cesaro compatibility diagnostic.
 
 Three reference constructions are provided:
 
@@ -8,9 +8,9 @@ Three reference constructions are provided:
 * ``displacement_fem_oracle`` -- a standard displacement-based plane-strain
   solve on a refined rectangle mesh, restricted back to the requested mesh.
 
-Metrics: relative energy-norm error E_N, the squared L2 norm of the planar
-trace, and the two in-plane Cesaro loop integrals whose vanishing
-characterizes compatibility around a hole.
+Diagnostic: the two in-plane Cesaro loop integrals whose vanishing
+characterizes compatibility around a hole. E_N against a reference is formed
+by ``solvers.error_series``.
 """
 from __future__ import annotations
 
@@ -19,11 +19,9 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from . import fem2d
-from .fields import (SymTensorField2, _zero_divergence, planar_trace,
-                     scalar_gram)
-from .materials import Material, MaterialError, strain_energy
+from .fields import SymTensorField2, _zero_divergence
+from .materials import Material, MaterialError
 from .meshes import LoadingSpec, MeshError, RadialMesh, RectangleMesh
-from .particular import ParticularStress, oracle_as_particular
 
 
 class OracleError(RuntimeError):
@@ -38,9 +36,6 @@ class OracleSolution:
     loading: LoadingSpec
     method: str  # analytic | displacement-fem
     metadata: dict = dc_field(default_factory=dict)
-
-    def as_particular(self) -> ParticularStress:
-        return oracle_as_particular(self.field, self.loading)
 
 
 # ---------------------------------------------------------------------------
@@ -65,24 +60,6 @@ def lame_oracle(mesh: RadialMesh, p: float = 1.0) -> OracleSolution:
     loading = LoadingSpec.for_annulus(m=0, inner=(-p, 0.0), outer=(0.0, 0.0))
     return OracleSolution(field, loading, "analytic",
                           {"A": A, "B": B, "p": p, "nel": mesh.nel})
-
-
-def lame_energy_closed_form(r_a: float, r_b: float, p: float,
-                            material: Material) -> float:
-    """The 1D closed-form radial integral of C^-1 s . s r dr * 2 pi."""
-    if material.kind != "isotropic" or not material.uniform:
-        raise OracleError("closed form requires a uniform isotropic material")
-    Y, nu = float(material.Y), material.nu
-    A = p * r_a**2 / (r_b**2 - r_a**2)
-    B = -A * r_b**2
-    # e_rr srr + e_tt stt = ((1-nu^2)(srr^2+stt^2) - 2 nu(1+nu) srr stt)/Y with
-    # srr^2 + stt^2 = 2A^2 + 2B^2/r^4 and srr stt = A^2 - B^2/r^4; integrating
-    # r dr over [r_a, r_b] and multiplying by 2 pi:
-    I1 = (r_b**2 - r_a**2) / 2            # int r dr
-    I2 = (r_a**-2 - r_b**-2) / 2          # int r^-3 dr
-    val = ((1 - nu**2) * (2 * A**2 * I1 + 2 * B**2 * I2)
-           - 2 * nu * (1 + nu) * (A**2 * I1 - B**2 * I2)) / Y
-    return 2 * np.pi * val
 
 
 def annulus_m1_oracle(mesh: RadialMesh,
@@ -169,24 +146,8 @@ def displacement_fem_oracle(mesh: RectangleMesh, loading: LoadingSpec,
 
 
 # ---------------------------------------------------------------------------
-# Metrics
+# Cesaro diagnostic
 # ---------------------------------------------------------------------------
-
-def approximation_error(sigma_true: SymTensorField2, sigma_N: SymTensorField2,
-                        material: Material) -> float:
-    """Relative energy-norm error  |sigma_true - sigma_N|_E / |sigma_true|_E."""
-    denom = strain_energy(material, sigma_true)
-    if denom <= 0:
-        raise OracleError("reference stress has zero energy")
-    d = sigma_true - sigma_N
-    return float(np.sqrt(max(strain_energy(material, d), 0.0) / denom))
-
-
-def trace_energy(sigma: SymTensorField2) -> float:
-    """The squared L2 norm of the planar trace."""
-    t = planar_trace(sigma)
-    return float(scalar_gram(sigma.mesh, sigma.m, sigma.parity, t, t))
-
 
 # the Cesaro loop: a positively oriented circle about the hole at the origin,
 # sampled at this many equally spaced points, with the reference point X of

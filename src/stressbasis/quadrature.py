@@ -1,7 +1,7 @@
 """Gauss quadrature rules on reference elements."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,10 +30,6 @@ class QuadratureRule:
         dim = self.points.shape[1]
         if not np.isclose(self.weights.sum(), 2.0**dim, rtol=0, atol=1e-12):
             raise ValueError("weights must sum to the reference element measure")
-
-    @property
-    def dim(self) -> int:
-        return self.points.shape[1]
 
 
 def gauss_1d(n: int) -> QuadratureRule:

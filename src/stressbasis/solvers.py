@@ -241,11 +241,3 @@ def error_series(approx: Approximation, sigma_p: SymTensorField2,
         raise SolverError(f"oracle stress has energy {denom:.3e}")
     e = energy_series(approx, sigma_p - sigma_true, basis, material)
     return np.sqrt(np.maximum(e / denom, 0.0))
-
-
-def galerkin_residual(approx: Approximation, sigma_p: SymTensorField2,
-                      basis: BasisSet, material: Material) -> float:
-    """max_i |<C^-1 sigma^N, phi_i>| over the solved modes (SE optimality)."""
-    r = _energy_pairing(basis, material, approx.sigma_N,
-                        len(approx.mode_indices))
-    return float(np.max(np.abs(r)))

@@ -213,7 +213,8 @@ def test_oracle_cache_keyed_on_material_spec(tmp_path, monkeypatch):
 
 def test_run_without_cache_leaves_the_cache_alone(tmp_path, monkeypatch):
     """``use_cache=False`` also reaches the FEM reference behind an
-    ``oracle`` particular recipe: nothing is read or written."""
+    ``oracle`` particular recipe: nothing is read or written. The report
+    states the recipe's equilibrium gate ``tol``, not the strict default."""
     cache = tmp_path / "cache"
     monkeypatch.setenv("SB_CACHE_DIR", str(cache))
     raw = json.loads(json.dumps(RECT_CFG))
@@ -221,9 +222,10 @@ def test_run_without_cache_leaves_the_cache_alone(tmp_path, monkeypatch):
                          "material": {"kind": "isotropic", "Y": 1.0,
                                       "nu": 0.3},
                          "loading": RECT_CFG["particular"]}
-    run_experiment(ExperimentConfig.from_dict(raw), str(tmp_path / "out"),
-                   use_cache=False)
+    rep = run_experiment(ExperimentConfig.from_dict(raw),
+                         str(tmp_path / "out"), use_cache=False)
     assert not cache.exists() or os.listdir(cache) == []
+    assert rep["tolerances"]["particular_residual"] == 1.0
 
 
 def test_damaged_cache_files_are_rebuilt(tmp_path, monkeypatch):
@@ -605,6 +607,10 @@ _M1 = {"particular": {"recipe": "annulus_m1"},
     (SMALL_CFG, {"material": {"kind": "foo"}}, 2, "'foo' is not one of"),
     (SMALL_CFG, {"material": {"kind": "foo", "Y": 1.0, "nu": 0.3}}, 2,
      "'foo' is not one of"),
+    (SMALL_CFG, {"particular": {"recipe": "foo"}}, 2, "'foo' is not one of"),
+    (SMALL_CFG, {"oracle": {"kind": "femm"}}, 2, "'femm' is not one of"),
+    (SMALL_CFG, {"checks": {"x": {"kind": "nosuch"}}}, 2,
+     "'nosuch' is not one of"),
 ], ids=["material", "mesh", "solver", "isotropic_without_Y",
         "orthotropic_without_G_xy", "profile_without_Y_bottom",
         "oracle_without_loading", "oracle_material_without_Y",
@@ -623,7 +629,8 @@ _M1 = {"particular": {"recipe": "annulus_m1"},
         "indefinite_orthotropic", "zero_orthotropic_modulus", "pressure_nan",
         "pressure_infinite", "inner_pressure_nan", "modulus_nan",
         "oracle_tol_nan", "unknown_material_kind",
-        "unknown_material_kind_with_moduli"])
+        "unknown_material_kind_with_moduli", "unknown_recipe",
+        "unknown_oracle_kind", "unknown_check_kind"])
 def test_cli_schema_valid_bad_input(tmp_path, capsys, base, change, code,
                                     words):
     """Input errors exit 2 and numeric failures exit 1, with one line each."""

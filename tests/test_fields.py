@@ -7,12 +7,13 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import stressbasis
-from stressbasis.fields import (FieldError, SymTensorField2,
-                                constant_tensor_field, dump_field_csv,
+from stressbasis.fields import (FieldError, SymTensorField2, dump_field_csv,
                                 equilibrium_residual, l2_inner_tensor,
                                 l2_norm_tensor, planar_trace, quad_metric,
                                 scalar_gram, theta_factors)
 from stressbasis.meshes import LoadingSpec
+
+from helpers import constant_tensor_field
 
 
 def test_theta_factors(ann_mesh):
@@ -132,7 +133,7 @@ def test_field_arithmetic_consistency(rect_mesh, rng):
 def test_equilibrium_residual_uniform(rect_mesh):
     # a uniform stress is divergence-free but violates a traction-free boundary
     A = constant_tensor_field(rect_mesh, 0.0, -1.0, 0.0)
-    rep = equilibrium_residual(A, LoadingSpec.free())
+    rep = equilibrium_residual(A, LoadingSpec.for_rectangle())
     assert rep.interior_norm < 1e-12
     assert rep.boundary_mismatch > 0.5
     # and matches the consistent loading exactly
@@ -184,11 +185,11 @@ def test_field_csv_matches_cell_by_cell_format(tmp_path, rect_mesh, ann_mesh,
         assert "-0," in want and "4.9406564584124654e-324" in want
 
 
-# the readers of the quadrature weights outside fem2d, which defines them and
-# assembles the finite-element operators from them: the L2 metric, and the
-# load resultants, which are vector integrals rather than inner products
-_WEIGHT_READERS = {"fields.quad_metric", "meshes.LoadingSpec.net_force",
-                   "meshes.LoadingSpec.net_moment"}
+# the one reader of the quadrature weights outside fem2d, which defines them
+# and assembles the finite-element operators from them: the L2 metric (the
+# load resultants of the tests are vector integrals, and read them in
+# tests/helpers.py)
+_WEIGHT_READERS = {"fields.quad_metric"}
 
 
 def _scopes_where(tree, module, hit):
@@ -215,6 +216,39 @@ def _package_sources():
         if name.endswith(".py"):
             with open(os.path.join(src, name)) as f:
                 yield name[:-3], ast.parse(f.read())
+
+
+def test_every_definition_is_named_by_the_package():
+    """The package holds what a run executes: every module-level function or
+    class, and every non-dunder method, is named by a package module other
+    than __init__ (a method through an attribute). The console script
+    cli.main is exempt; the tests' own instruments live in tests/helpers.py."""
+    trees = dict(_package_sources())
+    names, attrs = set(), set()
+    for module, tree in trees.items():
+        if module == "__init__":
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.alias):
+                names.add(node.name)
+            elif isinstance(node, ast.Attribute):
+                attrs.add(node.attr)
+    unnamed = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
+                    and node.name not in names | attrs:
+                unnamed.append(f"{module}.{node.name}")
+            if isinstance(node, ast.ClassDef):
+                unnamed += [f"{module}.{node.name}.{sub.name}"
+                            for sub in node.body
+                            if isinstance(sub, ast.FunctionDef)
+                            and not (sub.name.startswith("__")
+                                     and sub.name.endswith("__"))
+                            and sub.name not in attrs]
+    assert sorted(set(unnamed) - {"cli.main"}) == []
 
 
 def test_only_quad_metric_reads_the_weights():
