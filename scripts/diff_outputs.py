@@ -12,18 +12,33 @@ largest relative move and where it is:
   (the absolute move where a is 0), named by the leaf's key path;
 * ``*.csv``: per column, |a - b| over the largest |a| of the column, named
   by the column;
+* cache files (``*.sbbasis``, ``*.sboracle``), read through
+  ``stressbasis._cache.read_tagged``: each array by the CSV rule, named by
+  the array, and the meta's ``provenance`` and ``report`` by the JSON rule.
+  The stored ``key`` is skipped: it holds the build identity, which every
+  edit of the package's code moves;
 * other files: ``differs``.
 
-A file found in one tree only, a CSV whose header or row count differs, or a
-JSON leaf that is not a number (a verdict, a name) and differs is printed as
-a structural difference, and the exit code is then 1; numeric moves alone
-exit 0.
+A file found in one tree only, a CSV whose header or row count differs, an
+array whose shape differs, a cache file that does not read, or a JSON leaf
+that is not a number (a verdict, a name) and differs is printed as a
+structural difference, and the exit code is then 1; numeric moves alone
+exit 0. The script imports ``stressbasis``, so run it with the package on
+the path (``PYTHONPATH=src``).
 """
 import csv
 import json
 import math
 import sys
 from pathlib import Path
+
+import numpy as np
+
+from stressbasis._cache import read_tagged
+from stressbasis.basis import _BASIS_FORMAT
+from stressbasis.experiments import _ORACLE_FORMAT
+
+_CACHE_TAGS = {".sbbasis": _BASIS_FORMAT, ".sboracle": _ORACLE_FORMAT}
 
 
 def _leaves(obj, path=""):
@@ -51,8 +66,13 @@ def _rel(a, b, scale):
 
 def diff_json(a_path, b_path):
     """(largest relative move, where, structural differences)."""
-    a = dict(_leaves(json.loads(a_path.read_text())))
-    b = dict(_leaves(json.loads(b_path.read_text())))
+    return diff_leaves(json.loads(a_path.read_text()),
+                       json.loads(b_path.read_text()))
+
+
+def diff_leaves(a_obj, b_obj, path=""):
+    """``diff_json`` of two parsed JSON values, leaves named under ``path``."""
+    a, b = dict(_leaves(a_obj, path)), dict(_leaves(b_obj, path))
     worst, where, structural = 0.0, "", []
     for key in sorted(a.keys() | b.keys()):
         if key not in a or key not in b:
@@ -80,14 +100,47 @@ def diff_csv(a_path, b_path):
                          f"{len(rb)} rows)"]
     worst, where = 0.0, ""
     for j, name in enumerate(ha):
-        col_a = [r[j] for r in ra]
-        col_b = [r[j] for r in rb]
-        scale = max((abs(v) for v in col_a if not math.isnan(v)), default=0)
-        move = max((_rel(x, y, scale) for x, y in zip(col_a, col_b)),
-                   default=0.0)
+        move = _column_move([r[j] for r in ra], [r[j] for r in rb])
         if move > worst:
             worst, where = move, name
     return worst, where, []
+
+
+def _column_move(col_a, col_b):
+    """The largest |a - b| over the largest |a| of the column."""
+    scale = max((abs(v) for v in col_a if not math.isnan(v)), default=0)
+    return max((_rel(x, y, scale) for x, y in zip(col_a, col_b)),
+               default=0.0)
+
+
+def diff_cache(a_path, b_path):
+    """Each array by the CSV rule, then the meta's provenance and report by
+    the JSON rule; the stored key is skipped."""
+    tag = _CACHE_TAGS[a_path.suffix]
+    try:
+        (meta_a, arrays_a), (meta_b, arrays_b) = (
+            read_tagged(str(p), tag) for p in (a_path, b_path))
+    except (OSError, ValueError) as exc:
+        return 0.0, "", [f"unreadable: {exc}"]
+    worst, where, structural = 0.0, "", []
+    for name in sorted(arrays_a.keys() | arrays_b.keys()):
+        a, b = arrays_a.get(name), arrays_b.get(name)
+        if a is None or b is None or a.shape != b.shape:
+            structural.append(f"{name}: shape {getattr(a, 'shape', None)} "
+                              f"-> {getattr(b, 'shape', None)}")
+            continue
+        if np.array_equal(a, b, equal_nan=True):
+            continue
+        move = _column_move(a.ravel().tolist(), b.ravel().tolist())
+        if move > worst:
+            worst, where = move, name
+    for part in ("provenance", "report"):
+        move, at, lines = diff_leaves(meta_a.get(part), meta_b.get(part),
+                                      part)
+        structural += lines
+        if move > worst:
+            worst, where = move, at
+    return worst, where, structural
 
 
 def main(argv) -> int:
@@ -114,6 +167,8 @@ def main(argv) -> int:
             worst, where, structural = diff_json(a, b)
         elif a.suffix == ".csv":
             worst, where, structural = diff_csv(a, b)
+        elif a.suffix in _CACHE_TAGS:
+            worst, where, structural = diff_cache(a, b)
         else:
             print(f"{rel:{width}}  differs")
             bad = True

@@ -23,8 +23,6 @@ from __future__ import annotations
 
 import contextlib
 import ctypes
-import functools
-import glob
 import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -46,17 +44,10 @@ from .fields import (SIDES, EquilibriumReport, SymTensorField2, _ops,
                      _weighted_product, _zero_divergence, equilibrium_residual,
                      interior_norm, quad_metric, scalar_gram, tensor_gram,
                      traction_mismatch)
-from ._cache import read_tagged, write_tagged
+from ._cache import _openblas, read_tagged, write_tagged
 from .meshes import Domain, RadialMesh, RectangleMesh
 
 _PARITIES = ("cos", "sin")
-
-# bumped whenever a fresh build can differ from a basis cached by an earlier
-# version (version 2: the rectangle eigensolve is split by reflection parity,
-# which orients degenerate clusters differently; version 3: the class solves
-# run on one BLAS thread each, whatever OPENBLAS_NUM_THREADS says); part of
-# the cache key
-SOLVER_VERSION = 3
 
 # relative eigenvalue gap below which neighbouring modes form one degenerate
 # cluster, orthogonalized together; recorded in the provenance
@@ -235,22 +226,6 @@ def _rigid_pins(mesh: RectangleMesh, Pm: sp.spmatrix) -> np.ndarray:
         return np.empty(0, dtype=int)
     _, piv = qr(Rc.T, mode="r", pivoting=True)
     return piv[:Rc.shape[1]]
-
-
-@functools.lru_cache(maxsize=None)
-def _openblas(package, symbol: str, argtypes: tuple = ()):
-    """The int function ``symbol`` of the OpenBLAS bundled with ``package``
-    (numpy or scipy); None when it is not there."""
-    libs = os.path.join(os.path.dirname(os.path.dirname(package.__file__)),
-                        package.__name__ + ".libs")
-    for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas*.so"))):
-        try:
-            fn = getattr(ctypes.CDLL(path), symbol)
-        except (OSError, AttributeError):
-            continue
-        fn.argtypes, fn.restype = list(argtypes), ctypes.c_int
-        return fn
-    return None
 
 
 def _blas_thread_cap():
@@ -915,9 +890,10 @@ def verify_basis(basis: BasisSet) -> BasisReport:
 # SBBASIS cache format
 # ---------------------------------------------------------------------------
 
-# the tag line of a basis file (layout: ``_cache.write_tagged``). The file
-# stores the build's ``verify_basis`` report, which a load returns unchecked:
-# a change to ``verify_basis`` or its tolerances must bump this tag
+# the tag line of a basis file; it names the layout (``_cache.write_tagged``)
+# only. The file stores the build's ``verify_basis`` report, which a load
+# returns unchecked: an edit to ``verify_basis`` changes the build identity
+# the cache checks a file against, so the file is rebuilt
 _BASIS_FORMAT = "SBBASIS 2"
 
 

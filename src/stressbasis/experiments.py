@@ -29,9 +29,9 @@ import jsonschema
 
 from ._cache import atomic_write_text, digest, get_or_build, read_tagged, \
     write_tagged
-from .basis import (H1_TOL, L2_TOL, SOLVER_VERSION, BasisSet, _blas_threads,
-                    airy_bump_basis, load_basis, save_basis,
-                    solve_basis_annulus, solve_basis_rectangle, verify_basis)
+from .basis import (H1_TOL, L2_TOL, BasisSet, _blas_threads, airy_bump_basis,
+                    load_basis, save_basis, solve_basis_annulus,
+                    solve_basis_rectangle, verify_basis)
 from .fields import SymTensorField2, dump_field_csv, equilibrium_residual
 from .materials import (Material, discontinuous_modulus, ramp_modulus,
                         strain_energy)
@@ -46,7 +46,8 @@ from .solvers import (energy_series, error_series, solve_planar_trace,
                       solve_planar_trace_body, solve_strain_energy)
 
 _FMT = "%.17g"
-# the tag of a FEM reference cache file (``_cache.write_tagged``)
+# the tag line of a FEM reference cache file; it names the layout
+# (``_cache.write_tagged``) only
 _ORACLE_FORMAT = "SBORACLE 5"
 
 
@@ -65,6 +66,18 @@ class UsageError(ValueError):
 def _numbers(*keys) -> dict:
     """Schema properties: each key a number."""
     return {k: {"type": "number"} for k in keys}
+
+
+# the fields each check kind reads from its own entry
+_CHECK_FIELDS = {
+    "energy_rel_excess": ["at", "tol"], "monotone_energy": [],
+    "slope": ["range"], "error_at": ["at", "range"],
+    "plateau": ["from", "to", "min_ratio"], "se_below_plateau": ["factor"],
+    "cesaro_magnitude": ["target", "rel_tol"], "cesaro_zero": ["tol"],
+    "airy_span_energy": ["tol"]}
+# the check kinds that read the reference: its energy or E_N
+_REFERENCE_CHECKS = {"energy_rel_excess", "slope", "error_at", "plateau",
+                     "se_below_plateau"}
 
 
 CONFIG_SCHEMA = {
@@ -146,11 +159,12 @@ CONFIG_SCHEMA = {
         "cesaro": {"type": "object", "properties": _numbers("radius")},
         "airy_compare": {"type": ["integer", "null"], "minimum": 0},
         "checks": {"type": "object", "additionalProperties": {
-            "type": "object", "required": ["kind"], "properties": {
-                "kind": {"enum": [
-                    "energy_rel_excess", "monotone_energy", "slope",
-                    "error_at", "plateau", "se_below_plateau",
-                    "cesaro_magnitude", "cesaro_zero", "airy_span_energy"]}}}},
+            "type": "object", "required": ["kind"],
+            "properties": {"kind": {"enum": list(_CHECK_FIELDS)}},
+            "allOf": [{"if": {"required": ["kind"],
+                              "properties": {"kind": {"const": kind}}},
+                       "then": {"required": fields}}
+                      for kind, fields in _CHECK_FIELDS.items() if fields]}},
         "full": {"type": "object"},
     },
 }
@@ -214,6 +228,23 @@ class ExperimentConfig:
             if need != have:
                 what = field if value is True else f"{field} {value!r}"
                 raise UsageError(f"{what} works on {need} domains only")
+        for name, check in cfg.checks.items():
+            kind = check["kind"]
+            reads = ({"PT", "SE"} if kind == "se_below_plateau"
+                     else {check.get("principle", cfg.principles[0])})
+            for what, missing in (
+                    (" and ".join(sorted(reads)) + " among the principles",
+                     not reads <= set(cfg.principles)),
+                    ("a reference", kind in _REFERENCE_CHECKS
+                     and cfg.oracle.get("kind", "none") == "none"),
+                    ("a cesaro block",
+                     kind.startswith("cesaro_") and cfg.cesaro is None),
+                    ("airy_compare",
+                     kind == "airy_span_energy" and not cfg.airy_compare),
+                    ("a window or slope_window", kind == "slope" and
+                     check.get("window", cfg.slope_window) is None)):
+                if missing:
+                    raise UsageError(f"check {name!r} ({kind}) needs {what}")
         if cfg.ns is not None:
             ns = list(cfg.ns)
             if any(b <= a for a, b in zip(ns, ns[1:])):
@@ -300,11 +331,11 @@ def get_basis(mesh, spec: dict, use_cache: bool = True) -> BasisSet:
 
     if backend == "airy":
         return build()
-    key = {"mesh": mesh.mesh_hash(), "backend": backend, "n_modes": n_modes,
-           "wavenumbers": wavenumbers, "solver": SOLVER_VERSION}
+    key = {"mesh": mesh.mesh_hash(), "backend": backend, "n_modes": n_modes}
     if isinstance(mesh, RadialMesh):
-        # the dense annulus solve's bytes depend on the BLAS thread counts
-        key["blas_threads"] = _blas_threads()
+        # the annulus build reads the wavenumbers, and its dense solve's
+        # bytes depend on the BLAS thread counts
+        key.update(wavenumbers=wavenumbers, blas_threads=_blas_threads())
     return get_or_build("basis-{}.sbbasis", key, build, save_basis,
                         lambda path, key: load_basis(path, mesh, key),
                         use_cache)

@@ -2,6 +2,11 @@ import importlib.util
 import json
 from pathlib import Path
 
+import numpy as np
+
+from stressbasis._cache import write_tagged
+from stressbasis.basis import _BASIS_FORMAT
+
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "diff_outputs.py"
 _spec = importlib.util.spec_from_file_location("diff_outputs", SCRIPT)
 diff_outputs = importlib.util.module_from_spec(_spec)
@@ -43,3 +48,23 @@ def test_diff_outputs_reports_the_largest_move_per_file(tmp_path, capsys):
     assert "checks.slope.passed: True -> False" in out
     assert f"only in {tmp_path / 'a'}" in next(
         line for line in out.splitlines() if line.startswith("same.txt"))
+
+
+def test_diff_outputs_compares_cache_files_by_content(tmp_path, capsys):
+    """A cache file compares by its arrays and its meta's provenance and
+    report; the stored key, which holds the build identity, is skipped."""
+    def cache_file(root, key, eigenvalues):
+        root.mkdir()
+        write_tagged(str(root / "basis-0.sbbasis"), _BASIS_FORMAT,
+                     {"key": key, "provenance": {"h": 0.125},
+                      "report": {"passed": True}},
+                     {"eigenvalues": np.array(eigenvalues),
+                      "m_tags": np.array([-1, -1])})
+
+    cache_file(tmp_path / "a", {"build": "parent"}, [1.0, 2.0])
+    cache_file(tmp_path / "b", {"build": "change"}, [1.0, 2.0])
+    cache_file(tmp_path / "c", {"build": "change"}, [1.0, 2.0 + 4e-12])
+    for other, line in (("b", "0.00e+00"), ("c", "2.00e-12  eigenvalues")):
+        assert diff_outputs.main([str(tmp_path / "a"),
+                                  str(tmp_path / other)]) == 0
+        assert capsys.readouterr().out.split(None, 1)[1].strip() == line

@@ -2,6 +2,7 @@ import dataclasses
 import filecmp
 import json
 import os
+import shutil
 import subprocess
 import sys
 import threading
@@ -9,18 +10,20 @@ import threading
 import jsonschema
 import numpy as np
 import pytest
+import scipy
 
 import stressbasis
-from stressbasis import basis as basis_mod, experiments, fem2d
+from stressbasis import _cache, basis as basis_mod, experiments, fem2d
 from stressbasis.basis import load_basis, save_basis, verify_basis
 from stressbasis.cli import main
 from stressbasis.experiments import (CONFIG_SCHEMA, ExperimentConfig,
                                      ExperimentError, PRESET_NAMES,
                                      UsageError, _ORACLE_FORMAT,
                                      _provenance_hash, fit_slope, get_basis,
-                                     get_preset, list_presets, run_experiment)
+                                     get_oracle, get_preset, list_presets,
+                                     run_experiment)
 from stressbasis.oracles import OracleError
-from stressbasis._cache import digest, read_tagged
+from stressbasis._cache import build_identity, digest, read_tagged
 
 
 SMALL_CFG = {
@@ -383,20 +386,82 @@ def test_annulus_cache_key_covers_the_blas_thread_counts(tmp_path,
 
 def test_eigen_file_under_its_key_is_loaded(tmp_path, monkeypatch,
                                             rect_mesh):
-    """A rectangle eigenbasis file cached under the key of its mesh, backend,
-    mode count, wavenumbers and solver version is loaded, not rebuilt."""
+    """A rectangle eigenbasis file named by the content key of its mesh,
+    backend and mode count, which stores that key with the build identity,
+    is loaded, not rebuilt."""
     monkeypatch.setenv("SB_CACHE_DIR", str(tmp_path))
     spec = {"backend": "eigen", "n_modes": 4}
-    key = {"mesh": rect_mesh.mesh_hash(), "backend": "eigen", "n_modes": 4,
-           "wavenumbers": [0], "solver": basis_mod.SOLVER_VERSION}
+    key = {"mesh": rect_mesh.mesh_hash(), "backend": "eigen", "n_modes": 4}
     save_basis(get_basis(rect_mesh, spec, use_cache=False),
-               str(tmp_path / f"basis-{digest(key)}.sbbasis"), key)
+               str(tmp_path / f"basis-{digest(key)}.sbbasis"),
+               dict(key, build=build_identity()))
     built = []
     real = experiments.solve_basis_rectangle
     monkeypatch.setattr(experiments, "solve_basis_rectangle",
                         lambda *a: built.append(a) or real(*a))
     get_basis(rect_mesh, spec)
     assert built == []
+
+
+def test_rectangle_basis_file_is_shared_across_wavenumbers(tmp_path,
+                                                           monkeypatch,
+                                                           rect_mesh):
+    """The rectangle build ignores wavenumbers, so two specs that differ
+    only in them share one file."""
+    monkeypatch.setenv("SB_CACHE_DIR", str(tmp_path))
+    for wavenumbers in ([0], [3]):
+        get_basis(rect_mesh, {"backend": "eigen", "n_modes": 6,
+                              "wavenumbers": wavenumbers})
+    assert len(_cached(tmp_path, "basis-")) == 1
+
+
+def _edit_one_source_byte(monkeypatch, tmp_path):
+    """Point the build identity at a copy of the package with one byte of
+    basis.py changed; the installed files stay as they are."""
+    copy = tmp_path / "package"
+    shutil.copytree(_cache._PACKAGE, copy,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    data = bytearray((copy / "basis.py").read_bytes())
+    data[len(data) // 2] ^= 1
+    (copy / "basis.py").write_bytes(bytes(data))
+    monkeypatch.setattr(_cache, "_PACKAGE", copy)
+
+
+@pytest.mark.parametrize("change", ["source", "scipy"])
+def test_cache_files_of_another_build_are_rebuilt_under_their_names(
+        change, tmp_path, monkeypatch, rect_mesh):
+    """A basis and a FEM reference cached by other code (one byte of a
+    module) or under another scipy are rebuilt under the same file names,
+    one file each; an unchanged build identity loads both and builds
+    nothing."""
+    cache = tmp_path / "cache"
+    monkeypatch.setenv("SB_CACHE_DIR", str(cache))
+    loading_id = {"recipe": "uniform_pressure", "p": 1.0}
+    ps = experiments._build_particular(rect_mesh, loading_id)
+    builds = []
+    for name in ("solve_basis_rectangle", "displacement_fem_oracle"):
+        real = getattr(experiments, name)
+        monkeypatch.setattr(experiments, name,
+                            lambda *a, real=real, name=name, **k:
+                            builds.append(name) or real(*a, **k))
+
+    def lookup():
+        builds.clear()
+        get_basis(rect_mesh, {"backend": "eigen", "n_modes": 4})
+        get_oracle(rect_mesh, {"kind": "fem", "refine": 1}, ps.loading,
+                   SMALL_CFG["material"], loading_id=loading_id)
+        return sorted(builds), sorted(os.listdir(cache))
+
+    cold = lookup()
+    assert cold[0] == ["displacement_fem_oracle", "solve_basis_rectangle"]
+    assert len(cold[1]) == 2
+    assert lookup() == ([], cold[1])
+    if change == "source":
+        _edit_one_source_byte(monkeypatch, tmp_path)
+    else:
+        monkeypatch.setattr(scipy, "__version__", scipy.__version__ + "+x")
+    assert lookup() == cold
+    assert lookup() == ([], cold[1])
 
 
 def test_oracle_build_writes_the_cached_reference(rect_run, tmp_path):
@@ -517,6 +582,7 @@ _INDEFINITE = {"kind": "orthotropic", "Y_x": 100.0, "Y_y": 1.0, "nu_xy": 0.3,
                "G_xy": 1.0}
 _M1 = {"particular": {"recipe": "annulus_m1"},
        "basis": {"backend": "eigen", "n_modes": 10, "wavenumbers": [1]}}
+_NO_WINDOW = {k: v for k, v in SMALL_CFG.items() if k != "slope_window"}
 
 
 @pytest.mark.parametrize("base, change, code, words", [
@@ -611,6 +677,27 @@ _M1 = {"particular": {"recipe": "annulus_m1"},
     (SMALL_CFG, {"oracle": {"kind": "femm"}}, 2, "'femm' is not one of"),
     (SMALL_CFG, {"checks": {"x": {"kind": "nosuch"}}}, 2,
      "'nosuch' is not one of"),
+    (SMALL_CFG, {"checks": {"x": {"kind": "energy_rel_excess", "tol": 1e-3}}},
+     2, "'at' is a required"),
+    (SMALL_CFG, {"checks": {"x": {"kind": "slope"}}}, 2,
+     "'range' is a required"),
+    (_NO_WINDOW, {"checks": {"x": {"kind": "slope", "range": [-2, 0]}}}, 2,
+     "needs a window"),
+    (SMALL_CFG, {"checks": {"x": {"kind": "se_below_plateau", "factor": 0.1}}},
+     2, "needs PT and SE among the principles"),
+    (SMALL_CFG, {"checks": {"x": {"kind": "cesaro_zero", "tol": 1e-3}}}, 2,
+     "needs a cesaro block"),
+    (SMALL_CFG, {"checks": {"x": {"kind": "airy_span_energy", "tol": 0.01}}},
+     2, "needs airy_compare"),
+    (SMALL_CFG, {"checks": {"x": {"kind": "monotone_energy",
+                                  "principle": "SE"}}}, 2,
+     "needs SE among the principles"),
+    (SMALL_CFG, {"oracle": {"kind": "none"}, "checks": {"x": {
+        "kind": "energy_rel_excess", "at": 5, "tol": 1e-3}}}, 2,
+     "needs a reference"),
+    (SMALL_CFG, {"oracle": {"kind": "none"}, "checks": {"x": {
+        "kind": "error_at", "at": 5, "range": [0, 1]}}}, 2,
+     "needs a reference"),
 ], ids=["material", "mesh", "solver", "isotropic_without_Y",
         "orthotropic_without_G_xy", "profile_without_Y_bottom",
         "oracle_without_loading", "oracle_material_without_Y",
@@ -630,7 +717,12 @@ _M1 = {"particular": {"recipe": "annulus_m1"},
         "pressure_infinite", "inner_pressure_nan", "modulus_nan",
         "oracle_tol_nan", "unknown_material_kind",
         "unknown_material_kind_with_moduli", "unknown_recipe",
-        "unknown_oracle_kind", "unknown_check_kind"])
+        "unknown_oracle_kind", "unknown_check_kind",
+        "energy_check_without_at", "slope_without_range",
+        "slope_without_window", "se_below_plateau_without_se",
+        "cesaro_check_without_cesaro", "airy_check_without_airy_compare",
+        "check_principle_not_listed", "energy_check_without_reference",
+        "error_check_without_reference"])
 def test_cli_schema_valid_bad_input(tmp_path, capsys, base, change, code,
                                     words):
     """Input errors exit 2 and numeric failures exit 1, with one line each."""
