@@ -12,16 +12,18 @@ largest relative move and where it is:
   (the absolute move where a is 0), named by the leaf's key path;
 * ``*.csv``: per column, |a - b| over the largest |a| of the column, named
   by the column;
-* cache files (``*.sbbasis``, ``*.sboracle``), read through
-  ``stressbasis._cache.read_tagged``: each array by the CSV rule, named by
-  the array, and the meta's ``provenance`` and ``report`` by the JSON rule.
-  The stored ``key`` is skipped: it holds the build identity, which every
-  edit of the package's code moves;
+* cache files (``*.sbbasis``, ``*.sboracle``), each read through
+  ``stressbasis._cache.read_tagged`` by its own tag line, so files of two
+  layouts compare: each array by the CSV rule, named by the array, and the
+  meta's ``provenance`` and ``report`` by the JSON rule. The stored ``key``
+  is skipped: it holds the build identity, which every edit of the
+  package's code moves;
 * other files: ``differs``.
 
-A file found in one tree only, a CSV whose header or row count differs, an
-array whose shape differs, a cache file that does not read, or a JSON leaf
-that is not a number (a verdict, a name) and differs is printed as a
+A file found in one tree only, a CSV whose header or row count differs, a
+cache file whose tag line differs or that does not read, an array or a JSON
+object key found in one file only, an array whose shape differs, or a JSON
+value that is not a number (a verdict, a name) and differs is printed as a
 structural difference, and the exit code is then 1; numeric moves alone
 exit 0. The script imports ``stressbasis``, so run it with the package on
 the path (``PYTHONPATH=src``).
@@ -35,21 +37,8 @@ from pathlib import Path
 import numpy as np
 
 from stressbasis._cache import read_tagged
-from stressbasis.basis import _BASIS_FORMAT
-from stressbasis.experiments import _ORACLE_FORMAT
 
-_CACHE_TAGS = {".sbbasis": _BASIS_FORMAT, ".sboracle": _ORACLE_FORMAT}
-
-
-def _leaves(obj, path=""):
-    if isinstance(obj, dict):
-        for k, v in obj.items():
-            yield from _leaves(v, f"{path}.{k}" if path else str(k))
-    elif isinstance(obj, list):
-        for i, v in enumerate(obj):
-            yield from _leaves(v, f"{path}[{i}]")
-    else:
-        yield path, obj
+_CACHE_SUFFIXES = (".sbbasis", ".sboracle")
 
 
 def _is_number(v):
@@ -70,19 +59,28 @@ def diff_json(a_path, b_path):
                        json.loads(b_path.read_text()))
 
 
-def diff_leaves(a_obj, b_obj, path=""):
-    """``diff_json`` of two parsed JSON values, leaves named under ``path``."""
-    a, b = dict(_leaves(a_obj, path)), dict(_leaves(b_obj, path))
+def diff_leaves(a, b, path=""):
+    """``diff_json`` of two parsed JSON values, named under ``path``; an
+    object key found in one of them only is one structural line."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        named = {k: f"{path}.{k}" if path else str(k)
+                 for k in a.keys() | b.keys()}
+        parts = [diff_leaves(a[k], b[k], named[k]) if k in a and k in b
+                 else (0.0, "", [f"{named[k]} in one tree only"])
+                 for k in sorted(named)]
+    elif isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        parts = [diff_leaves(x, y, f"{path}[{i}]")
+                 for i, (x, y) in enumerate(zip(a, b))]
+    elif _is_number(a) and _is_number(b):
+        move = _rel(float(a), float(b), abs(float(a)))
+        return move, path if move else "", []
+    else:
+        return 0.0, "", [] if a == b else [f"{path}: {a!r} -> {b!r}"]
     worst, where, structural = 0.0, "", []
-    for key in sorted(a.keys() | b.keys()):
-        if key not in a or key not in b:
-            structural.append(f"{key} in one tree only")
-        elif _is_number(a[key]) and _is_number(b[key]):
-            move = _rel(float(a[key]), float(b[key]), abs(float(a[key])))
-            if move > worst:
-                worst, where = move, key
-        elif a[key] != b[key]:
-            structural.append(f"{key}: {a[key]!r} -> {b[key]!r}")
+    for move, at, lines in parts:
+        structural += lines
+        if move > worst:
+            worst, where = move, at
     return worst, where, structural
 
 
@@ -113,21 +111,30 @@ def _column_move(col_a, col_b):
                default=0.0)
 
 
+def _tag_line(path):
+    with open(path, "rb") as f:
+        return f.readline().rstrip(b"\n").decode(errors="replace")
+
+
 def diff_cache(a_path, b_path):
-    """Each array by the CSV rule, then the meta's provenance and report by
-    the JSON rule; the stored key is skipped."""
-    tag = _CACHE_TAGS[a_path.suffix]
+    """The tag lines, each array by the CSV rule, then the meta's provenance
+    and report by the JSON rule; the stored key is skipped."""
     try:
+        tags = [_tag_line(p) for p in (a_path, b_path)]
         (meta_a, arrays_a), (meta_b, arrays_b) = (
-            read_tagged(str(p), tag) for p in (a_path, b_path))
+            read_tagged(str(p), tag) for p, tag in zip((a_path, b_path), tags))
     except (OSError, ValueError) as exc:
         return 0.0, "", [f"unreadable: {exc}"]
-    worst, where, structural = 0.0, "", []
+    worst, where = 0.0, ""
+    structural = [f"tag: {tags[0]!r} -> {tags[1]!r}"] \
+        if tags[0] != tags[1] else []
     for name in sorted(arrays_a.keys() | arrays_b.keys()):
         a, b = arrays_a.get(name), arrays_b.get(name)
-        if a is None or b is None or a.shape != b.shape:
-            structural.append(f"{name}: shape {getattr(a, 'shape', None)} "
-                              f"-> {getattr(b, 'shape', None)}")
+        if a is None or b is None:
+            structural.append(f"{name} in one tree only")
+            continue
+        if a.shape != b.shape:
+            structural.append(f"{name}: shape {a.shape} -> {b.shape}")
             continue
         if np.array_equal(a, b, equal_nan=True):
             continue
@@ -167,7 +174,7 @@ def main(argv) -> int:
             worst, where, structural = diff_json(a, b)
         elif a.suffix == ".csv":
             worst, where, structural = diff_csv(a, b)
-        elif a.suffix in _CACHE_TAGS:
+        elif a.suffix in _CACHE_SUFFIXES:
             worst, where, structural = diff_cache(a, b)
         else:
             print(f"{rel:{width}}  differs")

@@ -40,10 +40,9 @@ from scipy.linalg import null_space  # noqa: F401
 from scipy.sparse.linalg import eigsh
 
 from . import fem2d
-from .fields import (SIDES, EquilibriumReport, SymTensorField2, _ops,
-                     _weighted_product, _zero_divergence, equilibrium_residual,
-                     interior_norm, quad_metric, scalar_gram, tensor_gram,
-                     traction_mismatch)
+from .fields import (SymTensorField2, _ops, _weighted_product,
+                     _zero_divergence, equilibrium_residual, quad_metric,
+                     scalar_gram, tensor_gram)
 from ._cache import _openblas, read_tagged, write_tagged
 from .meshes import Domain, RadialMesh, RectangleMesh
 
@@ -64,15 +63,19 @@ class BasisFileError(BasisError, ValueError):
 
 @dataclass
 class BasisSet:
-    """Ordered basis functions with eigenvalues and Gram diagnostics."""
+    """Ordered basis functions with their eigenvalues, the Gram of their
+    planar traces (which PT's objective reads) and their provenance."""
 
     modes: list
     eigenvalues: np.ndarray | None
-    gram_l2: np.ndarray
     trace_gram: np.ndarray
     provenance: dict
     # ``verify_basis`` of the basis, computed once; SBBASIS files store it
     report: BasisReport | None = dc_field(default=None, compare=False)
+    # the quadrature stack of all modes, for a basis that stores it
+    # (``airy_bump_basis``)
+    quad_stack: np.ndarray | None = dc_field(default=None, repr=False,
+                                             compare=False)
     _cache: dict = dc_field(default_factory=dict, repr=False, compare=False)
 
     def __len__(self):
@@ -94,28 +97,23 @@ class BasisSet:
             out.setdefault(key, []).append(i)
         return out
 
-    def quad_matrix(self, indices) -> np.ndarray:
-        """(3, nq, k) quadrature-point values of the selected modes.
+    def quad_matrix(self, m=None, parity=None) -> np.ndarray:
+        """(3, nq, k) quadrature-point values of the modes of the tag group
+        (m, parity), all modes on rectangles; the stored stack for a basis
+        that has one, else evaluated anew on every call.
 
         Nodal modes are evaluated together, one sparse product per component
         written into the result, so that one component is held besides it.
-        A basis that holds the stack of all its modes (``airy_bump_basis``
-        stores it) takes every selection from that stack.
         """
-        key = ("quad", tuple(indices))
-        full = self._cache.get(("quad", tuple(range(len(self)))))
-        if key not in self._cache and full is not None:
-            # C-ordered like a fresh stack: products with it round by layout
-            self._cache[key] = np.take(full, key[1], axis=2)
-        elif key not in self._cache:
-            modes = [self.modes[i] for i in key[1]]
-            P = _ops(self.mesh).P
-            Q = np.empty((3, P.shape[0], len(modes)))
-            if modes:
-                for c in range(3):
-                    Q[c] = P @ np.stack([md.components[c] for md in modes], 1)
-            self._cache[key] = Q
-        return self._cache[key]
+        if self.quad_stack is not None:
+            return self.quad_stack
+        modes = [self.modes[i] for i in self.select(m, parity)]
+        P = _ops(self.mesh).P
+        Q = np.empty((3, P.shape[0], len(modes)))
+        if modes:
+            for c in range(3):
+                Q[c] = P @ np.stack([md.components[c] for md in modes], 1)
+        return Q
 
     def select(self, m=None, parity=None) -> list:
         """Indices of modes matching a radial tag (all modes on rectangles)."""
@@ -365,7 +363,7 @@ def solve_basis_rectangle(mesh: RectangleMesh, n_modes: int) -> BasisSet:
         modes.append(SymTensorField2(mesh, full.reshape(3, nn)))
 
     h = float(max(np.diff(mesh.xs).max(), np.diff(mesh.ys).max()))
-    basis = BasisSet(modes, vals, np.eye(len(modes)), np.eye(len(modes)), {
+    basis = BasisSet(modes, vals, np.eye(len(modes)), {
         "backend": "eigen-rectangle",
         "mesh_hash": mesh.mesh_hash(),
         "mesh": {"Lx": mesh.domain.Lx, "Ly": mesh.domain.Ly,
@@ -376,9 +374,7 @@ def solve_basis_rectangle(mesh: RectangleMesh, n_modes: int) -> BasisSet:
         "degenerate_gap": _DEGENERATE_GAP,
         "h": h,
     })
-    basis = orthonormalize(basis)
-    _record_residuals(basis)
-    return basis
+    return orthonormalize(basis)
 
 
 # ---------------------------------------------------------------------------
@@ -500,7 +496,7 @@ def solve_basis_annulus(mesh: RadialMesh, wavenumbers,
         modes.append(SymTensorField2(mesh, comps, m=m, parity=_PARITIES[pi]))
 
     h = float(mesh.nodes[2] - mesh.nodes[0])
-    basis = BasisSet(modes, vals, np.eye(len(modes)), np.eye(len(modes)), {
+    basis = BasisSet(modes, vals, np.eye(len(modes)), {
         "backend": "eigen-annulus",
         "mesh_hash": mesh.mesh_hash(),
         "mesh": {"r_a": mesh.domain.r_a, "r_b": mesh.domain.r_b,
@@ -511,9 +507,7 @@ def solve_basis_annulus(mesh: RadialMesh, wavenumbers,
         "degenerate_gap": _DEGENERATE_GAP,
         "h": h,
     })
-    basis = orthonormalize(basis)
-    _record_residuals(basis)
-    return basis
+    return orthonormalize(basis)
 
 
 # ---------------------------------------------------------------------------
@@ -546,9 +540,10 @@ def orthonormalize(basis: BasisSet) -> BasisSet:
 
     Modes of distinct (m, parity) tags are orthogonal, so each output mode is
     a combination of the input modes of its own tag group, and the pass runs
-    over the members of one tag in a cluster. The passes and the output Grams
-    work on those coefficients, with inner products taken from the input
-    Grams of the group (one BLAS product each).
+    over the members of one tag in a cluster. The passes and the output
+    trace Gram work on those coefficients, with inner products taken from
+    the input Grams of the group (one BLAS product each). The output's L2
+    Gram is the identity to round-off; ``verify_basis`` measures it.
     """
     n = len(basis.modes)
 
@@ -565,10 +560,10 @@ def orthonormalize(basis: BasisSet) -> BasisSet:
 
     fixed = [None] * n
     out = BasisSet(fixed, basis.eigenvalues, np.zeros((n, n)),
-                   np.zeros((n, n)), dict(basis.provenance))
+                   dict(basis.provenance))
     for key, idx in basis.groups().items():
         m, parity = key or (None, None)
-        Q = basis.quad_matrix(idx)
+        Q = basis.quad_matrix(m, parity)
         Tr = Q[0] + Q[1]
         G = _symmetric(tensor_gram(basis.mesh, m, parity, Q, Q))
         Gt = _symmetric(scalar_gram(basis.mesh, m, parity, Tr, Tr))
@@ -611,32 +606,8 @@ def orthonormalize(basis: BasisSet) -> BasisSet:
                 T[:, p] = -T[:, p]
             fixed[i] = SymTensorField2(tag.mesh, comps, m=tag.m,
                                        parity=tag.parity)
-        block = np.ix_(idx, idx)
-        out.gram_l2[block] = _symmetric(T.T @ G @ T)
-        out.trace_gram[block] = _symmetric(T.T @ Gt @ T)
+        out.trace_gram[np.ix_(idx, idx)] = _symmetric(T.T @ Gt @ T)
     return out
-
-
-def _record_residuals(basis: BasisSet, reports=None):
-    """Record per-mode equilibrium residuals and the backend tolerance; the
-    ``EquilibriumReport`` of each mode in order, by default its own
-    ``equilibrium_residual``."""
-    div = []
-    bc = []
-    for rep in reports or map(equilibrium_residual, basis.modes):
-        div.append(rep.interior_norm)
-        bc.append(rep.boundary_mismatch)
-    basis.provenance["div_residuals"] = [float(v) for v in div]
-    basis.provenance["boundary_residuals"] = [float(v) for v in bc]
-    if basis.eigenvalues is not None:
-        h = basis.provenance.get("h", 0.0)
-        # empirical bound on the strong divergence of weakly divergence-free
-        # discrete modes; calibrated with a 4x safety factor
-        tol = [4.0 * h * float(l) ** 0.75 for l in basis.eigenvalues]
-    else:
-        tol = [1e-8] * len(basis.modes)
-    basis.provenance["div_tolerances"] = tol
-    basis.provenance["boundary_tolerance"] = 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -694,9 +665,10 @@ def airy_bump_basis(mesh: RectangleMesh, n: int) -> BasisSet:
     provenance) when the Gram matrix loses numerical rank.
 
     A mode is its J x K matrix of potential coefficients. Every point set
-    (nodes, quadrature points, sides) is a tensor grid: the factors are
-    tabulated once per set (``_bump_tables``) and the modes, their ``fn``
-    too, evaluated from the tables (``_airy_values``).
+    (nodes, quadrature points, a side) is a tensor grid: the factors are
+    tabulated once per set (``_bump_tables``) and the modes evaluated from
+    the tables (``_airy_values``); a mode's ``fn`` tabulates the points it
+    is given.
     """
     if n < 1:
         raise BasisError("n must be >= 1")
@@ -751,29 +723,18 @@ def airy_bump_basis(mesh: RectangleMesh, n: int) -> BasisSet:
             mesh, comps, div_fn=_zero_divergence,
             fn=lambda x, y, C=C: _airy_values(_bump_tables(fx, fy, x, y), C)))
 
-    gram = _symmetric(T.T @ G @ T)
-    tgram = _symmetric(T.T @ Gt @ T)
-    basis = BasisSet(modes, None, gram, tgram, {
+    # the basis keeps the quadrature stack of its modes
+    Q = np.empty((3, ops.nq, len(modes)))
+    for c, C in enumerate(coefs):
+        Q[:, :, c] = _airy_values(quad, C)
+    return BasisSet(modes, None, _symmetric(T.T @ Gt @ T), {
         "backend": "airy-bump",
         "mesh_hash": mesh.mesh_hash(),
         "mesh": {"Lx": mesh.domain.Lx, "Ly": mesh.domain.Ly,
                  "xs": mesh.xs.tolist(), "ys": mesh.ys.tolist()},
         "n_requested": n,
         "rank_truncated": truncated,
-    })
-    # the basis keeps the quadrature stack of its modes
-    Q = np.empty((3, ops.nq, len(modes)))
-    for c, C in enumerate(coefs):
-        Q[:, :, c] = _airy_values(quad, C)
-    basis._cache[("quad", tuple(range(len(modes))))] = Q
-    sides = {tag: _bump_tables(fx, fy, *ops.edge_quad(tag)[:2])
-             for tag in SIDES}
-    _record_residuals(basis, (EquilibriumReport(
-        interior_norm(mesh, None, None, md.divergence_quad()),
-        traction_mismatch(mesh, {tag: _airy_values(t, C)
-                                 for tag, t in sides.items()}),
-        None) for md, C in zip(modes, coefs)))
-    return basis
+    }, quad_stack=Q)
 
 
 # ---------------------------------------------------------------------------
@@ -830,18 +791,37 @@ def _h1_gram(basis: BasisSet) -> np.ndarray:
     return G
 
 
+def _l2_gram(basis: BasisSet) -> np.ndarray:
+    """L2 Gram of the modes, from one tag group's quadrature stack at a
+    time; no stack outlives the call."""
+    G = np.zeros((len(basis), len(basis)))
+    for key, idx in basis.groups().items():
+        m, parity = key or (None, None)
+        Q = basis.quad_matrix(m, parity)
+        G[np.ix_(idx, idx)] = tensor_gram(basis.mesh, m, parity, Q, Q)
+    return G
+
+
 # the tolerances of ``verify_basis``: the largest L2 off-diagonal, the
 # largest relative H1 off-diagonal and the largest relative Rayleigh
-# deviation of the eigenvalues
+# deviation of the eigenvalues; a mode's divergence residual, at most
+# DIV_TOL_FACTOR h lambda^0.75 for an eigenmode (an empirical bound on the
+# strong divergence of weakly divergence-free discrete modes, with a 4x
+# safety factor) and EXACT_DIV_TOL for an airy mode, which is exactly
+# divergence-free; and a mode's largest boundary traction
 L2_TOL = 1e-8
 H1_TOL = 1e-6
 RAYLEIGH_TOL = 1e-6
+DIV_TOL_FACTOR = 4.0
+EXACT_DIV_TOL = 1e-8
+BOUNDARY_TOL = 1e-8
 
 
 def verify_basis(basis: BasisSet) -> BasisReport:
-    """Orthogonality, equilibrium, and Rayleigh-consistency report."""
+    """Orthogonality, equilibrium and Rayleigh-consistency report, every
+    figure measured from the modes."""
     n = len(basis.modes)
-    G = basis.gram_l2
+    G = _l2_gram(basis)
     offdiag = np.abs(G - np.diag(np.diag(G)))
     max_l2 = float(offdiag.max()) if n > 1 else 0.0
     diag_dev = float(np.abs(np.diag(G) - 1).max())
@@ -868,19 +848,24 @@ def verify_basis(basis: BasisSet) -> BasisReport:
         if max_ray > RAYLEIGH_TOL:
             failures.append(f"Rayleigh deviation {max_ray:.2e} > {RAYLEIGH_TOL:.0e}")
 
-    div = np.asarray(basis.provenance.get("div_residuals", []))
-    dtol = np.asarray(basis.provenance.get("div_tolerances", []))
-    max_div = float(div.max()) if len(div) else 0.0
-    if len(div) and np.any(div > dtol):
-        worst = int(np.argmax(div / np.where(dtol == 0, 1.0, dtol)))
+    reports = [equilibrium_residual(md) for md in basis.modes]
+    div = np.array([r.interior_norm for r in reports])
+    bc = np.array([r.boundary_mismatch for r in reports])
+    if eigen:
+        h = basis.provenance["h"]
+        dtol = np.array([DIV_TOL_FACTOR * h * float(lam) ** 0.75
+                         for lam in basis.eigenvalues])
+    else:
+        dtol = np.full(n, EXACT_DIV_TOL)
+    max_div = float(div.max())
+    if np.any(div > dtol):
+        worst = int(np.argmax(div / dtol))
         failures.append(
             f"divergence residual of mode {worst} ({div[worst]:.2e}) exceeds "
             f"the backend tolerance ({dtol[worst]:.2e})")
-    bc = np.asarray(basis.provenance.get("boundary_residuals", []))
-    btol = basis.provenance.get("boundary_tolerance", 1e-8)
-    max_bc = float(bc.max()) if len(bc) else 0.0
-    if len(bc) and max_bc > btol:
-        failures.append(f"boundary traction {max_bc:.2e} > {btol:.0e}")
+    max_bc = float(bc.max())
+    if max_bc > BOUNDARY_TOL:
+        failures.append(f"boundary traction {max_bc:.2e} > {BOUNDARY_TOL:.0e}")
 
     return BasisReport(max_l2, max_h1, max_div, max_bc, max_ray,
                        not failures, failures)
@@ -894,7 +879,7 @@ def verify_basis(basis: BasisSet) -> BasisReport:
 # only. The file stores the build's ``verify_basis`` report, which a load
 # returns unchecked: an edit to ``verify_basis`` changes the build identity
 # the cache checks a file against, so the file is rebuilt
-_BASIS_FORMAT = "SBBASIS 2"
+_BASIS_FORMAT = "SBBASIS 3"
 
 
 def save_basis(basis: BasisSet, path: str, key: dict | None = None):
@@ -910,7 +895,6 @@ def save_basis(basis: BasisSet, path: str, key: dict | None = None):
         "components": comps,
         "m_tags": mtags,
         "parity_tags": ptags,
-        "gram_l2": basis.gram_l2,
         "trace_gram": basis.trace_gram,
         "eigenvalues": basis.eigenvalues,
     }
@@ -949,7 +933,7 @@ def load_basis(path: str, mesh=None, key: dict | None = None) -> BasisSet:
         mtags = arrays["m_tags"]
         ptags = arrays["parity_tags"]
         lam = arrays["eigenvalues"]
-        gram_l2, trace_gram = arrays["gram_l2"], arrays["trace_gram"]
+        trace_gram = arrays["trace_gram"]
         prov, report = meta["provenance"], BasisReport(**meta["report"])
     except (ValueError, KeyError, TypeError) as exc:
         raise BasisFileError(
@@ -958,8 +942,8 @@ def load_basis(path: str, mesh=None, key: dict | None = None) -> BasisSet:
         mesh = stored
     k = len(comps)
     shapes = [(comps.shape, (k, 3, mesh.n_nodes)), (mtags.shape, (k,)),
-              (ptags.shape, (k,)), (gram_l2.shape, (k, k)),
-              (trace_gram.shape, (k, k)), (lam.shape, (k,))]
+              (ptags.shape, (k,)), (trace_gram.shape, (k, k)),
+              (lam.shape, (k,))]
     if k == 0 or any(got != want for got, want in shapes):
         raise BasisFileError(f"{path}: inconsistent {_BASIS_FORMAT} arrays")
     modes = []
@@ -967,4 +951,4 @@ def load_basis(path: str, mesh=None, key: dict | None = None) -> BasisSet:
         m = None if mtags[i] < 0 else int(mtags[i])
         parity = None if ptags[i] < 0 else _PARITIES[int(ptags[i])]
         modes.append(SymTensorField2(mesh, comps[i], m=m, parity=parity))
-    return BasisSet(modes, lam, gram_l2, trace_gram, prov, report)
+    return BasisSet(modes, lam, trace_gram, prov, report)

@@ -75,6 +75,15 @@ _CHECK_FIELDS = {
     "plateau": ["from", "to", "min_ratio"], "se_below_plateau": ["factor"],
     "cesaro_magnitude": ["target", "rel_tol"], "cesaro_zero": ["tol"],
     "airy_span_energy": ["tol"]}
+# the type of each field a check may carry
+_CHECK_FIELD_TYPES = {
+    **{k: {"type": "integer"} for k in ("at", "from", "to")},
+    **_numbers("tol", "factor", "min_ratio", "target", "rel_tol"),
+    "range": {"type": "array", "minItems": 2, "maxItems": 2,
+              "items": {"type": "number"}},
+    "window": {"type": "array", "minItems": 2, "maxItems": 2,
+               "items": {"type": "integer"}},
+    "principle": {"$ref": "#/properties/principles/items"}}
 # the check kinds that read the reference: its energy or E_N
 _REFERENCE_CHECKS = {"energy_rel_excess", "slope", "error_at", "plateau",
                      "se_below_plateau"}
@@ -160,7 +169,8 @@ CONFIG_SCHEMA = {
         "airy_compare": {"type": ["integer", "null"], "minimum": 0},
         "checks": {"type": "object", "additionalProperties": {
             "type": "object", "required": ["kind"],
-            "properties": {"kind": {"enum": list(_CHECK_FIELDS)}},
+            "properties": {"kind": {"enum": list(_CHECK_FIELDS)},
+                           **_CHECK_FIELD_TYPES},
             "allOf": [{"if": {"required": ["kind"],
                               "properties": {"kind": {"const": kind}}},
                        "then": {"required": fields}}
@@ -298,18 +308,6 @@ def _build_material(spec: dict) -> Material:
         else:
             raise UsageError(f"unknown modulus profile {Y['profile']!r}")
     return Material.isotropic(Y, spec["nu"])
-
-
-# the provenance entries that say which basis was built; the per-mode
-# residuals are left out, as round-off moves them on a bit-identical basis
-_PROVENANCE_IDENTITY = ("backend", "mesh_hash", "mesh", "n_modes",
-                        "n_requested", "rank_truncated", "wavenumbers",
-                        "parity_classes", "solver_tol", "degenerate_gap", "h")
-
-
-def _provenance_hash(basis: BasisSet) -> str:
-    return digest({k: basis.provenance[k] for k in _PROVENANCE_IDENTITY
-                   if k in basis.provenance})
 
 
 def get_basis(mesh, spec: dict, use_cache: bool = True) -> BasisSet:
@@ -632,7 +630,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str,
         "name": cfg.name,
         "config": cfg.to_dict(),
         "basis": {
-            "provenance_hash": _provenance_hash(basis),
+            "provenance_hash": digest(basis.provenance),
             "backend": basis.backend,
             "mesh_hash": mesh.mesh_hash(),
             "n_modes": len(basis),

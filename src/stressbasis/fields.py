@@ -22,8 +22,9 @@ piecewise-discontinuous ingredients (jumps aligned to mesh feature lines).
 
 Fields are values: a field keeps its constructor arguments and its nodal
 components and no evaluation state, so every evaluation recomputes its
-result. Values that are read many times are kept by their owner instead: a
-basis keeps the one quadrature stack of its modes (``BasisSet.quad_matrix``).
+result. Values that are read many times are kept by their owner instead: the
+solvers keep the quadrature stack of a basis's tag group in the basis
+(``solvers._stack``).
 
 Dump format: CSV with header ``x,y,sxx,syy,sxy`` (rectangle) or
 ``r,m,srr,stt,srt`` (radial), one row per node, 17 significant digits.
@@ -39,9 +40,6 @@ from ._cache import atomic_write_text
 from .meshes import LoadingSpec, RadialMesh
 
 _FMT = "%.17g"
-
-# the sides of a rectangle, in the order the boundary checks visit them
-SIDES = ("left", "right", "bottom", "top")
 
 
 class FieldError(ValueError):
@@ -313,7 +311,11 @@ def equilibrium_residual(A: SymTensorField2,
         if isinstance(A.mesh, RadialMesh):
             raise FieldError("body forces are defined on rectangle meshes only")
         res = res + [np.broadcast_to(v, ops.qx.shape) for v in b(ops.qx, ops.qy)]
-    interior = interior_norm(A.mesh, A.m, A.parity, res)
+    # radially, the r and theta divergence profiles vary in theta as the
+    # normal and the shear components do
+    w, fac = quad_metric(A.mesh, A.m, A.parity)
+    interior = float(np.sqrt(max(fac[0] * np.dot(w, res[0]**2)
+                                 + fac[2] / 2 * np.dot(w, res[1]**2), 0.0)))
     mismatch = 0.0
     if isinstance(A.mesh, RadialMesh):
         bc = loading.boundary_stress if loading is not None else {}
@@ -328,28 +330,9 @@ def equilibrium_residual(A: SymTensorField2,
                            abs(A.components[2][idx] - srt_bc))
         return EquilibriumReport(interior, mismatch, loading)
 
-    edges = {tag: A.edge_values(tag) for tag in SIDES}
-    return EquilibriumReport(interior, traction_mismatch(A.mesh, edges, loading),
-                             loading)
-
-
-def interior_norm(mesh, m, parity, res: np.ndarray) -> float:
-    """L2 norm of a (2, nq) interior residual at the quadrature points;
-    radially, the r and theta profiles vary in theta as the normal and the
-    shear components do."""
-    w, fac = quad_metric(mesh, m, parity)
-    return float(np.sqrt(max(fac[0] * np.dot(w, res[0]**2)
-                             + fac[2] / 2 * np.dot(w, res[1]**2), 0.0)))
-
-
-def traction_mismatch(mesh, edges: dict,
-                      loading: LoadingSpec | None = None) -> float:
-    """max |A n - tau| over the boundary quadrature points of a rectangle,
-    from A's (3, n_edge_q) values on each side (``edges[tag]``)."""
-    ops = _ops(mesh)
-    mismatch = 0.0
-    for tag, ev in edges.items():
+    for tag in ("left", "right", "bottom", "top"):
         nx, ny = ops.edge_normal(tag)
+        ev = A.edge_values(tag)
         tAx = ev[0] * nx + ev[2] * ny
         tAy = ev[2] * nx + ev[1] * ny
         if loading is not None:
@@ -359,7 +342,7 @@ def traction_mismatch(mesh, edges: dict,
             tx = ty = 0.0
         mismatch = max(mismatch, float(np.max(np.abs(tAx - tx))),
                        float(np.max(np.abs(tAy - ty))))
-    return mismatch
+    return EquilibriumReport(interior, mismatch, loading)
 
 
 # ---------------------------------------------------------------------------

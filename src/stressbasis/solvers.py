@@ -61,9 +61,16 @@ def _select_indices(basis: BasisSet, sigma_p: SymTensorField2, N: int):
 
 
 def _stack(basis, m, parity, n):
-    """The first n columns of the (m, parity) group's quadrature stack."""
-    group = basis.select(m=m, parity=parity) if n != 0 else []
-    return basis.quad_matrix(group)[:, :, :n]
+    """The first n columns of the (m, parity) group's quadrature stack,
+    evaluated once per (basis, group) and kept in the basis cache beside the
+    group's SE Gram; n = 0 builds nothing."""
+    if n == 0:
+        return np.empty((3, _ops(basis.mesh).P.shape[0], 0))
+    key = ("quad", m, parity)
+    Q = basis._cache.get(key)
+    if Q is None:
+        Q = basis._cache[key] = basis.quad_matrix(m, parity)
+    return Q[:, :, :n]
 
 
 def _se_gram(basis, material, m, parity, n=None):

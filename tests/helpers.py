@@ -6,7 +6,7 @@ executes them, so they live here rather than in ``stressbasis``.
 import numpy as np
 
 from stressbasis import fem2d
-from stressbasis.fields import SymTensorField2
+from stressbasis.fields import SymTensorField2, equilibrium_residual
 from stressbasis.oracles import OracleError
 from stressbasis.solvers import _energy_pairing
 
@@ -70,6 +70,13 @@ def assert_balanced(loading, mesh, tol=1e-10):
     res = resultant(loading, mesh)
     assert np.abs(res).max() <= tol * scale, \
         f"loading is not self-equilibrated: force {res[:2]}, moment {res[2]}"
+
+
+def mode_residuals(basis) -> np.ndarray:
+    """The divergence residual of each mode of ``basis``, in mode order, as
+    ``equilibrium_residual`` measures it."""
+    return np.array([equilibrium_residual(md).interior_norm
+                     for md in basis.modes])
 
 
 def galerkin_residual(approx, basis, material) -> float:

@@ -162,21 +162,21 @@ def test_criterion_8_property_suite(ann_basis_m0, rect_basis, ann_mesh,
     The same properties are exercised in breadth in test_basis.py and
     test_solvers.py; this re-runs the headline bounds in one place.
     """
-    from stressbasis.basis import verify_basis
+    from stressbasis.basis import _l2_gram, verify_basis
     from stressbasis.fields import equilibrium_residual
     from stressbasis.oracles import lame_oracle
     from stressbasis.particular import (axisym_airy_particular,
                                         oracle_as_particular)
     from stressbasis.solvers import solve_planar_trace, solve_strain_energy
 
-    from helpers import galerkin_residual
+    from helpers import galerkin_residual, mode_residuals
 
     checks = {}
     for tag, basis in (("annulus", ann_basis_m0), ("rectangle", rect_basis)):
         rep = verify_basis(basis)
         checks[f"{tag} L2/H1 orthogonality"] = rep.passed
         checks[f"{tag} trace-gram"] = \
-            float(np.abs(basis.trace_gram - basis.gram_l2).max()) <= 1e-6
+            float(np.abs(basis.trace_gram - _l2_gram(basis)).max()) <= 1e-6
 
     ps = axisym_airy_particular(ann_mesh)
     orc = lame_oracle(ann_mesh, 1.0)
@@ -192,7 +192,7 @@ def test_criterion_8_property_suite(ann_basis_m0, rect_basis, ann_mesh,
         bool(np.all(np.diff(se.diagnostics["objective"]) <= 1e-12))
 
     eq = equilibrium_residual(se.sigma_N, ps.loading)
-    mode_res = np.asarray(ann_basis_m0.provenance["div_residuals"])
+    mode_res = mode_residuals(ann_basis_m0)
     budget = ps.interior_residual \
         + float(np.abs(se.coeffs) @ mode_res[se.mode_indices]) + 1e-10
     checks["equilibrium preserved"] = eq.interior_norm <= budget

@@ -1,4 +1,3 @@
-import dataclasses
 import os
 import subprocess
 import sys
@@ -10,7 +9,7 @@ import scipy.sparse as sp
 from scipy.linalg import eigh, null_space
 
 import stressbasis
-from stressbasis import basis as basis_mod, fem2d
+from stressbasis import basis as basis_mod, fem2d, solvers
 from stressbasis._cache import read_tagged, write_tagged
 from stressbasis.basis import (BasisError, BasisSet, _kernel_by_lu, _radial_blocks, _solve_radial_m,
                                airy_bump_basis, load_basis, parity_classes,
@@ -23,6 +22,8 @@ from stressbasis.meshes import (Domain, RectangleMesh, build_radial_grid,
                                 build_rectangle_mesh)
 from stressbasis.particular import uniform_pressure_particular
 from stressbasis.solvers import solve_strain_energy
+
+from helpers import mode_residuals
 
 
 def test_rectangle_basis_verifies(rect_basis):
@@ -66,9 +67,10 @@ def test_degenerate_pairs_have_zero_gap(ann_basis_merged):
 
 def test_sin_twin_divergence_within_tolerance(ann_basis_merged):
     """The sign convention of the twin's shear profile keeps it equilibrated."""
-    prov = ann_basis_merged.provenance
-    div = np.asarray(prov["div_residuals"])
-    tol = np.asarray(prov["div_tolerances"])
+    basis = ann_basis_merged
+    div = mode_residuals(basis)
+    tol = basis_mod.DIV_TOL_FACTOR * basis.provenance["h"] \
+        * basis.eigenvalues ** 0.75
     sin_idx = [i for i, mode in enumerate(ann_basis_merged.modes)
                if mode.parity == "sin"]
     assert sin_idx, "merged basis should contain sin-family modes"
@@ -132,7 +134,7 @@ def test_grams_match_pairwise_inner_products(ann_basis_merged, rect_basis,
                     T[i, j] = scalar_gram(basis.mesh, modes[i].m,
                                           modes[i].parity, traces[i],
                                           traces[j])
-        assert np.abs(basis.gram_l2 - G).max() <= 1e-13
+        assert np.abs(basis_mod._l2_gram(basis) - G).max() <= 1e-13
         assert np.abs(basis.trace_gram - T).max() <= 1e-13
 
 
@@ -175,7 +177,7 @@ def test_h1_gram_matches_the_family_split(ann_basis_merged, rect_basis,
     tags = [(0, "cos"), (0, "sin"), (1, "cos"), (1, "sin")] * 3
     random = BasisSet([SymTensorField2(ann_mesh, rng.standard_normal(
         (3, ann_mesh.n_nodes)), m=m, parity=p) for m, p in tags],
-        None, np.eye(len(tags)), np.eye(len(tags)), {})
+        None, np.eye(len(tags)), {})
     for basis in (random, ann_basis_merged, rect_basis):
         want = _h1_gram_by_family_split(basis)
         got = basis_mod._h1_gram(basis)
@@ -221,33 +223,32 @@ def test_load_basis_builds_modes_on_an_equal_mesh(tmp_path, rect_basis):
 def test_quad_matrix_matches_per_mode_evaluation(rect_basis, ann_basis_merged,
                                                  rect_mesh):
     """Nodal modes evaluated together give the per-mode values bit for bit,
-    and so does the stack the airy build stores, for every selection; every
+    for every tag group, and so does the stack the airy build stores; every
     stack is C-ordered, so products with it do not round by layout."""
-    for basis in (rect_basis, ann_basis_merged):
-        idx = list(range(len(basis)))[::2]
-        want = np.stack([basis.modes[i].at_quad() for i in idx], axis=2)
-        assert np.array_equal(basis.quad_matrix(idx), want)
     airy = airy_bump_basis(rect_mesh, 4)
-    want = np.stack([md.at_quad() for md in airy.modes], axis=2)
-    assert np.array_equal(airy.quad_matrix(range(4)), want)
-    assert np.array_equal(airy.quad_matrix([3, 1]), want[:, :, [3, 1]])
     for basis in (rect_basis, ann_basis_merged, airy):
-        for idx in (range(len(basis)), [3, 1]):
-            assert basis.quad_matrix(idx).flags.c_contiguous
+        for key, idx in basis.groups().items():
+            Q = basis.quad_matrix(*(key or ()))
+            want = np.stack([basis.modes[i].at_quad() for i in idx], axis=2)
+            assert np.array_equal(Q, want)
+            assert Q.flags.c_contiguous
 
 
-def test_quad_matrix_of_no_modes(rect_basis):
-    """An empty selection (a run with N = 0) gives an empty stack."""
+def test_quad_matrix_of_no_modes(rect_basis, ann_basis_m0):
+    """A tag group the basis holds no modes of gives an empty stack, and a
+    solve of no modes (a run with N = 0) reads one without evaluating a
+    mode."""
+    nq = len(fem2d.radial_ops(ann_basis_m0.mesh).rq)
+    assert ann_basis_m0.quad_matrix(1, "cos").shape == (3, nq, 0)
     nq = fem2d.rect_ops(rect_basis.mesh).nq
-    assert rect_basis.quad_matrix([]).shape == (3, nq, 0)
+    assert solvers._stack(rect_basis, None, None, 0).shape == (3, nq, 0)
 
 
 def test_quad_matrix_peak_memory(rect_basis, traced_peak):
     """The stack is filled one component at a time: the call holds at most
     half the stack besides its result."""
-    basis = dataclasses.replace(rect_basis, _cache={})
-    basis.quad_matrix([0])      # operators built outside the measurement
-    Q, peak = traced_peak(basis.quad_matrix, range(len(basis)))
+    rect_basis.quad_matrix()    # operators built outside the measurement
+    Q, peak = traced_peak(rect_basis.quad_matrix)
     assert peak <= 1.5 * Q.nbytes
 
 
@@ -293,8 +294,9 @@ def test_airy_bump_basis_properties(rect_mesh):
 def test_airy_build_evaluates_each_factor_once_per_point_set(monkeypatch):
     """The build and a read of its quadrature stack evaluate each 1-D factor
     and its first two derivatives once per point set (nodes, quadrature
-    points, sides), on the set's distinct abscissae only: at most
-    3 (J n_x + K n_y) polynomial values per set."""
+    points), on the set's distinct abscissae only: at most
+    3 (J n_x + K n_y) polynomial values per set. The bound also counts the
+    four sides, which the build does not evaluate."""
     mesh = build_rectangle_mesh(Domain.rectangle(1.0, 0.5), 6, 4)
     ops = fem2d.rect_ops(mesh)
     values = []
@@ -309,7 +311,7 @@ def test_airy_build_evaluates_each_factor_once_per_point_set(monkeypatch):
     monkeypatch.setattr(np.polynomial.Polynomial, "_val",
                         staticmethod(counted))
     basis = airy_bump_basis(mesh, 8)
-    basis.quad_matrix(range(len(basis)))
+    basis.quad_matrix()
     # the 8 potentials f_j(x) g_k(y) of lowest total degree
     jr, kr = np.array([(j, d - j) for d in range(8)
                        for j in range(d + 1)][:8]).T
@@ -346,7 +348,7 @@ def test_airy_build_holds_its_stack_and_nodal_arrays(rect_mesh, traced_held,
     on the small mesh the fixed bookkeeping (polynomials, index tables) alone
     is several percent of the arrays."""
     def arrays(basis):
-        return basis.quad_matrix(range(len(basis))).nbytes + sum(
+        return basis.quad_matrix().nbytes + sum(
             md.components.nbytes for md in basis.modes)
 
     airy_bump_basis(rect_mesh, 10)   # operators built outside the measurement
@@ -358,17 +360,15 @@ def test_airy_build_holds_its_stack_and_nodal_arrays(rect_mesh, traced_held,
     assert peak <= 1.1 * arrays(basis)
 
 
-def test_residual_record_retains_no_divergence(rect_basis, traced_held):
-    """Recording an eigenbasis's residuals leaves no evaluation on its
-    modes: less than one (2, nq) divergence array is retained in all."""
-    def fresh():
-        return BasisSet([SymTensorField2(md.mesh, md.components)
-                         for md in rect_basis.modes], rect_basis.eigenvalues,
-                        rect_basis.gram_l2, rect_basis.trace_gram,
-                        dict(rect_basis.provenance))
-    basis_mod._record_residuals(fresh())   # operators built outside it
-    _, held = traced_held(basis_mod._record_residuals, fresh())
-    assert held < 2 * fem2d.rect_ops(rect_basis.mesh).nq * 8
+def test_verify_basis_keeps_no_stack(rect_basis, traced_held):
+    """``verify_basis`` measures the L2 Gram from the quadrature stack and
+    drops it: after it returns it holds less than a tenth of the stack, so
+    a cold run's verification leaves no stack alive through the rest of the
+    run."""
+    verify_basis(rect_basis)    # operators built outside the measurement
+    _, held = traced_held(verify_basis, rect_basis)
+    nq = fem2d.rect_ops(rect_basis.mesh).nq
+    assert held < 0.1 * 3 * nq * len(rect_basis) * 8
 
 
 def test_config_validation(rect_mesh, ann_mesh):

@@ -68,3 +68,26 @@ def test_diff_outputs_compares_cache_files_by_content(tmp_path, capsys):
         assert diff_outputs.main([str(tmp_path / "a"),
                                   str(tmp_path / other)]) == 0
         assert capsys.readouterr().out.split(None, 1)[1].strip() == line
+
+
+def test_diff_outputs_reads_each_cache_file_by_its_own_tag(tmp_path, capsys):
+    """Cache files of two layouts compare: the tag line, an array and the
+    provenance entries found in one file only are structural lines, and the
+    arrays and meta both files hold compare as usual."""
+    def cache_file(root, tag, provenance, arrays):
+        root.mkdir()
+        write_tagged(str(root / "basis-0.sbbasis"), tag,
+                     {"key": {}, "provenance": provenance,
+                      "report": {"max_offdiag_l2": 1e-15}},
+                     dict(arrays, eigenvalues=np.array([1.0, 2.0])))
+
+    cache_file(tmp_path / "a", "SBBASIS 2",
+               {"h": 0.125, "div_residuals": [0.5, 0.25]},
+               {"gram_l2": np.eye(2)})
+    cache_file(tmp_path / "b", _BASIS_FORMAT, {"h": 0.125}, {})
+    assert diff_outputs.main([str(tmp_path / "a"), str(tmp_path / "b")]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].split(None, 1)[1].strip() == "0.00e+00"
+    assert [line.strip() for line in out[1:]] == [
+        f"tag: 'SBBASIS 2' -> {_BASIS_FORMAT!r}", "gram_l2 in one tree only",
+        "provenance.div_residuals in one tree only"]

@@ -18,12 +18,14 @@ from stressbasis.basis import load_basis, save_basis, verify_basis
 from stressbasis.cli import main
 from stressbasis.experiments import (CONFIG_SCHEMA, ExperimentConfig,
                                      ExperimentError, PRESET_NAMES,
-                                     UsageError, _ORACLE_FORMAT,
-                                     _provenance_hash, fit_slope, get_basis,
-                                     get_oracle, get_preset, list_presets,
-                                     run_experiment)
+                                     UsageError, _ORACLE_FORMAT, fit_slope,
+                                     get_basis, get_oracle, get_preset,
+                                     list_presets, run_experiment)
 from stressbasis.oracles import OracleError
-from stressbasis._cache import build_identity, digest, read_tagged
+from stressbasis._cache import (build_identity, digest, read_tagged,
+                                write_tagged)
+
+from helpers import mode_residuals
 
 
 SMALL_CFG = {
@@ -698,6 +700,10 @@ _NO_WINDOW = {k: v for k, v in SMALL_CFG.items() if k != "slope_window"}
     (SMALL_CFG, {"oracle": {"kind": "none"}, "checks": {"x": {
         "kind": "error_at", "at": 5, "range": [0, 1]}}}, 2,
      "needs a reference"),
+    (SMALL_CFG, {"checks": {"x": {"kind": "energy_rel_excess", "at": 5,
+                                  "tol": "x"}}}, 2, "'x' is not of type"),
+    (SMALL_CFG, {"checks": {"x": {"kind": "error_at", "at": 5,
+                                  "range": [1]}}}, 2, "[1] is too short"),
 ], ids=["material", "mesh", "solver", "isotropic_without_Y",
         "orthotropic_without_G_xy", "profile_without_Y_bottom",
         "oracle_without_loading", "oracle_material_without_Y",
@@ -722,7 +728,8 @@ _NO_WINDOW = {k: v for k, v in SMALL_CFG.items() if k != "slope_window"}
         "slope_without_window", "se_below_plateau_without_se",
         "cesaro_check_without_cesaro", "airy_check_without_airy_compare",
         "check_principle_not_listed", "energy_check_without_reference",
-        "error_check_without_reference"])
+        "error_check_without_reference", "check_tol_not_a_number",
+        "check_range_of_one_number"])
 def test_cli_schema_valid_bad_input(tmp_path, capsys, base, change, code,
                                     words):
     """Input errors exit 2 and numeric failures exit 1, with one line each."""
@@ -865,18 +872,36 @@ def test_cli_particular_stress_failure(tmp_path, monkeypatch, capsys):
     assert err.startswith("numeric failure: ") and "equilibrium" in err
 
 
-def test_provenance_hash_leaves_out_residuals(rect_basis):
-    """Two bases that differ only in their residual floats hash equal."""
-    other = dict(rect_basis.provenance)
-    other["div_residuals"] = [2 * v for v in other["div_residuals"]]
-    other["boundary_residuals"] = [v + 1e-17
-                                   for v in other["boundary_residuals"]]
-    other["div_tolerances"] = [2 * v for v in other["div_tolerances"]]
-    twin = dataclasses.replace(rect_basis, provenance=other)
-    assert _provenance_hash(twin) == _provenance_hash(rect_basis)
-    other = dict(rect_basis.provenance, n_modes=9)
-    bigger = dataclasses.replace(rect_basis, provenance=other)
-    assert _provenance_hash(bigger) != _provenance_hash(rect_basis)
+def test_provenance_hash_is_the_digest_of_the_provenance(tiny_runs,
+                                                         ann_mesh, tmp_path):
+    """report.json's provenance hash is the digest of the whole provenance
+    of the run's basis, and it moves with the mode count."""
+    _, _, report, _ = tiny_runs
+    want = digest(get_basis(ann_mesh, SMALL_CFG["basis"]).provenance)
+    assert report["basis"]["provenance_hash"] == want
+    more = dict(SMALL_CFG, basis=dict(SMALL_CFG["basis"], n_modes=12))
+    other = run_experiment(ExperimentConfig.from_dict(more), str(tmp_path))
+    assert other["basis"]["provenance_hash"] != want
+
+
+def test_basis_verify_measures_the_modes(tmp_path, rect_basis, capsys):
+    """``basis verify FILE`` measures its figures from the file's modes, not
+    from the stored meta: a file whose mode 1 is replaced by mode 0 + mode 1,
+    its meta kept, reports an L2 off-diagonal of about 1 and the largest
+    divergence residual of its modes, and exits 1."""
+    path = str(tmp_path / "b.sbbasis")
+    save_basis(rect_basis, path)
+    meta, arrays = read_tagged(path, basis_mod._BASIS_FORMAT)
+    comps = arrays["components"]
+    comps[1] = comps[0] + comps[1]
+    write_tagged(path, basis_mod._BASIS_FORMAT, meta, arrays)
+    assert main(["basis", "verify", path]) == 1
+    figures = dict(line.split(" : ") for line in
+                   capsys.readouterr().out.splitlines() if " : " in line)
+    figures = {k.strip(): v for k, v in figures.items()}
+    assert float(figures["L2 off-diagonal"]) >= 0.5
+    div = mode_residuals(load_basis(path)).max()
+    assert figures["divergence residual"] == f"{div:.3e}"
 
 
 def test_cli_preset_verbs(capsys):

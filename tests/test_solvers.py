@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from stressbasis import solvers
-from stressbasis.basis import solve_basis_annulus, solve_basis_rectangle
+from stressbasis.basis import (_l2_gram, solve_basis_annulus,
+                               solve_basis_rectangle)
 from stressbasis.fields import (SymTensorField2, equilibrium_residual,
                                 tensor_gram)
 from stressbasis.materials import (Material, compliance_on_quad,
@@ -20,7 +21,7 @@ from stressbasis.particular import (axisym_airy_particular,
 from stressbasis.solvers import (SolverError, energy_series, error_series,
                                  solve_planar_trace, solve_strain_energy)
 
-from helpers import galerkin_residual
+from helpers import galerkin_residual, mode_residuals
 
 
 @pytest.fixture(scope="module")
@@ -36,7 +37,7 @@ def band_particular(rect_mesh):
 def test_trace_gram_matches_tensor_gram(ann_basis_m0, rect_basis):
     """Traces of the basis functions inherit the tensor Gram (both domains)."""
     for basis in (ann_basis_m0, rect_basis):
-        dev = np.abs(basis.trace_gram - basis.gram_l2).max()
+        dev = np.abs(basis.trace_gram - _l2_gram(basis)).max()
         assert dev <= 1e-6, f"entrywise deviation {dev:.2e}"
 
 
@@ -73,7 +74,7 @@ def test_equilibrium_preserved_by_reconstruction(ann_particular, ann_basis_m0,
     se = solve_strain_energy(ann_particular.field, ann_basis_m0, iso_material,
                              12)
     rep = equilibrium_residual(se.sigma_N, ann_particular.loading)
-    mode_res = np.asarray(ann_basis_m0.provenance["div_residuals"])
+    mode_res = mode_residuals(ann_basis_m0)
     budget = ann_particular.interior_residual \
         + float(np.abs(se.coeffs) @ mode_res[se.mode_indices]) + 1e-10
     assert rep.interior_norm <= budget
@@ -230,15 +231,13 @@ def test_se_gram_built_once_per_material_and_selection(band_particular,
 def test_no_modes_form_no_stack_and_no_se_gram(band_particular, rect_basis,
                                               iso_material):
     """N = 0 reports sigma_p alone: an SE and a PT solve and their energy
-    series form no mode stack with columns and no SE Gram."""
+    series form no mode stack and no SE Gram."""
     basis = dataclasses.replace(rect_basis, _cache={})
     sp = band_particular.field
     for res in (solve_strain_energy(sp, basis, iso_material, 0),
                 solve_planar_trace(sp, basis, 0)):
         energy_series(res, sp, basis, iso_material)
-    assert not [key for key in basis._cache if key[0] == "se_gram"]
-    assert all(Q.shape[2] == 0 for key, Q in basis._cache.items()
-               if key[0] == "quad")
+    assert not [key for key in basis._cache if key[0] in ("se_gram", "quad")]
 
 
 def test_reconstruction_folds_nodal_modes(band_particular, rect_basis,
@@ -279,9 +278,8 @@ def test_blocked_se_gram_matches_one_product(rect_basis, material):
     """The SE Gram built in row blocks is the one-product Gram up to
     round-off, exactly symmetric and read-only."""
     basis = dataclasses.replace(rect_basis, _cache={})
-    idx = list(range(len(basis)))
     M = solvers._se_gram(basis, material, None, None)
-    Phi = basis.quad_matrix(idx)
+    Phi = basis.quad_matrix()
     ref = tensor_gram(basis.mesh, None, None,
                       compliance_on_quad(material, basis.mesh, Phi), Phi)
     ref = 0.5 * (ref + ref.T)
@@ -295,8 +293,7 @@ def test_se_gram_peak_memory(rect_basis, iso_material, traced_peak):
     """The compliance is applied to a block of modes at a time: building the
     Gram holds less than one more mode stack."""
     basis = dataclasses.replace(rect_basis, _cache={})
-    idx = list(range(len(basis)))
-    Phi = basis.quad_matrix(idx)
+    Phi = solvers._stack(basis, None, None, None)   # kept in the basis
     M, peak = traced_peak(solvers._se_gram, basis, iso_material, None, None)
-    assert M.shape == (len(idx), len(idx))
+    assert M.shape == (len(basis), len(basis))
     assert peak <= Phi.nbytes
