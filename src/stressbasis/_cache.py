@@ -112,24 +112,24 @@ def read_tagged(path: str, tag: str, key: dict | None = None):
     """(meta, arrays) of a ``tag`` file; ValueError unless it is trusted: the
     tag matches, every npz member passes its CRC-32 (checked up front, as
     ``np.load`` may stop short of a member's end) and, given ``key``, the
-    meta's ``key`` equals it."""
-    with open(path, "rb") as f:
-        data = f.read()
+    meta's ``key`` equals it. The payload is read from the open file, so
+    the call holds the arrays and no copy of the file."""
     head = tag.encode() + b"\n"
-    if not data.startswith(head):
-        raise ValueError(f"no {tag!r} tag line")
-    try:
-        payload = io.BytesIO(data[len(head):])
-        with zipfile.ZipFile(payload) as zf:
-            if zf.testzip() is not None:
-                raise ValueError("bad CRC-32 in the payload")
-        payload.seek(0)
-        with np.load(payload) as npz:
-            arrays = {k: npz[k] for k in npz.files}
-        meta = json.loads(arrays.pop("meta").tobytes())
-    except (ValueError, KeyError, OSError, EOFError,
-            zipfile.BadZipFile) as exc:
-        raise ValueError(f"unreadable payload: {exc}") from exc
+    with open(path, "rb") as f:
+        if f.read(len(head)) != head:
+            raise ValueError(f"no {tag!r} tag line")
+        try:
+            # zipfile reads a payload behind a prefix in place
+            with zipfile.ZipFile(f) as zf:
+                if zf.testzip() is not None:
+                    raise ValueError("bad CRC-32 in the payload")
+            f.seek(len(head))
+            with np.load(f) as npz:
+                arrays = {k: npz[k] for k in npz.files}
+            meta = json.loads(arrays.pop("meta").tobytes())
+        except (ValueError, KeyError, OSError, EOFError,
+                zipfile.BadZipFile) as exc:
+            raise ValueError(f"unreadable payload: {exc}") from exc
     if not isinstance(meta, dict):
         raise ValueError("the meta is not a JSON object")
     if key is not None and meta.get("key") != key:

@@ -18,6 +18,12 @@ is solved by a symmetric-definite eigensolver.
 An alternative non-eigen backend orthonormalizes the stress fields of
 clamped polynomial "bump" potentials f(x) g(y) (exactly divergence-free and
 traction-free), evaluated from 1-D tables of the factors f and g.
+
+A basis gives the L2 and strain-energy Grams and the pairings of a tag
+group (``BasisSet.gram``, ``BasisSet.pairing``). An eigenbasis holds its
+modes as views of one (k, 3, n_nodes) array and forms them from the nodal
+components through the weighted mass matrix (``fields.nodal_gram``); an airy
+basis from the quadrature stack it stores.
 """
 from __future__ import annotations
 
@@ -41,8 +47,9 @@ from scipy.sparse.linalg import eigsh
 
 from . import fem2d
 from .fields import (SymTensorField2, _ops, _weighted_product,
-                     _zero_divergence, equilibrium_residual, quad_metric,
-                     scalar_gram, tensor_gram)
+                     _zero_divergence, equilibrium_residual, nodal_gram,
+                     nodal_pairing, quad_metric, scalar_gram, tensor_gram)
+from .materials import compliance_on_quad, modulus_on_quad
 from ._cache import _openblas, read_tagged, write_tagged
 from .meshes import Domain, RadialMesh, RectangleMesh
 
@@ -76,6 +83,9 @@ class BasisSet:
     # (``airy_bump_basis``)
     quad_stack: np.ndarray | None = dc_field(default=None, repr=False,
                                              compare=False)
+    # (k, 3, n_nodes): the array an eigenbasis's modes are views of
+    nodal: np.ndarray | None = dc_field(default=None, repr=False,
+                                        compare=False)
     _cache: dict = dc_field(default_factory=dict, repr=False, compare=False)
 
     def __len__(self):
@@ -97,23 +107,42 @@ class BasisSet:
             out.setdefault(key, []).append(i)
         return out
 
-    def quad_matrix(self, m=None, parity=None) -> np.ndarray:
-        """(3, nq, k) quadrature-point values of the modes of the tag group
-        (m, parity), all modes on rectangles; the stored stack for a basis
-        that has one, else evaluated anew on every call.
+    def _nodal(self, m, parity, n=None) -> np.ndarray:
+        """(k, 3, n_nodes) nodal components of the leading n modes of a tag
+        group: a view of ``nodal`` when they lead the basis, else a copy."""
+        idx = self.select(m, parity)[:n]
+        lead = idx == list(range(len(idx)))
+        return self.nodal[:len(idx)] if lead else self.nodal[idx]
 
-        Nodal modes are evaluated together, one sparse product per component
-        written into the result, so that one component is held besides it.
-        """
-        if self.quad_stack is not None:
-            return self.quad_stack
-        modes = [self.modes[i] for i in self.select(m, parity)]
-        P = _ops(self.mesh).P
-        Q = np.empty((3, P.shape[0], len(modes)))
-        if modes:
-            for c in range(3):
-                Q[c] = P @ np.stack([md.components[c] for md in modes], 1)
-        return Q
+    def gram(self, m=None, parity=None, material=None) -> np.ndarray:
+        """The L2 Gram <phi_j, phi_i> of the tag group (m, parity), or the
+        strain-energy Gram <C^-1 phi_j, phi_i> of a ``material``; not
+        symmetrized. Nodal modes go through ``fields.nodal_gram``; a stored
+        stack (airy) through the law four modes at a time, so the law's
+        output is a small slice of it. Neither caller nor solver asks which
+        kind of basis it holds."""
+        if self.quad_stack is None:
+            V = self._nodal(m, parity)
+            if material is None:
+                return nodal_gram(self.mesh, m, parity, V)
+            return nodal_gram(self.mesh, m, parity, V, material.S,
+                              1.0 / modulus_on_quad(material, self.mesh))
+        Q = self.quad_stack
+        G = np.empty((Q.shape[2],) * 2)
+        for s in range(0, len(G), 4):
+            B = Q[:, :, s:s + 4]
+            if material is not None:
+                B = compliance_on_quad(material, self.mesh, B)
+            G[s:s + 4] = tensor_gram(self.mesh, m, parity, B, Q)
+        return G
+
+    def pairing(self, m, parity, A, n=None) -> np.ndarray:
+        """<A, phi_i> of quadrature values A (3, nq) with the leading n
+        modes of the tag group (m, parity)."""
+        if self.quad_stack is None:
+            return nodal_pairing(self.mesh, m, parity, A,
+                                 self._nodal(m, parity, n))
+        return tensor_gram(self.mesh, m, parity, A, self.quad_stack[:, :, :n])
 
     def select(self, m=None, parity=None) -> list:
         """Indices of modes matching a radial tag (all modes on rectangles)."""
@@ -356,11 +385,10 @@ def solve_basis_rectangle(mesh: RectangleMesh, n_modes: int) -> BasisSet:
     if np.any(vals <= 0):
         raise BasisError("eigensolver returned non-positive eigenvalues")
 
-    modes = []
-    for i in range(n):
-        full = np.zeros(3 * nn)
-        full[keep_s] = vecs[:, i]
-        modes.append(SymTensorField2(mesh, full.reshape(3, nn)))
+    nodal = np.zeros((n, 3 * nn))
+    nodal[:, keep_s] = vecs.T
+    nodal = nodal.reshape(n, 3, nn)
+    modes = [SymTensorField2(mesh, comps) for comps in nodal]
 
     h = float(max(np.diff(mesh.xs).max(), np.diff(mesh.ys).max()))
     basis = BasisSet(modes, vals, np.eye(len(modes)), {
@@ -373,7 +401,7 @@ def solve_basis_rectangle(mesh: RectangleMesh, n_modes: int) -> BasisSet:
         "solver_tol": 0.0,
         "degenerate_gap": _DEGENERATE_GAP,
         "h": h,
-    })
+    }, nodal=nodal)
     return orthonormalize(basis)
 
 
@@ -490,10 +518,10 @@ def solve_basis_annulus(mesh: RadialMesh, wavenumbers,
     if len(entries) < n_modes:
         raise BasisError("requested more modes than the discrete subspace holds")
 
-    modes = []
     vals = np.array([e[0] for e in entries])
-    for lam_i, m, pi, comps in entries:
-        modes.append(SymTensorField2(mesh, comps, m=m, parity=_PARITIES[pi]))
+    nodal = np.array([e[3] for e in entries])
+    modes = [SymTensorField2(mesh, comps, m=m, parity=_PARITIES[pi])
+             for comps, (_, m, pi, _) in zip(nodal, entries)]
 
     h = float(mesh.nodes[2] - mesh.nodes[0])
     basis = BasisSet(modes, vals, np.eye(len(modes)), {
@@ -506,7 +534,7 @@ def solve_basis_annulus(mesh: RadialMesh, wavenumbers,
         "solver_tol": 0.0,
         "degenerate_gap": _DEGENERATE_GAP,
         "h": h,
-    })
+    }, nodal=nodal)
     return orthonormalize(basis)
 
 
@@ -542,8 +570,10 @@ def orthonormalize(basis: BasisSet) -> BasisSet:
     a combination of the input modes of its own tag group, and the pass runs
     over the members of one tag in a cluster. The passes and the output
     trace Gram work on those coefficients, with inner products taken from
-    the input Grams of the group (one BLAS product each). The output's L2
-    Gram is the identity to round-off; ``verify_basis`` measures it.
+    the input L2 and trace Grams of the group (``fields.nodal_gram``). The
+    output's L2 Gram is the identity to round-off; ``verify_basis``
+    measures it. The output modes are views of one (k, 3, n_nodes) array,
+    as a loaded basis's are.
     """
     n = len(basis.modes)
 
@@ -559,14 +589,16 @@ def orthonormalize(basis: BasisSet) -> BasisSet:
         clusters.append(list(range(start, n)))
 
     fixed = [None] * n
+    nodal = np.empty((n, 3, basis.mesh.n_nodes))
     out = BasisSet(fixed, basis.eigenvalues, np.zeros((n, n)),
-                   dict(basis.provenance))
+                   dict(basis.provenance), nodal=nodal)
     for key, idx in basis.groups().items():
         m, parity = key or (None, None)
-        Q = basis.quad_matrix(m, parity)
-        Tr = Q[0] + Q[1]
-        G = _symmetric(tensor_gram(basis.mesh, m, parity, Q, Q))
-        Gt = _symmetric(scalar_gram(basis.mesh, m, parity, Tr, Tr))
+        V = basis._nodal(m, parity)
+        G = _symmetric(nodal_gram(basis.mesh, m, parity, V))
+        # the planar traces' Gram: the normal components share their factor
+        Gt = _symmetric(nodal_gram(basis.mesh, m, parity, V,
+                                   ((1, 1, 0), (1, 1, 0), (0, 0, 0))))
         # column p of T: output mode p in terms of the group's input modes
         nrm = np.sqrt(np.maximum(np.diag(G), 0.0))
         if not nrm.all():
@@ -604,7 +636,8 @@ def orthonormalize(basis: BasisSet) -> BasisSet:
                 for q in np.flatnonzero(T[:, p])))
             if flipped:
                 T[:, p] = -T[:, p]
-            fixed[i] = SymTensorField2(tag.mesh, comps, m=tag.m,
+            nodal[i] = comps
+            fixed[i] = SymTensorField2(tag.mesh, nodal[i], m=tag.m,
                                        parity=tag.parity)
         out.trace_gram[np.ix_(idx, idx)] = _symmetric(T.T @ Gt @ T)
     return out
@@ -792,13 +825,10 @@ def _h1_gram(basis: BasisSet) -> np.ndarray:
 
 
 def _l2_gram(basis: BasisSet) -> np.ndarray:
-    """L2 Gram of the modes, from one tag group's quadrature stack at a
-    time; no stack outlives the call."""
+    """L2 Gram of the modes, one tag group at a time (``BasisSet.gram``)."""
     G = np.zeros((len(basis), len(basis)))
     for key, idx in basis.groups().items():
-        m, parity = key or (None, None)
-        Q = basis.quad_matrix(m, parity)
-        G[np.ix_(idx, idx)] = tensor_gram(basis.mesh, m, parity, Q, Q)
+        G[np.ix_(idx, idx)] = basis.gram(*(key or ()))
     return G
 
 
@@ -815,6 +845,11 @@ RAYLEIGH_TOL = 1e-6
 DIV_TOL_FACTOR = 4.0
 EXACT_DIV_TOL = 1e-8
 BOUNDARY_TOL = 1e-8
+
+
+def div_tolerance_rule() -> str:
+    """The eigenmode divergence tolerance as ``report.json`` states it."""
+    return f"{DIV_TOL_FACTOR:g} * h * lambda^0.75"
 
 
 def verify_basis(basis: BasisSet) -> BasisReport:
@@ -887,12 +922,11 @@ def save_basis(basis: BasisSet, path: str, key: dict | None = None):
     provenance, the ``verify_basis`` report and the cache ``key``."""
     if basis.eigenvalues is None:
         raise BasisError("an airy basis is built on every run, never saved")
-    comps = np.stack([m.components for m in basis.modes])
     mtags = np.array([m.m if m.m is not None else -1 for m in basis.modes])
     ptags = np.array([_PARITIES.index(m.parity) if m.parity else -1
                       for m in basis.modes])
     arrays = {
-        "components": comps,
+        "components": basis.nodal,
         "m_tags": mtags,
         "parity_tags": ptags,
         "trace_gram": basis.trace_gram,
@@ -951,4 +985,4 @@ def load_basis(path: str, mesh=None, key: dict | None = None) -> BasisSet:
         m = None if mtags[i] < 0 else int(mtags[i])
         parity = None if ptags[i] < 0 else _PARITIES[int(ptags[i])]
         modes.append(SymTensorField2(mesh, comps[i], m=m, parity=parity))
-    return BasisSet(modes, lam, trace_gram, prov, report)
+    return BasisSet(modes, lam, trace_gram, prov, report, nodal=comps)

@@ -30,8 +30,8 @@ import jsonschema
 from ._cache import atomic_write_text, digest, get_or_build, read_tagged, \
     write_tagged
 from .basis import (H1_TOL, L2_TOL, BasisSet, _blas_threads, airy_bump_basis,
-                    load_basis, save_basis, solve_basis_annulus,
-                    solve_basis_rectangle, verify_basis)
+                    div_tolerance_rule, load_basis, save_basis,
+                    solve_basis_annulus, solve_basis_rectangle, verify_basis)
 from .fields import SymTensorField2, dump_field_csv, equilibrium_residual
 from .materials import (Material, discontinuous_modulus, ramp_modulus,
                         strain_energy)
@@ -640,7 +640,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str,
         "tolerances": {
             "basis_l2": L2_TOL, "basis_h1": H1_TOL,
             "particular_residual": float(ps.tolerance),
-            "div_tolerance_rule": "4 * h * lambda^0.75",
+            "div_tolerance_rule": div_tolerance_rule(),
         },
         "slope_window": cfg.slope_window,
         "slopes": slopes,

@@ -22,9 +22,10 @@ piecewise-discontinuous ingredients (jumps aligned to mesh feature lines).
 
 Fields are values: a field keeps its constructor arguments and its nodal
 components and no evaluation state, so every evaluation recomputes its
-result. Values that are read many times are kept by their owner instead: the
-solvers keep the quadrature stack of a basis's tag group in the basis
-(``solvers._stack``).
+result. Inner products of many nodal fields at once (a basis's Grams and
+pairings) never evaluate them at the quadrature points: the metric on nodal
+components is the weighted mass matrix P^T diag(w d) P (``weighted_mass``),
+through which ``nodal_gram`` and ``nodal_pairing`` go.
 
 Dump format: CSV with header ``x,y,sxx,syy,sxy`` (rectangle) or
 ``r,m,srr,stt,srt`` (radial), one row per node, 17 significant digits.
@@ -34,6 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import fem2d
 from ._cache import atomic_write_text
@@ -254,6 +256,45 @@ def _weighted_product(w, a, b):
     trailing shape of ``a`` then of ``b``.
     """
     return (a.T * w) @ b
+
+
+def weighted_mass(mesh, m=None, parity=None, d=1.0):
+    """The metric on nodal fields: P^T diag(w d) P (sparse, nn x nn) for a
+    weight d at the quadrature points, and the factors of ``quad_metric``.
+    At d = 1 it is the consistent mass matrix (Strang and Fix, 1973)."""
+    w, fac = quad_metric(mesh, m, parity)
+    P = _ops(mesh).P
+    return (P.T @ (sp.diags(w * d) @ P)).tocsr(), fac
+
+
+def nodal_gram(mesh, m, parity, V, S=np.eye(3), d=1.0):
+    """G[i, j] = sum_{c,e} fac[c] S[c, e] <d V[j, e], V[i, c]> of nodal
+    fields V (k, 3, nn), not symmetrized: ``tensor_gram`` of their
+    quadrature values (up to round-off) without evaluating them. The L2
+    Gram is S = I, d = 1; a law's strain-energy Gram its S and d = 1/Y.
+
+    It holds one product M V[:, e] (k, nn), filled one field at a time (a
+    product with the strided block V[:, e] would copy it)."""
+    M, fac = weighted_mass(mesh, m, parity, d)
+    G = np.zeros((len(V),) * 2)
+    Y = np.empty(V[:, 0].shape)
+    for e in range(3):
+        terms = [(c, fac[c] * S[c][e]) for c in range(3) if S[c][e] * fac[c]]
+        if terms:
+            for i, v in enumerate(V[:, e]):
+                Y[i] = M @ v
+        for c, f in terms:
+            G += f * (V[:, c] @ Y.T)
+    return G
+
+
+def nodal_pairing(mesh, m, parity, A, V):
+    """<A, V[i]> of quadrature values A (3, nq) and nodal fields
+    V (k, 3, nn): sum_c fac[c] V[:, c] P^T (w A[c])."""
+    w, fac = quad_metric(mesh, m, parity)
+    P = _ops(mesh).P
+    return sum(f * (V[:, c] @ (P.T @ (w * A[c])))
+               for c, f in enumerate(fac) if f != 0.0)
 
 
 def tensor_gram(mesh, m, parity, A, B):

@@ -102,17 +102,25 @@ class Material:
         return np.stack(e)
 
 
-def compliance_on_quad(material: Material, mesh, values: np.ndarray) -> np.ndarray:
-    """C^{-1} applied to quadrature-point stresses of shape (3, nq, ...)."""
+def modulus_on_quad(material: Material, mesh):
+    """The modulus Y at the quadrature points of ``mesh``, shape (nq,), or
+    the number Y of a uniform law; MaterialError where the law is not
+    defined on the mesh."""
     varying = not material.uniform
     if isinstance(mesh, RadialMesh) and (varying
                                          or material.kind == "orthotropic"):
         law = "a varying modulus" if varying else "the orthotropic law"
         raise MaterialError(f"{law} is defined on rectangle meshes only")
-    Y = None
-    if varying:
-        ops = _ops(mesh)
-        Y = material.modulus_at(ops.qx, ops.qy)
+    if not varying:
+        return material.Y
+    ops = _ops(mesh)
+    return material.modulus_at(ops.qx, ops.qy)
+
+
+def compliance_on_quad(material: Material, mesh, values: np.ndarray) -> np.ndarray:
+    """C^{-1} applied to quadrature-point stresses of shape (3, nq, ...)."""
+    Y = modulus_on_quad(material, mesh)
+    if not material.uniform:
         Y = Y.reshape(Y.shape + (1,) * (np.ndim(values) - 2))
     return material.compliance_on_values(values, Y=Y)
 

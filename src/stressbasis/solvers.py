@@ -15,6 +15,10 @@ A solve keeps the coefficients of every n in its schedule (SE: the n-mode
 minimizer; PT: the first n). For every principle, the strain energy (SE's
 objective) and E_n come from these alone, in ``energy_series`` and
 ``error_series``, through one SE Gram per (basis, material, tag group).
+
+The SE Gram and the pairings come from the basis (``BasisSet.gram`` and
+``BasisSet.pairing``): an eigenbasis forms them from its nodal components,
+so no solve evaluates its modes at the quadrature points.
 """
 from __future__ import annotations
 
@@ -25,9 +29,8 @@ from scipy.linalg import solve_triangular
 
 from .basis import BasisSet
 from .fields import (SymTensorField2, _call_on_quad, _ops, planar_trace,
-                     scalar_gram, tensor_gram)
-from .materials import (Material, compliance_on_quad, compliance_quad,
-                        strain_energy)
+                     scalar_gram)
+from .materials import Material, compliance_quad, strain_energy
 
 
 class SolverError(RuntimeError):
@@ -60,39 +63,17 @@ def _select_indices(basis: BasisSet, sigma_p: SymTensorField2, N: int):
     return group[:N]
 
 
-def _stack(basis, m, parity, n):
-    """The first n columns of the (m, parity) group's quadrature stack,
-    evaluated once per (basis, group) and kept in the basis cache beside the
-    group's SE Gram; n = 0 builds nothing."""
-    if n == 0:
-        return np.empty((3, _ops(basis.mesh).P.shape[0], 0))
-    key = ("quad", m, parity)
-    Q = basis._cache.get(key)
-    if Q is None:
-        Q = basis._cache[key] = basis.quad_matrix(m, parity)
-    return Q[:, :, :n]
-
-
 def _se_gram(basis, material, m, parity, n=None):
     """M[:n, :n] of the symmetrized strain-energy Gram <C^-1 phi_j, phi_i> of
     the whole (m, parity) group, built once per (basis, material, group) and
     kept in the basis cache; the SE solve and every diagnostic series share
-    it. n = 0 builds nothing.
-
-    M is built in three row blocks, so that the compliance of a block is no
-    larger than one component of the mode stack."""
+    it. n = 0 builds nothing."""
     if n == 0:
         return np.zeros((0, 0))
     key = ("se_gram", material, m, parity)
     M = basis._cache.get(key)
     if M is None:
-        mesh = basis.mesh
-        Phi = _stack(basis, m, parity, None)
-        M = np.empty((Phi.shape[2],) * 2)
-        b = -(-len(M) // 3) or 1
-        for s in range(0, len(M), b):
-            M[s:s + b] = tensor_gram(mesh, m, parity, compliance_on_quad(
-                material, mesh, Phi[:, :, s:s + b]), Phi)
+        M = basis.gram(m, parity, material)
         M = 0.5 * (M + M.T)
         M.flags.writeable = False   # shared: a caller must not change it
         basis._cache[key] = M
@@ -102,9 +83,8 @@ def _se_gram(basis, material, m, parity, n=None):
 def _energy_pairing(basis, material, sigma, n):
     """<C^-1 sigma, phi_i> for the leading n modes of sigma's group."""
     with np.errstate(over="ignore", invalid="ignore"):  # callers refuse inf
-        return tensor_gram(basis.mesh, sigma.m, sigma.parity,
-                           compliance_quad(material, sigma),
-                           _stack(basis, sigma.m, sigma.parity, n))
+        return basis.pairing(sigma.m, sigma.parity,
+                             compliance_quad(material, sigma), n)
 
 
 def assemble_se_system(basis: BasisSet, sigma_p: SymTensorField2,
@@ -191,8 +171,10 @@ def solve_strain_energy(sigma_p: SymTensorField2, basis: BasisSet,
 def _pt_like(sigma_p, basis, N, ns, sbar_quad, principle):
     idx = _select_indices(basis, sigma_p, N)
     mesh, m, parity = sigma_p.mesh, sigma_p.m, sigma_p.parity
-    Phi = _stack(basis, m, parity, N)
-    t = scalar_gram(mesh, m, parity, sbar_quad, Phi[0] + Phi[1])
+    # <sbar, trace(phi_i)> = <(sbar, sbar, 0), phi_i>: the normal components
+    # share their factor
+    t = basis.pairing(m, parity, np.stack(
+        [sbar_quad, sbar_quad, np.zeros_like(sbar_quad)]), N)
     Tp = float(scalar_gram(mesh, m, parity, sbar_quad, sbar_quad))
     a = -t
     sched = _schedule(N, ns)

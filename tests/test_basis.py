@@ -9,15 +9,17 @@ import scipy.sparse as sp
 from scipy.linalg import eigh, null_space
 
 import stressbasis
-from stressbasis import basis as basis_mod, fem2d, solvers
+from stressbasis import basis as basis_mod, fem2d
 from stressbasis._cache import read_tagged, write_tagged
 from stressbasis.basis import (BasisError, BasisSet, _kernel_by_lu, _radial_blocks, _solve_radial_m,
                                airy_bump_basis, load_basis, parity_classes,
                                save_basis, solve_basis_annulus,
                                solve_basis_rectangle, verify_basis)
 from stressbasis.fields import (SymTensorField2, l2_inner_tensor,
-                                l2_norm_tensor, planar_trace, scalar_gram)
-from stressbasis.materials import Material, discontinuous_modulus
+                                l2_norm_tensor, nodal_gram, planar_trace,
+                                scalar_gram, tensor_gram, weighted_mass)
+from stressbasis.materials import (Material, compliance_on_quad,
+                                   discontinuous_modulus, modulus_on_quad)
 from stressbasis.meshes import (Domain, RectangleMesh, build_radial_grid,
                                 build_rectangle_mesh)
 from stressbasis.particular import uniform_pressure_particular
@@ -200,6 +202,12 @@ def test_sbbasis_round_trip(tmp_path, rect_basis):
     assert np.array_equal(back.eigenvalues, rect_basis.eigenvalues)
     for a, b in zip(back.modes, rect_basis.modes):
         assert np.array_equal(a.components, b.components)
+    # the modes are views of one C-ordered array, built or loaded, so the
+    # nodal Grams of both round alike
+    for basis in (rect_basis, back):
+        assert basis.nodal.flags.c_contiguous
+        assert all(np.shares_memory(md.components, basis.nodal)
+                   for md in basis.modes)
     assert back.provenance["backend"] == rect_basis.provenance["backend"]
     rep = verify_basis(back)
     assert rep.passed, rep.failures
@@ -220,36 +228,86 @@ def test_load_basis_builds_modes_on_an_equal_mesh(tmp_path, rect_basis):
     assert back.mesh == mesh and back.mesh is not other
 
 
-def test_quad_matrix_matches_per_mode_evaluation(rect_basis, ann_basis_merged,
-                                                 rect_mesh):
-    """Nodal modes evaluated together give the per-mode values bit for bit,
-    for every tag group, and so does the stack the airy build stores; every
-    stack is C-ordered, so products with it do not round by layout."""
+def _quad_stack(basis, idx):
+    """The (3, nq, k) quadrature values of the modes idx, one mode at a
+    time: the reference that the nodal Grams and pairings are checked
+    against."""
+    return np.stack([basis.modes[i].at_quad() for i in idx], axis=2)
+
+
+def test_airy_quad_stack_matches_per_mode_evaluation(rect_mesh):
+    """The stack the airy build stores is its modes' values bit for bit,
+    C-ordered, so products with it do not round by layout."""
     airy = airy_bump_basis(rect_mesh, 4)
-    for basis in (rect_basis, ann_basis_merged, airy):
+    assert np.array_equal(airy.quad_stack, _quad_stack(airy, range(4)))
+    assert airy.quad_stack.flags.c_contiguous
+
+
+_LAWS = {"isotropic": Material.isotropic(1.0, 0.3),
+         "varying": Material.isotropic(discontinuous_modulus(1.0, 3.0, 0.5),
+                                       0.33),
+         "orthotropic": Material.orthotropic(1.0, 2.0, 0.33, 1.0)}
+
+
+def test_nodal_grams_and_pairings_match_quadrature(rect_basis,
+                                                   ann_basis_merged, rng):
+    """Grams and pairings formed from the nodal components equal the ones
+    of the modes' quadrature values to 1e-14 relative: the L2, trace and
+    strain-energy Grams on the rectangle (a uniform, a varying modulus and
+    the orthotropic law) and in every annulus group (cos and sin), and the
+    pairing with random quadrature values."""
+    for basis, laws in ((rect_basis, list(_LAWS.values())),
+                        (ann_basis_merged, [_LAWS["isotropic"]])):
+        mesh = basis.mesh
         for key, idx in basis.groups().items():
-            Q = basis.quad_matrix(*(key or ()))
-            want = np.stack([basis.modes[i].at_quad() for i in idx], axis=2)
-            assert np.array_equal(Q, want)
-            assert Q.flags.c_contiguous
+            m, parity = key or (None, None)
+            Q = _quad_stack(basis, idx)
+            V = basis._nodal(m, parity)
+            Tr = Q[0] + Q[1]
+            trace = ((1, 1, 0), (1, 1, 0), (0, 0, 0))
+            pairs = [
+                (basis.gram(m, parity), tensor_gram(mesh, m, parity, Q, Q)),
+                (nodal_gram(mesh, m, parity, V, trace),
+                 scalar_gram(mesh, m, parity, Tr, Tr))]
+            pairs += [(basis.gram(m, parity, law),
+                       tensor_gram(mesh, m, parity,
+                                   compliance_on_quad(law, mesh, Q), Q))
+                      for law in laws]
+            A = rng.standard_normal(Q.shape[:2])
+            pairs.append((basis.pairing(m, parity, A),
+                          tensor_gram(mesh, m, parity, A, Q)))
+            for got, want in pairs:
+                assert got.shape == want.shape
+                assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+    assert {key[1] for key in ann_basis_merged.groups()} == {"cos", "sin"}
 
 
-def test_quad_matrix_of_no_modes(rect_basis, ann_basis_m0):
-    """A tag group the basis holds no modes of gives an empty stack, and a
-    solve of no modes (a run with N = 0) reads one without evaluating a
-    mode."""
+def test_grams_and_pairings_of_no_modes(rect_basis, ann_basis_m0):
+    """A tag group the basis holds no modes of has an empty Gram and
+    pairing, and a solve of no modes (a run with N = 0) pairs with none."""
     nq = len(fem2d.radial_ops(ann_basis_m0.mesh).rq)
-    assert ann_basis_m0.quad_matrix(1, "cos").shape == (3, nq, 0)
+    assert ann_basis_m0.gram(1, "cos").shape == (0, 0)
+    assert ann_basis_m0.pairing(1, "cos", np.ones((3, nq))).shape == (0,)
     nq = fem2d.rect_ops(rect_basis.mesh).nq
-    assert solvers._stack(rect_basis, None, None, 0).shape == (3, nq, 0)
+    assert rect_basis.pairing(None, None, np.ones((3, nq)), 0).shape == (0,)
 
 
-def test_quad_matrix_peak_memory(rect_basis, traced_peak):
-    """The stack is filled one component at a time: the call holds at most
-    half the stack besides its result."""
-    rect_basis.quad_matrix()    # operators built outside the measurement
-    Q, peak = traced_peak(rect_basis.quad_matrix)
-    assert peak <= 1.5 * Q.nbytes
+def test_nodal_gram_peak_memory(traced_peak):
+    """``nodal_gram`` holds one (k, nn) product besides the weighted mass
+    matrix: at 120 fields on a 36x36 mesh its peak is below that of
+    building the mass matrix plus one product (a product with the strided
+    component block as a whole would copy it, and a quadrature stack of the
+    fields is 6.6 times the product)."""
+    mesh = build_rectangle_mesh(Domain.rectangle(1.0, 1.0), 36, 36)
+    fem2d.rect_ops(mesh)    # operators built outside the measurement
+    law = _LAWS["varying"]
+    d = 1.0 / modulus_on_quad(law, mesh)
+    k = 120
+    V = np.random.default_rng(1).standard_normal((k, 3, mesh.n_nodes))
+    _, mass_peak = traced_peak(weighted_mass, mesh, None, None, d)
+    G, peak = traced_peak(nodal_gram, mesh, None, None, V, law.S, d)
+    assert G.shape == (k, k)
+    assert peak <= mass_peak + k * mesh.n_nodes * 8
 
 
 def test_kernel_by_lu_peak_memory(traced_peak):
@@ -292,11 +350,10 @@ def test_airy_bump_basis_properties(rect_mesh):
 
 
 def test_airy_build_evaluates_each_factor_once_per_point_set(monkeypatch):
-    """The build and a read of its quadrature stack evaluate each 1-D factor
-    and its first two derivatives once per point set (nodes, quadrature
-    points), on the set's distinct abscissae only: at most
-    3 (J n_x + K n_y) polynomial values per set. The bound also counts the
-    four sides, which the build does not evaluate."""
+    """The build evaluates each 1-D factor and its first two derivatives
+    once per point set (nodes, quadrature points), on the set's distinct
+    abscissae only: at most 3 (J n_x + K n_y) polynomial values per set. The
+    bound also counts the four sides, which the build does not evaluate."""
     mesh = build_rectangle_mesh(Domain.rectangle(1.0, 0.5), 6, 4)
     ops = fem2d.rect_ops(mesh)
     values = []
@@ -310,8 +367,7 @@ def test_airy_build_evaluates_each_factor_once_per_point_set(monkeypatch):
     monkeypatch.setattr(np.polynomial.polynomial, "polyval", counted)
     monkeypatch.setattr(np.polynomial.Polynomial, "_val",
                         staticmethod(counted))
-    basis = airy_bump_basis(mesh, 8)
-    basis.quad_matrix()
+    airy_bump_basis(mesh, 8)
     # the 8 potentials f_j(x) g_k(y) of lowest total degree
     jr, kr = np.array([(j, d - j) for d in range(8)
                        for j in range(d + 1)][:8]).T
@@ -348,7 +404,7 @@ def test_airy_build_holds_its_stack_and_nodal_arrays(rect_mesh, traced_held,
     on the small mesh the fixed bookkeeping (polynomials, index tables) alone
     is several percent of the arrays."""
     def arrays(basis):
-        return basis.quad_matrix().nbytes + sum(
+        return basis.quad_stack.nbytes + sum(
             md.components.nbytes for md in basis.modes)
 
     airy_bump_basis(rect_mesh, 10)   # operators built outside the measurement
@@ -361,14 +417,13 @@ def test_airy_build_holds_its_stack_and_nodal_arrays(rect_mesh, traced_held,
 
 
 def test_verify_basis_keeps_no_stack(rect_basis, traced_held):
-    """``verify_basis`` measures the L2 Gram from the quadrature stack and
-    drops it: after it returns it holds less than a tenth of the stack, so
-    a cold run's verification leaves no stack alive through the rest of the
-    run."""
+    """``verify_basis`` measures the L2 Gram from the nodal components and
+    keeps neither the weighted mass matrix nor a product: after it returns
+    it holds less than a tenth of the modes' nodal array, so a cold run's
+    verification leaves nothing alive through the rest of the run."""
     verify_basis(rect_basis)    # operators built outside the measurement
     _, held = traced_held(verify_basis, rect_basis)
-    nq = fem2d.rect_ops(rect_basis.mesh).nq
-    assert held < 0.1 * 3 * nq * len(rect_basis) * 8
+    assert held < 0.1 * rect_basis.nodal.nbytes
 
 
 def test_config_validation(rect_mesh, ann_mesh):

@@ -159,6 +159,29 @@ def test_report_contents(tiny_runs):
     assert report["sigma_N_equilibrium"]["interior"] < 1.0
 
 
+def test_div_tolerance_rule_follows_the_factor(tiny_runs, monkeypatch):
+    """``report.json`` states the divergence tolerance from
+    ``basis.DIV_TOL_FACTOR``, the factor ``verify_basis`` applies."""
+    _, _, report, _ = tiny_runs
+    assert report["tolerances"]["div_tolerance_rule"] == "4 * h * lambda^0.75"
+    monkeypatch.setattr(basis_mod, "DIV_TOL_FACTOR", 2.5)
+    assert basis_mod.div_tolerance_rule() == "2.5 * h * lambda^0.75"
+
+
+def test_read_tagged_holds_no_copy_of_the_file(tmp_path, traced_peak):
+    """A cache file is read from the open file: at its peak the read holds
+    the arrays and less than a quarter of the file besides (a read of the
+    whole file and of its payload held two copies)."""
+    path = str(tmp_path / "big.npz")
+    arrays = {"a": np.arange(600_000, dtype=float), "b": np.ones((3, 4))}
+    write_tagged(path, "SBTEST 1", {"key": 1}, arrays)
+    size = os.path.getsize(path)
+    (meta, back), peak = traced_peak(read_tagged, path, "SBTEST 1", 1)
+    assert meta == {"key": 1}
+    assert all(np.array_equal(back[k], v) for k, v in arrays.items())
+    assert peak <= sum(a.nbytes for a in back.values()) + 0.25 * size
+
+
 def test_convergence_csv_columns(tiny_runs):
     d1, _, _, _ = tiny_runs
     lines = (d1 / "convergence.csv").read_text().strip().splitlines()
@@ -200,6 +223,35 @@ def _rect_cfg(y_bottom=3.0):
 
 def _cached(cache, prefix):
     return sorted(p for p in os.listdir(cache) if p.startswith(prefix))
+
+
+@pytest.mark.parametrize("raw", [SMALL_CFG, RECT_CFG],
+                         ids=["annulus", "rectangle"])
+def test_eigen_runs_evaluate_no_mode_stack(raw, tmp_path, monkeypatch):
+    """Cold and warm eigen runs (SE and PT) form the Grams and pairings from
+    the modes' nodal components: no product with the quadrature evaluation
+    P, or its transpose, takes more than three columns, so no stack of modes
+    is evaluated at the quadrature points."""
+    from scipy.sparse import _compressed
+
+    cfg = ExperimentConfig.from_dict(dict(raw, principles=["SE", "PT"]))
+    monkeypatch.setenv("SB_CACHE_DIR", str(tmp_path / "cache"))
+    nq = set()
+    for ops in (fem2d.RectOps, fem2d.RadialOps):
+        monkeypatch.setattr(ops, "__init__", lambda self, mesh, init=(
+            ops.__init__): init(self, mesh) or nq.add(self.P.shape[0]))
+    products = []
+    real = _compressed._cs_matrix._matmul_multivector
+
+    def spy(self, other):
+        if nq & set(self.shape):
+            products.append((self.shape, other.shape))
+        return real(self, other)
+    monkeypatch.setattr(_compressed._cs_matrix, "_matmul_multivector", spy)
+    run_experiment(cfg, str(tmp_path / "cold"))
+    assert _cached(tmp_path / "cache", "basis-")
+    run_experiment(cfg, str(tmp_path / "warm"))
+    assert nq and all(cols <= 3 for _, (_, cols) in products), products
 
 
 def test_oracle_cache_keyed_on_material_spec(tmp_path, monkeypatch):

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from stressbasis import solvers
-from stressbasis.basis import (_l2_gram, solve_basis_annulus,
-                               solve_basis_rectangle)
+from stressbasis.basis import (BasisSet, _l2_gram, airy_bump_basis,
+                               solve_basis_annulus, solve_basis_rectangle)
 from stressbasis.fields import (SymTensorField2, equilibrium_residual,
                                 tensor_gram)
 from stressbasis.materials import (Material, compliance_on_quad,
@@ -204,15 +204,15 @@ def test_se_gram_built_once_per_material_and_selection(band_particular,
                                                        monkeypatch):
     """The SE solve, the energy and error series share one SE Gram per
     (basis, material, tag group); a selection of the leading modes reads
-    its leading block. A build applies the compliance to each mode of the
-    group once, a block of modes at a time; ``built`` counts the modes."""
+    its leading block. ``built`` counts the modes of every Gram built."""
     built = []
-    compliance = solvers.compliance_on_quad
+    gram = BasisSet.gram
 
-    def counted(material, mesh, values):
-        built.extend(range(values.shape[-1]))
-        return compliance(material, mesh, values)
-    monkeypatch.setattr(solvers, "compliance_on_quad", counted)
+    def counted(basis, m, parity, material=None):
+        G = gram(basis, m, parity, material)
+        built.extend(range(len(G)))
+        return G
+    monkeypatch.setattr(BasisSet, "gram", counted)
     sp = band_particular.field
     other = band_pressure_particular(rect_mesh, profile="discontinuous").field
     mat = Material.isotropic(2.0, 0.25)
@@ -231,13 +231,13 @@ def test_se_gram_built_once_per_material_and_selection(band_particular,
 def test_no_modes_form_no_stack_and_no_se_gram(band_particular, rect_basis,
                                               iso_material):
     """N = 0 reports sigma_p alone: an SE and a PT solve and their energy
-    series form no mode stack and no SE Gram."""
+    series form no SE Gram and keep nothing in the basis."""
     basis = dataclasses.replace(rect_basis, _cache={})
     sp = band_particular.field
     for res in (solve_strain_energy(sp, basis, iso_material, 0),
                 solve_planar_trace(sp, basis, 0)):
         energy_series(res, sp, basis, iso_material)
-    assert not [key for key in basis._cache if key[0] in ("se_gram", "quad")]
+    assert not basis._cache
 
 
 def test_reconstruction_folds_nodal_modes(band_particular, rect_basis,
@@ -274,26 +274,32 @@ _GRAM_MATERIALS = [
 
 @pytest.mark.parametrize("material", _GRAM_MATERIALS,
                          ids=["isotropic", "discontinuous", "orthotropic"])
-def test_blocked_se_gram_matches_one_product(rect_basis, material):
-    """The SE Gram built in row blocks is the one-product Gram up to
-    round-off, exactly symmetric and read-only."""
-    basis = dataclasses.replace(rect_basis, _cache={})
-    M = solvers._se_gram(basis, material, None, None)
-    Phi = basis.quad_matrix()
-    ref = tensor_gram(basis.mesh, None, None,
-                      compliance_on_quad(material, basis.mesh, Phi), Phi)
-    ref = 0.5 * (ref + ref.T)
-    assert np.abs(M - ref).max() <= 1e-13 * np.abs(ref).max()
-    assert np.array_equal(M, M.T)
-    assert not M.flags.writeable
-    assert solvers._se_gram(basis, material, None, None) is M
+def test_blocked_se_gram_matches_one_product(rect_basis, rect_mesh, material):
+    """The SE Gram of an eigenbasis (from its nodal components) and of an
+    airy basis (its stored stack in row blocks of four modes) is the
+    one-product Gram of the modes' quadrature values up to round-off,
+    exactly symmetric and read-only."""
+    for basis in (dataclasses.replace(rect_basis, _cache={}),
+                  airy_bump_basis(rect_mesh, 10)):
+        M = solvers._se_gram(basis, material, None, None)
+        Phi = np.stack([md.at_quad() for md in basis.modes], axis=2)
+        ref = tensor_gram(basis.mesh, None, None,
+                          compliance_on_quad(material, basis.mesh, Phi), Phi)
+        ref = 0.5 * (ref + ref.T)
+        assert np.abs(M - ref).max() <= 1e-13 * np.abs(ref).max()
+        assert np.array_equal(M, M.T)
+        assert not M.flags.writeable
+        assert solvers._se_gram(basis, material, None, None) is M
 
 
-def test_se_gram_peak_memory(rect_basis, iso_material, traced_peak):
-    """The compliance is applied to a block of modes at a time: building the
-    Gram holds less than one more mode stack."""
-    basis = dataclasses.replace(rect_basis, _cache={})
-    Phi = solvers._stack(basis, None, None, None)   # kept in the basis
+def test_se_gram_peak_memory(rect_mesh, iso_material, traced_peak):
+    """An airy basis applies the law to its stored stack four modes at a
+    time: at 40 modes building the SE Gram holds less than 0.3 of the stack
+    (a third of the modes at a time held 0.71). The nodal path is bounded by
+    ``test_nodal_gram_peak_memory``."""
+    basis = airy_bump_basis(rect_mesh, 40)
+    solvers._se_gram(basis, iso_material, None, None)   # operators built
+    basis._cache.clear()
     M, peak = traced_peak(solvers._se_gram, basis, iso_material, None, None)
     assert M.shape == (len(basis), len(basis))
-    assert peak <= Phi.nbytes
+    assert peak <= 0.3 * basis.quad_stack.nbytes
