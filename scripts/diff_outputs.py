@@ -17,7 +17,10 @@ largest relative move and where it is:
   layouts compare: each array by the CSV rule, named by the array, and the
   meta's ``provenance`` and ``report`` by the JSON rule. The stored ``key``
   is skipped: it holds the build identity, which every edit of the
-  package's code moves;
+  package's code moves. Below the file's line, one line per array and one
+  for the meta give each part's own largest move (``identical`` when it
+  agrees exactly), so a round-off figure of the stored report does not
+  hide how far the arrays moved;
 * other files: ``differs``.
 
 A file found in one tree only, a CSV whose header or row count differs, a
@@ -118,36 +121,43 @@ def _tag_line(path):
 
 def diff_cache(a_path, b_path):
     """The tag lines, each array by the CSV rule, then the meta's provenance
-    and report by the JSON rule; the stored key is skipped."""
+    and report by the JSON rule; the stored key is skipped. Returns the
+    largest move, where it is, the structural differences and one
+    (part, move, where) per array and for the meta (an array's where is
+    empty); the move is None when the part agrees exactly."""
     try:
         tags = [_tag_line(p) for p in (a_path, b_path)]
         (meta_a, arrays_a), (meta_b, arrays_b) = (
             read_tagged(str(p), tag) for p, tag in zip((a_path, b_path), tags))
     except (OSError, ValueError) as exc:
-        return 0.0, "", [f"unreadable: {exc}"]
-    worst, where = 0.0, ""
+        return 0.0, "", [f"unreadable: {exc}"], []
     structural = [f"tag: {tags[0]!r} -> {tags[1]!r}"] \
         if tags[0] != tags[1] else []
+    parts = []
     for name in sorted(arrays_a.keys() | arrays_b.keys()):
         a, b = arrays_a.get(name), arrays_b.get(name)
         if a is None or b is None:
             structural.append(f"{name} in one tree only")
-            continue
-        if a.shape != b.shape:
+        elif a.shape != b.shape:
             structural.append(f"{name}: shape {a.shape} -> {b.shape}")
-            continue
-        if np.array_equal(a, b, equal_nan=True):
-            continue
-        move = _column_move(a.ravel().tolist(), b.ravel().tolist())
-        if move > worst:
-            worst, where = move, name
+        elif np.array_equal(a, b, equal_nan=True):
+            parts.append((name, None, ""))
+        else:
+            parts.append((name, _column_move(a.ravel().tolist(),
+                                             b.ravel().tolist()), ""))
+    meta_move, meta_at = None, ""
     for part in ("provenance", "report"):
-        move, at, lines = diff_leaves(meta_a.get(part), meta_b.get(part),
-                                      part)
+        a, b = meta_a.get(part), meta_b.get(part)
+        move, at, lines = diff_leaves(a, b, part)
         structural += lines
-        if move > worst:
-            worst, where = move, at
-    return worst, where, structural
+        if a != b and (meta_move is None or move > meta_move):
+            meta_move, meta_at = move, at
+    parts.append(("meta", meta_move, meta_at))
+    worst, where = 0.0, ""
+    for name, move, at in parts:
+        if move is not None and move > worst:
+            worst, where = move, at or name
+    return worst, where, structural, parts
 
 
 def main(argv) -> int:
@@ -175,12 +185,17 @@ def main(argv) -> int:
         elif a.suffix == ".csv":
             worst, where, structural = diff_csv(a, b)
         elif a.suffix in _CACHE_SUFFIXES:
-            worst, where, structural = diff_cache(a, b)
+            worst, where, structural, parts = diff_cache(a, b)
         else:
             print(f"{rel:{width}}  differs")
             bad = True
             continue
         print(f"{rel:{width}}  {worst:.2e}  {where}")
+        if a.suffix in _CACHE_SUFFIXES:
+            name_w = max(len(name) for name, _, _ in parts)
+            for name, move, at in parts:
+                moved = "identical" if move is None else f"{move:.2e}  {at}"
+                print(f"{'':{width}}  {name:{name_w}}  {moved}".rstrip())
         for line in structural:
             print(f"{'':{width}}  {line}")
         bad = bad or bool(structural)

@@ -13,7 +13,10 @@ side on a thread pool with one BLAS thread per worker; on the annulus
 the problem reduces per azimuthal wavenumber m to a radial system whose
 constraint is eliminated by LU: with C^T = P L U (row pivoting), the kernel of
 C is spanned by the columns of P [-L1^-T L2^T; I], and the reduced dense pencil
-is solved by a symmetric-definite eigensolver.
+is solved by a symmetric-definite eigensolver. At m = 0 the system splits
+into two independent ones, the normal components with the radial equation
+and the shear with the tangential one, each eliminated and solved on its
+own.
 
 An alternative non-eigen backend orthonormalizes the stress fields of
 clamped polynomial "bump" potentials f(x) g(y) (exactly divergence-free and
@@ -48,7 +51,8 @@ from scipy.sparse.linalg import eigsh
 from . import fem2d
 from .fields import (SymTensorField2, _ops, _weighted_product,
                      _zero_divergence, equilibrium_residual, nodal_gram,
-                     nodal_pairing, quad_metric, scalar_gram, tensor_gram)
+                     nodal_pairing, quad_metric, scalar_gram, sparse_rows,
+                     tensor_gram)
 from .materials import compliance_on_quad, modulus_on_quad
 from ._cache import _openblas, read_tagged, write_tagged
 from .meshes import Domain, RadialMesh, RectangleMesh
@@ -465,23 +469,45 @@ def _kernel_by_lu(C: sp.spmatrix) -> np.ndarray:
 
 
 def _solve_radial_m(mesh: RadialMesh, m: int, n_modes: int):
-    """Eigenpairs of the radial reduction for one wavenumber (cos family)."""
+    """Eigenpairs of the radial reduction for one wavenumber (cos family).
+
+    At m = 0 the theta -> -theta reflection splits the system: the normal
+    components (sigma_rr, sigma_tt) with the radial equation, and the shear
+    with the tangential equation, are uncoupled (the 4mW blocks of A and the
+    mW1 blocks of C vanish). Each block is then solved on its own, its
+    kernel and pencil a fraction of the coupled ones, and the eigenpairs are
+    merged by lambda; the shear block's kernel is empty, since
+    r^2 sigma_rt = const vanishes under the end conditions. For m >= 1 the
+    system is solved coupled.
+    """
     ops = fem2d.radial_ops(mesh)
     nn = mesh.n_nodes
     A, B, C = _radial_blocks(ops, m)
     # f_rr and f_rt at both ends
     keep = np.setdiff1d(np.arange(3 * nn), [0, nn - 1, 2 * nn, 3 * nn - 1])
-    Zn = _kernel_by_lu(C[:, keep])
-    if Zn.shape[1] == 0:
-        return np.empty(0), np.empty((3 * nn, 0))
-    Ak = A[keep][:, keep]
-    Bk = B[keep][:, keep]
-    # eigh B-normalizes the eigenvectors, so Zn need not be orthonormal
-    lam, Yv = eigh(Zn.T @ (Ak @ Zn), Zn.T @ (Bk @ Zn))
-    k = min(n_modes, len(lam))
-    full = np.zeros((3 * nn, k))
-    full[keep] = Zn @ Yv[:, :k]
-    return lam[:k], full
+    # (constraint rows, dofs) of each independent system
+    if m == 0:
+        systems = [(slice(0, nn), keep[keep < 2 * nn]),
+                   (slice(nn, 2 * nn), keep[keep >= 2 * nn])]
+    else:
+        systems = [(slice(None), keep)]
+    lam, cols = [np.empty(0)], [np.empty((3 * nn, 0))]
+    for rows, dofs in systems:
+        Zn = _kernel_by_lu(C[rows][:, dofs])
+        if Zn.shape[1] == 0:
+            continue
+        Ak = A[dofs][:, dofs]
+        Bk = B[dofs][:, dofs]
+        # eigh B-normalizes the eigenvectors, so Zn need not be orthonormal
+        lam_b, Yv = eigh(Zn.T @ (Ak @ Zn), Zn.T @ (Bk @ Zn))
+        k = min(n_modes, len(lam_b))
+        full = np.zeros((3 * nn, k))
+        full[dofs] = Zn @ Yv[:, :k]
+        lam.append(lam_b[:k])
+        cols.append(full)
+    lam, cols = np.concatenate(lam), np.hstack(cols)
+    order = np.argsort(lam, kind="stable")[:n_modes]
+    return lam[order], cols[:, order]
 
 
 def solve_basis_annulus(mesh: RadialMesh, wavenumbers,
@@ -799,28 +825,39 @@ class BasisReport:
 
 def _h1_gram(basis: BasisSet) -> np.ndarray:
     """H1 Gram of the modes, with the component and theta factors of the one
-    L2 metric (``quad_metric``)."""
+    L2 metric (``quad_metric``). It reads the nodal components in place and
+    holds one product of a component's stiffness rows with the modes
+    (k, n_nodes), as ``fields.nodal_gram`` does."""
     mesh = basis.mesh
     ops = _ops(mesh)
+    nn = mesh.n_nodes
     G = np.zeros((len(basis), len(basis)))
     for key, idx in basis.groups().items():
         m, parity = key or (None, None)
         fac = quad_metric(mesh, m, parity)[1]
-        V = np.array([basis.modes[i].components for i in idx])
+        V = basis._nodal(m, parity)
         if m is None:
-            G[np.ix_(idx, idx)] = sum(f * (V[:, c] @ (ops.Ks @ V[:, c].T))
-                                      for c, f in enumerate(fac))
-            continue
-        if parity == "sin":
-            # the radial blocks encode the cos family's profile convention,
-            # in which the sin family's shear has the other sign
-            V[:, 2] *= -1.0
-        # the blocks count the shear twice already, and their normal-shear
-        # cross block 4mW vanishes at m = 0, where the factors differ
-        w = np.repeat([fac[0], fac[1], fac[2] / 2], mesh.n_nodes)
-        A = _radial_blocks(ops, m)[0]
-        V = V.reshape(len(idx), -1)
-        G[np.ix_(idx, idx)] = V @ (w[:, None] * (A @ V.T))
+            # (stiffness rows of component c, the modes' dofs they act on)
+            rows = [(ops.Ks, V[:, c]) for c in range(3)]
+        else:
+            A = _radial_blocks(ops, m)[0]
+            if parity == "sin":
+                # the radial blocks encode the cos family's profile
+                # convention, in which the sin family's shear has the other
+                # sign
+                s = sp.diags(np.repeat([1.0, 1.0, -1.0], nn))
+                A = (s @ A @ s).tocsr()
+            # the blocks count the shear twice already, and their
+            # normal-shear cross block 4mW vanishes at m = 0, where the
+            # factors differ
+            fac = (fac[0], fac[1], fac[2] / 2)
+            rows = [(A[c * nn:(c + 1) * nn], V.reshape(len(V), -1))
+                    for c in range(3)]
+        Gg = np.zeros((len(V),) * 2)
+        Y = np.empty(V[:, 0].shape)
+        for c, (Kc, dofs) in enumerate(rows):
+            Gg += fac[c] * (V[:, c] @ sparse_rows(Kc, dofs, Y).T)
+        G[np.ix_(idx, idx)] = Gg
     return G
 
 

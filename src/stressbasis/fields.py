@@ -267,22 +267,34 @@ def weighted_mass(mesh, m=None, parity=None, d=1.0):
     return (P.T @ (sp.diags(w * d) @ P)).tocsr(), fac
 
 
+# rows of V per sparse product in ``sparse_rows``: the chunk's copy and its
+# product are two (n, 16) blocks
+_ROW_CHUNK = 16
+
+
+def sparse_rows(M, V, out):
+    """out[i] = M @ V[i] for the rows of a dense V (k, n), a chunk of rows
+    at a time. Each product's sums are those of ``M @ V[i]``; a product
+    with the strided block V as a whole would copy it."""
+    for s in range(0, len(V), _ROW_CHUNK):
+        out[s:s + _ROW_CHUNK] = (M @ V[s:s + _ROW_CHUNK].T).T
+    return out
+
+
 def nodal_gram(mesh, m, parity, V, S=np.eye(3), d=1.0):
     """G[i, j] = sum_{c,e} fac[c] S[c, e] <d V[j, e], V[i, c]> of nodal
     fields V (k, 3, nn), not symmetrized: ``tensor_gram`` of their
     quadrature values (up to round-off) without evaluating them. The L2
     Gram is S = I, d = 1; a law's strain-energy Gram its S and d = 1/Y.
 
-    It holds one product M V[:, e] (k, nn), filled one field at a time (a
-    product with the strided block V[:, e] would copy it)."""
+    It holds one product M V[:, e] (k, nn) (``sparse_rows``)."""
     M, fac = weighted_mass(mesh, m, parity, d)
     G = np.zeros((len(V),) * 2)
     Y = np.empty(V[:, 0].shape)
     for e in range(3):
         terms = [(c, fac[c] * S[c][e]) for c in range(3) if S[c][e] * fac[c]]
         if terms:
-            for i, v in enumerate(V[:, e]):
-                Y[i] = M @ v
+            sparse_rows(M, V[:, e], Y)
         for c, f in terms:
             G += f * (V[:, c] @ Y.T)
     return G

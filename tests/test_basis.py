@@ -176,10 +176,12 @@ def _h1_gram_by_family_split(basis):
 def test_h1_gram_matches_the_family_split(ann_basis_merged, rect_basis,
                                          ann_mesh, rng):
     # random profiles in every m <= 1 family, the shear-only m = 0 sin one too
+    # (modes as views of one nodal array, as an eigenbasis holds them)
     tags = [(0, "cos"), (0, "sin"), (1, "cos"), (1, "sin")] * 3
-    random = BasisSet([SymTensorField2(ann_mesh, rng.standard_normal(
-        (3, ann_mesh.n_nodes)), m=m, parity=p) for m, p in tags],
-        None, np.eye(len(tags)), {})
+    nodal = rng.standard_normal((len(tags), 3, ann_mesh.n_nodes))
+    random = BasisSet([SymTensorField2(ann_mesh, v, m=m, parity=p)
+                       for v, (m, p) in zip(nodal, tags)],
+                      None, np.eye(len(tags)), {}, nodal=nodal)
     for basis in (random, ann_basis_merged, rect_basis):
         want = _h1_gram_by_family_split(basis)
         got = basis_mod._h1_gram(basis)
@@ -319,6 +321,54 @@ def test_kernel_by_lu_peak_memory(traced_peak):
     C = C[:, np.setdiff1d(np.arange(3 * nn), [0, nn - 1, 2 * nn, 3 * nn - 1])]
     Z, peak = traced_peak(_kernel_by_lu, C)
     assert peak <= 8 * C.shape[0] * C.shape[1] + Z.nbytes
+
+
+def test_radial_solve_splits_the_axisymmetric_system(monkeypatch):
+    """At m = 0 the normal and shear blocks are solved apart, so no kernel
+    is taken of the coupled constraint (its 3 nn - 4 free dofs); for m >= 1
+    exactly one is."""
+    mesh = build_radial_grid(Domain.annulus(0.1, 0.3), 24)
+    coupled = 3 * mesh.n_nodes - 4
+    real = basis_mod._kernel_by_lu
+    for m, want in ((0, 0), (1, 1)):
+        widths = []
+        monkeypatch.setattr(basis_mod, "_kernel_by_lu", lambda C: (
+            widths.append(C.shape[1]), real(C))[1])
+        _solve_radial_m(mesh, m, 10)
+        assert widths and widths.count(coupled) == want
+
+
+def test_axisymmetric_radial_solve_peak_memory(traced_peak):
+    """At m = 0 the solve holds the normal block's kernel (dofs x r), its two
+    r x r pencils and what ``eigh`` adds to them (copies of both and the gvd
+    workspace of 2 r^2), besides the sparse operators and their block
+    slices; the coupled solve's kernel alone is 1.5 times the block's."""
+    mesh = build_radial_grid(Domain.annulus(0.1, 0.3), 128)
+    nn = mesh.n_nodes
+    A, B, C = _radial_blocks(fem2d.radial_ops(mesh), 0)
+    sparse = sum(M.data.nbytes + M.indices.nbytes + M.indptr.nbytes
+                 for M in (A, B, C))
+    dofs = 2 * nn - 2
+    r = dofs - nn
+    (lam, cols), peak = traced_peak(_solve_radial_m, mesh, 0, 100)
+    assert len(lam) == 100
+    assert peak <= 8 * (dofs * r + 6 * r * r) + 2 * sparse
+
+
+def test_h1_gram_peak_memory(traced_peak):
+    """``_h1_gram`` reads the modes' nodal array in place and holds one
+    (k, nn) product of a component's stiffness rows besides the Grams and
+    the two (nn, 16) blocks of a chunk's product: it copies neither the
+    modes nor a strided component block."""
+    mesh = build_rectangle_mesh(Domain.rectangle(1.0, 1.0), 36, 36)
+    fem2d.rect_ops(mesh).Ks   # operators built outside the measurement
+    k = 120
+    V = np.random.default_rng(4).standard_normal((k, 3, mesh.n_nodes))
+    basis = BasisSet([SymTensorField2(mesh, v) for v in V], np.ones(k),
+                     np.eye(k), {}, nodal=V)
+    G, peak = traced_peak(basis_mod._h1_gram, basis)
+    assert G.shape == (k, k)
+    assert peak <= 1.5 * k * mesh.n_nodes * 8
 
 
 def test_load_basis_rejects_corruption(tmp_path, rect_basis):

@@ -52,22 +52,35 @@ def test_diff_outputs_reports_the_largest_move_per_file(tmp_path, capsys):
 
 def test_diff_outputs_compares_cache_files_by_content(tmp_path, capsys):
     """A cache file compares by its arrays and its meta's provenance and
-    report; the stored key, which holds the build identity, is skipped."""
-    def cache_file(root, key, eigenvalues):
+    report; the stored key, which holds the build identity, is skipped.
+    Below the file's largest move, each array and the meta give their own,
+    so a round-off figure of the report does not hide the arrays' moves."""
+    def cache_file(root, key, eigenvalues, offdiag):
         root.mkdir()
         write_tagged(str(root / "basis-0.sbbasis"), _BASIS_FORMAT,
                      {"key": key, "provenance": {"h": 0.125},
-                      "report": {"passed": True}},
+                      "report": {"passed": True, "max_offdiag_l2": offdiag}},
                      {"eigenvalues": np.array(eigenvalues),
                       "m_tags": np.array([-1, -1])})
 
-    cache_file(tmp_path / "a", {"build": "parent"}, [1.0, 2.0])
-    cache_file(tmp_path / "b", {"build": "change"}, [1.0, 2.0])
-    cache_file(tmp_path / "c", {"build": "change"}, [1.0, 2.0 + 4e-12])
-    for other, line in (("b", "0.00e+00"), ("c", "2.00e-12  eigenvalues")):
+    def lines(other):
         assert diff_outputs.main([str(tmp_path / "a"),
                                   str(tmp_path / other)]) == 0
-        assert capsys.readouterr().out.split(None, 1)[1].strip() == line
+        out = capsys.readouterr().out.splitlines()
+        return [out[0].split(None, 1)[1].strip()] + [
+            " ".join(line.split()) for line in out[1:]]
+
+    cache_file(tmp_path / "a", {"build": "parent"}, [1.0, 2.0], 1e-15)
+    cache_file(tmp_path / "b", {"build": "change"}, [1.0, 2.0], 1e-15)
+    cache_file(tmp_path / "c", {"build": "change"}, [1.0, 2.0 + 4e-12], 1e-15)
+    cache_file(tmp_path / "d", {"build": "change"}, [1.0, 2.0 + 4e-12], 2e-15)
+    assert lines("b") == ["0.00e+00", "eigenvalues identical",
+                          "m_tags identical", "meta identical"]
+    assert lines("c") == ["2.00e-12  eigenvalues", "eigenvalues 2.00e-12",
+                          "m_tags identical", "meta identical"]
+    assert lines("d") == ["1.00e+00  report.max_offdiag_l2",
+                          "eigenvalues 2.00e-12", "m_tags identical",
+                          "meta 1.00e+00 report.max_offdiag_l2"]
 
 
 def test_diff_outputs_reads_each_cache_file_by_its_own_tag(tmp_path, capsys):
@@ -88,6 +101,7 @@ def test_diff_outputs_reads_each_cache_file_by_its_own_tag(tmp_path, capsys):
     assert diff_outputs.main([str(tmp_path / "a"), str(tmp_path / "b")]) == 1
     out = capsys.readouterr().out.splitlines()
     assert out[0].split(None, 1)[1].strip() == "0.00e+00"
-    assert [line.strip() for line in out[1:]] == [
+    assert [" ".join(line.split()) for line in out[1:]] == [
+        "eigenvalues identical", "meta 0.00e+00",
         f"tag: 'SBBASIS 2' -> {_BASIS_FORMAT!r}", "gram_l2 in one tree only",
         "provenance.div_residuals in one tree only"]
