@@ -6,7 +6,8 @@ Usage:
 
 Every file under either directory is matched by its relative path. Per file
 one line is printed: ``identical`` when the bytes agree, otherwise the
-largest relative move and where it is:
+largest relative move, where it is and the two values that moved (``a -> b``,
+so a large relative move of a round-off zero reads as one):
 
 * ``report.json`` (any ``*.json``): over the numeric leaves, |a - b| / |a|
   (the absolute move where a is 0), named by the leaf's key path;
@@ -18,9 +19,9 @@ largest relative move and where it is:
   meta's ``provenance`` and ``report`` by the JSON rule. The stored ``key``
   is skipped: it holds the build identity, which every edit of the
   package's code moves. Below the file's line, one line per array and one
-  for the meta give each part's own largest move (``identical`` when it
-  agrees exactly), so a round-off figure of the stored report does not
-  hide how far the arrays moved;
+  for the meta give each part's own largest move and its two values
+  (``identical`` when the part agrees exactly), so a round-off figure of
+  the stored report does not hide how far the arrays moved;
 * other files: ``differs``.
 
 A file found in one tree only, a CSV whose header or row count differs, a
@@ -48,6 +49,10 @@ def _is_number(v):
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
+def _values(a, b):
+    return f"{a!r} -> {b!r}"
+
+
 def _rel(a, b, scale):
     if a == b or (math.isnan(a) and math.isnan(b)):
         return 0.0
@@ -57,7 +62,8 @@ def _rel(a, b, scale):
 
 
 def diff_json(a_path, b_path):
-    """(largest relative move, where, structural differences)."""
+    """(largest relative move, where and its two values, structural
+    differences)."""
     return diff_leaves(json.loads(a_path.read_text()),
                        json.loads(b_path.read_text()))
 
@@ -76,9 +82,9 @@ def diff_leaves(a, b, path=""):
                  for i, (x, y) in enumerate(zip(a, b))]
     elif _is_number(a) and _is_number(b):
         move = _rel(float(a), float(b), abs(float(a)))
-        return move, path if move else "", []
+        return move, f"{path}  {_values(a, b)}" if move else "", []
     else:
-        return 0.0, "", [] if a == b else [f"{path}: {a!r} -> {b!r}"]
+        return 0.0, "", [] if a == b else [f"{path}: {_values(a, b)}"]
     worst, where, structural = 0.0, "", []
     for move, at, lines in parts:
         structural += lines
@@ -101,17 +107,22 @@ def diff_csv(a_path, b_path):
                          f"{len(rb)} rows)"]
     worst, where = 0.0, ""
     for j, name in enumerate(ha):
-        move = _column_move([r[j] for r in ra], [r[j] for r in rb])
+        move, at = _column_move([r[j] for r in ra], [r[j] for r in rb])
         if move > worst:
-            worst, where = move, name
+            worst, where = move, f"{name}  {at}"
     return worst, where, []
 
 
 def _column_move(col_a, col_b):
-    """The largest |a - b| over the largest |a| of the column."""
+    """The largest |a - b| over the largest |a| of the column, and the two
+    values that moved so."""
     scale = max((abs(v) for v in col_a if not math.isnan(v)), default=0)
-    return max((_rel(x, y, scale) for x, y in zip(col_a, col_b)),
-               default=0.0)
+    worst, at = 0.0, ""
+    for x, y in zip(col_a, col_b):
+        move = _rel(x, y, scale)
+        if move > worst:
+            worst, at = move, _values(x, y)
+    return worst, at
 
 
 def _tag_line(path):
@@ -124,7 +135,7 @@ def diff_cache(a_path, b_path):
     and report by the JSON rule; the stored key is skipped. Returns the
     largest move, where it is, the structural differences and one
     (part, move, where) per array and for the meta (an array's where is
-    empty); the move is None when the part agrees exactly."""
+    its two values); the move is None when the part agrees exactly."""
     try:
         tags = [_tag_line(p) for p in (a_path, b_path)]
         (meta_a, arrays_a), (meta_b, arrays_b) = (
@@ -143,8 +154,8 @@ def diff_cache(a_path, b_path):
         elif np.array_equal(a, b, equal_nan=True):
             parts.append((name, None, ""))
         else:
-            parts.append((name, _column_move(a.ravel().tolist(),
-                                             b.ravel().tolist()), ""))
+            parts.append((name, *_column_move(a.ravel().tolist(),
+                                              b.ravel().tolist())))
     meta_move, meta_at = None, ""
     for part in ("provenance", "report"):
         a, b = meta_a.get(part), meta_b.get(part)
@@ -156,7 +167,7 @@ def diff_cache(a_path, b_path):
     worst, where = 0.0, ""
     for name, move, at in parts:
         if move is not None and move > worst:
-            worst, where = move, at or name
+            worst, where = move, at if name == "meta" else f"{name}  {at}"
     return worst, where, structural, parts
 
 

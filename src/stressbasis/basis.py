@@ -12,11 +12,14 @@ reflection-parity class of the mesh's mirror symmetries, the classes side by
 side on a thread pool with one BLAS thread per worker; on the annulus
 the problem reduces per azimuthal wavenumber m to a radial system whose
 constraint is eliminated by LU: with C^T = P L U (row pivoting), the kernel of
-C is spanned by the columns of P [-L1^-T L2^T; I], and the reduced dense pencil
-is solved by a symmetric-definite eigensolver. At m = 0 the system splits
-into two independent ones, the normal components with the radial equation
-and the shear with the tangential one, each eliminated and solved on its
-own.
+C is spanned by the columns of P [X; I] with X = -L1^-T L2^T. The reduced
+pencil Z^T A Z = X^T A_dd X + X^T A_df + A_fd X + A_ff (and the same for B)
+is formed from X and the sparse blocks of A and B on the dependent and free
+dofs, without writing Z, and solved in place by a symmetric-definite
+eigensolver. At m = 0 the system splits into two independent ones, the
+normal components with the radial equation and the shear with the
+tangential one; a sparse LU shows that the shear block's constraint has
+full column rank, so only the normal block is eliminated and solved.
 
 An alternative non-eigen backend orthonormalizes the stress fields of
 clamped polynomial "bump" potentials f(x) g(y) (exactly divergence-free and
@@ -46,7 +49,7 @@ from scipy.linalg import LinAlgWarning, eigh, lu_factor, qr
 from scipy.linalg.lapack import dtrtrs
 # unused; kept importable: the benchmark's traced run wraps it by name
 from scipy.linalg import null_space  # noqa: F401
-from scipy.sparse.linalg import eigsh
+from scipy.sparse.linalg import eigsh, splu
 
 from . import fem2d
 from .fields import (SymTensorField2, _ops, _weighted_product,
@@ -433,15 +436,18 @@ def _radial_blocks(ops: fem2d.RadialOps, m: int):
 _PIVOT_TOL = 1e-10
 
 
-def _kernel_by_lu(C: sp.spmatrix) -> np.ndarray:
-    """A basis of ker C (dense, full column rank, not orthonormal).
+def _kernel_by_lu(C: sp.spmatrix):
+    """ker C as (free, dep, X): the kernel basis Z (full column rank, not
+    orthonormal) has the identity in its rows ``free`` and X in its rows
+    ``dep``, so Z itself is never written.
 
     With C^T = P L U (row pivoting, L unit lower trapezoidal), z solves
-    C z = 0 iff (P^T z)^T L = 0, so the kernel is spanned by P [-L1^-T L2^T; I]
-    where L1 is the leading square block of L. Row pivoting bounds |L| by 1,
-    which keeps the basis well conditioned. Rows of C whose pivot vanishes
-    depend on earlier rows: trailing ones are cut off the factorization,
-    others are dropped and C is factored again.
+    C z = 0 iff (P^T z)^T L = 0, so the kernel is spanned by P [X; I] with
+    X = -L1^-T L2^T, where L1 is the leading square block of L: ``dep`` are
+    the first rank(C) pivot rows, ``free`` the rest. Row pivoting bounds |L|
+    by 1, which keeps the basis well conditioned. Rows of C whose pivot
+    vanishes depend on earlier rows: trailing ones are cut off the
+    factorization, others are dropped and C is factored again.
     """
     # C^T of a C-ordered array is Fortran-ordered: factored in place. A
     # vanishing pivot is expected here and handled below
@@ -454,18 +460,48 @@ def _kernel_by_lu(C: sp.spmatrix) -> np.ndarray:
     r = int(indep.sum())
     if not indep[:r].all():
         return _kernel_by_lu(C[np.flatnonzero(indep)])
-    n = LU.shape[0]
-    perm = np.arange(n)
+    perm = np.arange(LU.shape[0])
     for i, j in enumerate(swaps):
         perm[[i, j]] = perm[[j, i]]
     # L1 is read in place as the leading r columns of LU (leading dimension
-    # n), only its strict lower triangle; LU is dropped before Z is written
+    # n), only its strict lower triangle; LU is dropped before X is negated
+    # into C order, the order in which sparse products read it
     X = dtrtrs(LU[:, :r], LU[r:, :r].T, lower=1, trans=1, unitdiag=1)[0]
     del LU
-    Z = np.zeros((n, n - r))
-    Z[perm[:r]] = np.negative(X, out=X)
-    Z[perm[r:], np.arange(n - r)] = 1.0
-    return Z
+    return perm[r:], perm[:r], np.negative(X, order="C")
+
+
+def _full_column_rank(C: sp.spmatrix) -> bool:
+    """True when a sparse LU shows ker C = 0: C has at least as many rows as
+    columns and its middle square row block has no vanishing pivot."""
+    nr, nc = C.shape
+    if nr < nc:
+        return False
+    lo = (nr - nc) // 2
+    try:
+        piv = np.abs(splu(sp.csc_matrix(C[lo:lo + nc])).U.diagonal())
+    except RuntimeError:             # an exactly singular block
+        return False
+    return bool(piv.min() > _PIVOT_TOL * piv.max())
+
+
+def _reduced(A: sp.spmatrix, free, dep, X) -> np.ndarray:
+    """Z^T A Z for the kernel basis Z of ``_kernel_by_lu`` (A symmetric),
+    from the sparse blocks as X^T (A_dd X + A_df) + A_fd X + A_ff.
+
+    Holds one (dep, free) product at a time besides the result, and never
+    A Z. The result is returned transposed, a Fortran-ordered view: its
+    upper triangle holds the lower triangle of the sum as formed here.
+    """
+    T = A[dep][:, dep] @ X
+    Adf = A[dep][:, free].tocoo()
+    T[Adf.row, Adf.col] += Adf.data
+    M = X.T @ T
+    del T
+    M += A[free][:, dep] @ X
+    Aff = A[free][:, free].tocoo()
+    M[Aff.row, Aff.col] += Aff.data
+    return M.T
 
 
 def _solve_radial_m(mesh: RadialMesh, m: int, n_modes: int):
@@ -476,9 +512,13 @@ def _solve_radial_m(mesh: RadialMesh, m: int, n_modes: int):
     with the tangential equation, are uncoupled (the 4mW blocks of A and the
     mW1 blocks of C vanish). Each block is then solved on its own, its
     kernel and pencil a fraction of the coupled ones, and the eigenpairs are
-    merged by lambda; the shear block's kernel is empty, since
-    r^2 sigma_rt = const vanishes under the end conditions. For m >= 1 the
-    system is solved coupled.
+    merged by lambda. The shear block's kernel is empty, since
+    r^2 sigma_rt = const vanishes under the end conditions; a sparse LU of
+    its banded constraint shows that without a dense factorization. For
+    m >= 1 the system is solved coupled.
+
+    The reduced pencils are formed from the kernel's LU block X and the
+    sparse blocks of A and B (``_reduced``) and solved by ``eigh`` in place.
     """
     ops = fem2d.radial_ops(mesh)
     nn = mesh.n_nodes
@@ -493,16 +533,22 @@ def _solve_radial_m(mesh: RadialMesh, m: int, n_modes: int):
         systems = [(slice(None), keep)]
     lam, cols = [np.empty(0)], [np.empty((3 * nn, 0))]
     for rows, dofs in systems:
-        Zn = _kernel_by_lu(C[rows][:, dofs])
-        if Zn.shape[1] == 0:
+        Cb = C[rows][:, dofs]
+        if _full_column_rank(Cb):
             continue
-        Ak = A[dofs][:, dofs]
-        Bk = B[dofs][:, dofs]
-        # eigh B-normalizes the eigenvectors, so Zn need not be orthonormal
-        lam_b, Yv = eigh(Zn.T @ (Ak @ Zn), Zn.T @ (Bk @ Zn))
+        free, dep, X = _kernel_by_lu(Cb)
+        if len(free) == 0:
+            continue
+        free, dep = dofs[free], dofs[dep]
+        # eigh B-normalizes the eigenvectors, so the kernel basis need not be
+        # orthonormal; it reads the upper triangle of each Fortran view
+        lam_b, V = eigh(_reduced(A, free, dep, X), _reduced(B, free, dep, X),
+                        lower=False, overwrite_a=True, overwrite_b=True)
         k = min(n_modes, len(lam_b))
         full = np.zeros((3 * nn, k))
-        full[dofs] = Zn @ Yv[:, :k]
+        full[free] = V[:, :k]
+        full[dep] = X @ V[:, :k]
+        del X, V
         lam.append(lam_b[:k])
         cols.append(full)
     lam, cols = np.concatenate(lam), np.hstack(cols)

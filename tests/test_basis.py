@@ -11,7 +11,8 @@ from scipy.linalg import eigh, null_space
 import stressbasis
 from stressbasis import basis as basis_mod, fem2d
 from stressbasis._cache import read_tagged, write_tagged
-from stressbasis.basis import (BasisError, BasisSet, _kernel_by_lu, _radial_blocks, _solve_radial_m,
+from stressbasis.basis import (BasisError, BasisSet, _full_column_rank,
+                               _kernel_by_lu, _radial_blocks, _solve_radial_m,
                                airy_bump_basis, load_basis, parity_classes,
                                save_basis, solve_basis_annulus,
                                solve_basis_rectangle, verify_basis)
@@ -84,6 +85,16 @@ def _sign_fixed(cols):
     return cols * np.sign(cols[rows, np.arange(cols.shape[1])])
 
 
+def _kernel_basis(C):
+    """The kernel basis Z of ``_kernel_by_lu`` written out: the identity in
+    its free rows, X in its dependent ones."""
+    free, dep, X = _kernel_by_lu(C)
+    Z = np.zeros((C.shape[1], len(free)))
+    Z[free, np.arange(len(free))] = 1.0
+    Z[dep] = X
+    return Z
+
+
 @pytest.mark.parametrize("m", [0, 1, 2, 3])
 def test_radial_kernel_by_lu_matches_svd(m):
     """The LU kernel spans ker C and reproduces the SVD-based eigenpairs."""
@@ -91,7 +102,7 @@ def test_radial_kernel_by_lu_matches_svd(m):
     nn = mesh.n_nodes
     A, B, C = _radial_blocks(fem2d.radial_ops(mesh), m)
     keep = np.setdiff1d(np.arange(3 * nn), [0, nn - 1, 2 * nn, 3 * nn - 1])
-    Z = _kernel_by_lu(C[:, keep])
+    Z = _kernel_basis(C[:, keep])
     Ck = C[:, keep].toarray()
     Zs = null_space(Ck)
     assert np.abs(Ck @ Z).max() <= 1e-12 * np.abs(Ck).max()
@@ -114,7 +125,7 @@ def test_kernel_by_lu_drops_dependent_rows():
     rng = np.random.default_rng(3)
     C = rng.standard_normal((4, 9))
     C[1] = 2.0 * C[0]
-    Z = _kernel_by_lu(sp.csr_matrix(C))
+    Z = _kernel_basis(sp.csr_matrix(C))
     assert Z.shape == (9, 6)
     assert np.abs(C @ Z).max() <= 1e-12 * np.abs(C).max()
     assert np.linalg.matrix_rank(Z) == 6
@@ -313,13 +324,14 @@ def test_nodal_gram_peak_memory(traced_peak):
 
 
 def test_kernel_by_lu_peak_memory(traced_peak):
-    """The dense LU is dropped before the kernel is written: the call holds
-    no more than the dense C and the kernel."""
+    """The dense LU is dropped before X is copied into C order: the call
+    holds no more than the dense C and the kernel basis written out."""
     mesh = build_radial_grid(Domain.annulus(0.1, 0.3), 64)
     nn = mesh.n_nodes
     C = _radial_blocks(fem2d.radial_ops(mesh), 2)[2]
     C = C[:, np.setdiff1d(np.arange(3 * nn), [0, nn - 1, 2 * nn, 3 * nn - 1])]
-    Z, peak = traced_peak(_kernel_by_lu, C)
+    _, peak = traced_peak(_kernel_by_lu, C)
+    Z = _kernel_basis(C)
     assert peak <= 8 * C.shape[0] * C.shape[1] + Z.nbytes
 
 
@@ -338,21 +350,64 @@ def test_radial_solve_splits_the_axisymmetric_system(monkeypatch):
         assert widths and widths.count(coupled) == want
 
 
-def test_axisymmetric_radial_solve_peak_memory(traced_peak):
-    """At m = 0 the solve holds the normal block's kernel (dofs x r), its two
-    r x r pencils and what ``eigh`` adds to them (copies of both and the gvd
-    workspace of 2 r^2), besides the sparse operators and their block
-    slices; the coupled solve's kernel alone is 1.5 times the block's."""
+def test_shear_block_kernel_is_shown_empty_by_a_sparse_lu(monkeypatch):
+    """At m = 0 the shear block's constraint has full column rank, which a
+    sparse LU of its banded rows shows: ``_kernel_by_lu`` factors only the
+    normal block. Taking the dense path instead gives the same solve."""
+    mesh = build_radial_grid(Domain.annulus(0.1, 0.3), 24)
+    nn = mesh.n_nodes
+    C = _radial_blocks(fem2d.radial_ops(mesh), 0)[2]
+    assert _full_column_rank(C[nn:][:, 2 * nn + 1:3 * nn - 1])
+    assert not _full_column_rank(C[:nn][:, 1:2 * nn - 1])
+    assert not _full_column_rank(sp.csr_matrix(np.eye(4)[:, [0, 1, 1]]))
+    real = basis_mod._kernel_by_lu
+    shapes = []
+    monkeypatch.setattr(basis_mod, "_kernel_by_lu", lambda C: (
+        shapes.append(C.shape), real(C))[1])
+    lam, cols = _solve_radial_m(mesh, 0, 10)
+    assert shapes == [(nn, 2 * nn - 2)]
+    monkeypatch.setattr(basis_mod, "_full_column_rank", lambda C: False)
+    lam_d, cols_d = _solve_radial_m(mesh, 0, 10)
+    assert shapes[1:] == [(nn, 2 * nn - 2), (nn, nn - 2)]
+    assert np.array_equal(lam, lam_d) and np.array_equal(cols, cols_d)
+
+
+def _radial_solve_peak(traced_peak, m):
+    """(traced peak of ``_solve_radial_m`` at nel 128 and 100 modes, its
+    live set): the kernel's LU block X (r x k, r the dependent dofs, k the
+    kernel dimension), the two k x k pencils and the gvd workspace of
+    ``eigh`` (2 k^2; the pencils are solved in place), or the dense LU of
+    the constraint (n x r, n = r + k dofs) held with X, whichever is larger,
+    besides the sparse operators and their block slices."""
     mesh = build_radial_grid(Domain.annulus(0.1, 0.3), 128)
     nn = mesh.n_nodes
-    A, B, C = _radial_blocks(fem2d.radial_ops(mesh), 0)
+    A, B, C = _radial_blocks(fem2d.radial_ops(mesh), m)
     sparse = sum(M.data.nbytes + M.indices.nbytes + M.indptr.nbytes
                  for M in (A, B, C))
-    dofs = 2 * nn - 2
-    r = dofs - nn
-    (lam, cols), peak = traced_peak(_solve_radial_m, mesh, 0, 100)
+    keep = np.setdiff1d(np.arange(3 * nn), [0, nn - 1, 2 * nn, 3 * nn - 1])
+    if m == 0:      # the normal block; the shear block's kernel is empty
+        C, keep = C[:nn], keep[keep < 2 * nn]
+    free, dep, _ = _kernel_by_lu(C[:, keep])
+    n, r, k = len(keep), len(dep), len(free)
+    (lam, cols), peak = traced_peak(_solve_radial_m, mesh, m, 100)
     assert len(lam) == 100
-    assert peak <= 8 * (dofs * r + 6 * r * r) + 2 * sparse
+    return peak, 8 * max(r * k + 4 * k * k, n * r + r * k) + 2 * sparse
+
+
+def test_axisymmetric_radial_solve_peak_memory(traced_peak):
+    """At m = 0 the normal block's solve holds X (r about k), its two
+    pencils and the gvd workspace, about 5 k^2: neither the kernel basis nor
+    its products with A and B are written."""
+    peak, live = _radial_solve_peak(traced_peak, 0)
+    assert peak <= live
+
+
+def test_coupled_radial_solve_peak_memory(traced_peak):
+    """At m >= 1, where r is about 2 k, the dense LU of the coupled
+    constraint held with X (8 k^2) is the larger phase; the pencils and
+    ``eigh`` stay within it."""
+    peak, live = _radial_solve_peak(traced_peak, 1)
+    assert peak <= live
 
 
 def test_h1_gram_peak_memory(traced_peak):

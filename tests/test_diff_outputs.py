@@ -23,8 +23,8 @@ def _tree(root, report, csv_text, extra=None):
 
 def test_diff_outputs_reports_the_largest_move_per_file(tmp_path, capsys):
     """Numeric moves are relative to the first tree (CSV columns to their
-    largest value) and exit 0; a changed verdict or a file in one tree only
-    exits 1."""
+    largest value) and exit 0, each printed with the two values that moved;
+    a changed verdict or a file in one tree only exits 1."""
     report = {"true_energy": 2.0, "checks": {"slope": {"passed": True,
                                                        "value": -0.5}}}
     _tree(tmp_path / "a", report, "N,E_N\n1,0.5\n2,\n",
@@ -37,8 +37,8 @@ def test_diff_outputs_reports_the_largest_move_per_file(tmp_path, capsys):
     out = dict(line.split(None, 1) for line in
                capsys.readouterr().out.strip().splitlines())
     assert out["same.txt"] == "identical"
-    assert out["p/report.json"] == "1.00e-12  true_energy"
-    assert out["p/convergence.csv"] == "2.00e-07  E_N"
+    assert out["p/report.json"] == "1.00e-12  true_energy  2.0 -> 2.000000000002"
+    assert out["p/convergence.csv"] == "2.00e-07  E_N  0.5 -> 0.5000001"
 
     moved["checks"]["slope"]["passed"] = False
     (tmp_path / "b" / "p" / "report.json").write_text(json.dumps(moved))
@@ -48,6 +48,20 @@ def test_diff_outputs_reports_the_largest_move_per_file(tmp_path, capsys):
     assert "checks.slope.passed: True -> False" in out
     assert f"only in {tmp_path / 'a'}" in next(
         line for line in out.splitlines() if line.startswith("same.txt"))
+
+
+def test_diff_outputs_shows_a_round_off_zero_by_its_values(tmp_path, capsys):
+    """A leaf at round-off whose relative move is large prints its two
+    values, so the line shows the move is round-off in absolute terms."""
+    report = {"cesaro": {"PT": [6.9e-18, 0.25]}, "true_energy": 2.0}
+    _tree(tmp_path / "a", report, "N,E_N\n1,0.5\n")
+    report = {"cesaro": {"PT": [1.4e-17, 0.25]}, "true_energy": 2.0 + 2e-12}
+    _tree(tmp_path / "b", report, "N,E_N\n1,0.5\n")
+    assert diff_outputs.main([str(tmp_path / "a"), str(tmp_path / "b")]) == 0
+    out = dict(line.split(None, 1) for line in
+               capsys.readouterr().out.strip().splitlines())
+    assert out["p/report.json"] == "1.03e+00  cesaro.PT[0]  6.9e-18 -> 1.4e-17"
+    assert out["p/convergence.csv"] == "identical"
 
 
 def test_diff_outputs_compares_cache_files_by_content(tmp_path, capsys):
@@ -76,11 +90,13 @@ def test_diff_outputs_compares_cache_files_by_content(tmp_path, capsys):
     cache_file(tmp_path / "d", {"build": "change"}, [1.0, 2.0 + 4e-12], 2e-15)
     assert lines("b") == ["0.00e+00", "eigenvalues identical",
                           "m_tags identical", "meta identical"]
-    assert lines("c") == ["2.00e-12  eigenvalues", "eigenvalues 2.00e-12",
+    assert lines("c") == ["2.00e-12  eigenvalues  2.0 -> 2.000000000004",
+                          "eigenvalues 2.00e-12 2.0 -> 2.000000000004",
                           "m_tags identical", "meta identical"]
-    assert lines("d") == ["1.00e+00  report.max_offdiag_l2",
-                          "eigenvalues 2.00e-12", "m_tags identical",
-                          "meta 1.00e+00 report.max_offdiag_l2"]
+    assert lines("d") == [
+        "1.00e+00  report.max_offdiag_l2  1e-15 -> 2e-15",
+        "eigenvalues 2.00e-12 2.0 -> 2.000000000004", "m_tags identical",
+        "meta 1.00e+00 report.max_offdiag_l2 1e-15 -> 2e-15"]
 
 
 def test_diff_outputs_reads_each_cache_file_by_its_own_tag(tmp_path, capsys):
