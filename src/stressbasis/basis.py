@@ -28,13 +28,16 @@ traction-free), evaluated from 1-D tables of the factors f and g.
 A basis gives the L2 and strain-energy Grams and the pairings of a tag
 group (``BasisSet.gram``, ``BasisSet.pairing``). An eigenbasis holds its
 modes as views of one (k, 3, n_nodes) array and forms them from the nodal
-components through the weighted mass matrix (``fields.nodal_gram``); an airy
-basis from the quadrature stack it stores.
+components through the weighted mass matrix (``fields.nodal_gram``). An
+airy basis holds its modes' potential coefficients and the 1-D factor
+tables of the quadrature points, and adds up the contributions of blocks
+of element rows, each block's values of all modes formed at once.
 """
 from __future__ import annotations
 
 import contextlib
 import ctypes
+import functools
 import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -52,11 +55,11 @@ from scipy.linalg import null_space  # noqa: F401
 from scipy.sparse.linalg import eigsh, splu
 
 from . import fem2d
-from .fields import (SymTensorField2, _ops, _weighted_product,
-                     _zero_divergence, equilibrium_residual, nodal_gram,
-                     nodal_pairing, quad_metric, scalar_gram, sparse_rows,
-                     tensor_gram)
-from .materials import compliance_on_quad, modulus_on_quad
+from .fields import (SymTensorField2, _interior_norm, _ops,
+                     _traction_mismatch, _weighted_product, _zero_divergence,
+                     equilibrium_residual, nodal_gram, nodal_pairing,
+                     quad_metric, scalar_gram, sparse_rows)
+from .materials import modulus_on_quad
 from ._cache import _openblas, read_tagged, write_tagged
 from .meshes import Domain, RadialMesh, RectangleMesh
 
@@ -86,10 +89,9 @@ class BasisSet:
     provenance: dict
     # ``verify_basis`` of the basis, computed once; SBBASIS files store it
     report: BasisReport | None = dc_field(default=None, compare=False)
-    # the quadrature stack of all modes, for a basis that stores it
-    # (``airy_bump_basis``)
-    quad_stack: np.ndarray | None = dc_field(default=None, repr=False,
-                                             compare=False)
+    # the potentials of an airy basis's modes (``airy_bump_basis``)
+    airy: _AiryModes | None = dc_field(default=None, repr=False,
+                                       compare=False)
     # (k, 3, n_nodes): the array an eigenbasis's modes are views of
     nodal: np.ndarray | None = dc_field(default=None, repr=False,
                                         compare=False)
@@ -124,32 +126,54 @@ class BasisSet:
     def gram(self, m=None, parity=None, material=None) -> np.ndarray:
         """The L2 Gram <phi_j, phi_i> of the tag group (m, parity), or the
         strain-energy Gram <C^-1 phi_j, phi_i> of a ``material``; not
-        symmetrized. Nodal modes go through ``fields.nodal_gram``; a stored
-        stack (airy) through the law four modes at a time, so the law's
-        output is a small slice of it. Neither caller nor solver asks which
-        kind of basis it holds."""
-        if self.quad_stack is None:
+        symmetrized. Nodal modes go through ``fields.nodal_gram``. An airy
+        basis sums the products of its blocks of quadrature points
+        (``_AiryModes.quad_blocks``), the law applied to one block's values
+        of all modes at a time with the block's slice of the modulus. Neither
+        caller nor solver asks which kind of basis it holds."""
+        if self.airy is None:
             V = self._nodal(m, parity)
             if material is None:
                 return nodal_gram(self.mesh, m, parity, V)
             return nodal_gram(self.mesh, m, parity, V, material.S,
                               1.0 / modulus_on_quad(material, self.mesh))
-        Q = self.quad_stack
-        G = np.empty((Q.shape[2],) * 2)
-        for s in range(0, len(G), 4):
-            B = Q[:, :, s:s + 4]
-            if material is not None:
-                B = compliance_on_quad(material, self.mesh, B)
-            G[s:s + 4] = tensor_gram(self.mesh, m, parity, B, Q)
+        w, fac = quad_metric(self.mesh)
+        if material is not None:
+            Y = modulus_on_quad(material, self.mesh)
+        G = np.zeros((len(self),) * 2)
+        for q, B in self.airy.quad_blocks(self.mesh):
+            E = B if material is None else material.compliance_on_values(
+                B, Y if material.uniform else Y[q, None])
+            for c, f in enumerate(fac):
+                G += f * _weighted_product(w[q], E[c], B[c])
+            del B, E        # before the next block is formed
         return G
 
     def pairing(self, m, parity, A, n=None) -> np.ndarray:
         """<A, phi_i> of quadrature values A (3, nq) with the leading n
         modes of the tag group (m, parity)."""
-        if self.quad_stack is None:
+        if self.airy is None:
             return nodal_pairing(self.mesh, m, parity, A,
                                  self._nodal(m, parity, n))
-        return tensor_gram(self.mesh, m, parity, A, self.quad_stack[:, :, :n])
+        w, fac = quad_metric(self.mesh)
+        out = np.zeros(len(self.airy.coefs[:n]))
+        for q, B in self.airy.quad_blocks(self.mesh, n):
+            for c, f in enumerate(fac):
+                out += f * _weighted_product(w[q], A[c, q], B[c])
+            del B
+        return out
+
+    def _combination(self, a, idx) -> SymTensorField2:
+        """sum_j a[j] phi_idx[j] as one field, its terms summed in order:
+        the nodal field of the summed components, or for an airy basis the
+        field of the summed potential coefficients."""
+        tag = self.modes[idx[0]]
+        comps = sum(c * self.modes[i].components for c, i in zip(a, idx))
+        if self.airy is None:
+            return SymTensorField2(tag.mesh, comps, m=tag.m,
+                                   parity=tag.parity)
+        C = sum(c * self.airy.coefs[i] for c, i in zip(a, idx))
+        return self.airy.field(tag.mesh, C, comps)
 
     def select(self, m=None, parity=None) -> list:
         """Indices of modes matching a radial tag (all modes on rectangles)."""
@@ -518,7 +542,8 @@ def _solve_radial_m(mesh: RadialMesh, m: int, n_modes: int):
     m >= 1 the system is solved coupled.
 
     The reduced pencils are formed from the kernel's LU block X and the
-    sparse blocks of A and B (``_reduced``) and solved by ``eigh`` in place.
+    sparse blocks of A and B (``_reduced``) and solved by ``eigh`` in place,
+    for the n_modes smallest pairs of each system.
     """
     ops = fem2d.radial_ops(mesh)
     nn = mesh.n_nodes
@@ -540,11 +565,15 @@ def _solve_radial_m(mesh: RadialMesh, m: int, n_modes: int):
         if len(free) == 0:
             continue
         free, dep = dofs[free], dofs[dep]
+        k = min(n_modes, len(free))
         # eigh B-normalizes the eigenvectors, so the kernel basis need not be
-        # orthonormal; it reads the upper triangle of each Fortran view
+        # orthonormal; it reads the upper triangle of each Fortran view. It
+        # asks for the k kept pairs only (LAPACK sygvx) when they are fewer
+        # than all: that holds O(k) workspace besides the pencils, not the
+        # 2k^2 of the full solve (sygvd), which is faster when all are kept
         lam_b, V = eigh(_reduced(A, free, dep, X), _reduced(B, free, dep, X),
-                        lower=False, overwrite_a=True, overwrite_b=True)
-        k = min(n_modes, len(lam_b))
+                        lower=False, overwrite_a=True, overwrite_b=True,
+                        subset_by_index=[0, k - 1] if k < len(free) else None)
         full = np.zeros((3 * nn, k))
         full[free] = V[:, :k]
         full[dep] = X @ V[:, :k]
@@ -753,12 +782,70 @@ _AIRY_FACTORS = ((0, 2, 1.0), (2, 0, 1.0), (1, 1, -1.0))
 
 
 def _airy_values(tables, C):
-    """(3, n_points) components at the points of ``tables`` of the stress of
-    the potential sum_jk C[j, k] f_j(x) g_k(y), each gathered from the
-    product s F_a^T C G_b on the distinct abscissae."""
+    """(3, n_points) components at the points of ``tables`` of the stress
+    of the potential sum_jk C[j, k] f_j(x) g_k(y), or (3, n_points, n) of n
+    such potentials C (n, J, K) at once: each gathered from the products
+    s F_a^T C G_b on the distinct abscissae, formed for all potentials by
+    two products whose sums are those of one potential's."""
     F, G, ix, iy = tables
-    return np.stack([(s * (F[a].T @ C @ G[b]))[ix, iy]
-                     for a, b, s in _AIRY_FACTORS])
+    J, K = C.shape[-2:]
+    nx, ny = F.shape[2], G.shape[2]
+    Cs = C.swapaxes(0, -2).reshape(J, -1)          # (J, n K)
+    out = np.stack([s * ((F[a].T @ Cs).reshape(-1, K) @ G[b]).reshape(
+        nx, -1, ny)[ix, :, iy] for a, b, s in _AIRY_FACTORS])
+    return out if C.ndim == 3 else out[..., 0]
+
+
+# element rows per block of quadrature points in the airy Grams and
+# pairings: a block's values of all modes, the law's output and its
+# temporaries stay a small fraction of the quadrature stack (at 12x12/40,
+# below 0.3 of it with one row)
+_AIRY_BLOCK_ROWS = 1
+
+
+@dataclass(frozen=True, eq=False)
+class _AiryModes:
+    """The modes of an airy basis as potential coefficients ``coefs``
+    (n, J, K) of the clamped polynomials ``fx`` (f_j(x)) and ``fy``
+    (g_k(y)), with the 1-D tables of the factors at the distinct quadrature
+    abscissae: ``quad`` = (ux, F, uy, G), F[d, j] = f_j^(d)(ux) and
+    G[d, k] = g_k^(d)(uy)."""
+
+    fx: np.ndarray
+    fy: np.ndarray
+    coefs: np.ndarray
+    quad: tuple
+
+    def values(self, x, y, C):
+        """The stress of the potential(s) C at the points (x, y), which are
+        tabulated for the call (``_airy_values``)."""
+        return _airy_values(_bump_tables(self.fx, self.fy, x, y), C)
+
+    def field(self, mesh, C, comps) -> SymTensorField2:
+        """The exact field of the potential C, with nodal components
+        ``comps``."""
+        return SymTensorField2(mesh, comps, div_fn=_zero_divergence,
+                               fn=functools.partial(self.values, C=C))
+
+    def quad_blocks(self, mesh, n=None):
+        """(slice of the quadrature points, their values (3, n_points, n) of
+        the leading n modes) for blocks of ``_AIRY_BLOCK_ROWS`` element rows.
+        A block reads the columns of F and G from the first to the last of
+        its abscissae (all x, a few y), which are the distinct abscissae of
+        its points, so each value is the one its mode's ``at_quad`` gives,
+        bit for bit."""
+        ux, F, uy, G = self.quad
+        ops = _ops(mesh)
+        step = _AIRY_BLOCK_ROWS * (ops.nq // mesh.nely)
+        coefs = self.coefs[:n]
+        for s in range(0, ops.nq, step):
+            q = slice(s, s + step)
+            ix = np.searchsorted(ux, ops.qx[q])
+            iy = np.searchsorted(uy, ops.qy[q])
+            x0, y0 = ix.min(), iy.min()
+            tables = (F[..., x0:ix.max() + 1], G[..., y0:iy.max() + 1],
+                      ix - x0, iy - y0)
+            yield q, _airy_values(tables, coefs)
 
 
 def airy_bump_basis(mesh: RectangleMesh, n: int) -> BasisSet:
@@ -773,7 +860,8 @@ def airy_bump_basis(mesh: RectangleMesh, n: int) -> BasisSet:
     (nodes, quadrature points, a side) is a tensor grid: the factors are
     tabulated once per set (``_bump_tables``) and the modes evaluated from
     the tables (``_airy_values``); a mode's ``fn`` tabulates the points it
-    is given.
+    is given. The basis keeps the coefficients and the quadrature tables
+    (``_AiryModes``), no quadrature values.
     """
     if n < 1:
         raise BasisError("n must be >= 1")
@@ -787,8 +875,7 @@ def airy_bump_basis(mesh: RectangleMesh, n: int) -> BasisSet:
           else _bump_polys(jr.max() + 1, Lx))
 
     ops = _ops(mesh)
-    quad = _bump_tables(fx, fy, ops.qx, ops.qy)
-    Fq, Gq, ix, iy = quad
+    Fq, Gq, ix, iy = _bump_tables(fx, fy, ops.qx, ops.qy)
     # the Grams of the potentials, as ``tensor_gram`` and ``scalar_gram`` sum
     # them, with one raw component (nq, n) held besides the trace
     w, fac = quad_metric(mesh)
@@ -802,6 +889,7 @@ def airy_bump_basis(mesh: RectangleMesh, n: int) -> BasisSet:
         elif c == 1:
             Tr += V
         del V
+    del ix, iy
     G = _symmetric(G)
     Gt = _symmetric(scalar_gram(mesh, None, None, Tr, Tr))
     del Tr
@@ -817,6 +905,8 @@ def airy_bump_basis(mesh: RectangleMesh, n: int) -> BasisSet:
     coefs = np.zeros((T.shape[1], fx.shape[2], fy.shape[2]))
     coefs[:, jr, kr] = T.T
 
+    airy = _AiryModes(fx, fy, coefs,
+                      (np.unique(ops.qx), Fq, np.unique(ops.qy), Gq))
     nodes = _bump_tables(fx, fy, *mesh.node_coords.T)
     modes = []
     for c, C in enumerate(coefs):
@@ -824,14 +914,7 @@ def airy_bump_basis(mesh: RectangleMesh, n: int) -> BasisSet:
         if flipped:
             T[:, c] = -T[:, c]
             C *= -1.0
-        modes.append(SymTensorField2(
-            mesh, comps, div_fn=_zero_divergence,
-            fn=lambda x, y, C=C: _airy_values(_bump_tables(fx, fy, x, y), C)))
-
-    # the basis keeps the quadrature stack of its modes
-    Q = np.empty((3, ops.nq, len(modes)))
-    for c, C in enumerate(coefs):
-        Q[:, :, c] = _airy_values(quad, C)
+        modes.append(airy.field(mesh, C, comps))
     return BasisSet(modes, None, _symmetric(T.T @ Gt @ T), {
         "backend": "airy-bump",
         "mesh_hash": mesh.mesh_hash(),
@@ -839,7 +922,7 @@ def airy_bump_basis(mesh: RectangleMesh, n: int) -> BasisSet:
                  "xs": mesh.xs.tolist(), "ys": mesh.ys.tolist()},
         "n_requested": n,
         "rank_truncated": truncated,
-    }, quad_stack=Q)
+    }, airy=airy)
 
 
 # ---------------------------------------------------------------------------
@@ -935,6 +1018,21 @@ def div_tolerance_rule() -> str:
     return f"{DIV_TOL_FACTOR:g} * h * lambda^0.75"
 
 
+def _airy_residuals(basis: BasisSet):
+    """The interior divergence and boundary traction of every airy mode, as
+    ``equilibrium_residual`` measures them, with each side tabulated once
+    for all modes."""
+    airy = basis.airy
+    ops = _ops(basis.mesh)
+    div = np.array([_interior_norm(md) for md in basis.modes])
+    bc = np.zeros(len(basis))
+    for tag in ("left", "right", "bottom", "top"):
+        ex, ey, _ = ops.edge_quad(tag)
+        ev = airy.values(ex, ey, airy.coefs)
+        bc = np.maximum(bc, _traction_mismatch(ops, tag, ev))
+    return div, bc
+
+
 def verify_basis(basis: BasisSet) -> BasisReport:
     """Orthogonality, equilibrium and Rayleigh-consistency report, every
     figure measured from the modes."""
@@ -966,9 +1064,12 @@ def verify_basis(basis: BasisSet) -> BasisReport:
         if max_ray > RAYLEIGH_TOL:
             failures.append(f"Rayleigh deviation {max_ray:.2e} > {RAYLEIGH_TOL:.0e}")
 
-    reports = [equilibrium_residual(md) for md in basis.modes]
-    div = np.array([r.interior_norm for r in reports])
-    bc = np.array([r.boundary_mismatch for r in reports])
+    if basis.airy is None:
+        reports = [equilibrium_residual(md) for md in basis.modes]
+        div = np.array([r.interior_norm for r in reports])
+        bc = np.array([r.boundary_mismatch for r in reports])
+    else:
+        div, bc = _airy_residuals(basis)
     if eigen:
         h = basis.provenance["h"]
         dtol = np.array([DIV_TOL_FACTOR * h * float(lam) ** 0.75

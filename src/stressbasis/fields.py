@@ -358,17 +358,7 @@ def equilibrium_residual(A: SymTensorField2,
     quadrature points, with tau taken from ``loading`` (zero when absent).
     """
     ops = _ops(A.mesh)
-    res = A.divergence_quad()
-    b = loading.body_force if loading is not None else None
-    if b is not None:
-        if isinstance(A.mesh, RadialMesh):
-            raise FieldError("body forces are defined on rectangle meshes only")
-        res = res + [np.broadcast_to(v, ops.qx.shape) for v in b(ops.qx, ops.qy)]
-    # radially, the r and theta divergence profiles vary in theta as the
-    # normal and the shear components do
-    w, fac = quad_metric(A.mesh, A.m, A.parity)
-    interior = float(np.sqrt(max(fac[0] * np.dot(w, res[0]**2)
-                                 + fac[2] / 2 * np.dot(w, res[1]**2), 0.0)))
+    interior = _interior_norm(A, loading)
     mismatch = 0.0
     if isinstance(A.mesh, RadialMesh):
         bc = loading.boundary_stress if loading is not None else {}
@@ -384,18 +374,39 @@ def equilibrium_residual(A: SymTensorField2,
         return EquilibriumReport(interior, mismatch, loading)
 
     for tag in ("left", "right", "bottom", "top"):
-        nx, ny = ops.edge_normal(tag)
-        ev = A.edge_values(tag)
-        tAx = ev[0] * nx + ev[2] * ny
-        tAy = ev[2] * nx + ev[1] * ny
+        tau = (0.0, 0.0)
         if loading is not None:
             ex, ey, _ = ops.edge_quad(tag)
-            tx, ty = loading.traction_at(tag, ex, ey)
-        else:
-            tx = ty = 0.0
-        mismatch = max(mismatch, float(np.max(np.abs(tAx - tx))),
-                       float(np.max(np.abs(tAy - ty))))
+            tau = loading.traction_at(tag, ex, ey)
+        mismatch = max(mismatch, float(_traction_mismatch(
+            ops, tag, A.edge_values(tag), tau)))
     return EquilibriumReport(interior, mismatch, loading)
+
+
+def _interior_norm(A: SymTensorField2, loading=None) -> float:
+    """The ``interior_norm`` of ``equilibrium_residual``."""
+    ops = _ops(A.mesh)
+    res = A.divergence_quad()
+    b = loading.body_force if loading is not None else None
+    if b is not None:
+        if isinstance(A.mesh, RadialMesh):
+            raise FieldError("body forces are defined on rectangle meshes only")
+        res = res + [np.broadcast_to(v, ops.qx.shape) for v in b(ops.qx, ops.qy)]
+    # radially, the r and theta divergence profiles vary in theta as the
+    # normal and the shear components do
+    w, fac = quad_metric(A.mesh, A.m, A.parity)
+    return float(np.sqrt(max(fac[0] * np.dot(w, res[0]**2)
+                             + fac[2] / 2 * np.dot(w, res[1]**2), 0.0)))
+
+
+def _traction_mismatch(ops, tag, ev, tau=(0.0, 0.0)):
+    """max |sigma n - tau| over the quadrature points of the rectangle side
+    ``tag``, of edge values ev (3, n_points, ...): one figure per trailing
+    index."""
+    nx, ny = ops.edge_normal(tag)
+    tx, ty = tau
+    return np.maximum(np.max(np.abs(ev[0] * nx + ev[2] * ny - tx), axis=0),
+                      np.max(np.abs(ev[2] * nx + ev[1] * ny - ty), axis=0))
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,8 @@ objective) and E_n come from these alone, in ``energy_series`` and
 
 The SE Gram and the pairings come from the basis (``BasisSet.gram`` and
 ``BasisSet.pairing``): an eigenbasis forms them from its nodal components,
-so no solve evaluates its modes at the quadrature points.
+so no solve evaluates its modes at the quadrature points; an airy basis
+evaluates them one block of quadrature points at a time.
 """
 from __future__ import annotations
 
@@ -98,21 +99,18 @@ def assemble_se_system(basis: BasisSet, sigma_p: SymTensorField2,
 def _reconstruct(sigma_p, basis, idx, a):
     """sigma_p + sum_j a_j phi_j.
 
-    The nodal modes are folded into one nodal field beside sigma_p, so the
-    quadrature, divergence and edge values of the sum cost a fixed number of
-    sparse products; modes with an exact form (an ``fn``) stay parts of
-    their own. The nodal array is summed term by term, in mode order.
+    The modes are folded into one field beside sigma_p
+    (``BasisSet._combination``), so the quadrature, divergence and edge
+    values of the sum cost a fixed number of sparse products or one airy
+    evaluation. The nodal array is summed term by term, in mode order.
     """
-    terms = [(float(a[j]), basis.modes[i]) for j, i in enumerate(idx)
-             if a[j] != 0.0]
+    terms = [(float(a[j]), i) for j, i in enumerate(idx) if a[j] != 0.0]
     tags = {"m": sigma_p.m, "parity": sigma_p.parity}
-    parts = [(1.0, sigma_p)] + [(c, md) for c, md in terms
-                                if md.fn is not None]
-    nodal = [(c, md) for c, md in terms if md.fn is None]
-    if nodal:
-        folded = sum(c * md.components for c, md in nodal)
-        parts.append((1.0, SymTensorField2(sigma_p.mesh, folded, **tags)))
-    components = sum(c * f.components for c, f in [(1.0, sigma_p)] + terms)
+    parts = [(1.0, sigma_p)]
+    if terms:
+        parts.append((1.0, basis._combination(*zip(*terms))))
+    components = sum(c * f.components for c, f in [(1.0, sigma_p)] + [
+        (c, basis.modes[i]) for c, i in terms])
     return SymTensorField2(sigma_p.mesh, components, parts=parts, **tags)
 
 

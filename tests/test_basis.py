@@ -16,9 +16,10 @@ from stressbasis.basis import (BasisError, BasisSet, _full_column_rank,
                                airy_bump_basis, load_basis, parity_classes,
                                save_basis, solve_basis_annulus,
                                solve_basis_rectangle, verify_basis)
-from stressbasis.fields import (SymTensorField2, l2_inner_tensor,
-                                l2_norm_tensor, nodal_gram, planar_trace,
-                                scalar_gram, tensor_gram, weighted_mass)
+from stressbasis.fields import (SymTensorField2, equilibrium_residual,
+                                l2_inner_tensor, l2_norm_tensor, nodal_gram,
+                                planar_trace, scalar_gram, tensor_gram,
+                                weighted_mass)
 from stressbasis.materials import (Material, compliance_on_quad,
                                    discontinuous_modulus, modulus_on_quad)
 from stressbasis.meshes import (Domain, RectangleMesh, build_radial_grid,
@@ -248,12 +249,26 @@ def _quad_stack(basis, idx):
     return np.stack([basis.modes[i].at_quad() for i in idx], axis=2)
 
 
-def test_airy_quad_stack_matches_per_mode_evaluation(rect_mesh):
-    """The stack the airy build stores is its modes' values bit for bit,
-    C-ordered, so products with it do not round by layout."""
-    airy = airy_bump_basis(rect_mesh, 4)
-    assert np.array_equal(airy.quad_stack, _quad_stack(airy, range(4)))
-    assert airy.quad_stack.flags.c_contiguous
+def test_airy_quad_blocks_match_per_mode_evaluation(rect_mesh):
+    """The blocks that the airy Grams and pairings add up are runs of
+    element rows that cover the quadrature points in order, and hold the
+    values of all modes (or of the leading n) bit for bit as each mode's
+    ``at_quad`` gives them: on the feature-line square, on an oblong
+    rectangle and at the size of example8's airy comparison (36x36, 40
+    modes)."""
+    meshes = [(rect_mesh, 10),
+              (build_rectangle_mesh(Domain.rectangle(1.0, 0.5), 6, 4), 8),
+              (build_rectangle_mesh(Domain.rectangle(1.0, 1.0), 36, 36), 40)]
+    for mesh, k in meshes:
+        airy = airy_bump_basis(mesh, k)
+        nq = fem2d.rect_ops(mesh).nq
+        Q = _quad_stack(airy, range(k))
+        for n in (None, 3):
+            blocks = list(airy.airy.quad_blocks(mesh, n))
+            assert [q.start for q, _ in blocks] == list(range(
+                0, nq, basis_mod._AIRY_BLOCK_ROWS * nq // mesh.nely))
+            got = np.concatenate([B for _, B in blocks], axis=1)
+            assert np.array_equal(got, Q[:, :, :n])
 
 
 _LAWS = {"isotropic": Material.isotropic(1.0, 0.3),
@@ -268,19 +283,23 @@ def test_nodal_grams_and_pairings_match_quadrature(rect_basis,
     of the modes' quadrature values to 1e-14 relative: the L2, trace and
     strain-energy Grams on the rectangle (a uniform, a varying modulus and
     the orthotropic law) and in every annulus group (cos and sin), and the
-    pairing with random quadrature values."""
-    for basis, laws in ((rect_basis, list(_LAWS.values())),
-                        (ann_basis_merged, [_LAWS["isotropic"]])):
+    pairing with random quadrature values. The airy basis's, summed over
+    blocks of quadrature points (and its trace Gram, formed at the build
+    from the potentials' Gram), equal them to 1e-13 relative."""
+    airy = airy_bump_basis(rect_basis.mesh, 10)
+    for basis, laws, tol in ((rect_basis, list(_LAWS.values()), 1e-14),
+                             (ann_basis_merged, [_LAWS["isotropic"]], 1e-14),
+                             (airy, list(_LAWS.values()), 1e-13)):
         mesh = basis.mesh
         for key, idx in basis.groups().items():
             m, parity = key or (None, None)
             Q = _quad_stack(basis, idx)
-            V = basis._nodal(m, parity)
             Tr = Q[0] + Q[1]
             trace = ((1, 1, 0), (1, 1, 0), (0, 0, 0))
             pairs = [
                 (basis.gram(m, parity), tensor_gram(mesh, m, parity, Q, Q)),
-                (nodal_gram(mesh, m, parity, V, trace),
+                (basis.trace_gram[np.ix_(idx, idx)] if basis.airy else
+                 nodal_gram(mesh, m, parity, basis._nodal(m, parity), trace),
                  scalar_gram(mesh, m, parity, Tr, Tr))]
             pairs += [(basis.gram(m, parity, law),
                        tensor_gram(mesh, m, parity,
@@ -289,9 +308,11 @@ def test_nodal_grams_and_pairings_match_quadrature(rect_basis,
             A = rng.standard_normal(Q.shape[:2])
             pairs.append((basis.pairing(m, parity, A),
                           tensor_gram(mesh, m, parity, A, Q)))
+            pairs.append((basis.pairing(m, parity, A, 3),
+                          tensor_gram(mesh, m, parity, A, Q[:, :, :3])))
             for got, want in pairs:
                 assert got.shape == want.shape
-                assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+                assert np.abs(got - want).max() <= tol * np.abs(want).max()
     assert {key[1] for key in ann_basis_merged.groups()} == {"cos", "sin"}
 
 
@@ -375,10 +396,11 @@ def test_shear_block_kernel_is_shown_empty_by_a_sparse_lu(monkeypatch):
 def _radial_solve_peak(traced_peak, m):
     """(traced peak of ``_solve_radial_m`` at nel 128 and 100 modes, its
     live set): the kernel's LU block X (r x k, r the dependent dofs, k the
-    kernel dimension), the two k x k pencils and the gvd workspace of
-    ``eigh`` (2 k^2; the pencils are solved in place), or the dense LU of
-    the constraint (n x r, n = r + k dofs) held with X, whichever is larger,
-    besides the sparse operators and their block slices."""
+    kernel dimension) while the second pencil is formed, with one (r x k)
+    product and the two k x k pencils (``eigh`` then asks for the kept
+    pairs only, in O(k) workspace), or the dense LU of the constraint
+    (n x r, n = r + k dofs) held with X, whichever is larger, besides the
+    sparse operators and their block slices."""
     mesh = build_radial_grid(Domain.annulus(0.1, 0.3), 128)
     nn = mesh.n_nodes
     A, B, C = _radial_blocks(fem2d.radial_ops(mesh), m)
@@ -391,13 +413,14 @@ def _radial_solve_peak(traced_peak, m):
     n, r, k = len(keep), len(dep), len(free)
     (lam, cols), peak = traced_peak(_solve_radial_m, mesh, m, 100)
     assert len(lam) == 100
-    return peak, 8 * max(r * k + 4 * k * k, n * r + r * k) + 2 * sparse
+    return peak, 8 * max(2 * r * k + 2 * k * k, n * r + r * k) + 2 * sparse
 
 
 def test_axisymmetric_radial_solve_peak_memory(traced_peak):
-    """At m = 0 the normal block's solve holds X (r about k), its two
-    pencils and the gvd workspace, about 5 k^2: neither the kernel basis nor
-    its products with A and B are written."""
+    """At m = 0 the normal block's solve holds X (r about k), one (r x k)
+    product and its two pencils, about 4 k^2: neither the kernel basis nor
+    its products with A and B are written, and ``eigh`` adds no k^2
+    workspace (the full solve's 2 k^2 peaked at 5.6 k^2)."""
     peak, live = _radial_solve_peak(traced_peak, 0)
     assert peak <= live
 
@@ -501,24 +524,44 @@ def test_airy_square_takes_its_x_polynomials_from_the_y_ones(rect_mesh,
     assert np.array_equal(real(9, 1.0)[:12, :, :8], real(8, 1.0))
 
 
-def test_airy_build_holds_its_stack_and_nodal_arrays(rect_mesh, traced_held,
-                                                     traced_peak):
-    """A built airy basis holds the quadrature stack of its modes and their
-    nodal arrays, and no per-field values. At the size of example8's airy
-    comparison (36x36, 40 modes) its build holds little more at its peak;
-    on the small mesh the fixed bookkeeping (polynomials, index tables) alone
-    is several percent of the arrays."""
-    def arrays(basis):
-        return basis.quad_stack.nbytes + sum(
-            md.components.nbytes for md in basis.modes)
-
-    airy_bump_basis(rect_mesh, 10)   # operators built outside the measurement
-    basis, held = traced_held(airy_bump_basis, rect_mesh, 10)
-    assert held <= 1.1 * arrays(basis)
+def test_airy_build_holds_its_nodal_arrays(traced_held, traced_peak):
+    """A built airy basis holds the nodal arrays of its modes, their
+    potential coefficients and the 1-D tables of the quadrature points, and
+    no quadrature values: at the size of example8's airy comparison (36x36,
+    40 modes) at most 1.1 times the nodal arrays, where a stored quadrature
+    stack was 2.2 times the arrays. Its build peaks below the nodal arrays
+    plus two raw potential components (nq, n), which its L2 and trace Grams
+    hold."""
     mesh = build_rectangle_mesh(Domain.rectangle(1.0, 1.0), 36, 36)
-    fem2d.rect_ops(mesh)
+    nq = fem2d.rect_ops(mesh).nq     # operators built outside the measurement
+    basis, held = traced_held(airy_bump_basis, mesh, 40)
+    arrays = sum(md.components.nbytes for md in basis.modes)
+    assert held <= 1.1 * arrays
     basis, peak = traced_peak(airy_bump_basis, mesh, 40)
-    assert peak <= 1.1 * arrays(basis)
+    assert peak <= 1.1 * (arrays + 2 * nq * len(basis) * 8)
+
+
+def test_airy_verification_tabulates_each_side_once(rect_mesh, monkeypatch):
+    """``verify_basis`` of an airy basis tabulates the factors once per
+    side for all modes, so the number of tabulations does not depend on the
+    number of modes; its report equals the one of each mode's own
+    ``equilibrium_residual``."""
+    real = basis_mod._bump_tables
+    calls = []
+    monkeypatch.setattr(basis_mod, "_bump_tables",
+                        lambda *a: calls.append(1) or real(*a))
+    counts = []
+    for n in (4, 12):
+        basis = airy_bump_basis(rect_mesh, n)
+        calls.clear()
+        rep = verify_basis(basis)
+        counts.append(len(calls))
+        assert rep.passed, rep.failures
+        ref = [equilibrium_residual(md) for md in basis.modes]
+        assert rep.max_div_residual == max(r.interior_norm for r in ref)
+        assert rep.max_boundary_traction == max(r.boundary_mismatch
+                                                for r in ref)
+    assert counts[0] == counts[1] <= 4
 
 
 def test_verify_basis_keeps_no_stack(rect_basis, traced_held):

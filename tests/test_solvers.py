@@ -5,14 +5,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stressbasis import solvers
+from stressbasis import fem2d, solvers
 from stressbasis.basis import (BasisSet, _l2_gram, airy_bump_basis,
                                solve_basis_annulus, solve_basis_rectangle)
 from stressbasis.fields import (SymTensorField2, equilibrium_residual,
                                 tensor_gram)
 from stressbasis.materials import (Material, compliance_on_quad,
                                    discontinuous_modulus, strain_energy)
-from stressbasis.meshes import Domain, build_radial_grid
+from stressbasis.meshes import (Domain, build_radial_grid,
+                                build_rectangle_mesh)
 from stressbasis.oracles import displacement_fem_oracle, lame_oracle
 from stressbasis.particular import (axisym_airy_particular,
                                     band_pressure_particular,
@@ -276,9 +277,9 @@ _GRAM_MATERIALS = [
                          ids=["isotropic", "discontinuous", "orthotropic"])
 def test_blocked_se_gram_matches_one_product(rect_basis, rect_mesh, material):
     """The SE Gram of an eigenbasis (from its nodal components) and of an
-    airy basis (its stored stack in row blocks of four modes) is the
-    one-product Gram of the modes' quadrature values up to round-off,
-    exactly symmetric and read-only."""
+    airy basis (summed over blocks of element rows) is the one-product
+    Gram of the modes' quadrature values up to round-off, exactly symmetric
+    and read-only."""
     for basis in (dataclasses.replace(rect_basis, _cache={}),
                   airy_bump_basis(rect_mesh, 10)):
         M = solvers._se_gram(basis, material, None, None)
@@ -293,13 +294,34 @@ def test_blocked_se_gram_matches_one_product(rect_basis, rect_mesh, material):
 
 
 def test_se_gram_peak_memory(rect_mesh, iso_material, traced_peak):
-    """An airy basis applies the law to its stored stack four modes at a
-    time: at 40 modes building the SE Gram holds less than 0.3 of the stack
-    (a third of the modes at a time held 0.71). The nodal path is bounded by
+    """An airy basis applies the law to one block of element rows at a
+    time: at 40 modes building the SE Gram holds less than 0.3 of the
+    modes' quadrature stack (3, nq, n), which the basis does not keep (a
+    stored stack with the law applied to a third of the modes at a time
+    held 0.71 of it besides the stack). The nodal path is bounded by
     ``test_nodal_gram_peak_memory``."""
     basis = airy_bump_basis(rect_mesh, 40)
     solvers._se_gram(basis, iso_material, None, None)   # operators built
     basis._cache.clear()
     M, peak = traced_peak(solvers._se_gram, basis, iso_material, None, None)
     assert M.shape == (len(basis), len(basis))
-    assert peak <= 0.3 * basis.quad_stack.nbytes
+    nq = fem2d.rect_ops(rect_mesh).nq
+    assert peak <= 0.3 * 3 * nq * len(basis) * 8
+
+
+def test_airy_sigma_n_is_one_airy_field():
+    """sigma_N of an airy-backend SE solve keeps sigma_p and one airy field
+    of the summed potentials as its parts, not one part per mode; its
+    quadrature values equal sigma_p + sum_j a_j phi_j to 1e-13 relative
+    (36x36, 40 modes, the orthotropic law)."""
+    mesh = build_rectangle_mesh(Domain.rectangle(1.0, 1.0), 36, 36,
+                                feature_lines={"x": [0.25, 0.75],
+                                               "y": [0.5]})
+    basis = airy_bump_basis(mesh, 40)
+    sp = band_pressure_particular(mesh, profile="quartic").field
+    res = solve_strain_energy(sp, basis, _GRAM_MATERIALS[2], len(basis))
+    sN = res.sigma_N
+    assert len(sN.parts) <= 2 and sN.parts[0] == (1.0, sp)
+    want = sp.at_quad() + sum(float(a) * md.at_quad()
+                              for a, md in zip(res.coeffs, basis.modes))
+    assert np.abs(sN.at_quad() - want).max() <= 1e-13 * np.abs(want).max()
