@@ -61,6 +61,7 @@ from .fields import (SymTensorField2, _interior_norm, _ops,
                      quad_metric, scalar_gram, sparse_rows)
 from .materials import modulus_on_quad
 from ._cache import _openblas, read_tagged, write_tagged
+from .config import NumericFailure
 from .meshes import Domain, RadialMesh, RectangleMesh
 
 _PARITIES = ("cos", "sin")
@@ -70,7 +71,7 @@ _PARITIES = ("cos", "sin")
 _DEGENERATE_GAP = 1e-6
 
 
-class BasisError(RuntimeError):
+class BasisError(NumericFailure, RuntimeError):
     pass
 
 

@@ -8,8 +8,11 @@ Verbs:
   preset dump   NAME
   oracle build  PRESET | --config FILE   --out FILE
 
-Exit codes: 0 success, 1 numeric failure, 2 usage error (including invalid
-materials and meshes); errors print one line on stderr.
+Exit codes: 0 success, 1 numeric failure (``config.NumericFailure``), 2 usage
+error (``config.UsageError``, the base of invalid materials and meshes too);
+errors print one line on stderr. The verbs that build nothing (``preset``,
+``--help``, a config the schema refuses) load neither numpy nor scipy: the
+modules that build are imported inside the verbs that use them.
 The basis/oracle cache directory is taken from $SB_CACHE_DIR.
 """
 from __future__ import annotations
@@ -19,21 +22,8 @@ import json
 import math
 import sys
 
-from .basis import BasisError, load_basis, save_basis, verify_basis
-from .experiments import (ExperimentConfig, ExperimentError, UsageError,
-                          _build_domain, _build_mesh, _build_particular,
-                          get_basis, get_oracle, get_preset, list_presets,
-                          run_experiment)
-from .fields import dump_field_csv
-from .materials import MaterialError
-from .meshes import MeshError
-from .oracles import OracleError
-from .particular import ParticularStressError
-from .solvers import SolverError
-
-
-NUMERIC_FAILURES = (ExperimentError, BasisError, SolverError, OracleError,
-                    ParticularStressError)
+from .config import (ExperimentConfig, NumericFailure, UsageError, get_preset,
+                     list_presets)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -100,6 +90,8 @@ def _cmd_basis_build(args) -> int:
     cfg = _config(args)
     if cfg.basis["backend"] == "airy":
         raise UsageError("airy bases are built on every run, never cached")
+    from .basis import save_basis
+    from .experiments import _build_domain, _build_mesh, get_basis
     mesh = _build_mesh(_build_domain(cfg.domain), cfg.mesh)
     basis = get_basis(mesh, cfg.basis, use_cache=False)
     save_basis(basis, args.out)
@@ -109,6 +101,7 @@ def _cmd_basis_build(args) -> int:
 
 
 def _cmd_basis_verify(args) -> int:
+    from .basis import BasisError, load_basis, verify_basis
     try:
         basis = load_basis(args.path)
     except BasisError as exc:  # not a basis file: the argument is wrong
@@ -120,6 +113,7 @@ def _cmd_basis_verify(args) -> int:
 
 def _cmd_run(args) -> int:
     cfg = _config(args)
+    from .experiments import run_experiment
     out = args.out or f"out/{cfg.name}"
     report = run_experiment(cfg, out, full=args.full,
                             use_cache=not args.no_cache)
@@ -142,6 +136,9 @@ def _cmd_preset(args) -> int:
 
 def _cmd_oracle_build(args) -> int:
     cfg = _config(args)
+    from .experiments import (_build_domain, _build_mesh, _build_particular,
+                              get_oracle)
+    from .fields import dump_field_csv
     mesh = _build_mesh(_build_domain(cfg.domain), cfg.mesh)
     ps = _build_particular(mesh, cfg.particular, use_cache=False)
     orc = get_oracle(mesh, cfg.oracle, ps.loading, cfg.material,
@@ -170,10 +167,10 @@ def main(argv=None) -> int:
         if args.verb == "oracle":
             return _cmd_oracle_build(args)
         raise UsageError(f"unknown verb {args.verb!r}")
-    except (UsageError, MaterialError, MeshError) as exc:
+    except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except NUMERIC_FAILURES as exc:
+    except NumericFailure as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

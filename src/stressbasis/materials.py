@@ -18,13 +18,14 @@ from __future__ import annotations
 
 import numpy as np
 
+from .config import UsageError
 from .fields import SymTensorField2, _ops, tensor_gram
 from .meshes import RadialMesh
 
 _NU_MAX = 0.49
 
 
-class MaterialError(ValueError):
+class MaterialError(UsageError):
     pass
 
 

@@ -16,12 +16,14 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
+from .config import UsageError
+
 # Tolerance under which a declared feature line is considered to coincide with an
 # existing grid line (it is then placed exactly at the declared value).
 _MERGE_TOL = 1e-9
 
 
-class MeshError(ValueError):
+class MeshError(UsageError):
     """Raised for invalid mesh construction."""
 
 

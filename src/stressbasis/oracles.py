@@ -19,12 +19,13 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from . import fem2d
+from .config import NumericFailure
 from .fields import SymTensorField2, _zero_divergence
 from .materials import Material, MaterialError
 from .meshes import LoadingSpec, MeshError, RadialMesh, RectangleMesh
 
 
-class OracleError(RuntimeError):
+class OracleError(NumericFailure, RuntimeError):
     pass
 
 

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import NumericFailure
 from .fields import (SymTensorField2, _zero_divergence, equilibrium_residual,
                      l2_norm_tensor)
 from .meshes import LoadingSpec, MeshError, RadialMesh, RectangleMesh
@@ -18,7 +19,7 @@ from .meshes import LoadingSpec, MeshError, RadialMesh, RectangleMesh
 _REL_TOL = 1e-8
 
 
-class ParticularStressError(ValueError):
+class ParticularStressError(NumericFailure, ValueError):
     pass
 
 

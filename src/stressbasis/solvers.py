@@ -29,12 +29,13 @@ import numpy as np
 from scipy.linalg import solve_triangular
 
 from .basis import BasisSet
+from .config import NumericFailure
 from .fields import (SymTensorField2, _call_on_quad, _ops, planar_trace,
                      scalar_gram)
 from .materials import Material, compliance_quad, strain_energy
 
 
-class SolverError(RuntimeError):
+class SolverError(NumericFailure, RuntimeError):
     pass
 
 
@@ -162,7 +163,8 @@ def solve_strain_energy(sigma_p: SymTensorField2, basis: BasisSet,
     res = Approximation(a, _reconstruct(sigma_p, basis, idx, a), "SE",
                         {"n": np.array(sched)}, list(idx),
                         [coeffs(n) for n in sched])
-    res.diagnostics["objective"] = energy_series(res, sigma_p, basis, material)
+    res.diagnostics["objective"] = energy_series(res, sigma_p, basis, material,
+                                                 pairing=-f)
     return res
 
 
@@ -203,13 +205,18 @@ def solve_planar_trace_body(sigma_p: SymTensorField2, basis: BasisSet,
 
 
 def energy_series(approx: Approximation, sigma_p: SymTensorField2,
-                  basis: BasisSet, material: Material) -> np.ndarray:
+                  basis: BasisSet, material: Material,
+                  pairing=None) -> np.ndarray:
     """Strain energy of sigma_p + sum_j a_j phi_j for the coefficient vector
     a of every n in the recorded schedule, through the SE Gram of the modes'
-    group: the objective of SE, a diagnostic of the PT principles."""
+    group: the objective of SE, a diagnostic of the PT principles.
+
+    ``pairing`` is <C^-1 sigma_p, phi_i> over the modes, when the caller
+    holds it already (the SE solve, from its load vector)."""
     n = len(approx.mode_indices)
     M = _se_gram(basis, material, sigma_p.m, sigma_p.parity, n)
-    q = _energy_pairing(basis, material, sigma_p, n)
+    q = (_energy_pairing(basis, material, sigma_p, n) if pairing is None
+         else pairing)
     with np.errstate(over="ignore", invalid="ignore"):  # refused below
         e = _quadratic_series(strain_energy(material, sigma_p), q, M,
                               approx.coeffs_by_n)

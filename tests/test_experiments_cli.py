@@ -13,15 +13,22 @@ import pytest
 import scipy
 
 import stressbasis
-from stressbasis import _cache, basis as basis_mod, experiments, fem2d
-from stressbasis.basis import load_basis, save_basis, verify_basis
+from stressbasis import _cache, basis as basis_mod, cli, experiments, fem2d
+from stressbasis import solvers
+from stressbasis.basis import (BasisError, BasisFileError, load_basis,
+                               save_basis, verify_basis)
 from stressbasis.cli import main
-from stressbasis.experiments import (CONFIG_SCHEMA, ExperimentConfig,
-                                     ExperimentError, PRESET_NAMES,
-                                     UsageError, _ORACLE_FORMAT, fit_slope,
-                                     get_basis, get_oracle, get_preset,
-                                     list_presets, run_experiment)
+from stressbasis.config import (CONFIG_SCHEMA, PRESET_NAMES, ExperimentConfig,
+                                NumericFailure, UsageError, get_preset,
+                                list_presets)
+from stressbasis.experiments import (ExperimentError, _ORACLE_FORMAT,
+                                     fit_slope, get_basis, get_oracle,
+                                     run_experiment)
+from stressbasis.materials import MaterialError
+from stressbasis.meshes import MeshError
 from stressbasis.oracles import OracleError
+from stressbasis.particular import ParticularStressError
+from stressbasis.solvers import SolverError
 from stressbasis._cache import (build_identity, digest, read_tagged,
                                 write_tagged)
 
@@ -252,6 +259,30 @@ def test_eigen_runs_evaluate_no_mode_stack(raw, tmp_path, monkeypatch):
     assert _cached(tmp_path / "cache", "basis-")
     run_experiment(cfg, str(tmp_path / "warm"))
     assert nq and all(cols <= 3 for _, (_, cols) in products), products
+
+
+def test_se_run_forms_the_load_pairing_once(tmp_path, monkeypatch):
+    """An SE run pairs sigma_p with the modes once: the solve's load vector is
+    also its objective's pairing, and the objective is the reported energy.
+    The error series pairs sigma_p - sigma_true, another field."""
+    monkeypatch.setenv("SB_CACHE_DIR", str(tmp_path / "cache"))
+    built, paired = [], []
+    build, pairing = experiments._build_particular, solvers._energy_pairing
+
+    def build_spy(*args, **kwargs):
+        built.append(build(*args, **kwargs))
+        return built[-1]
+
+    def pairing_spy(basis, material, sigma, n):
+        paired.append(sigma)
+        return pairing(basis, material, sigma, n)
+    monkeypatch.setattr(experiments, "_build_particular", build_spy)
+    monkeypatch.setattr(solvers, "_energy_pairing", pairing_spy)
+    report = run_experiment(ExperimentConfig.from_dict(RECT_CFG),
+                            str(tmp_path / "out"))
+    assert len(built) == 1
+    assert sum(sigma is built[0].field for sigma in paired) == 1
+    assert len(paired) == 2 and "SE" in report["final_error"]
 
 
 def test_oracle_cache_keyed_on_material_spec(tmp_path, monkeypatch):
@@ -590,6 +621,27 @@ def test_cli_import_leaves_out_scipy_integrate(tmp_path):
     assert out.stdout.splitlines()[-1] == "0"
 
 
+def test_light_verbs_load_neither_numpy_nor_scipy(tmp_path):
+    """``preset list``, ``preset dump``, ``--help`` and a config the schema
+    refuses build nothing, so they run on the standard library and
+    jsonschema alone. A subprocess, since this one has imported both."""
+    src = os.path.dirname(os.path.dirname(stressbasis.__file__))
+    env = dict(os.environ, PYTHONPATH=src, SB_CACHE_DIR=str(tmp_path / "c"))
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(dict(SMALL_CFG, N="ten")))
+    verbs = [["preset", "list", "--machine"], ["preset", "dump", "example1"],
+             ["--help"], ["run", "--config", str(bad)]]
+    code = ("import json, sys; from stressbasis.cli import main; "
+            "codes = [main(argv) for argv in json.loads(sys.argv[1])]; "
+            "print(*codes, *(m for m in ('numpy', 'scipy') "
+            "if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code, json.dumps(verbs)],
+                         env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.splitlines()[-1] == "0 0 0 2"
+    assert out.stderr.splitlines() == [
+        "error: invalid experiment config: 'ten' is not of type 'integer'"]
+
+
 # ---------------------------------------------------------------------------
 # CLI exit codes
 # ---------------------------------------------------------------------------
@@ -836,11 +888,32 @@ def test_cli_huge_load_is_a_numeric_failure(tmp_path, capsys, p, Y,
     assert err.startswith("numeric failure: ") and words in err
 
 
+@pytest.mark.parametrize("cls, builtin, code", [
+    (UsageError, ValueError, 2), (MaterialError, ValueError, 2),
+    (MeshError, ValueError, 2), (ExperimentError, RuntimeError, 1),
+    (BasisError, RuntimeError, 1), (BasisFileError, ValueError, 1),
+    (SolverError, RuntimeError, 1), (OracleError, RuntimeError, 1),
+    (ParticularStressError, ValueError, 1)], ids=lambda v: getattr(
+        v, "__name__", str(v)))
+def test_cli_exit_code_of_each_error_class(monkeypatch, capsys, cls, builtin,
+                                           code):
+    """Each package error exits with its code (2 for a UsageError, 1 for a
+    NumericFailure) and one stderr line, and keeps its builtin base."""
+    assert issubclass(cls, builtin)
+    assert issubclass(cls, UsageError if code == 2 else NumericFailure)
+
+    def failing(args):
+        raise cls("it went wrong")
+    monkeypatch.setattr(cli, "_cmd_preset", failing)
+    assert main(["preset", "list"]) == code
+    prefix = "error" if code == 2 else "numeric failure"
+    assert capsys.readouterr().err.splitlines() == [f"{prefix}: it went wrong"]
+
+
 def test_run_all_maps_numeric_failures(tmp_path, monkeypatch, capsys):
     """scripts/run_all.py exits 1 with one line on the numeric failures that
     the CLI maps to exit 1, not only on ExperimentError."""
     import importlib.util
-    from stressbasis.solvers import SolverError
     path = os.path.join(os.path.dirname(__file__), "..", "scripts",
                         "run_all.py")
     spec = importlib.util.spec_from_file_location("run_all", path)

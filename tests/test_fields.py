@@ -1,5 +1,8 @@
 import ast
+import importlib
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -222,7 +225,9 @@ def test_every_definition_is_named_by_the_package():
     """The package holds what a run executes: every module-level function or
     class, and every non-dunder method, is named by a package module other
     than __init__ (a method through an attribute). The console script
-    cli.main is exempt; the tests' own instruments live in tests/helpers.py."""
+    cli.main and the package's lazy ``__getattr__`` (PEP 562), both called
+    from outside the package, are exempt; the tests' own instruments live in
+    tests/helpers.py."""
     trees = dict(_package_sources())
     names, attrs = set(), set()
     for module, tree in trees.items():
@@ -248,7 +253,28 @@ def test_every_definition_is_named_by_the_package():
                             and not (sub.name.startswith("__")
                                      and sub.name.endswith("__"))
                             and sub.name not in attrs]
-    assert sorted(set(unnamed) - {"cli.main"}) == []
+    assert sorted(set(unnamed) - {"cli.main", "__init__.__getattr__"}) == []
+
+
+def test_package_names_resolve_on_first_access():
+    """Every name of ``stressbasis.__all__`` is the object of its defining
+    module; an unknown name is an AttributeError; importing the package
+    loads no numpy, and ``import *`` binds every name of __all__."""
+    for name in stressbasis.__all__:
+        obj = getattr(stressbasis, name)
+        home = importlib.import_module(obj.__module__)
+        assert home.__name__.startswith("stressbasis.")
+        assert getattr(home, name) is obj, name
+    with pytest.raises(AttributeError, match="no_such_name"):
+        stressbasis.no_such_name
+    code = ("import sys, stressbasis; light = 'numpy' not in sys.modules; "
+            "from stressbasis import *; "
+            "print(light, all(n in globals() for n in stressbasis.__all__))")
+    src = os.path.dirname(os.path.dirname(stressbasis.__file__))
+    out = subprocess.run([sys.executable, "-c", code],
+                         env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["True", "True"]
 
 
 def test_only_quad_metric_reads_the_weights():
