@@ -46,7 +46,6 @@ from dataclasses import asdict, dataclass, field as dc_field
 import numpy as np
 import scipy
 import scipy.sparse as sp
-from numpy.polynomial import legendre as npleg
 from numpy.polynomial import polynomial as nppoly
 from scipy.linalg import LinAlgWarning, eigh, lu_factor, qr
 from scipy.linalg.lapack import dtrtrs
@@ -58,7 +57,7 @@ from . import fem2d
 from .fields import (SymTensorField2, _interior_norm, _ops,
                      _traction_mismatch, _weighted_product, _zero_divergence,
                      equilibrium_residual, nodal_gram, nodal_pairing,
-                     quad_metric, scalar_gram, sparse_rows)
+                     quad_metric, sparse_rows)
 from .materials import modulus_on_quad
 from ._cache import _openblas, read_tagged, write_tagged
 from .config import NumericFailure
@@ -752,19 +751,30 @@ def orthonormalize(basis: BasisSet) -> BasisSet:
 def _bump_polys(count: int, L: float) -> np.ndarray:
     """Coefficients [power, d, j] of the clamped 1D polynomials
     f_j(0)=f_j'(0)=f_j(L)=f_j'(L)=0, j < count, and of their derivatives of
-    order d = 0, 1, 2, zero-padded to count + 4 powers."""
-    u2 = nppoly.Polynomial([0.0, 0.0, 1.0])           # u^2
-    clamp = u2 * nppoly.Polynomial([1.0, -1.0]) ** 2  # u^2 (1-u)^2
+    order d = 0, 1, 2, zero-padded to count + 4 powers.
+
+    The coefficient arrays go through the steps that ``Polynomial`` objects
+    take (Legendre's Clenshaw recurrence on x, then Horner's rule on
+    2u - 1), so the values are theirs bit for bit, without the objects."""
+    x = [0.0, 1.0]
+    clamp = nppoly.polymul([0.0, 0.0, 1.0],                  # u^2 (1-u)^2
+                           nppoly.polypow([1.0, -1.0], 2))
     out = np.zeros((count + 4, 3, count))
     for j in range(count):
-        leg = npleg.Legendre.basis(j).convert(kind=nppoly.Polynomial)
-        shifted = leg(nppoly.Polynomial([-1.0, 2.0]))  # P_j(2u - 1)
-        f_u = clamp * shifted
+        c0, c1 = (1.0, 0.0) if j == 0 else (0.0, 1.0)   # P_j in powers of x
+        for nd in range(j, 1, -1):
+            c0, c1 = (nppoly.polysub(0.0, nppoly.polymul(c1, (nd - 1) / nd)),
+                      nppoly.polyadd(c0, nppoly.polymul(
+                          nppoly.polymul(c1, x), (2 * nd - 1) / nd)))
+        leg = nppoly.polyadd(c0, nppoly.polymul(c1, x))
+        shifted = leg[-1:]                               # P_j(2u - 1)
+        for c in leg[-2::-1]:
+            shifted = nppoly.polyadd(c, nppoly.polymul(shifted, [-1.0, 2.0]))
+        f_u = nppoly.polymul(clamp, shifted)
         # substitute u = x / L
-        coef = f_u.coef * (1.0 / L) ** np.arange(len(f_u.coef))
-        f = nppoly.Polynomial(coef)
+        coef = f_u * (1.0 / L) ** np.arange(len(f_u))
         for d in range(3):
-            out[:j + 5 - d, d, j] = f.deriv(d).coef
+            out[:j + 5 - d, d, j] = nppoly.polyder(coef, d)
     return out
 
 
@@ -848,6 +858,19 @@ class _AiryModes:
                       ix - x0, iy - y0)
             yield q, _airy_values(tables, coefs)
 
+    def grams(self, mesh):
+        """The L2 Gram of the modes and the Gram of their planar traces, as
+        ``tensor_gram`` and ``scalar_gram`` sum them, summed over the
+        ``quad_blocks``; not symmetrized."""
+        w, fac = quad_metric(mesh)
+        G, Gt = np.zeros((2, len(self.coefs), len(self.coefs)))
+        for q, B in self.quad_blocks(mesh):
+            for c, f in enumerate(fac):
+                G += f * _weighted_product(w[q], B[c], B[c])
+            B[0] += B[1]
+            Gt += fac[0] * _weighted_product(w[q], B[0], B[0])
+        return G, Gt
+
 
 def airy_bump_basis(mesh: RectangleMesh, n: int) -> BasisSet:
     """n orthonormalized stress fields from clamped polynomial potentials.
@@ -862,7 +885,9 @@ def airy_bump_basis(mesh: RectangleMesh, n: int) -> BasisSet:
     tabulated once per set (``_bump_tables``) and the modes evaluated from
     the tables (``_airy_values``); a mode's ``fn`` tabulates the points it
     is given. The basis keeps the coefficients and the quadrature tables
-    (``_AiryModes``), no quadrature values.
+    (``_AiryModes``), no quadrature values; the potentials' Grams are summed
+    over the same blocks of quadrature points as the built basis's
+    (``_AiryModes.grams``).
     """
     if n < 1:
         raise BasisError("n must be >= 1")
@@ -876,24 +901,13 @@ def airy_bump_basis(mesh: RectangleMesh, n: int) -> BasisSet:
           else _bump_polys(jr.max() + 1, Lx))
 
     ops = _ops(mesh)
-    Fq, Gq, ix, iy = _bump_tables(fx, fy, ops.qx, ops.qy)
-    # the Grams of the potentials, as ``tensor_gram`` and ``scalar_gram`` sum
-    # them, with one raw component (nq, n) held besides the trace
-    w, fac = quad_metric(mesh)
-    G = 0
-    for c, (a, b, s) in enumerate(_AIRY_FACTORS):
-        V = (s * Fq[a].T[:, jr])[ix]
-        V *= Gq[b].T[:, kr][iy]
-        G = G + fac[c] * _weighted_product(w, V, V)
-        if c == 0:
-            Tr = V
-        elif c == 1:
-            Tr += V
-        del V
-    del ix, iy
-    G = _symmetric(G)
-    Gt = _symmetric(scalar_gram(mesh, None, None, Tr, Tr))
-    del Tr
+    ux, uy = np.unique(ops.qx), np.unique(ops.qy)
+    quad = (ux, nppoly.polyval(ux, fx), uy, nppoly.polyval(uy, fy))
+    # the Grams of the potentials, the modes of one-hot coefficients, over
+    # the blocks of quadrature points that the built basis reads too
+    raw = np.zeros((n, fx.shape[2], fy.shape[2]))
+    raw[np.arange(n), jr, kr] = 1.0
+    G, Gt = map(_symmetric, _AiryModes(fx, fy, raw, quad).grams(mesh))
     w, U = eigh(G)
     keepcols = w > 1e-10 * w.max()
     truncated = int(np.sum(~keepcols))
@@ -906,8 +920,7 @@ def airy_bump_basis(mesh: RectangleMesh, n: int) -> BasisSet:
     coefs = np.zeros((T.shape[1], fx.shape[2], fy.shape[2]))
     coefs[:, jr, kr] = T.T
 
-    airy = _AiryModes(fx, fy, coefs,
-                      (np.unique(ops.qx), Fq, np.unique(ops.qy), Gq))
+    airy = _AiryModes(fx, fy, coefs, quad)
     nodes = _bump_tables(fx, fy, *mesh.node_coords.T)
     modes = []
     for c, C in enumerate(coefs):

@@ -18,6 +18,7 @@ The basis/oracle cache directory is taken from $SB_CACHE_DIR.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import sys
@@ -178,5 +179,17 @@ def main(argv=None) -> int:
         return 2
 
 
+def entry() -> int:
+    """The process entry (``python -m stressbasis``, the ``stressbasis``
+    script): ``main``, then ``gc.freeze()``. The collector's passes at
+    interpreter exit then skip every object alive at the end of the run,
+    the tens of thousands that the imports of numpy, scipy and jsonschema
+    made, which nothing frees before the process ends. In-process callers
+    call ``main``."""
+    code = main()
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry())

@@ -97,15 +97,19 @@ class RectOps:
         self.qw = (gw[None, :] * (Jx * Jy)[:, None]).ravel()
         self.nq = nel * nqp
 
-        # interpolation operators
-        rows = np.repeat(np.arange(self.nq), 9)
-        cols = np.repeat(conn, nqp, axis=0).reshape(nel, nqp, 9).ravel()
-        Pv = np.broadcast_to(Nt[None, :, :], (nel, nqp, 9)).ravel()
-        Pxv = (dXt[None, :, :] / Jx[:, None, None]).ravel()
-        Pyv = (dYt[None, :, :] / Jy[:, None, None]).ravel()
+        # interpolation operators, written in canonical CSR: a quadrature
+        # point's row holds the 9 nodes of its element, which the
+        # connectivity lists in ascending order (so the shape tables need no
+        # permutation). The three matrices share one read-only pattern, so
+        # that an in-place sparse method on one fails instead of changing
+        # the other two.
+        indices = np.repeat(conn.astype(np.int32), nqp, axis=0).ravel()
+        indptr = np.arange(0, 9 * self.nq + 1, 9, dtype=np.int32)
+        indices.flags.writeable = indptr.flags.writeable = False
         self.P, self.Px, self.Py = (
-            sp.csr_matrix((v, (rows, cols)), shape=(self.nq, nn))
-            for v in (Pv, Pxv, Pyv))
+            sp.csr_matrix((v.ravel(), indices, indptr), shape=(self.nq, nn))
+            for v in (np.broadcast_to(Nt, (nel, nqp, 9)),
+                      dXt / Jx[:, None, None], dYt / Jy[:, None, None]))
         self._edge_cache: dict = {}
 
     @functools.cached_property
@@ -181,11 +185,14 @@ class RectOps:
 
         The mass matrix is kron(My, Mx) on the x-fastest node numbering, so
         Ms x = b is My X Mx = B with X and B on the (nny, nnx) node grid.
+        Samples that are not finite give nodal values that are not finite,
+        which the FEM reference refuses (``oracles``).
         """
         cx, cy = self._mass_factors
         B = (self.P.T @ (self.qw * quad_values)).reshape(self.mesh.nny,
                                                          self.mesh.nnx)
-        return cho_solve(cx, cho_solve(cy, B).T).T.ravel()
+        return cho_solve(cx, cho_solve(cy, B, check_finite=False).T,
+                         check_finite=False).T.ravel()
 
 
 def _scalar_matrices(ops: RectOps):

@@ -130,6 +130,9 @@ def displacement_fem_oracle(mesh: RectangleMesh, loading: LoadingSpec,
         raise OracleError("refine must be >= 1")
     fine = mesh.refined(refine) if refine > 1 else mesh
     stress_fine = fem2d.solve_displacement(fine, material, loading)
+    if not np.isfinite(stress_fine).all():
+        raise OracleError("the FEM reference stress is not finite: the "
+                          "displacement solve overflowed")
     if refine > 1:
         ix = np.arange(mesh.nnx) * refine
         iy = np.arange(mesh.nny) * refine

@@ -529,16 +529,68 @@ def test_airy_build_holds_its_nodal_arrays(traced_held, traced_peak):
     potential coefficients and the 1-D tables of the quadrature points, and
     no quadrature values: at the size of example8's airy comparison (36x36,
     40 modes) at most 1.1 times the nodal arrays, where a stored quadrature
-    stack was 2.2 times the arrays. Its build peaks below the nodal arrays
-    plus two raw potential components (nq, n), which its L2 and trace Grams
-    hold."""
+    stack was 2.2 times the arrays. Its build peaks at most 1.2 times the
+    nodal arrays: the potentials' Grams are summed over blocks of quadrature
+    points (two raw components (nq, n) were 2.2 times the arrays)."""
     mesh = build_rectangle_mesh(Domain.rectangle(1.0, 1.0), 36, 36)
-    nq = fem2d.rect_ops(mesh).nq     # operators built outside the measurement
+    fem2d.rect_ops(mesh)             # operators built outside the measurement
     basis, held = traced_held(airy_bump_basis, mesh, 40)
     arrays = sum(md.components.nbytes for md in basis.modes)
     assert held <= 1.1 * arrays
     basis, peak = traced_peak(airy_bump_basis, mesh, 40)
-    assert peak <= 1.1 * (arrays + 2 * nq * len(basis) * 8)
+    assert peak <= 1.2 * arrays
+
+
+def test_airy_blocked_grams_match_one_product(rect_mesh):
+    """The L2 and trace Grams that the build sums over the blocks of
+    quadrature points match the products of the whole stack of values to
+    1e-13 relative, for the raw potentials (one-hot coefficients) of the
+    feature-line square and of an oblong rectangle, and for a built
+    basis."""
+    oblong = build_rectangle_mesh(Domain.rectangle(1.0, 0.5), 6, 4)
+    for mesh in (rect_mesh, oblong):
+        ops = fem2d.rect_ops(mesh)
+        airy = airy_bump_basis(mesh, 12).airy
+        n, J, K = 15, airy.fx.shape[2], airy.fy.shape[2]
+        raw = np.zeros((n, J, K))
+        jr, kr = np.divmod(np.arange(n), K)
+        raw[np.arange(n), jr, kr] = 1.0
+        for modes in (basis_mod._AiryModes(airy.fx, airy.fy, raw, airy.quad),
+                      airy):
+            Q = modes.values(ops.qx, ops.qy, modes.coefs)
+            Tr = Q[0] + Q[1]
+            got = modes.grams(mesh)
+            want = (tensor_gram(mesh, None, None, Q, Q),
+                    scalar_gram(mesh, None, None, Tr, Tr))
+            for g, w in zip(got, want):
+                assert np.abs(g - w).max() <= 1e-13 * np.abs(w).max()
+
+
+def _bump_polys_by_objects(count, L):
+    """The clamped polynomials as ``numpy.polynomial`` objects form them."""
+    from numpy.polynomial import legendre, polynomial
+    Poly = polynomial.Polynomial
+    clamp = Poly([0.0, 0.0, 1.0]) * Poly([1.0, -1.0]) ** 2
+    out = np.zeros((count + 4, 3, count))
+    for j in range(count):
+        leg = legendre.Legendre.basis(j).convert(kind=Poly)
+        f_u = clamp * leg(Poly([-1.0, 2.0]))
+        f = Poly(f_u.coef * (1.0 / L) ** np.arange(len(f_u.coef)))
+        for d in range(3):
+            out[:j + 5 - d, d, j] = f.deriv(d).coef
+    return out
+
+
+def test_bump_polys_equal_the_polynomial_objects():
+    """The clamped polynomials formed on coefficient arrays equal, bit for
+    bit, the ones that ``Polynomial`` objects form, for 1 to 12 of them on
+    sides of several lengths."""
+    for count in range(1, 13):
+        for L in (1.0, 0.5, 0.7, 1.3, 2.0):
+            got = basis_mod._bump_polys(count, L)
+            want = _bump_polys_by_objects(count, L)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes(), (count, L)
 
 
 def test_airy_verification_tabulates_each_side_once(rect_mesh, monkeypatch):

@@ -1,5 +1,6 @@
 import dataclasses
 import filecmp
+import gc
 import json
 import os
 import shutil
@@ -888,6 +889,25 @@ def test_cli_huge_load_is_a_numeric_failure(tmp_path, capsys, p, Y,
     assert err.startswith("numeric failure: ") and words in err
 
 
+# a schema-valid run whose FEM reference overflows a float
+FEM_OVERFLOW_CFG = dict(RECT_CFG, mesh={"nx": 8, "ny": 8},
+                        material={"kind": "isotropic", "nu": 0.33,
+                                  "Y": 1e-300},
+                        particular={"recipe": "uniform_pressure", "p": 1e10})
+
+
+def test_cli_fem_reference_overflow_is_a_numeric_failure(tmp_path, capsys):
+    """A FEM reference whose displacement solve overflows exits 1 with one
+    line, not a traceback from the projection of its stress."""
+    cfg_path = tmp_path / "overflow.json"
+    cfg_path.write_text(json.dumps(FEM_OVERFLOW_CFG))
+    assert main(["run", "--config", str(cfg_path),
+                 "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "numeric failure: the FEM reference stress is not finite: the "
+        "displacement solve overflowed"]
+
+
 @pytest.mark.parametrize("cls, builtin, code", [
     (UsageError, ValueError, 2), (MaterialError, ValueError, 2),
     (MeshError, ValueError, 2), (ExperimentError, RuntimeError, 1),
@@ -1047,3 +1067,62 @@ def test_cli_run_config(tmp_path, capsys):
                  "--out", str(out_dir)]) == 0
     assert (out_dir / "report.json").exists()
     assert (out_dir / "sigma_h.csv").exists()
+
+
+# ---------------------------------------------------------------------------
+# The process entry
+# ---------------------------------------------------------------------------
+
+def _process(tmp_path, *argv):
+    """``python -m stressbasis ARGV`` in a child process, on its own cache."""
+    src = os.path.dirname(os.path.dirname(stressbasis.__file__))
+    env = dict(os.environ, PYTHONPATH=src, SB_CACHE_DIR=str(tmp_path / "c"))
+    return subprocess.run([sys.executable, "-m", "stressbasis", *argv],
+                          env=env, capture_output=True, text=True)
+
+
+def test_process_run_writes_the_in_process_artifacts(tmp_path, monkeypatch):
+    """``python -m stressbasis run --config`` on a tiny square writes the
+    artifacts of an in-process ``cli.main`` run, byte for byte."""
+    cfg_path = tmp_path / "tiny.json"
+    cfg_path.write_text(json.dumps(RECT_CFG))
+    out = _process(tmp_path, "run", "--config", str(cfg_path),
+                   "--out", str(tmp_path / "child"))
+    assert out.returncode == 0, out.stderr
+    monkeypatch.setenv("SB_CACHE_DIR", str(tmp_path / "own"))
+    assert main(["run", "--config", str(cfg_path),
+                 "--out", str(tmp_path / "here")]) == 0
+    names = sorted(os.listdir(tmp_path / "here"))
+    assert "report.json" in names
+    assert sorted(os.listdir(tmp_path / "child")) == names
+    for name in names:
+        assert filecmp.cmp(tmp_path / "here" / name, tmp_path / "child" / name,
+                           shallow=False), name
+
+
+def test_process_errors_are_one_line(tmp_path):
+    """The process exits 2 on an unknown preset and 1 on a FEM reference
+    that overflows, each with one stderr line and no traceback."""
+    cfg_path = tmp_path / "overflow.json"
+    cfg_path.write_text(json.dumps(FEM_OVERFLOW_CFG))
+    for argv, code, head in ((["nosuchpreset"], 2, "error: unknown preset"),
+                             (["--config", str(cfg_path)], 1,
+                              "numeric failure: the FEM reference")):
+        out = _process(tmp_path, "run", *argv, "--out", str(tmp_path / "out"))
+        assert out.returncode == code
+        assert len(out.stderr.splitlines()) == 1
+        assert out.stderr.startswith(head)
+
+
+def test_process_entry_freezes_what_the_run_left(monkeypatch, capsys):
+    """``cli.entry`` returns the code of ``main`` and moves the objects alive
+    at its end to the collector's permanent generation, which the
+    collections at interpreter exit skip."""
+    monkeypatch.setattr(sys, "argv",
+                        ["stressbasis", "preset", "list", "--machine"])
+    try:
+        assert cli.entry() == 0
+        assert gc.get_freeze_count() > 0
+    finally:
+        gc.unfreeze()
+    assert capsys.readouterr().out.split() == list(PRESET_NAMES)

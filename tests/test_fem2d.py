@@ -278,3 +278,55 @@ def test_rect_ops_match_per_element_assembly():
         assert (getattr(ops, name) != ref[name].tocsr()).nnz == 0, name
     for tag in ("bottom", "top", "left", "right"):
         assert np.array_equal(ops.edge_interp(tag).toarray(), ref[tag]), tag
+
+
+def _coo_interpolation(mesh):
+    """P, Px and Py built as the triplets of each quadrature point's 9
+    element nodes, converted to CSR by scipy."""
+    from scipy.sparse import csr_matrix
+    ops = rect_ops(mesh)
+    conn = mesh.connectivity()
+    nel, nqp = conn.shape[0], len(ops.Nt)
+    rows = np.repeat(np.arange(ops.nq), 9)
+    cols = np.repeat(conn, nqp, axis=0).ravel()
+    vals = [np.broadcast_to(ops.Nt, (nel, nqp, 9)),
+            ops.dXt / ops.Jx[:, None, None], ops.dYt / ops.Jy[:, None, None]]
+    return [csr_matrix((v.ravel(), (rows, cols)), shape=(ops.nq, mesh.n_nodes))
+            for v in vals]
+
+
+@pytest.mark.parametrize("mesh", [
+    build_rectangle_mesh(Domain.rectangle(1.0, 1.0), 12, 12,
+                         feature_lines={"x": [0.25, 0.75], "y": [0.5]}),
+    build_rectangle_mesh(Domain.rectangle(1.0, 0.5), 6, 4)],
+    ids=["feature_square", "oblong"])
+def test_interpolation_operators_equal_the_coo_build(mesh):
+    """P, Px and Py, written in CSR directly, equal the matrices that scipy
+    converts from triplets, array for array (``indptr``, ``indices`` and
+    ``data`` with their dtypes), and share one read-only pattern: an in-place
+    sparse method on one of them fails and leaves the others as they were."""
+    ops = rect_ops(mesh)
+    mats = (ops.P, ops.Px, ops.Py)
+    for got, want in zip(mats, _coo_interpolation(mesh)):
+        assert got.has_canonical_format
+        for name in ("indptr", "indices", "data"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    assert all(np.shares_memory(M.indices, ops.P.indices)
+               and np.shares_memory(M.indptr, ops.P.indptr) for M in mats)
+    assert not (ops.P.indices.flags.writeable or ops.P.indptr.flags.writeable)
+    before = ops.Px.copy()
+    with pytest.raises(ValueError):
+        ops.P.eliminate_zeros()
+    assert (ops.Px != before).nnz == 0 and ops.Px.nnz == before.nnz
+
+
+def test_rect_ops_peak_memory(traced_held, traced_peak):
+    """Building the operators of a 36x36 mesh allocates little beyond what
+    they hold: its peak is at most 1.15 times the held arrays (the
+    interpolation matrices, converted from triplets, peaked at 2.2 times)."""
+    mesh = build_rectangle_mesh(Domain.rectangle(1.0, 1.0), 36, 36)
+    mesh.connectivity()                  # the mesh's own table, cached
+    _, held = traced_held(fem2d.RectOps, mesh)
+    _, peak = traced_peak(fem2d.RectOps, mesh)
+    assert peak <= 1.15 * held
