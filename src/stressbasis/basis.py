@@ -163,12 +163,18 @@ class BasisSet:
             del B
         return out
 
-    def _combination(self, a, idx) -> SymTensorField2:
+    def _combination(self, a, idx, total) -> SymTensorField2:
         """sum_j a[j] phi_idx[j] as one field, its terms summed in order:
         the nodal field of the summed components, or for an airy basis the
-        field of the summed potential coefficients."""
+        field of the summed potential coefficients. The same pass adds the
+        terms, in order, to the nodal array ``total`` in place, so each
+        mode's components are read once."""
         tag = self.modes[idx[0]]
-        comps = sum(c * self.modes[i].components for c, i in zip(a, idx))
+        comps = 0
+        for c, i in zip(a, idx):
+            term = c * self.modes[i].components
+            comps += term
+            total += term
         if self.airy is None:
             return SymTensorField2(tag.mesh, comps, m=tag.m,
                                    parity=tag.parity)
@@ -316,6 +322,19 @@ def _class_map(n_classes: int):
         yield pool.map
 
 
+def _merge_order(keys: np.ndarray, tags: np.ndarray) -> np.ndarray:
+    """The order that merges the modes of several parity classes by (key,
+    class ``tags``), keys equal to round-off (relative gap below
+    ``_EQUAL_LAMBDA``) counting as equal: the two modes of a pair made
+    degenerate by symmetry (the square's x <-> y pairs) then come in class
+    order, not in round-off order."""
+    by_key = np.argsort(keys, kind="stable")
+    k = keys[by_key]
+    level = np.concatenate(
+        [[0], np.cumsum(np.diff(k) > _EQUAL_LAMBDA * np.abs(k[:-1]))])
+    return by_key[np.lexsort((tags[by_key], level))]
+
+
 def solve_basis_rectangle(mesh: RectangleMesh, n_modes: int) -> BasisSet:
     """First n_modes eigenpairs on a rectangle mesh.
 
@@ -401,16 +420,9 @@ def solve_basis_rectangle(mesh: RectangleMesh, n_modes: int) -> BasisSet:
             for c, got in zip(short, redone):
                 found[c] = got
 
-    # merge by (lambda, class), lambdas equal to round-off counting as equal:
-    # the two modes of a pair made degenerate by symmetry (the square's
-    # x <-> y pairs) then come in class order, not in round-off order
     vals = np.concatenate([v for v, _ in found])
     tags = np.repeat(np.arange(len(found)), [len(v) for v, _ in found])
-    by_lam = np.argsort(vals, kind="stable")
-    lam = vals[by_lam]
-    level = np.concatenate(
-        [[0], np.cumsum(np.diff(lam) > _EQUAL_LAMBDA * lam[:-1])])
-    order = by_lam[np.lexsort((tags[by_lam], level))][:n]
+    order = _merge_order(vals, tags)[:n]
     vals = vals[order]
     vecs = np.hstack([V for _, V in found])[:, order]
     if np.any(vals <= 0):
@@ -820,21 +832,33 @@ class _AiryModes:
     (n, J, K) of the clamped polynomials ``fx`` (f_j(x)) and ``fy``
     (g_k(y)), with the 1-D tables of the factors at the distinct quadrature
     abscissae: ``quad`` = (ux, F, uy, G), F[d, j] = f_j^(d)(ux) and
-    G[d, k] = g_k^(d)(uy)."""
+    G[d, k] = g_k^(d)(uy), and the tables of the nodes, ``nodes``
+    (``_bump_tables``)."""
 
     fx: np.ndarray
     fy: np.ndarray
     coefs: np.ndarray
     quad: tuple
+    nodes: tuple | None = None
 
     def values(self, x, y, C):
         """The stress of the potential(s) C at the points (x, y), which are
         tabulated for the call (``_airy_values``)."""
         return _airy_values(_bump_tables(self.fx, self.fy, x, y), C)
 
+    def nodal(self, c, flipped=False):
+        """(3, n_nodes) nodal components of mode c. The build negates the
+        coefficients of a mode whose largest absolute nodal value is
+        negative (``flipped``); its components are then 0.0 minus the
+        values of the coefficients before, -coefs[c], as ``_sign_fixed``
+        forms them, signed zeros included."""
+        if flipped:
+            return 0.0 - _airy_values(self.nodes, -self.coefs[c])
+        return _airy_values(self.nodes, self.coefs[c])
+
     def field(self, mesh, C, comps) -> SymTensorField2:
         """The exact field of the potential C, with nodal components
-        ``comps``."""
+        ``comps`` (an array, or the function that forms them)."""
         return SymTensorField2(mesh, comps, div_fn=_zero_divergence,
                                fn=functools.partial(self.values, C=C))
 
@@ -872,6 +896,21 @@ class _AiryModes:
         return G, Gt
 
 
+def _potential_indices(n: int):
+    """(j, k) of the first n potentials f_j(x) g_k(y) in order of total
+    degree d = j + k, then of j: the leading n pairs of
+    [(j, d - j) for d in range(n) for j in range(d + 1)], without the
+    others."""
+    i = np.arange(n)
+    # pair i lies on the diagonal d with d (d+1) / 2 <= i < (d+1) (d+2) / 2;
+    # the float root is corrected by one where it rounds across a diagonal
+    d = ((np.sqrt(8.0 * i + 1.0) - 1.0) // 2).astype(np.int64)
+    d += (d + 1) * (d + 2) // 2 <= i
+    d -= d * (d + 1) // 2 > i
+    j = i - d * (d + 1) // 2
+    return j, d - j
+
+
 def airy_bump_basis(mesh: RectangleMesh, n: int) -> BasisSet:
     """n orthonormalized stress fields from clamped polynomial potentials.
 
@@ -884,16 +923,17 @@ def airy_bump_basis(mesh: RectangleMesh, n: int) -> BasisSet:
     (nodes, quadrature points, a side) is a tensor grid: the factors are
     tabulated once per set (``_bump_tables``) and the modes evaluated from
     the tables (``_airy_values``); a mode's ``fn`` tabulates the points it
-    is given. The basis keeps the coefficients and the quadrature tables
-    (``_AiryModes``), no quadrature values; the potentials' Grams are summed
-    over the same blocks of quadrature points as the built basis's
-    (``_AiryModes.grams``).
+    is given. The basis keeps the coefficients and the tables of the
+    quadrature points and of the nodes (``_AiryModes``), neither quadrature
+    nor nodal values: a mode forms its nodal components when they are read,
+    and the build forms them once, to fix the mode's sign. The potentials'
+    Grams are summed over the same blocks of quadrature points as the built
+    basis's (``_AiryModes.grams``) and orthogonalized one mirror-parity
+    class of the mesh at a time.
     """
     if n < 1:
         raise BasisError("n must be >= 1")
-    # the potentials (j, k) in order of total degree
-    jr, kr = np.array([(j, d - j) for d in range(n)
-                       for j in range(d + 1)][:n]).T
+    jr, kr = _potential_indices(n)
     Lx, Ly = mesh.domain.Lx, mesh.domain.Ly
     fy = _bump_polys(kr.max() + 1, Ly)
     # on a square the x polynomials are a leading block of the y ones
@@ -908,27 +948,44 @@ def airy_bump_basis(mesh: RectangleMesh, n: int) -> BasisSet:
     raw = np.zeros((n, fx.shape[2], fy.shape[2]))
     raw[np.arange(n), jr, kr] = 1.0
     G, Gt = map(_symmetric, _AiryModes(fx, fy, raw, quad).grams(mesh))
-    w, U = eigh(G)
-    keepcols = w > 1e-10 * w.max()
-    truncated = int(np.sum(~keepcols))
-    w, U = w[keepcols], U[:, keepcols]
-    # canonical orthogonalization; reverse for a deterministic dominant-first order
-    U = U[:, ::-1]
-    w = w[::-1]
+    # canonical orthogonalization, one mirror-parity class of the mesh
+    # (``parity_classes``) at a time: f_j has parity (-1)^j about the
+    # midline, so the Gram couples no two classes. The pairs (j, k), (k, j)
+    # of a square lie in the two classes that the x <-> y swap exchanges,
+    # so their modes keep the orientation of their classes
+    sx, sy = 1 - 2 * (jr % 2), 1 - 2 * (kr % 2)
+    found = []      # (eigenvalues, eigenvectors over all potentials)
+    for px, py in parity_classes(mesh):
+        idx = np.flatnonzero(((px == 0) | (sx == px))
+                             & ((py == 0) | (sy == py)))
+        w, Uc = eigh(G[np.ix_(idx, idx)])
+        U = np.zeros((n, len(idx)))
+        U[idx] = Uc
+        found.append((w, U))
+    w = np.concatenate([v for v, _ in found])
+    U = np.hstack([V for _, V in found])
+    tags = np.repeat(np.arange(len(found)), [len(v) for v, _ in found])
+    keep = w > 1e-10 * w.max()
+    truncated = int(np.sum(~keep))
+    w, U, tags = w[keep], U[:, keep], tags[keep]
+    # dominant first, merged as ``solve_basis_rectangle`` merges its classes
+    order = _merge_order(-w, tags)
     # column c of T: output mode c in terms of the potentials
-    T = U / np.sqrt(w)
+    T = U[:, order] / np.sqrt(w[order])
     coefs = np.zeros((T.shape[1], fx.shape[2], fy.shape[2]))
     coefs[:, jr, kr] = T.T
 
-    airy = _AiryModes(fx, fy, coefs, quad)
-    nodes = _bump_tables(fx, fy, *mesh.node_coords.T)
+    airy = _AiryModes(fx, fy, coefs, quad,
+                      _bump_tables(fx, fy, *mesh.node_coords.T))
     modes = []
     for c, C in enumerate(coefs):
-        comps, flipped = _sign_fixed(_airy_values(nodes, C))
+        # the nodal values are formed here only to fix the sign
+        flipped = _sign_fixed(airy.nodal(c))[1]
         if flipped:
             T[:, c] = -T[:, c]
             C *= -1.0
-        modes.append(airy.field(mesh, C, comps))
+        modes.append(airy.field(mesh, C, functools.partial(airy.nodal, c,
+                                                           flipped)))
     return BasisSet(modes, None, _symmetric(T.T @ Gt @ T), {
         "backend": "airy-bump",
         "mesh_hash": mesh.mesh_hash(),

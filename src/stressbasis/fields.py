@@ -21,11 +21,12 @@ quadrature values, boundary values, and weak divergences stay exact for
 piecewise-discontinuous ingredients (jumps aligned to mesh feature lines).
 
 Fields are values: a field keeps its constructor arguments and its nodal
-components and no evaluation state, so every evaluation recomputes its
-result. Inner products of many nodal fields at once (a basis's Grams and
-pairings) never evaluate them at the quadrature points: the metric on nodal
-components is the weighted mass matrix P^T diag(w d) P (``weighted_mass``),
-through which ``nodal_gram`` and ``nodal_pairing`` go.
+components (or the function that forms them) and no evaluation state, so
+every evaluation recomputes its result. Inner products of many nodal fields
+at once (a basis's Grams and pairings) never evaluate them at the
+quadrature points: the metric on nodal components is the weighted mass
+matrix P^T diag(w d) P (``weighted_mass``), through which ``nodal_gram``
+and ``nodal_pairing`` go.
 
 Dump format: CSV with header ``x,y,sxx,syy,sxy`` (rectangle) or
 ``r,m,srr,stt,srt`` (radial), one row per node, 17 significant digits.
@@ -82,11 +83,24 @@ def _ops(mesh):
     return fem2d.rect_ops(mesh)
 
 
+class _FormedOnRead:
+    """The ``components`` of a field that keeps no nodal array, formed by
+    its function ``nodal`` on every read. A non-data descriptor: a field
+    that stores its array reads it from its own attribute of that name."""
+
+    def __get__(self, field, owner=None):
+        return self if field is None else field.nodal()
+
+
 class SymTensorField2:
-    """Symmetric 2x2 tensor field with three stored components per node.
+    """Symmetric 2x2 tensor field with three nodal components per node.
 
     Components are (sxx, syy, sxy) on rectangles and radial profiles
     (srr, stt, srt) on annulus grids (tagged with wavenumber ``m`` / parity).
+    The constructor takes the (3, n_nodes) array, or a function of no
+    arguments that forms it: such a field keeps the function as ``nodal``
+    and forms its ``components`` on every read (an airy mode's, from its
+    potential coefficients).
 
     ``fn(x, y) -> (3, n)`` and ``div_fn(x, y) -> (2, n)`` (or ``fn(r)`` /
     ``div_fn(r)`` radially) provide exact quadrature/boundary values and exact
@@ -99,6 +113,8 @@ class SymTensorField2:
     ``parts`` evaluates each of its parts again).
     """
 
+    components = _FormedOnRead()
+
     def __init__(self, mesh, components=None, m=None, parity=None,
                  fn=None, div_fn=None, parts=None):
         _check_tags(mesh, m, parity)
@@ -108,6 +124,9 @@ class SymTensorField2:
         self.fn = fn
         self.div_fn = div_fn
         self.parts = parts  # list of (coef, SymTensorField2) or None
+        if callable(components):
+            self.nodal = components
+            return
         if components is None:
             if parts is not None:
                 components = sum(c * p.components for c, p in parts)

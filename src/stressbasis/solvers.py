@@ -103,15 +103,15 @@ def _reconstruct(sigma_p, basis, idx, a):
     The modes are folded into one field beside sigma_p
     (``BasisSet._combination``), so the quadrature, divergence and edge
     values of the sum cost a fixed number of sparse products or one airy
-    evaluation. The nodal array is summed term by term, in mode order.
+    evaluation. The nodal array is summed term by term, in mode order, in
+    the same pass as the folded field's.
     """
     terms = [(float(a[j]), i) for j, i in enumerate(idx) if a[j] != 0.0]
     tags = {"m": sigma_p.m, "parity": sigma_p.parity}
     parts = [(1.0, sigma_p)]
+    components = 0 + 1.0 * sigma_p.components
     if terms:
-        parts.append((1.0, basis._combination(*zip(*terms))))
-    components = sum(c * f.components for c, f in [(1.0, sigma_p)] + [
-        (c, basis.modes[i]) for c, i in terms])
+        parts.append((1.0, basis._combination(*zip(*terms), components)))
     return SymTensorField2(sigma_p.mesh, components, parts=parts, **tags)
 
 

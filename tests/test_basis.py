@@ -524,21 +524,55 @@ def test_airy_square_takes_its_x_polynomials_from_the_y_ones(rect_mesh,
     assert np.array_equal(real(9, 1.0)[:12, :, :8], real(8, 1.0))
 
 
-def test_airy_build_holds_its_nodal_arrays(traced_held, traced_peak):
-    """A built airy basis holds the nodal arrays of its modes, their
-    potential coefficients and the 1-D tables of the quadrature points, and
-    no quadrature values: at the size of example8's airy comparison (36x36,
-    40 modes) at most 1.1 times the nodal arrays, where a stored quadrature
-    stack was 2.2 times the arrays. Its build peaks at most 1.2 times the
-    nodal arrays: the potentials' Grams are summed over blocks of quadrature
-    points (two raw components (nq, n) were 2.2 times the arrays)."""
+def test_airy_build_holds_no_nodal_arrays(traced_held, traced_peak):
+    """A built airy basis holds its modes' potential coefficients and the
+    1-D tables of the quadrature points and of the nodes, and neither
+    nodal arrays nor quadrature values: at the size of example8's airy
+    comparison (36x36, 40 modes) it holds at most 0.1 times and its build
+    peaks at most 0.3 times the modes' nodal arrays k 3 n_nodes, which the
+    modes form when they are read (stored, they were 1.02 and 1.08 times
+    them)."""
     mesh = build_rectangle_mesh(Domain.rectangle(1.0, 1.0), 36, 36)
     fem2d.rect_ops(mesh)             # operators built outside the measurement
+    arrays = 40 * 3 * mesh.n_nodes * np.dtype(float).itemsize
     basis, held = traced_held(airy_bump_basis, mesh, 40)
-    arrays = sum(md.components.nbytes for md in basis.modes)
-    assert held <= 1.1 * arrays
+    assert held <= 0.1 * arrays
+    assert all("components" not in vars(md) for md in basis.modes)
     basis, peak = traced_peak(airy_bump_basis, mesh, 40)
-    assert peak <= 1.2 * arrays
+    assert peak <= 0.3 * arrays
+
+
+def test_airy_components_equal_the_eager_ones(rect_mesh, monkeypatch):
+    """An airy mode forms its nodal components on every read, byte for byte
+    (signed zeros included) the array that the sign convention made of the
+    values of its coefficients before the sign was fixed
+    (``_sign_fixed(_airy_values(nodes, C))``): on the feature-line square
+    and on an oblong rectangle."""
+    real = basis_mod._sign_fixed
+    seen = []
+    monkeypatch.setattr(basis_mod, "_sign_fixed",
+                        lambda comps: seen.append(comps.copy()) or real(comps))
+    oblong = build_rectangle_mesh(Domain.rectangle(1.0, 0.5), 6, 4)
+    for mesh, k in ((rect_mesh, 10), (oblong, 8)):
+        seen.clear()
+        basis = airy_bump_basis(mesh, k)
+        airy = basis.airy
+        nodes = basis_mod._bump_tables(airy.fx, airy.fy,
+                                       *mesh.node_coords.T)
+        assert len(seen) == k
+        flips = 0
+        for C, values, md in zip(airy.coefs, seen, basis.modes):
+            want, flipped = real(values)
+            flips += flipped
+            # the values the sign was fixed from are those of the
+            # coefficients before it was: -C for a flipped mode
+            before = -C if flipped else C
+            assert values.tobytes() == basis_mod._airy_values(
+                nodes, before).tobytes()
+            got = md.components
+            assert got.tobytes() == want.tobytes()
+            assert md.components is not got
+        assert 0 < flips < k
 
 
 def test_airy_blocked_grams_match_one_product(rect_mesh):
@@ -564,6 +598,42 @@ def test_airy_blocked_grams_match_one_product(rect_mesh):
                     scalar_gram(mesh, None, None, Tr, Tr))
             for g, w in zip(got, want):
                 assert np.abs(g - w).max() <= 1e-13 * np.abs(w).max()
+
+
+def test_airy_orientation_does_not_follow_the_block_size(monkeypatch):
+    """The potentials are orthogonalized one mirror-parity class at a time,
+    so each mode lies in one class, and the modes of a square's degenerate
+    pairs (j, k), (k, j) come from the two classes that the x <-> y swap
+    exchanges, not from the round-off of the Gram's sums: at 36x36/40 the
+    coefficients with the Gram summed over blocks of one and of two
+    element rows agree to 1e-12 relative."""
+    mesh = build_rectangle_mesh(Domain.rectangle(1.0, 1.0), 36, 36)
+    coefs = []
+    for rows in (1, 2):
+        monkeypatch.setattr(basis_mod, "_AIRY_BLOCK_ROWS", rows)
+        coefs.append(airy_bump_basis(mesh, 40).airy.coefs)
+    assert np.abs(coefs[1] - coefs[0]).max() <= 1e-12 * np.abs(
+        coefs[0]).max()
+    J, K = coefs[0].shape[1:]
+    parity = np.add.outer(np.arange(J) % 2 * 2, np.arange(K) % 2)
+    for C in coefs[0]:
+        assert len(np.unique(parity[C != 0])) == 1
+
+
+def test_potential_indices_are_the_leading_pairs(traced_peak):
+    """The potentials (j, k) in order of total degree are the leading n
+    pairs of the comprehension over all degrees below n, for every n up to
+    300, formed without the others: n = 4000 allocates less than 1 MB
+    (the comprehension's n (n + 1) / 2 pairs took about 1 GB)."""
+    ref = np.array([(j, d - j) for d in range(300)
+                    for j in range(d + 1)][:300]).T
+    for n in range(1, 301):
+        jr, kr = basis_mod._potential_indices(n)
+        assert np.array_equal(jr, ref[0, :n])
+        assert np.array_equal(kr, ref[1, :n])
+    (jr, kr), peak = traced_peak(basis_mod._potential_indices, 4000)
+    assert peak < 1e6
+    assert (jr[-1], kr[-1]) == (83, 5)     # 3999 = 88 * 89 / 2 + 83
 
 
 def _bump_polys_by_objects(count, L):

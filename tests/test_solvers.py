@@ -309,6 +309,27 @@ def test_se_gram_peak_memory(rect_mesh, iso_material, traced_peak):
     assert peak <= 0.3 * 3 * nq * len(basis) * 8
 
 
+def test_reconstruction_forms_each_airy_mode_once(band_particular,
+                                                 iso_material, monkeypatch):
+    """An airy mode forms its nodal components when they are read, and
+    sigma_N's reconstruction reads each mode with a coefficient once: the
+    folded field's nodal sum and sigma_N's are added in one pass. The
+    nodal array is the term-by-term sum sigma_p + sum_j a_j phi_j."""
+    from stressbasis import basis as basis_mod
+    sp = band_particular.field
+    basis = airy_bump_basis(sp.mesh, 10)
+    real = basis_mod._airy_values
+    formed = []
+    monkeypatch.setattr(basis_mod, "_airy_values", lambda tables, C: (
+        formed.append(tables is basis.airy.nodes) or real(tables, C)))
+    res = solve_strain_energy(sp, basis, iso_material, len(basis))
+    assert sum(formed) == np.count_nonzero(res.coeffs) == len(basis)
+    terms = [(1.0, sp)] + [(float(a), md)
+                           for a, md in zip(res.coeffs, basis.modes)]
+    assert np.array_equal(res.sigma_N.components,
+                          sum(c * f.components for c, f in terms))
+
+
 def test_airy_sigma_n_is_one_airy_field():
     """sigma_N of an airy-backend SE solve keeps sigma_p and one airy field
     of the summed potentials as its parts, not one part per mode; its
