@@ -14,6 +14,7 @@ per content key.
 """
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import functools
 import glob
@@ -58,6 +59,38 @@ def _openblas(package, symbol: str, argtypes: tuple = (),
         fn.argtypes, fn.restype = list(argtypes), restype
         return fn
     return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Both bundled OpenBLAS libraries, scipy's and numpy's, at one thread
+    for the body, and their previous counts restored after it, also on an
+    exception. Yields whether both are at one thread. A library already at
+    one thread is left alone, so an entry inside another changes and
+    restores nothing. Where a library or its symbols are missing nothing is
+    set, and the yield is False. The counts are process-wide, so entries
+    are made from one thread; the class-solve workers enter none.
+
+    At one thread a dense product's sums are split one way, so its bytes
+    do not depend on ``OPENBLAS_NUM_THREADS``, and it holds one set of
+    packing buffers instead of one per thread."""
+    libs = [(_openblas(pkg, f"scipy_openblas_get_num_threads{sfx}"),
+             _openblas(pkg, f"scipy_openblas_set_num_threads{sfx}",
+                       (ctypes.c_int,), None))
+            for pkg, sfx in ((scipy, ""), (np, "64_"))]
+    if any(fn is None for pair in libs for fn in pair):
+        yield False
+        return
+    saved = [(get(), set_) for get, set_ in libs]
+    for count, set_ in saved:
+        if count != 1:
+            set_(1)
+    try:
+        yield True
+    finally:
+        for count, set_ in saved:
+            if count != 1:
+                set_(count)
 
 
 def build_identity() -> dict:

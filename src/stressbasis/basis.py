@@ -9,17 +9,20 @@ discretized with equal-order continuous quadratic elements for all stress and
 multiplier components. On the rectangle the divergence constraint is kept as a
 saddle block and the pencil is solved by shift-invert Lanczos, one run per
 reflection-parity class of the mesh's mirror symmetries, the classes side by
-side on a thread pool with one BLAS thread per worker; on the annulus
-the problem reduces per azimuthal wavenumber m to a radial system whose
-constraint is eliminated by LU: with C^T = P L U (row pivoting), the kernel of
-C is spanned by the columns of P [X; I] with X = -L1^-T L2^T. The reduced
-pencil Z^T A Z = X^T A_dd X + X^T A_df + A_fd X + A_ff (and the same for B)
-is formed from X and the sparse blocks of A and B on the dependent and free
-dofs, without writing Z, and solved in place by a symmetric-definite
-eigensolver. At m = 0 the system splits into two independent ones, the
-normal components with the radial equation and the shear with the
-tangential one; a sparse LU shows that the shear block's constraint has
-full column rank, so only the normal block is eliminated and solved.
+side on a thread pool; on the annulus the problem reduces per azimuthal
+wavenumber m to a radial system whose constraint is eliminated by LU: with
+C^T = P L U (row pivoting), the kernel of C is spanned by the columns of
+P [X; I] with X = -L1^-T L2^T. The reduced pencil
+Z^T A Z = X^T A_dd X + X^T A_df + A_fd X + A_ff (and the same for B) is
+formed from X and the sparse blocks of A and B on the dependent and free
+dofs, a block of X's columns at a time and without writing Z, and solved in
+place by a symmetric-definite eigensolver. At m = 0 the system splits into
+two independent ones, the normal components with the radial equation and
+the shear with the tangential one; a sparse LU shows that the shear block's
+constraint has full column rank, so only the normal block is eliminated and
+solved. Both backends run with the OpenBLAS libraries at one thread
+(``_cache._one_blas_thread``), so a basis is the same bytes whatever
+``OPENBLAS_NUM_THREADS`` says.
 
 An alternative non-eigen backend orthonormalizes the stress fields of
 clamped polynomial "bump" potentials f(x) g(y) (exactly divergence-free and
@@ -36,7 +39,6 @@ of element rows, each block's values of all modes formed at once.
 from __future__ import annotations
 
 import contextlib
-import ctypes
 import functools
 import os
 import warnings
@@ -44,7 +46,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field as dc_field
 
 import numpy as np
-import scipy
 import scipy.sparse as sp
 from numpy.polynomial import polynomial as nppoly
 from scipy.linalg import LinAlgWarning, eigh, lu_factor, qr
@@ -59,7 +60,7 @@ from .fields import (SymTensorField2, _interior_norm, _ops,
                      equilibrium_residual, nodal_gram, nodal_pairing,
                      quad_metric, sparse_rows)
 from .materials import modulus_on_quad
-from ._cache import _openblas, read_tagged, write_tagged
+from ._cache import _one_blas_thread, read_tagged, write_tagged
 from .config import NumericFailure
 from .meshes import Domain, RadialMesh, RectangleMesh
 
@@ -292,34 +293,20 @@ def _rigid_pins(mesh: RectangleMesh, Pm: sp.spmatrix) -> np.ndarray:
     return piv[:Rc.shape[1]]
 
 
-def _blas_thread_cap():
-    """``openblas_set_num_threads_local`` of the OpenBLAS bundled with scipy,
-    which ARPACK and SuperLU link against; None when it is not there."""
-    return _openblas(scipy, "openblas_set_num_threads_local", (ctypes.c_int,))
-
-
-def _blas_threads() -> list:
-    """The thread counts of the OpenBLAS bundled with scipy and of the one
-    bundled with numpy (None where one is not there). The dense annulus
-    solve runs on them, and its modes move at round-off when they change."""
-    counts = (_openblas(scipy, "scipy_openblas_get_num_threads"),
-              _openblas(np, "scipy_openblas_get_num_threads64_"))
-    return [None if get is None else get() for get in counts]
-
-
 @contextlib.contextmanager
 def _class_map(n_classes: int):
     """A ``map`` for the independent class solves: a pool of
-    min(n_classes, usable CPUs) threads, each capped at one BLAS thread, so
-    the result depends on neither count; the builtin ``map`` in the calling
-    thread when the cap is not available."""
-    cap = _blas_thread_cap()
-    if cap is None:
-        yield map
-        return
-    workers = min(n_classes, len(os.sched_getaffinity(0)))
-    with ThreadPoolExecutor(workers, initializer=cap, initargs=(1,)) as pool:
-        yield pool.map
+    min(n_classes, usable CPUs) threads when both OpenBLAS libraries are
+    pinned at one thread (``_one_blas_thread``, whose process-wide count the
+    workers share), so the result depends on neither count; the builtin
+    ``map`` in the calling thread when they are not."""
+    with _one_blas_thread() as pinned:
+        if not pinned:
+            yield map
+            return
+        workers = min(n_classes, len(os.sched_getaffinity(0)))
+        with ThreadPoolExecutor(workers) as pool:
+            yield pool.map
 
 
 def _merge_order(keys: np.ndarray, tags: np.ndarray) -> np.ndarray:
@@ -335,6 +322,7 @@ def _merge_order(keys: np.ndarray, tags: np.ndarray) -> np.ndarray:
     return by_key[np.lexsort((tags[by_key], level))]
 
 
+@_one_blas_thread()
 def solve_basis_rectangle(mesh: RectangleMesh, n_modes: int) -> BasisSet:
     """First n_modes eigenpairs on a rectangle mesh.
 
@@ -350,7 +338,7 @@ def solve_basis_rectangle(mesh: RectangleMesh, n_modes: int) -> BasisSet:
     (number of classes) modes plus a margin, and asked again for more until
     its largest eigenvalue reaches the n_modes-th merged one, so the merged
     spectrum is exact. Modes are merged by (lambda, class). The solves of one
-    round run concurrently (see ``_class_map``).
+    round run concurrently (see ``_class_map``), at one BLAS thread.
     """
     if n_modes < 1:
         raise BasisError("n_modes must be >= 1")
@@ -521,22 +509,38 @@ def _full_column_rank(C: sp.spmatrix) -> bool:
     return bool(piv.min() > _PIVOT_TOL * piv.max())
 
 
+# columns of the kernel block X per step of ``_reduced``
+_REDUCED_BLOCK = 64
+
+
 def _reduced(A: sp.spmatrix, free, dep, X) -> np.ndarray:
     """Z^T A Z for the kernel basis Z of ``_kernel_by_lu`` (A symmetric),
-    from the sparse blocks as X^T (A_dd X + A_df) + A_fd X + A_ff.
+    from the sparse blocks, one block b of ``_REDUCED_BLOCK`` columns at a
+    time, as X^T (A_dd X_b + A_df[:, b]) + A_fd X_b + A_ff[:, b].
 
-    Holds one (dep, free) product at a time besides the result, and never
-    A Z. The result is returned transposed, a Fortran-ordered view: its
-    upper triangle holds the lower triangle of the sum as formed here.
+    Only the lower triangle is formed: the rows of a block from its first
+    column on, so X^T is multiplied by rows from there. The result is
+    returned transposed, a Fortran-ordered view whose upper triangle, the
+    one ``eigh(lower=False)`` reads, holds that lower triangle; the rest of
+    the array is not the sum. Holds the result, one block's (dep, b) and
+    (free, b) products and the sparse blocks; never A Z nor a whole
+    (dep, free) product.
     """
-    T = A[dep][:, dep] @ X
-    Adf = A[dep][:, free].tocoo()
-    T[Adf.row, Adf.col] += Adf.data
-    M = X.T @ T
-    del T
-    M += A[free][:, dep] @ X
-    Aff = A[free][:, free].tocoo()
-    M[Aff.row, Aff.col] += Aff.data
+    Add, Afd = A[dep][:, dep], A[free][:, dep]
+    Adf, Aff = A[dep][:, free].tocsc(), A[free][:, free].tocsc()
+    k = X.shape[1]
+    M = np.zeros((k, k))
+    for b in range(0, k, _REDUCED_BLOCK):
+        cols = slice(b, b + _REDUCED_BLOCK)
+        Xb = X[:, cols]
+        T = Add @ Xb
+        S = Adf[:, cols].tocoo()
+        T[S.row, S.col] += S.data
+        M[b:, cols] = X[:, b:].T @ T
+        del T
+        M[b:, cols] += (Afd @ Xb)[b:]
+        S = Aff[:, cols].tocoo()
+        M[S.row, b + S.col] += S.data
     return M.T
 
 
@@ -554,8 +558,9 @@ def _solve_radial_m(mesh: RadialMesh, m: int, n_modes: int):
     m >= 1 the system is solved coupled.
 
     The reduced pencils are formed from the kernel's LU block X and the
-    sparse blocks of A and B (``_reduced``) and solved by ``eigh`` in place,
-    for the n_modes smallest pairs of each system.
+    sparse blocks of A and B, one block of X's columns at a time and only
+    the triangle that ``eigh`` reads (``_reduced``), and solved by ``eigh``
+    in place, for the n_modes smallest pairs of each system.
     """
     ops = fem2d.radial_ops(mesh)
     nn = mesh.n_nodes
@@ -597,13 +602,15 @@ def _solve_radial_m(mesh: RadialMesh, m: int, n_modes: int):
     return lam[order], cols[:, order]
 
 
+@_one_blas_thread()
 def solve_basis_annulus(mesh: RadialMesh, wavenumbers,
                         n_modes: int) -> BasisSet:
     """Merged eigenbasis over the requested azimuthal wavenumbers.
 
     For every m the radial system is solved once; for m >= 1 each radial
     eigenfunction yields a degenerate cos/sin pair. Modes are merged and sorted
-    by (lambda, m, parity) and truncated to n_modes.
+    by (lambda, m, parity) and truncated to n_modes. The solve runs at one
+    BLAS thread, so its bytes do not depend on the thread count.
     """
     if not isinstance(mesh, RadialMesh):
         raise BasisError("annulus backend requires a radial mesh")
@@ -1104,6 +1111,7 @@ def _airy_residuals(basis: BasisSet):
     return div, bc
 
 
+@_one_blas_thread()
 def verify_basis(basis: BasisSet) -> BasisReport:
     """Orthogonality, equilibrium and Rayleigh-consistency report, every
     figure measured from the modes."""

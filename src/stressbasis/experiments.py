@@ -26,9 +26,9 @@ import os
 
 import numpy as np
 
-from ._cache import atomic_write_text, digest, get_or_build, read_tagged, \
-    write_tagged
-from .basis import (H1_TOL, L2_TOL, BasisSet, _blas_threads, airy_bump_basis,
+from ._cache import _one_blas_thread, atomic_write_text, digest, \
+    get_or_build, read_tagged, write_tagged
+from .basis import (H1_TOL, L2_TOL, BasisSet, airy_bump_basis,
                     div_tolerance_rule, load_basis, save_basis,
                     solve_basis_annulus, solve_basis_rectangle, verify_basis)
 # get_preset is named here too: the benchmark and the acceptance tests read
@@ -114,9 +114,8 @@ def get_basis(mesh, spec: dict, use_cache: bool = True) -> BasisSet:
         return build()
     key = {"mesh": mesh.mesh_hash(), "backend": backend, "n_modes": n_modes}
     if isinstance(mesh, RadialMesh):
-        # the annulus build reads the wavenumbers, and its dense solve's
-        # bytes depend on the BLAS thread counts
-        key.update(wavenumbers=wavenumbers, blas_threads=_blas_threads())
+        # the annulus build reads the wavenumbers
+        key["wavenumbers"] = wavenumbers
     return get_or_build("basis-{}.sbbasis", key, build, save_basis,
                         lambda path, key: load_basis(path, mesh, key),
                         use_cache)
@@ -332,9 +331,13 @@ def _one_check(name, spec, ctx):
     raise UsageError(f"unknown check kind {kind!r}")
 
 
+@_one_blas_thread()
 def run_experiment(cfg: ExperimentConfig, out_dir: str,
                    full: bool = False, use_cache: bool = True) -> dict:
-    """Run one experiment; write artifacts into out_dir; return the report."""
+    """Run one experiment; write artifacts into out_dir; return the report.
+    The run holds both OpenBLAS libraries at one thread (``_one_blas_thread``),
+    so its artifacts are the same bytes whatever ``OPENBLAS_NUM_THREADS``
+    says."""
     if full and cfg.full:
         cfg = cfg.at_full_scale()
     os.makedirs(out_dir, exist_ok=True)

@@ -1,3 +1,4 @@
+import contextlib
 import os
 import subprocess
 import sys
@@ -12,7 +13,8 @@ import stressbasis
 from stressbasis import basis as basis_mod, fem2d
 from stressbasis._cache import read_tagged, write_tagged
 from stressbasis.basis import (BasisError, BasisSet, _full_column_rank,
-                               _kernel_by_lu, _radial_blocks, _solve_radial_m,
+                               _kernel_by_lu, _radial_blocks, _reduced,
+                               _solve_radial_m,
                                airy_bump_basis, load_basis, parity_classes,
                                save_basis, solve_basis_annulus,
                                solve_basis_rectangle, verify_basis)
@@ -354,6 +356,43 @@ def test_kernel_by_lu_peak_memory(traced_peak):
     _, peak = traced_peak(_kernel_by_lu, C)
     Z = _kernel_basis(C)
     assert peak <= 8 * C.shape[0] * C.shape[1] + Z.nbytes
+
+
+def _radial_kernel(nel, m):
+    """A, B and the kernel split (free, dep, X) of the radial system."""
+    mesh = build_radial_grid(Domain.annulus(0.1, 0.3), nel)
+    nn = mesh.n_nodes
+    A, B, C = _radial_blocks(fem2d.radial_ops(mesh), m)
+    dofs = np.setdiff1d(np.arange(3 * nn), [0, nn - 1, 2 * nn, 3 * nn - 1])
+    free, dep, X = _kernel_by_lu(C[:, dofs])
+    return A, B, dofs[free], dofs[dep], X
+
+
+def test_reduced_pencil_peak_memory(traced_peak):
+    """The reduced pencil is formed one block of kernel columns at a time:
+    the call holds the k x k result, one block's (dep x b) and (free x b)
+    products and the sparse blocks of A, never a whole (dep x free)
+    product. The coupled m = 2 system, where dep is about 2 free."""
+    A, _, free, dep, X = _radial_kernel(256, 2)
+    r, k = X.shape
+    M, peak = traced_peak(_reduced, A, free, dep, X)
+    assert M.shape == (k, k)
+    block = basis_mod._REDUCED_BLOCK
+    sparse = 4 * (A.data.nbytes + A.indices.nbytes + A.indptr.nbytes)
+    assert peak <= 8 * (k * k + 2 * (r + k) * block) + sparse
+
+
+def test_reduced_pencil_is_the_projected_matrix():
+    """The triangle that eigh reads is Z^T A Z, Z = P [X; I] written out."""
+    A, B, free, dep, X = _radial_kernel(48, 1)
+    Z = np.zeros((A.shape[0], len(free)))
+    Z[free] = np.eye(len(free))
+    Z[dep] = X
+    for S in (A, B):
+        want = Z.T @ (S @ Z)
+        got = np.triu(_reduced(S, free, dep, X))
+        assert np.abs(got - np.triu(want)).max() <= \
+            1e-12 * np.abs(want).max()
 
 
 def test_radial_solve_splits_the_axisymmetric_system(monkeypatch):
@@ -913,7 +952,13 @@ def test_rectangle_basis_same_on_one_or_two_workers(monkeypatch, rect_mesh):
 
 def test_class_solves_stay_in_the_calling_thread_without_a_blas_cap(
         monkeypatch, rect_mesh):
+    """Where the OpenBLAS libraries cannot be held at one thread, the class
+    solves run one after another in the calling thread."""
     seen = _eigsh_threads(monkeypatch)
-    monkeypatch.setattr(basis_mod, "_blas_thread_cap", lambda: None)
+
+    @contextlib.contextmanager
+    def not_pinned():
+        yield False
+    monkeypatch.setattr(basis_mod, "_one_blas_thread", not_pinned)
     solve_basis_rectangle(rect_mesh, 8)
     assert seen and set(seen) == {threading.get_ident()}

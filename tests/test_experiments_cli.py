@@ -1,3 +1,4 @@
+import ctypes
 import dataclasses
 import filecmp
 import gc
@@ -451,23 +452,95 @@ def test_stored_report_equals_a_fresh_verification(tmp_path, monkeypatch,
     assert len(_cached(tmp_path, "basis-")) == 2
 
 
-def test_annulus_cache_key_covers_the_blas_thread_counts(tmp_path,
-                                                         monkeypatch,
-                                                         rect_mesh, ann_mesh):
-    """Annulus modes move at round-off with the BLAS thread counts, so each
-    count gets its own annulus file; rectangle bases do not depend on it."""
-    monkeypatch.setenv("SB_CACHE_DIR", str(tmp_path))
-    for mesh, spec, n_files in (
-            (ann_mesh, {"backend": "eigen", "n_modes": 6}, 2),
-            (rect_mesh, {"backend": "eigen", "n_modes": 4}, 1)):
-        for threads in ([1, 1], [2, 2], [1, 1]):
-            monkeypatch.setattr(experiments, "_blas_threads",
-                                lambda threads=threads: threads)
-            get_basis(mesh, spec)
-        names = set(_cached(tmp_path, "basis-"))
-        assert len(names) == n_files, spec
-        for name in names:
-            os.unlink(tmp_path / name)
+# tiny runs on each dense path: the annulus at m = 0 (SMALL_CFG's recipe)
+# and m = 1 (example5's), and a rectangle; big enough that OpenBLAS splits
+# the dense annulus products between two threads
+_THREAD_CFGS = {
+    "annulus_m0": dict(SMALL_CFG, mesh={"nel": 256},
+                       basis={"backend": "eigen", "n_modes": 40,
+                              "wavenumbers": [0]}, N=40, slope_window=[4, 40]),
+    "annulus_m1": dict(SMALL_CFG, mesh={"nel": 128},
+                       basis={"backend": "eigen", "n_modes": 60,
+                              "wavenumbers": [1]}, N=30,
+                       particular={"recipe": "annulus_m1"},
+                       principles=["PT", "SE"], oracle={"kind": "ode_bvp"},
+                       slope_window=[3, 30]),
+    "rectangle": RECT_CFG,
+}
+
+
+@pytest.mark.parametrize("name", sorted(_THREAD_CFGS))
+def test_run_artifacts_ignore_blas_thread_count(name, tmp_path, monkeypatch):
+    """A run holds both OpenBLAS libraries at one thread, so its artifacts
+    and its cached basis are the same bytes under OPENBLAS_NUM_THREADS 1
+    and 2, each on its own cache."""
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(_THREAD_CFGS[name]))
+    runs = [tmp_path / threads for threads in ("1", "2")]
+    for run in runs:
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", run.name)
+        out = _process(run, "run", "--config", str(cfg_path),
+                       "--out", str(run / "out"))
+        assert out.returncode == 0, out.stderr
+    one, two = runs
+    names = sorted(os.listdir(one / "out"))
+    assert "report.json" in names
+    assert sorted(os.listdir(two / "out")) == names
+    for fname in names:
+        assert filecmp.cmp(one / "out" / fname, two / "out" / fname,
+                           shallow=False), fname
+    (file,) = _cached(one / "c", "basis-")
+    a, b = (read_tagged(str(run / "c" / file), basis_mod._BASIS_FORMAT)[1]
+            for run in runs)
+    assert sorted(a) == sorted(b)
+    for key in a:
+        assert a[key].tobytes() == b[key].tobytes(), key
+
+
+def _blas_counts():
+    """The thread counts of the OpenBLAS bundled with scipy and of the one
+    bundled with numpy."""
+    return [_cache._openblas(pkg, f"scipy_openblas_get_num_threads{sfx}")()
+            for pkg, sfx in ((scipy, ""), (np, "64_"))]
+
+
+def _set_blas_counts(counts):
+    for (pkg, sfx), n in zip(((scipy, ""), (np, "64_")), counts):
+        _cache._openblas(pkg, f"scipy_openblas_set_num_threads{sfx}",
+                         (ctypes.c_int,), None)(n)
+
+
+def test_run_restores_the_blas_thread_counts(tmp_path, monkeypatch):
+    """A run holds both OpenBLAS libraries at one thread, an entry nested in
+    it (the basis solve) changing nothing, and gives back the counts they
+    had, after it returns and after it raises."""
+    monkeypatch.setenv("SB_CACHE_DIR", str(tmp_path / "cache"))
+    inside = []
+    real = experiments.get_basis
+
+    def spy(*args, **kwargs):
+        inside.append(_blas_counts())
+        basis = real(*args, **kwargs)
+        inside.append(_blas_counts())
+        return basis
+    monkeypatch.setattr(experiments, "get_basis", spy)
+    refused = get_preset("example8_square_ortho").to_dict()
+    refused["mesh"].update(nx=12, ny=12)
+    refused.update(basis={"backend": "eigen", "n_modes": 10}, N=10)
+    saved = _blas_counts()
+    try:
+        _set_blas_counts([2, 2])
+        before = _blas_counts()
+        run_experiment(ExperimentConfig.from_dict(SMALL_CFG),
+                       str(tmp_path / "ok"))
+        assert _blas_counts() == before
+        with pytest.raises(NumericFailure, match="equilibrium"):
+            run_experiment(ExperimentConfig.from_dict(refused),
+                           str(tmp_path / "refused"))
+        assert _blas_counts() == before
+    finally:
+        _set_blas_counts(saved)
+    assert inside == [[1, 1]] * 4
 
 
 def test_eigen_file_under_its_key_is_loaded(tmp_path, monkeypatch,
