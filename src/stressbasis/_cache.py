@@ -120,13 +120,15 @@ def atomic_write_text(path: str, text: str):
     atomic_write_bytes(path, text.encode())
 
 
-def atomic_write_bytes(path: str, data: bytes):
+def atomic_write_bytes(path: str, *parts):
+    """``parts`` written in order to ``path``, so no caller joins them."""
     d = os.path.dirname(os.path.abspath(path))
     os.makedirs(d, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-sb-")
     try:
         with os.fdopen(fd, "wb") as f:
-            f.write(data)
+            for data in parts:
+                f.write(data)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -138,7 +140,7 @@ def write_tagged(path: str, tag: str, meta: dict, arrays: dict):
     payload = io.BytesIO()
     text = json.dumps(meta, sort_keys=True).encode()
     np.savez(payload, meta=np.frombuffer(text, np.uint8), **arrays)
-    atomic_write_bytes(path, tag.encode() + b"\n" + payload.getvalue())
+    atomic_write_bytes(path, tag.encode() + b"\n", payload.getbuffer())
 
 
 def read_tagged(path: str, tag: str, key: dict | None = None):

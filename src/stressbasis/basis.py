@@ -28,13 +28,13 @@ An alternative non-eigen backend orthonormalizes the stress fields of
 clamped polynomial "bump" potentials f(x) g(y) (exactly divergence-free and
 traction-free), evaluated from 1-D tables of the factors f and g.
 
-A basis gives the L2 and strain-energy Grams and the pairings of a tag
-group (``BasisSet.gram``, ``BasisSet.pairing``). An eigenbasis holds its
-modes as views of one (k, 3, n_nodes) array and forms them from the nodal
-components through the weighted mass matrix (``fields.nodal_gram``). An
-airy basis holds its modes' potential coefficients and the 1-D factor
-tables of the quadrature points, and adds up the contributions of blocks
-of element rows, each block's values of all modes formed at once.
+A basis forms the L2, planar-trace and strain-energy Grams and the pairings
+of a tag group when asked (``BasisSet.gram``, ``BasisSet.pairing``). An
+eigenbasis holds its modes as views of one (k, 3, n_nodes) array and forms
+them from the nodal components through the weighted mass matrix
+(``fields.nodal_gram``). An airy basis holds its modes' potential
+coefficients and the 1-D factor tables of the quadrature points, and adds
+up blocks of element rows, each block's values of all modes formed at once.
 """
 from __future__ import annotations
 
@@ -70,6 +70,9 @@ _PARITIES = ("cos", "sin")
 # cluster, orthogonalized together; recorded in the provenance
 _DEGENERATE_GAP = 1e-6
 
+# the metric S (``fields.nodal_gram``) of the planar traces' Gram
+_TRACE = ((1, 1, 0), (1, 1, 0), (0, 0, 0))
+
 
 class BasisError(NumericFailure, RuntimeError):
     pass
@@ -81,12 +84,11 @@ class BasisFileError(BasisError, ValueError):
 
 @dataclass
 class BasisSet:
-    """Ordered basis functions with their eigenvalues, the Gram of their
-    planar traces (which PT's objective reads) and their provenance."""
+    """Ordered basis functions with their eigenvalues and their provenance;
+    it stores no Gram (``gram`` forms each when asked)."""
 
     modes: list
     eigenvalues: np.ndarray | None
-    trace_gram: np.ndarray
     provenance: dict
     # ``verify_basis`` of the basis, computed once; SBBASIS files store it
     report: BasisReport | None = dc_field(default=None, compare=False)
@@ -124,31 +126,25 @@ class BasisSet:
         lead = idx == list(range(len(idx)))
         return self.nodal[:len(idx)] if lead else self.nodal[idx]
 
-    def gram(self, m=None, parity=None, material=None) -> np.ndarray:
-        """The L2 Gram <phi_j, phi_i> of the tag group (m, parity), or the
-        strain-energy Gram <C^-1 phi_j, phi_i> of a ``material``; not
-        symmetrized. Nodal modes go through ``fields.nodal_gram``. An airy
-        basis sums the products of its blocks of quadrature points
-        (``_AiryModes.quad_blocks``), the law applied to one block's values
-        of all modes at a time with the block's slice of the modulus. Neither
-        caller nor solver asks which kind of basis it holds."""
-        if self.airy is None:
-            V = self._nodal(m, parity)
-            if material is None:
-                return nodal_gram(self.mesh, m, parity, V)
-            return nodal_gram(self.mesh, m, parity, V, material.S,
-                              1.0 / modulus_on_quad(material, self.mesh))
-        w, fac = quad_metric(self.mesh)
-        if material is not None:
-            Y = modulus_on_quad(material, self.mesh)
-        G = np.zeros((len(self),) * 2)
-        for q, B in self.airy.quad_blocks(self.mesh):
-            E = B if material is None else material.compliance_on_values(
-                B, Y if material.uniform else Y[q, None])
-            for c, f in enumerate(fac):
-                G += f * _weighted_product(w[q], E[c], B[c])
-            del B, E        # before the next block is formed
-        return G
+    def gram(self, m=None, parity=None, material=None, n=None,
+             trace=False) -> np.ndarray:
+        """The L2 Gram <phi_j, phi_i> of the leading n modes of the tag
+        group (m, parity), the strain-energy Gram <C^-1 phi_j, phi_i> of a
+        ``material``, or with ``trace`` the Gram <tr phi_j, tr phi_i> of
+        their planar traces, which PT's objective reads (no material is
+        read); not symmetrized. Nodal modes go through ``fields.nodal_gram``,
+        the trace Gram with the metric ``_TRACE``. An airy basis sums over
+        blocks of quadrature points (``_AiryModes.gram``). Neither caller
+        nor solver asks which kind of basis it holds."""
+        if self.airy is not None:
+            return self.airy.gram(self.mesh, material, n, trace)
+        V = self._nodal(m, parity, n)
+        if trace:
+            return nodal_gram(self.mesh, m, parity, V, _TRACE)
+        if material is None:
+            return nodal_gram(self.mesh, m, parity, V)
+        return nodal_gram(self.mesh, m, parity, V, material.S,
+                          1.0 / modulus_on_quad(material, self.mesh))
 
     def pairing(self, m, parity, A, n=None) -> np.ndarray:
         """<A, phi_i> of quadrature values A (3, nq) with the leading n
@@ -422,7 +418,7 @@ def solve_basis_rectangle(mesh: RectangleMesh, n_modes: int) -> BasisSet:
     modes = [SymTensorField2(mesh, comps) for comps in nodal]
 
     h = float(max(np.diff(mesh.xs).max(), np.diff(mesh.ys).max()))
-    basis = BasisSet(modes, vals, np.eye(len(modes)), {
+    basis = BasisSet(modes, vals, {
         "backend": "eigen-rectangle",
         "mesh_hash": mesh.mesh_hash(),
         "mesh": {"Lx": mesh.domain.Lx, "Ly": mesh.domain.Ly,
@@ -644,7 +640,7 @@ def solve_basis_annulus(mesh: RadialMesh, wavenumbers,
              for comps, (_, m, pi, _) in zip(nodal, entries)]
 
     h = float(mesh.nodes[2] - mesh.nodes[0])
-    basis = BasisSet(modes, vals, np.eye(len(modes)), {
+    basis = BasisSet(modes, vals, {
         "backend": "eigen-annulus",
         "mesh_hash": mesh.mesh_hash(),
         "mesh": {"r_a": mesh.domain.r_a, "r_b": mesh.domain.r_b,
@@ -683,17 +679,17 @@ def orthonormalize(basis: BasisSet) -> BasisSet:
     """Scale modes to unit L2 norm and orthogonalize degenerate clusters.
 
     Within each eigenvalue cluster (relative gap below ``_DEGENERATE_GAP``) a
-    modified Gram-Schmidt pass runs with the larger-trace-norm mode as the
-    first axis. Mode signs follow the largest-absolute-nodal-value convention.
+    modified Gram-Schmidt pass runs over the members in merge order. Mode
+    signs follow the largest-absolute-nodal-value convention.
 
     Modes of distinct (m, parity) tags are orthogonal, so each output mode is
     a combination of the input modes of its own tag group, and the pass runs
-    over the members of one tag in a cluster. The passes and the output
-    trace Gram work on those coefficients, with inner products taken from
-    the input L2 and trace Grams of the group (``fields.nodal_gram``). The
-    output's L2 Gram is the identity to round-off; ``verify_basis``
-    measures it. The output modes are views of one (k, 3, n_nodes) array,
-    as a loaded basis's are.
+    over the members of one tag in a cluster. The passes work on those
+    coefficients, with inner products taken from the input L2 Gram of the
+    group (``BasisSet.gram``), the one Gram formed per group. The output's
+    L2 Gram is the identity to round-off; ``verify_basis`` measures it. The
+    output modes are views of one (k, 3, n_nodes) array, as a loaded
+    basis's are.
     """
     n = len(basis.modes)
 
@@ -710,15 +706,10 @@ def orthonormalize(basis: BasisSet) -> BasisSet:
 
     fixed = [None] * n
     nodal = np.empty((n, 3, basis.mesh.n_nodes))
-    out = BasisSet(fixed, basis.eigenvalues, np.zeros((n, n)),
-                   dict(basis.provenance), nodal=nodal)
+    out = BasisSet(fixed, basis.eigenvalues, dict(basis.provenance),
+                   nodal=nodal)
     for key, idx in basis.groups().items():
-        m, parity = key or (None, None)
-        V = basis._nodal(m, parity)
-        G = _symmetric(nodal_gram(basis.mesh, m, parity, V))
-        # the planar traces' Gram: the normal components share their factor
-        Gt = _symmetric(nodal_gram(basis.mesh, m, parity, V,
-                                   ((1, 1, 0), (1, 1, 0), (0, 0, 0))))
+        G = _symmetric(basis.gram(*(key or ())))
         # column p of T: output mode p in terms of the group's input modes
         nrm = np.sqrt(np.maximum(np.diag(G), 0.0))
         if not nrm.all():
@@ -730,10 +721,8 @@ def orthonormalize(basis: BasisSet) -> BasisSet:
             members = [pos[i] for i in cl if i in pos]
             if len(members) < 2:
                 continue
-            order = sorted(members, key=lambda p: -np.sqrt(
-                max(T[:, p] @ Gt @ T[:, p], 0.0)))
             done = []
-            for p in order:
+            for p in members:
                 v = T[:, p]
                 for q in done:
                     c = v @ G @ T[:, q]
@@ -759,7 +748,6 @@ def orthonormalize(basis: BasisSet) -> BasisSet:
             nodal[i] = comps
             fixed[i] = SymTensorField2(tag.mesh, nodal[i], m=tag.m,
                                        parity=tag.parity)
-        out.trace_gram[np.ix_(idx, idx)] = _symmetric(T.T @ Gt @ T)
     return out
 
 
@@ -889,18 +877,26 @@ class _AiryModes:
                       ix - x0, iy - y0)
             yield q, _airy_values(tables, coefs)
 
-    def grams(self, mesh):
-        """The L2 Gram of the modes and the Gram of their planar traces, as
-        ``tensor_gram`` and ``scalar_gram`` sum them, summed over the
-        ``quad_blocks``; not symmetrized."""
+    def gram(self, mesh, material=None, n=None, trace=False):
+        """``BasisSet.gram`` of the leading n modes summed over the
+        ``quad_blocks``: the law applied to a block's values of all modes
+        with the block's slice of the modulus, or for ``trace`` its normal
+        components summed in place; not symmetrized."""
         w, fac = quad_metric(mesh)
-        G, Gt = np.zeros((2, len(self.coefs), len(self.coefs)))
-        for q, B in self.quad_blocks(mesh):
-            for c, f in enumerate(fac):
-                G += f * _weighted_product(w[q], B[c], B[c])
-            B[0] += B[1]
-            Gt += fac[0] * _weighted_product(w[q], B[0], B[0])
-        return G, Gt
+        if material is not None:
+            Y = modulus_on_quad(material, mesh)
+        G = np.zeros((len(self.coefs[:n]),) * 2)
+        for q, B in self.quad_blocks(mesh, n):
+            if trace:
+                B[0] += B[1]
+                E = B = B[:1]
+            else:
+                E = B if material is None else material.compliance_on_values(
+                    B, Y if material.uniform else Y[q, None])
+            for c, f in enumerate(fac[:len(B)]):
+                G += f * _weighted_product(w[q], E[c], B[c])
+            del B, E        # before the next block is formed
+        return G
 
 
 def _potential_indices(n: int):
@@ -934,9 +930,9 @@ def airy_bump_basis(mesh: RectangleMesh, n: int) -> BasisSet:
     quadrature points and of the nodes (``_AiryModes``), neither quadrature
     nor nodal values: a mode forms its nodal components when they are read,
     and the build forms them once, to fix the mode's sign. The potentials'
-    Grams are summed over the same blocks of quadrature points as the built
-    basis's (``_AiryModes.grams``) and orthogonalized one mirror-parity
-    class of the mesh at a time.
+    L2 Gram, the one Gram the build forms, is summed over the same blocks of
+    quadrature points as the built basis's (``_AiryModes.gram``) and
+    orthogonalized one mirror-parity class of the mesh at a time.
     """
     if n < 1:
         raise BasisError("n must be >= 1")
@@ -950,11 +946,11 @@ def airy_bump_basis(mesh: RectangleMesh, n: int) -> BasisSet:
     ops = _ops(mesh)
     ux, uy = np.unique(ops.qx), np.unique(ops.qy)
     quad = (ux, nppoly.polyval(ux, fx), uy, nppoly.polyval(uy, fy))
-    # the Grams of the potentials, the modes of one-hot coefficients, over
+    # the L2 Gram of the potentials, the modes of one-hot coefficients, over
     # the blocks of quadrature points that the built basis reads too
     raw = np.zeros((n, fx.shape[2], fy.shape[2]))
     raw[np.arange(n), jr, kr] = 1.0
-    G, Gt = map(_symmetric, _AiryModes(fx, fy, raw, quad).grams(mesh))
+    G = _symmetric(_AiryModes(fx, fy, raw, quad).gram(mesh))
     # canonical orthogonalization, one mirror-parity class of the mesh
     # (``parity_classes``) at a time: f_j has parity (-1)^j about the
     # midline, so the Gram couples no two classes. The pairs (j, k), (k, j)
@@ -993,7 +989,7 @@ def airy_bump_basis(mesh: RectangleMesh, n: int) -> BasisSet:
             C *= -1.0
         modes.append(airy.field(mesh, C, functools.partial(airy.nodal, c,
                                                            flipped)))
-    return BasisSet(modes, None, _symmetric(T.T @ Gt @ T), {
+    return BasisSet(modes, None, {
         "backend": "airy-bump",
         "mesh_hash": mesh.mesh_hash(),
         "mesh": {"Lx": mesh.domain.Lx, "Ly": mesh.domain.Ly,
@@ -1176,8 +1172,8 @@ def verify_basis(basis: BasisSet) -> BasisReport:
 # the tag line of a basis file; it names the layout (``_cache.write_tagged``)
 # only. The file stores the build's ``verify_basis`` report, which a load
 # returns unchecked: an edit to ``verify_basis`` changes the build identity
-# the cache checks a file against, so the file is rebuilt
-_BASIS_FORMAT = "SBBASIS 3"
+# the cache checks a file against, so the file is rebuilt. It holds no Gram
+_BASIS_FORMAT = "SBBASIS 4"
 
 
 def save_basis(basis: BasisSet, path: str, key: dict | None = None):
@@ -1192,7 +1188,6 @@ def save_basis(basis: BasisSet, path: str, key: dict | None = None):
         "components": basis.nodal,
         "m_tags": mtags,
         "parity_tags": ptags,
-        "trace_gram": basis.trace_gram,
         "eigenvalues": basis.eigenvalues,
     }
     mesh = basis.mesh
@@ -1230,7 +1225,6 @@ def load_basis(path: str, mesh=None, key: dict | None = None) -> BasisSet:
         mtags = arrays["m_tags"]
         ptags = arrays["parity_tags"]
         lam = arrays["eigenvalues"]
-        trace_gram = arrays["trace_gram"]
         prov, report = meta["provenance"], BasisReport(**meta["report"])
     except (ValueError, KeyError, TypeError) as exc:
         raise BasisFileError(
@@ -1239,8 +1233,7 @@ def load_basis(path: str, mesh=None, key: dict | None = None) -> BasisSet:
         mesh = stored
     k = len(comps)
     shapes = [(comps.shape, (k, 3, mesh.n_nodes)), (mtags.shape, (k,)),
-              (ptags.shape, (k,)), (trace_gram.shape, (k, k)),
-              (lam.shape, (k,))]
+              (ptags.shape, (k,)), (lam.shape, (k,))]
     if k == 0 or any(got != want for got, want in shapes):
         raise BasisFileError(f"{path}: inconsistent {_BASIS_FORMAT} arrays")
     modes = []
@@ -1248,4 +1241,4 @@ def load_basis(path: str, mesh=None, key: dict | None = None) -> BasisSet:
         m = None if mtags[i] < 0 else int(mtags[i])
         parity = None if ptags[i] < 0 else _PARITIES[int(ptags[i])]
         modes.append(SymTensorField2(mesh, comps[i], m=m, parity=parity))
-    return BasisSet(modes, lam, trace_gram, prov, report, nodal=comps)
+    return BasisSet(modes, lam, prov, report, nodal=comps)

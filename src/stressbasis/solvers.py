@@ -16,10 +16,12 @@ minimizer; PT: the first n). For every principle, the strain energy (SE's
 objective) and E_n come from these alone, in ``energy_series`` and
 ``error_series``, through one SE Gram per (basis, material, tag group).
 
-The SE Gram and the pairings come from the basis (``BasisSet.gram`` and
-``BasisSet.pairing``): an eigenbasis forms them from its nodal components,
-so no solve evaluates its modes at the quadrature points; an airy basis
-evaluates them one block of quadrature points at a time.
+The SE Gram, the trace Gram of a PT solve's N modes (formed by the solve
+for its objective alone, kept nowhere) and the pairings come from the basis
+(``BasisSet.gram`` and ``BasisSet.pairing``): an eigenbasis forms them from
+its nodal components, so no solve evaluates its modes at the quadrature
+points; an airy basis evaluates them one block of quadrature points at a
+time.
 """
 from __future__ import annotations
 
@@ -179,8 +181,9 @@ def _pt_like(sigma_p, basis, N, ns, sbar_quad, principle):
     a = -t
     sched = _schedule(N, ns)
     ans = [a[:n] for n in sched]
+    Gt = basis.gram(m, parity, n=N, trace=True) if N else np.zeros((0, 0))
     diag = {"n": np.array(sched), "objective": _quadratic_series(
-        Tp, t, basis.trace_gram[np.ix_(idx, idx)], ans)}
+        Tp, t, Gt, ans)}
     return Approximation(a, _reconstruct(sigma_p, basis, idx, a), principle,
                          diag, list(idx), ans)
 

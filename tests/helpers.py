@@ -79,6 +79,15 @@ def mode_residuals(basis) -> np.ndarray:
                      for md in basis.modes])
 
 
+def trace_gram(basis) -> np.ndarray:
+    """The Gram of the planar traces of all modes of ``basis``, formed one
+    tag group at a time (``BasisSet.gram``); zero between groups."""
+    G = np.zeros((len(basis), len(basis)))
+    for key, idx in basis.groups().items():
+        G[np.ix_(idx, idx)] = basis.gram(*(key or ()), trace=True)
+    return G
+
+
 def galerkin_residual(approx, basis, material) -> float:
     """max_i |<C^-1 sigma^N, phi_i>| over the solved modes (SE optimality)."""
     r = _energy_pairing(basis, material, approx.sigma_N,

@@ -29,7 +29,7 @@ from stressbasis.meshes import (Domain, RectangleMesh, build_radial_grid,
 from stressbasis.particular import uniform_pressure_particular
 from stressbasis.solvers import solve_strain_energy
 
-from helpers import mode_residuals
+from helpers import mode_residuals, trace_gram
 
 
 def test_rectangle_basis_verifies(rect_basis):
@@ -151,7 +151,7 @@ def test_grams_match_pairwise_inner_products(ann_basis_merged, rect_basis,
                                           modes[i].parity, traces[i],
                                           traces[j])
         assert np.abs(basis_mod._l2_gram(basis) - G).max() <= 1e-13
-        assert np.abs(basis.trace_gram - T).max() <= 1e-13
+        assert np.abs(trace_gram(basis) - T).max() <= 1e-13
 
 
 def _h1_gram_by_family_split(basis):
@@ -285,9 +285,9 @@ def test_nodal_grams_and_pairings_match_quadrature(rect_basis,
     of the modes' quadrature values to 1e-14 relative: the L2, trace and
     strain-energy Grams on the rectangle (a uniform, a varying modulus and
     the orthotropic law) and in every annulus group (cos and sin), and the
-    pairing with random quadrature values. The airy basis's, summed over
-    blocks of quadrature points (and its trace Gram, formed at the build
-    from the potentials' Gram), equal them to 1e-13 relative."""
+    pairing with random quadrature values, also of the leading modes only.
+    The airy basis's, summed over blocks of quadrature points, equal them to
+    1e-13 relative."""
     airy = airy_bump_basis(rect_basis.mesh, 10)
     for basis, laws, tol in ((rect_basis, list(_LAWS.values()), 1e-14),
                              (ann_basis_merged, [_LAWS["isotropic"]], 1e-14),
@@ -297,12 +297,12 @@ def test_nodal_grams_and_pairings_match_quadrature(rect_basis,
             m, parity = key or (None, None)
             Q = _quad_stack(basis, idx)
             Tr = Q[0] + Q[1]
-            trace = ((1, 1, 0), (1, 1, 0), (0, 0, 0))
             pairs = [
                 (basis.gram(m, parity), tensor_gram(mesh, m, parity, Q, Q)),
-                (basis.trace_gram[np.ix_(idx, idx)] if basis.airy else
-                 nodal_gram(mesh, m, parity, basis._nodal(m, parity), trace),
-                 scalar_gram(mesh, m, parity, Tr, Tr))]
+                (basis.gram(m, parity, trace=True),
+                 scalar_gram(mesh, m, parity, Tr, Tr)),
+                (basis.gram(m, parity, n=3, trace=True),
+                 scalar_gram(mesh, m, parity, Tr[:, :3], Tr[:, :3]))]
             pairs += [(basis.gram(m, parity, law),
                        tensor_gram(mesh, m, parity,
                                    compliance_on_quad(law, mesh, Q), Q))
@@ -500,6 +500,13 @@ def test_load_basis_rejects_corruption(tmp_path, rect_basis):
     write_tagged(str(path), basis_mod._BASIS_FORMAT, meta, arrays)
     with pytest.raises(BasisError, match="eigenvalues"):
         load_basis(str(path))
+    # a file of the layout before, which stored a trace Gram
+    save_basis(rect_basis, str(path))
+    meta, arrays = read_tagged(str(path), basis_mod._BASIS_FORMAT)
+    arrays["trace_gram"] = np.eye(len(rect_basis))
+    write_tagged(str(path), "SBBASIS 3", meta, arrays)
+    with pytest.raises(BasisError, match="tag line"):
+        load_basis(str(path))
 
 
 def test_airy_bump_basis_properties(rect_mesh):
@@ -615,11 +622,11 @@ def test_airy_components_equal_the_eager_ones(rect_mesh, monkeypatch):
 
 
 def test_airy_blocked_grams_match_one_product(rect_mesh):
-    """The L2 and trace Grams that the build sums over the blocks of
-    quadrature points match the products of the whole stack of values to
-    1e-13 relative, for the raw potentials (one-hot coefficients) of the
-    feature-line square and of an oblong rectangle, and for a built
-    basis."""
+    """The L2 and trace Grams summed over the blocks of quadrature points
+    (``_AiryModes.gram``) match the products of the whole stack of values
+    to 1e-13 relative, for the raw potentials (one-hot coefficients) of the
+    feature-line square and of an oblong rectangle, whose L2 Gram the build
+    forms, and for a built basis."""
     oblong = build_rectangle_mesh(Domain.rectangle(1.0, 0.5), 6, 4)
     for mesh in (rect_mesh, oblong):
         ops = fem2d.rect_ops(mesh)
@@ -632,7 +639,7 @@ def test_airy_blocked_grams_match_one_product(rect_mesh):
                       airy):
             Q = modes.values(ops.qx, ops.qy, modes.coefs)
             Tr = Q[0] + Q[1]
-            got = modes.grams(mesh)
+            got = modes.gram(mesh), modes.gram(mesh, trace=True)
             want = (tensor_gram(mesh, None, None, Q, Q),
                     scalar_gram(mesh, None, None, Tr, Tr))
             for g, w in zip(got, want):

@@ -353,10 +353,19 @@ def test_damaged_cache_files_are_rebuilt(tmp_path, monkeypatch):
             return data
         return data.replace(b'"h": 0.125', b'"h": 0.925')
 
+    def stale_tag(data):
+        # the basis file's tag line names the layout before, which stored a
+        # trace Gram
+        head = basis_mod._BASIS_FORMAT.encode() + b"\n"
+        if not data.startswith(head):
+            return data
+        return b"SBBASIS 3\n" + data[len(head):]
+
     for tag, damage in (("truncated", lambda data: data[:len(data) // 2]),
                         ("flipped", flip_payload_byte),
                         ("narrowed", narrow_dtype),
-                        ("meta", edit_meta)):
+                        ("meta", edit_meta),
+                        ("stale tag", stale_tag)):
         damaged = {name: damage(data) for name, data in built.items()}
         assert damaged != built, tag
         for name, data in damaged.items():

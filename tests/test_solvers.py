@@ -9,7 +9,7 @@ from stressbasis import fem2d, solvers
 from stressbasis.basis import (BasisSet, _l2_gram, airy_bump_basis,
                                solve_basis_annulus, solve_basis_rectangle)
 from stressbasis.fields import (SymTensorField2, equilibrium_residual,
-                                tensor_gram)
+                                planar_trace, scalar_gram, tensor_gram)
 from stressbasis.materials import (Material, compliance_on_quad,
                                    discontinuous_modulus, strain_energy)
 from stressbasis.meshes import (Domain, build_radial_grid,
@@ -22,7 +22,7 @@ from stressbasis.particular import (axisym_airy_particular,
 from stressbasis.solvers import (SolverError, energy_series, error_series,
                                  solve_planar_trace, solve_strain_energy)
 
-from helpers import galerkin_residual, mode_residuals
+from helpers import galerkin_residual, mode_residuals, trace_gram
 
 
 @pytest.fixture(scope="module")
@@ -38,7 +38,7 @@ def band_particular(rect_mesh):
 def test_trace_gram_matches_tensor_gram(ann_basis_m0, rect_basis):
     """Traces of the basis functions inherit the tensor Gram (both domains)."""
     for basis in (ann_basis_m0, rect_basis):
-        dev = np.abs(basis.trace_gram - _l2_gram(basis)).max()
+        dev = np.abs(trace_gram(basis) - _l2_gram(basis)).max()
         assert dev <= 1e-6, f"entrywise deviation {dev:.2e}"
 
 
@@ -83,16 +83,24 @@ def test_equilibrium_preserved_by_reconstruction(ann_particular, ann_basis_m0,
 
 
 def test_pt_is_material_blind(ann_particular, ann_basis_m0):
-    """PT coefficients are single integrals; they cannot depend on material."""
-    a1 = solve_planar_trace(ann_particular.field, ann_basis_m0, 12).coeffs
-    a2 = solve_planar_trace(ann_particular.field, ann_basis_m0, 12).coeffs
-    assert a1.tobytes() == a2.tobytes()
+    """PT coefficients are single integrals and its objective a trace norm;
+    neither depends on material: a PT solve on a fresh basis and one made
+    after SE solves under two materials have filled the basis cache give
+    the same bytes."""
+    sp = ann_particular.field
+    fresh = dataclasses.replace(ann_basis_m0, _cache={})
+    pt = solve_planar_trace(sp, fresh, 12)
+    used = dataclasses.replace(ann_basis_m0, _cache={})
+    laws = (Material.isotropic(1.0, 0.2), Material.isotropic(1.0, 0.4))
+    for law in laws:
+        solve_strain_energy(sp, used, law, 12)
+    assert len(used._cache) == 2
+    after = solve_planar_trace(sp, used, 12)
+    assert after.coeffs.tobytes() == pt.coeffs.tobytes()
+    assert (after.diagnostics["objective"].tobytes()
+            == pt.diagnostics["objective"].tobytes())
     # while the energy attached afterwards does see the material
-    pt = solve_planar_trace(ann_particular.field, ann_basis_m0, 12)
-    e1 = energy_series(pt, ann_particular.field, ann_basis_m0,
-                       Material.isotropic(1.0, 0.2))
-    e2 = energy_series(pt, ann_particular.field, ann_basis_m0,
-                       Material.isotropic(1.0, 0.4))
+    e1, e2 = (energy_series(pt, sp, used, law) for law in laws)
     assert not np.allclose(e1, e2)
 
 
@@ -102,6 +110,35 @@ def test_se_energy_identity(band_particular, rect_basis, iso_material, rng):
                              6, ns=[6])
     direct = strain_energy(iso_material, se.sigma_N)
     assert se.diagnostics["objective"][-1] == pytest.approx(direct, rel=1e-10)
+
+
+def test_pt_identity(band_particular, ann_particular, rect_basis,
+                     ann_basis_m0, rect_mesh):
+    """On an eigen rectangle basis, the m = 0 annulus basis and an airy
+    basis, at every scheduled n: PT's coefficients are
+    -<tr sigma_p, tr phi_i> of the quadrature values, and its objective is
+    |tr sigma^n|^2 of the reconstructed n-mode field."""
+    for sp, basis in ((band_particular.field, rect_basis),
+                      (ann_particular.field, ann_basis_m0),
+                      (band_particular.field, airy_bump_basis(rect_mesh, 10))):
+        mesh, m, parity = sp.mesh, sp.m, sp.parity
+        N = min(len(basis), 8)
+        pt = solve_planar_trace(sp, basis, N, ns=range(N + 1))
+        tp = planar_trace(sp)
+        want = np.array([-float(scalar_gram(mesh, m, parity, tp,
+                                            planar_trace(md)))
+                         for md in basis.modes[:N]])
+        assert np.allclose(pt.coeffs, want, rtol=0,
+                           atol=1e-12 * np.abs(want).max())
+        assert list(pt.diagnostics["n"]) == list(range(N + 1))
+        for n, a, objective in zip(pt.diagnostics["n"], pt.coeffs_by_n,
+                                   pt.diagnostics["objective"]):
+            sig = sp
+            for c, md in zip(a, basis.modes[:n]):
+                sig = sig + float(c) * md
+            tr = planar_trace(sig)
+            direct = float(scalar_gram(mesh, m, parity, tr, tr))
+            assert objective == pytest.approx(direct, rel=1e-10), n
 
 
 def test_error_series_endpoints(ann_particular, ann_basis_m0, iso_material,
@@ -205,13 +242,18 @@ def test_se_gram_built_once_per_material_and_selection(band_particular,
                                                        monkeypatch):
     """The SE solve, the energy and error series share one SE Gram per
     (basis, material, tag group); a selection of the leading modes reads
-    its leading block. ``built`` counts the modes of every Gram built."""
-    built = []
+    its leading block. ``built`` counts the modes of every SE Gram built.
+    Each PT solve forms one trace Gram, of its N modes (``traced`` holds
+    their sizes), and keeps none."""
+    built, traced = [], []
     gram = BasisSet.gram
 
-    def counted(basis, m, parity, material=None):
-        G = gram(basis, m, parity, material)
-        built.extend(range(len(G)))
+    def counted(basis, m, parity, material=None, n=None, trace=False):
+        G = gram(basis, m, parity, material, n, trace)
+        if trace:
+            traced.append(len(G))
+        else:
+            built.extend(range(len(G)))
         return G
     monkeypatch.setattr(BasisSet, "gram", counted)
     sp = band_particular.field
@@ -224,21 +266,34 @@ def test_se_gram_built_once_per_material_and_selection(band_particular,
         error_series(res, sp, rect_basis, mat, other)
     solve_strain_energy(sp, rect_basis, mat, N)
     assert len(built) == N
+    # the PT solve formed one trace Gram, of its N modes
+    assert traced == [N]
     solve_strain_energy(sp, rect_basis, Material.isotropic(2.0, 0.25), N)
     solve_strain_energy(sp, rect_basis, mat, N - 1)
     assert len(built) == 2 * N
+    solve_planar_trace(sp, rect_basis, N - 1)
+    assert traced == [N, N - 1]
 
 
 def test_no_modes_form_no_stack_and_no_se_gram(band_particular, rect_basis,
-                                              iso_material):
+                                              iso_material, monkeypatch):
     """N = 0 reports sigma_p alone: an SE and a PT solve and their energy
-    series form no SE Gram and keep nothing in the basis."""
+    series form no SE Gram and no trace Gram, and keep nothing in the
+    basis."""
+    formed = []
+    gram = BasisSet.gram
+
+    def counted(*args, **kwargs):
+        formed.append(kwargs)
+        return gram(*args, **kwargs)
+    monkeypatch.setattr(BasisSet, "gram", counted)
     basis = dataclasses.replace(rect_basis, _cache={})
     sp = band_particular.field
     for res in (solve_strain_energy(sp, basis, iso_material, 0),
                 solve_planar_trace(sp, basis, 0)):
         energy_series(res, sp, basis, iso_material)
     assert not basis._cache
+    assert not formed
 
 
 def test_reconstruction_folds_nodal_modes(band_particular, rect_basis,
